@@ -78,18 +78,6 @@ class SpaceFamily:
         return {"spaces": [s.to_json_dict() for s in self.spaces]}
 
 
-@dataclass(frozen=True)
-class FiniteRelation:
-    ground: tuple[Fraction, ...]
-    pairs: frozenset[Pair]
-
-    def __post_init__(self) -> None:
-        grounded = set(self.ground)
-        for a, b in self.pairs:
-            if a not in grounded or b not in grounded:
-                raise ValueError(f"pair ({a}, {b}) leaves the ground set")
-
-
 def distance_values(family: SpaceFamily) -> tuple[Fraction, ...]:
     """Union of all distance values over the family, 0 included, ascending."""
     values: set[Fraction] = set()
@@ -99,7 +87,7 @@ def distance_values(family: SpaceFamily) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
-def base_leg_pairs(family: SpaceFamily) -> FiniteRelation:
+def base_leg_pairs(family: SpaceFamily) -> frozenset[Pair]:
     """All pairs (base, leg) realized by point triples, repetition allowed.
 
     A pair (s, t) is collected when some space has points a, b, c (not
@@ -114,15 +102,17 @@ def base_leg_pairs(family: SpaceFamily) -> FiniteRelation:
                 for c in range(n):
                     if d[a][b] == d[b][c]:
                         pairs.add((d[a][c], d[a][b]))
-    return FiniteRelation(distance_values(family), frozenset(pairs))
+    return frozenset(pairs)
 
 
-def transitive_closure(rel: FiniteRelation) -> FiniteRelation:
+def transitive_closure(
+    ground: tuple[Fraction, ...], pairs: frozenset[Pair]
+) -> frozenset[Pair]:
     """Smallest transitive superset, by the all-intermediates sweep."""
-    index = {v: i for i, v in enumerate(rel.ground)}
-    n = len(rel.ground)
+    index = {v: i for i, v in enumerate(ground)}
+    n = len(ground)
     reach = [[False] * n for _ in range(n)]
-    for a, b in rel.pairs:
+    for a, b in pairs:
         reach[index[a]][index[b]] = True
     for k in range(n):
         row_k = reach[k]
@@ -133,12 +123,12 @@ def transitive_closure(rel: FiniteRelation) -> FiniteRelation:
                     if row_k[j]:
                         row_i[j] = True
     closed = {
-        (rel.ground[i], rel.ground[j])
+        (ground[i], ground[j])
         for i in range(n)
         for j in range(n)
         if reach[i][j]
     }
-    return FiniteRelation(rel.ground, frozenset(closed))
+    return frozenset(closed)
 
 
 @dataclass(frozen=True)
@@ -200,8 +190,8 @@ class FinitePoset:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FinitePoset":
-        ground = tuple(sorted(Fraction(v) for v in data["ground"]))
-        pairs = {(Fraction(a), Fraction(b)) for a, b in data["pairs"]}
+        ground = tuple(sorted(as_fraction(v) for v in data["ground"]))
+        pairs = {(as_fraction(a), as_fraction(b)) for a, b in data["pairs"]}
         pairs.update((t, t) for t in ground)
         return cls(ground, frozenset(pairs))
 
@@ -214,8 +204,8 @@ def family_poset(family: SpaceFamily) -> FinitePoset:
     and a breach raises SelfCheckError rather than returning nonsense.
     """
     ran = distance_values(family)
-    closed = transitive_closure(base_leg_pairs(family))
-    pairs = set(closed.pairs) | {(t, t) for t in ran}
+    closed = transitive_closure(ran, base_leg_pairs(family))
+    pairs = set(closed) | {(t, t) for t in ran}
     for a, b in pairs:
         if a != b and (b, a) in pairs:
             raise SelfCheckError(f"distance order is not antisymmetric on {a}, {b}")

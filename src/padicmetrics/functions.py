@@ -406,7 +406,7 @@ class StepFunction(FunctionSpec):
 
 
 def _parse_pairs(raw) -> list[tuple[Fraction, Fraction]]:
-    return [(Fraction(a), Fraction(b)) for a, b in raw]
+    return [(as_fraction(a), as_fraction(b)) for a, b in raw]
 
 
 def spec_from_json_dict(data: dict) -> FunctionSpec:
@@ -424,7 +424,7 @@ def spec_from_json_dict(data: dict) -> FunctionSpec:
         if tail == TAIL_LINEAR:
             return PiecewiseLinear(points, TAIL_LINEAR)
         if isinstance(tail, dict) and "constant" in tail:
-            if Fraction(tail["constant"]) != points[-1][1]:
+            if as_fraction(tail["constant"]) != points[-1][1]:
                 raise ValueError("constant tail must equal the last ordinate")
             return PiecewiseLinear(points, TAIL_CONSTANT)
         raise ValueError(f"unknown tail {tail!r}")
@@ -439,7 +439,7 @@ def spec_from_json_dict(data: dict) -> FunctionSpec:
     if kind == "power_step":
         return PowerStep(spec_from_json_dict(data["inner"]), int(data["p"]))
     if kind == "step":
-        return StepFunction(Fraction(data["below"]), tuple(_parse_pairs(data["points"])))
+        return StepFunction(as_fraction(data["below"]), tuple(_parse_pairs(data["points"])))
     raise ValueError(f"unknown function spec kind {kind!r}")
 
 

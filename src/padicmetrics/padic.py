@@ -27,8 +27,17 @@ _CERTIFIED_LIMIT = 2**64
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce an int or canonical "a/b" string to an exact Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce an int or canonical "a/b" string to an exact Fraction.
+
+    Raises:
+        TypeError: for a bool, or for a float, which is already rounded to
+            binary (0.1 would become 3602879701896397/36028797018963968).
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"exact rationals only: got the {type(x).__name__} {x!r}")
+    return Fraction(x)
 
 
 def is_prime(n: int) -> bool:
@@ -43,7 +52,7 @@ def is_prime(n: int) -> bool:
         raise NotPrimeError(f"cannot certify primality of {n}: not below 2**64")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n == small:
             return True
         if n % small == 0:
@@ -80,6 +89,11 @@ def _multiplicity(n: int, p: int) -> int:
     return count
 
 
+def _order(x: Fraction, p: int) -> int:
+    # x != 0 and p already certified by the public caller
+    return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
+
+
 def valuation(x: RationalLike, p: int) -> int:
     """The p-adic order of a nonzero rational.
 
@@ -94,7 +108,7 @@ def valuation(x: RationalLike, p: int) -> int:
     x = as_fraction(x)
     if x == 0:
         raise OrdOfZeroError("the p-adic order of 0 is undefined")
-    return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
+    return _order(x, p)
 
 
 @dataclass(frozen=True)
@@ -137,7 +151,7 @@ def padic_abs(x: RationalLike, p: int) -> PAdicAbs:
     x = as_fraction(x)
     if x == 0:
         return PAdicAbs.zero(p)
-    return PAdicAbs.power(p, -valuation(x, p))
+    return PAdicAbs.power(p, -_order(x, p))
 
 
 def padic_distance(x: RationalLike, y: RationalLike, p: int) -> Fraction:
@@ -185,7 +199,7 @@ def digit_window(x: RationalLike, p: int, high: int) -> DigitWindow:
     """
     require_prime(p)
     x = as_fraction(x)
-    low = 0 if x == 0 else min(0, valuation(x, p))
+    low = 0 if x == 0 else min(0, _order(x, p))
     if high < low:
         raise ValueError(f"high must be at least the window start {low}, got {high}")
     digits: list[int] = []

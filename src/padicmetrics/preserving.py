@@ -5,7 +5,9 @@ entry is at most the sum of the other two; it is a strong triplet when each
 entry is at most the maximum of the other two (equivalently, the two largest
 entries are equal). A function preserves a metric property on a sample set
 exactly when the corresponding triplet images stay in the right family, so
-the checks below reduce to finite scans with exact arithmetic.
+the checks below reduce to finite scans with exact arithmetic. Sorted triples
+are enough: both families are closed under permuting the entries, so the
+lexicographically least failing ordered triple is itself sorted.
 
 Every verdict carries a short hash of the canonicalized sample set, so a
 recorded verdict can be tied back to the inputs that produced it. A passing
@@ -15,10 +17,12 @@ sampled verdict certifies the sampled triples only, nothing beyond them.
 from __future__ import annotations
 
 import hashlib
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EquivalenceBreachError, NegativeInputError
 from .functions import FunctionSpec, PiecewiseLinear, StepFunction
@@ -117,6 +121,26 @@ def _amenability_witness(f: FunctionSpec, samples: Sequence[Fraction]) -> Witnes
     return None
 
 
+def _first_bad_triple(
+    f: FunctionSpec,
+    xs: Sequence[Fraction],
+    reach: Callable[[Fraction, Fraction], Fraction],
+    image_ok: Callable[[Fraction, Fraction, Fraction], bool],
+) -> Witness | None:
+    # xs ascending and nonnegative. A sorted triple a <= b <= c lies in the
+    # scanned family exactly when c <= reach(a, b): a + b for triangles,
+    # max(a, b) for strong triplets. Sorted triples are walked in
+    # lexicographic order, so the first failure is the least one.
+    values = {x: f(x) for x in xs}
+    for i, a in enumerate(xs):
+        for j, b in enumerate(xs[i:], i):
+            for c in xs[j : bisect_right(xs, reach(a, b), j)]:
+                fa, fb, fc = values[a], values[b], values[c]
+                if not image_ok(fa, fb, fc):
+                    return Witness("triple", (a, b, c), (fa, fb, fc))
+    return None
+
+
 def check_metric_preserving_sampled(
     f: FunctionSpec, samples: Iterable[RationalLike]
 ) -> TripletVerdict:
@@ -130,21 +154,10 @@ def check_metric_preserving_sampled(
     if Fraction(0) not in xs:
         raise ValueError("the sample set must contain 0")
     digest = samples_digest(xs)
-    amen = _amenability_witness(f, xs)
-    if amen is not None:
-        return TripletVerdict(False, digest, amen)
-    values = {x: f(x) for x in xs}
-    for a in xs:
-        for b in xs:
-            for c in xs:
-                if not is_triangle_triplet(a, b, c):
-                    continue
-                fa, fb, fc = values[a], values[b], values[c]
-                if not is_triangle_triplet(fa, fb, fc):
-                    return TripletVerdict(
-                        False, digest, Witness("triple", (a, b, c), (fa, fb, fc))
-                    )
-    return TripletVerdict(True, digest)
+    bad = _amenability_witness(f, xs) or _first_bad_triple(
+        f, xs, operator.add, is_triangle_triplet
+    )
+    return TripletVerdict(bad is None, digest, bad)
 
 
 def _refine(f: FunctionSpec, xs: list[Fraction]) -> list[Fraction]:
@@ -192,22 +205,7 @@ def check_ultrametric_preserving(
     amen = _amenability_witness(f, xs)
     direct = amen or _monotone_witness(f, xs)
 
-    scan: Witness | None = amen
-    if scan is None:
-        values = {x: f(x) for x in xs}
-        for a in xs:
-            for b in xs:
-                for c in xs:
-                    if not is_strong_triplet(a, b, c):
-                        continue
-                    fa, fb, fc = values[a], values[b], values[c]
-                    if not is_strong_triplet(fa, fb, fc):
-                        scan = Witness("triple", (a, b, c), (fa, fb, fc))
-                        break
-                if scan is not None:
-                    break
-            if scan is not None:
-                break
+    scan = amen or _first_bad_triple(f, xs, max, is_strong_triplet)
 
     if (direct is None) != (scan is None):
         raise EquivalenceBreachError(
@@ -240,22 +238,7 @@ def check_ultra_to_metric(
             if direct is not None:
                 break
 
-    scan: Witness | None = amen
-    if scan is None:
-        values = {x: f(x) for x in xs}
-        for a in xs:
-            for b in xs:
-                for c in xs:
-                    if not is_strong_triplet(a, b, c):
-                        continue
-                    fa, fb, fc = values[a], values[b], values[c]
-                    if not is_triangle_triplet(fa, fb, fc):
-                        scan = Witness("triple", (a, b, c), (fa, fb, fc))
-                        break
-                if scan is not None:
-                    break
-            if scan is not None:
-                break
+    scan = amen or _first_bad_triple(f, xs, max, is_triangle_triplet)
 
     if (direct is None) != (scan is None):
         raise EquivalenceBreachError(

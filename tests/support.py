@@ -4,6 +4,10 @@ The space generators here are construction-time oracles: they build
 matrices that are ultrametric by how they are assembled (random
 dendrograms, combs), not by running the package validator, so validator
 tests get an independent source of known-good inputs.
+
+The ``brute_*`` checks are brute-force references for the three sampled
+triplet checks: they scan every ordered triple of samples, with no use of
+sorting, so the package's sorted scan can be compared against them.
 """
 
 from __future__ import annotations
@@ -13,11 +17,23 @@ from random import Random
 
 from padicmetrics import (
     DistanceMatrixCandidate,
+    EquivalenceBreachError,
     FiniteUltrametricSpace,
     SpaceFamily,
     TriangleViolation,
+    TripletVerdict,
+    Witness,
     as_fraction,
+    is_strong_triplet,
+    is_triangle_triplet,
+    samples_digest,
     validate_ultrametric,
+)
+from padicmetrics.preserving import (
+    _amenability_witness,
+    _canonical,
+    _monotone_witness,
+    _refine,
 )
 
 # a spread of scales, including non-integers, for random distances
@@ -106,3 +122,60 @@ def isosceles_check(space: FiniteUltrametricSpace) -> bool:
                 if sides[1] != sides[2]:
                     return False
     return True
+
+
+def brute_triple_scan(f, xs, in_family, image_ok) -> Witness | None:
+    """First ordered triple of xs in in_family whose images fail image_ok."""
+    values = {x: f(x) for x in xs}
+    for a in xs:
+        for b in xs:
+            for c in xs:
+                if not in_family(a, b, c):
+                    continue
+                fa, fb, fc = values[a], values[b], values[c]
+                if not image_ok(fa, fb, fc):
+                    return Witness("triple", (a, b, c), (fa, fb, fc))
+    return None
+
+
+def brute_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
+    xs = _canonical(samples)
+    if Fraction(0) not in xs:
+        raise ValueError("the sample set must contain 0")
+    digest = samples_digest(xs)
+    amen = _amenability_witness(f, xs)
+    if amen is not None:
+        return TripletVerdict(False, digest, amen)
+    bad = brute_triple_scan(f, xs, is_triangle_triplet, is_triangle_triplet)
+    return TripletVerdict(bad is None, digest, bad)
+
+
+def brute_check_ultrametric_preserving(f, samples) -> TripletVerdict:
+    xs = _refine(f, _canonical(samples))
+    digest = samples_digest(xs)
+    amen = _amenability_witness(f, xs)
+    direct = amen or _monotone_witness(f, xs)
+    scan = amen or brute_triple_scan(f, xs, is_strong_triplet, is_strong_triplet)
+    if (direct is None) != (scan is None):
+        raise EquivalenceBreachError(f"routes disagree: {direct} vs {scan}")
+    return TripletVerdict(direct is None, digest, direct)
+
+
+def brute_check_ultra_to_metric(f, samples) -> TripletVerdict:
+    xs = _canonical(samples)
+    digest = samples_digest(xs)
+    amen = _amenability_witness(f, xs)
+    direct = amen
+    if direct is None:
+        positives = [x for x in xs if x > 0]
+        for i, a in enumerate(positives):
+            for b in positives[i + 1 :]:
+                if f(a) > 2 * f(b):
+                    direct = Witness("pair", (a, b), (f(a), f(b)))
+                    break
+            if direct is not None:
+                break
+    scan = amen or brute_triple_scan(f, xs, is_strong_triplet, is_triangle_triplet)
+    if (direct is None) != (scan is None):
+        raise EquivalenceBreachError(f"routes disagree: {direct} vs {scan}")
+    return TripletVerdict(direct is None, digest, direct)

@@ -138,6 +138,8 @@ def test_poset_json_roundtrip():
     assert data["ground"] == ["0", "1", "2", "3"]
     assert ["1", "3"] in data["pairs"] and ["1", "1"] not in data["pairs"]
     assert FinitePoset.from_json_dict(data) == poset
+    with pytest.raises(TypeError):
+        FinitePoset.from_json_dict({"ground": [0, 0.5], "pairs": []})
 
 
 def test_positive_extremes():

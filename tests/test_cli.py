@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import padicmetrics
 from padicmetrics.cli import main
 from padicmetrics.fixtures import four_point_space, legs_three_space
 
@@ -265,6 +267,21 @@ def test_malformed_spec_is_an_input_error(capsys):
     assert payload["error"] == "invalid_input"
 
 
+def test_json_floats_are_input_errors(capsys, tmp_path):
+    # a float has already been rounded to binary, so it is refused, while
+    # the same value as an "a/b" string is read exactly
+    step = {"kind": "step", "below": 0.1, "points": []}
+    code, payload = run_json(capsys, "fn", "eval", "--spec", json.dumps(step), "--x", "1")
+    assert code == 2 and payload["error"] == "invalid_input"
+    step["below"] = "1/10"
+    code, payload = run_json(capsys, "fn", "eval", "--spec", json.dumps(step), "--x", "1")
+    assert code == 0 and payload == {"value": "1/10"}
+    path = tmp_path / "float_space.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "d": [[0, 0.1], [0.1, 0]]}))
+    code, payload = run_json(capsys, "space", "validate", "--file", str(path))
+    assert code == 2 and payload["error"] == "invalid_input"
+
+
 def test_non_prime_modulus(capsys):
     code, payload = run_json(capsys, "padic", "abs", "--p", "6", "--x", "2")
     assert code == 2
@@ -302,6 +319,10 @@ def test_console_script_is_wired():
     with pyproject.open("rb") as fh:
         entry = tomllib.load(fh)["project"]["scripts"]["padicmetrics"]
     module, attr = entry.split(":")
+    # the child imports the package from where this session found it, which
+    # pytest's pythonpath setting may have put on sys.path without the env
+    src = str(Path(padicmetrics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [
             sys.executable,
@@ -312,6 +333,7 @@ def test_console_script_is_wired():
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"value": "9"}

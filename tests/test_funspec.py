@@ -5,10 +5,11 @@ exercised on randomized inputs: any disagreement between the routes
 raises inside the library, so a quiet pass here certifies both.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicmetrics import (
@@ -38,6 +39,13 @@ from padicmetrics import (
     sufficient_conditions,
 )
 from padicmetrics.fixtures import identity_map, level_swap_map, zigzag_map
+from padicmetrics.preserving import _first_bad_triple
+from support import (
+    brute_check_metric_preserving_sampled,
+    brute_check_ultra_to_metric,
+    brute_check_ultrametric_preserving,
+    brute_triple_scan,
+)
 
 F = Fraction
 
@@ -323,6 +331,51 @@ def test_two_route_checks_agree_on_random_polylines(ys, tail):
     check_ultrametric_preserving(f, samples)
     check_ultra_to_metric(f, samples)
     check_metric_preserving_sampled(f, samples)
+
+
+TABLE_KEYS = (F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(3), F(4), F(6))
+TABLE_VALUES = (F(0), F(1, 2), F(1), F(3, 2), F(2), F(3))
+
+
+def _outcome(check, f, samples):
+    try:
+        return check(f, samples).to_json_dict()
+    except (DomainMissError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=300)
+@given(
+    origin=st.sampled_from((F(0), F(0), F(0), F(1))),
+    table=st.dictionaries(
+        st.sampled_from(TABLE_KEYS), st.sampled_from(TABLE_VALUES), min_size=2
+    ),
+    drop=st.sets(st.sampled_from((F(0), *TABLE_KEYS)), max_size=2),
+    stray=st.sampled_from((None, None, None, F(5, 2))),
+)
+def test_sorted_scan_matches_ordered_brute_force(origin, table, drop, stray):
+    # random tabulations, amenable or not, passing or failing: every check
+    # gives the brute-force verdict, samples hash and witness, or the same
+    # error for a sample set without 0 or with an untabulated point
+    f = Tabulated.from_mapping({F(0): origin, **table})
+    xs = [k for k, _ in f.entries if k not in drop]
+    samples = xs if stray is None else [*xs, stray]
+    for check, brute in (
+        (check_metric_preserving_sampled, brute_check_metric_preserving_sampled),
+        (check_ultrametric_preserving, brute_check_ultrametric_preserving),
+        (check_ultra_to_metric, brute_check_ultra_to_metric),
+    ):
+        assert _outcome(check, f, samples) == _outcome(brute, f, samples)
+    # the ultrametric verdicts report the direct route's witness, so compare
+    # the scan's own witness too
+    for reach, in_family, image_ok in (
+        (operator.add, is_triangle_triplet, is_triangle_triplet),
+        (max, is_strong_triplet, is_strong_triplet),
+        (max, is_strong_triplet, is_triangle_triplet),
+    ):
+        assert _first_bad_triple(f, xs, reach, image_ok) == brute_triple_scan(
+            f, xs, in_family, image_ok
+        )
 
 
 # ------------------------------------------------------------ euclid grid --

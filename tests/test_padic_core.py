@@ -18,6 +18,7 @@ from padicmetrics import (
     OrdOfZeroError,
     PAdicAbs,
     TooShortError,
+    as_fraction,
     cauchy_profile,
     digit_window,
     is_prime,
@@ -121,6 +122,14 @@ def test_symbolic_exponent_avoids_huge_integers():
     k = 10**4
     assert padic_abs(Fraction(3) ** k, 3).exponent == -k
     assert padic_abs(Fraction(1, 3) ** k, 3).exponent == k
+
+
+def test_floats_and_bools_are_refused():
+    with pytest.raises(TypeError):
+        padic_distance(0.5, 0.25, 2)
+    with pytest.raises(TypeError):
+        as_fraction(True)
+    assert as_fraction("1/10") == Fraction(1, 10) and as_fraction(3) == 3
 
 
 def test_distance_examples():
