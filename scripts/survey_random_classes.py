@@ -13,58 +13,20 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from padicmetrics import (
-    DistanceMatrixCandidate,
-    FiniteUltrametricSpace,
-    SpaceFamily,
     Tabulated,
     build_extension,
     check_family_preserving,
     counterexample_function,
-    distance_values,
     family_poset,
-    validate_ultrametric,
 )
 
-LEVELS = tuple(Fraction(v) for v in ("1/4", "1/2", "1", "3/2", "2", "4"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from support import random_family  # noqa: E402
+
 IMAGES = tuple(Fraction(v) for v in ("0", "1/4", "1/2", "1", "3/2", "2", "4"))
-
-
-def random_space(rng: random.Random, n: int, prefix: str) -> FiniteUltrametricSpace:
-    labels = tuple(f"{prefix}{i}" for i in range(n))
-    d = [[Fraction(0)] * n for _ in range(n)]
-
-    def split(idx: list, pool: list) -> None:
-        if len(idx) < 2:
-            return
-        t = rng.choice(pool)
-        smaller = [v for v in pool if v < t]
-        k = rng.randint(2, len(idx)) if smaller else len(idx)
-        order = list(idx)
-        rng.shuffle(order)
-        blocks = [order[b::k] for b in range(k) if order[b::k]]
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                for i in blocks[a]:
-                    for j in blocks[b]:
-                        d[i][j] = d[j][i] = t
-        if smaller:
-            for block in blocks:
-                split(block, smaller)
-
-    split(list(range(n)), list(LEVELS))
-    space = validate_ultrametric(DistanceMatrixCandidate(labels, tuple(map(tuple, d))))
-    assert isinstance(space, FiniteUltrametricSpace)
-    return space
-
-
-def random_family(rng: random.Random, max_spaces: int, max_points: int) -> SpaceFamily:
-    spaces = tuple(
-        random_space(rng, rng.randint(1, max_points), prefix=f"q{s}_")
-        for s in range(rng.randint(1, max_spaces))
-    )
-    return SpaceFamily(spaces)
 
 
 def main() -> int:
@@ -83,7 +45,7 @@ def main() -> int:
     for _ in range(args.trials):
         family = random_family(rng, args.max_spaces, args.max_points)
         poset = family_poset(family)
-        values = distance_values(family)
+        values = poset.ground
 
         table = {v: (rng.choice(IMAGES) if v > 0 else Fraction(0)) for v in values}
         f = Tabulated.from_mapping(table)

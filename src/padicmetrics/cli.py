@@ -29,7 +29,6 @@ from .families import (
     counterexample_function,
     distance_values,
     family_poset,
-    is_totally_ordered,
 )
 from .fixtures import run_all
 from .functions import FunctionSpec, spec_from_json_dict, spec_to_json_dict
@@ -303,7 +302,7 @@ def _cmd_class_ran(args) -> Result:
 def _cmd_class_poset(args) -> Result:
     poset = family_poset(_load_family(args.file))
     payload = poset.to_json_dict()
-    payload["total"] = is_totally_ordered(poset)
+    payload["total"] = poset.is_total()
     return 0, payload
 
 

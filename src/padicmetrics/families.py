@@ -151,10 +151,10 @@ class FinitePoset:
         for a, b in self.pairs:
             if a != b and (b, a) in self.pairs:
                 raise ValueError(f"antisymmetry fails on {a}, {b}")
-        for a, b in self.pairs:
-            for c, d in self.pairs:
-                if b == c and (a, d) not in self.pairs:
-                    raise ValueError(f"transitivity fails on {a}, {b}, {d}")
+        missing = transitive_closure(self.ground, self.pairs) - self.pairs
+        if missing:
+            a, b = min(missing)
+            raise ValueError(f"transitivity fails: ({a}, {b}) is implied but missing")
 
     def leq(self, a: RationalLike, b: RationalLike) -> bool:
         return (as_fraction(a), as_fraction(b)) in self.pairs
@@ -199,16 +199,15 @@ class FinitePoset:
 def family_poset(family: SpaceFamily) -> FinitePoset:
     """Transitive closure of the base-leg relation plus the diagonal.
 
-    The structural guarantees (antisymmetry, least element 0, containment
-    in the numeric order) hold for every family; they are re-derived here
-    and a breach raises SelfCheckError rather than returning nonsense.
+    The structural guarantees (containment in the numeric order, which
+    implies antisymmetry, and least element 0) hold for every family; they
+    are re-derived here and a breach raises SelfCheckError rather than
+    returning nonsense.
     """
     ran = distance_values(family)
     closed = transitive_closure(ran, base_leg_pairs(family))
     pairs = set(closed) | {(t, t) for t in ran}
     for a, b in pairs:
-        if a != b and (b, a) in pairs:
-            raise SelfCheckError(f"distance order is not antisymmetric on {a}, {b}")
         if a > b:
             raise SelfCheckError(f"distance order escapes numeric order on {a}, {b}")
     zero = Fraction(0)
@@ -216,10 +215,6 @@ def family_poset(family: SpaceFamily) -> FinitePoset:
         if (zero, t) not in pairs:
             raise SelfCheckError(f"0 is not below {t}")
     return FinitePoset(ran, frozenset(pairs))
-
-
-def is_totally_ordered(poset: FinitePoset) -> bool:
-    return poset.is_total()
 
 
 @dataclass(frozen=True)
@@ -288,13 +283,11 @@ class PreservationReport:
         }
 
 
-def _order_side(
-    f: FunctionSpec, ran: tuple[Fraction, ...], poset: FinitePoset
-) -> OrderWitness | None:
+def _order_side(f: FunctionSpec, poset: FinitePoset) -> OrderWitness | None:
     f0 = f(Fraction(0))
     if f0 != 0:
         return OrderWitness("origin", (Fraction(0),), (f0,))
-    for t in ran:
+    for t in poset.ground:
         if t > 0 and f(t) == 0:
             return OrderWitness("vanishes", (t,), (Fraction(0),))
     for s, t in poset.nonreflexive_pairs():
@@ -317,6 +310,19 @@ def _space_side(f: FunctionSpec, family: SpaceFamily) -> SpaceWitness | None:
     return None
 
 
+def _report(
+    f: FunctionSpec, family: SpaceFamily, poset: FinitePoset
+) -> PreservationReport:
+    """Run both routes against the family's own poset and compare them."""
+    order_witness = _order_side(f, poset)
+    space_witness = _space_side(f, family)
+    if (order_witness is None) != (space_witness is None):
+        raise EquivalenceBreachError(
+            f"order side says {order_witness}, space side says {space_witness}"
+        )
+    return PreservationReport(order_witness is None, space_witness, order_witness)
+
+
 def check_family_preserving(f: FunctionSpec, family: SpaceFamily) -> PreservationReport:
     """Decide whether f carries every space of the family to an ultrametric.
 
@@ -326,15 +332,7 @@ def check_family_preserving(f: FunctionSpec, family: SpaceFamily) -> Preservatio
     call; disagreement raises EquivalenceBreachError because the
     equivalence is a theorem, not a heuristic.
     """
-    ran = distance_values(family)
-    poset = family_poset(family)
-    order_witness = _order_side(f, ran, poset)
-    space_witness = _space_side(f, family)
-    if (order_witness is None) != (space_witness is None):
-        raise EquivalenceBreachError(
-            f"order side says {order_witness}, space side says {space_witness}"
-        )
-    return PreservationReport(order_witness is None, space_witness, order_witness)
+    return _report(f, family, family_poset(family))
 
 
 def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
@@ -349,7 +347,7 @@ def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
     poset = family_poset(family)
     if not poset.is_total():
         raise NotTotallyOrderedError("the family's distance order is not total")
-    report = check_family_preserving(f, family)
+    report = _report(f, family, poset)
     if not report.passed:
         raise NotPreservingError(f"f does not preserve the family: {report.order_witness}")
     positives = [v for v in poset.ground if v > 0]
@@ -420,8 +418,8 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     table.update(phi)
     fn = Tabulated.from_mapping(table)
 
-    report = check_family_preserving(fn, family)
-    ran = distance_values(family)
+    report = _report(fn, family, poset)
+    ran = poset.ground
     decreasing = any(
         fn(s) > fn(t) for i, s in enumerate(ran) for t in ran[i + 1 :]
     )

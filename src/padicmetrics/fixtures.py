@@ -20,7 +20,6 @@ from .families import (
     counterexample_function,
     distance_values,
     family_poset,
-    is_totally_ordered,
 )
 from .functions import PiecewiseLinear, Reciprocal
 from .padic import cauchy_profile, digit_window, padic_abs, padic_distance, valuation
@@ -391,7 +390,7 @@ def _four_point_distance_order() -> tuple[bool, str]:
     ok = (
         distance_values(family) == (0, 1, 2, 3)
         and poset.nonreflexive_pairs() == want_pairs
-        and not is_totally_ordered(poset)
+        and not poset.is_total()
     )
     return ok, f"strict pairs = {[(str(a), str(b)) for a, b in poset.nonreflexive_pairs()]}"
 

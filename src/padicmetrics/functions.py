@@ -409,6 +409,13 @@ def _parse_pairs(raw) -> list[tuple[Fraction, Fraction]]:
     return [(as_fraction(a), as_fraction(b)) for a, b in raw]
 
 
+def _parse_int(raw) -> int:
+    value = as_fraction(raw)
+    if value.denominator != 1:
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return value.numerator
+
+
 def spec_from_json_dict(data: dict) -> FunctionSpec:
     """Rebuild a FunctionSpec from its JSON dict form."""
     if not isinstance(data, dict) or "kind" not in data:
@@ -433,11 +440,11 @@ def spec_from_json_dict(data: dict) -> FunctionSpec:
     if kind == "canonical":
         return Canonical()
     if kind == "power_map":
-        return PowerMap(int(data["p"]), int(data["q"]))
+        return PowerMap(_parse_int(data["p"]), _parse_int(data["q"]))
     if kind == "prime_shift":
-        return PrimeShift(int(data.get("bound", 1_000_000)))
+        return PrimeShift(_parse_int(data.get("bound", 1_000_000)))
     if kind == "power_step":
-        return PowerStep(spec_from_json_dict(data["inner"]), int(data["p"]))
+        return PowerStep(spec_from_json_dict(data["inner"]), _parse_int(data["p"]))
     if kind == "step":
         return StepFunction(as_fraction(data["below"]), tuple(_parse_pairs(data["points"])))
     raise ValueError(f"unknown function spec kind {kind!r}")

@@ -5,9 +5,11 @@ matrices that are ultrametric by how they are assembled (random
 dendrograms, combs), not by running the package validator, so validator
 tests get an independent source of known-good inputs.
 
-The ``brute_*`` checks are brute-force references for the three sampled
-triplet checks: they scan every ordered triple of samples, with no use of
-sorting, so the package's sorted scan can be compared against them.
+The ``brute_check_*`` functions are brute-force references for the three
+sampled triplet checks: they scan every ordered triple of samples, with no
+use of sorting, so the package's sorted scan can be compared against them.
+``brute_is_transitive`` is the reference for the poset constructor's
+closure-based transitivity check.
 """
 
 from __future__ import annotations
@@ -121,6 +123,15 @@ def isosceles_check(space: FiniteUltrametricSpace) -> bool:
                 sides = sorted((d[i][j], d[i][k], d[j][k]))
                 if sides[1] != sides[2]:
                     return False
+    return True
+
+
+def brute_is_transitive(pairs) -> bool:
+    """Pair-by-pair transitivity check, O(|pairs|^2), with no closure."""
+    for a, b in pairs:
+        for c, d in pairs:
+            if b == c and (a, d) not in pairs:
+                return False
     return True
 
 

@@ -30,7 +30,6 @@ from padicmetrics import (
     family_poset,
     gram_rank,
     is_isometry,
-    is_totally_ordered,
     isometry_search,
     padic_abs,
     padic_distance,
@@ -184,7 +183,7 @@ def test_criterion_07_four_point_end_to_end():
     pairs_ok = poset.nonreflexive_pairs() == [
         (F(0), F(1)), (F(0), F(2)), (F(0), F(3)), (F(1), F(3)), (F(2), F(3)),
     ]
-    not_total = not is_totally_ordered(poset)
+    not_total = not poset.is_total()
 
     fn = counterexample_function(family)
     report = check_family_preserving(fn, family)
@@ -353,7 +352,7 @@ def test_criterion_11_extension_contract():
             sub = sorted(rng.sample(chain, rng.randint(1, len(chain))))
             spaces.append(comb_space(sub, prefix=f"e{extra}"))
         family = SpaceFamily(tuple(spaces))
-        assert is_totally_ordered(family_poset(family))
+        assert family_poset(family).is_total()
 
         images = sorted(rng.choice(STEP_IMAGES) for _ in chain)
         table = {F(0): F(0)}

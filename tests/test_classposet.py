@@ -10,6 +10,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padicmetrics import (
     ComparableError,
@@ -29,7 +31,6 @@ from padicmetrics import (
     counterexample_function,
     distance_values,
     family_poset,
-    is_totally_ordered,
     isotone_for_incomparables,
     positive_extremes,
 )
@@ -42,7 +43,13 @@ from padicmetrics.fixtures import (
     zigzag_map,
 )
 
-from support import SIX_VALUE_POOL, comb_space, must_validate, random_family
+from support import (
+    SIX_VALUE_POOL,
+    brute_is_transitive,
+    comb_space,
+    must_validate,
+    random_family,
+)
 
 F = Fraction
 
@@ -80,14 +87,14 @@ def test_four_point_poset_pins():
     assert poset.nonreflexive_pairs() == [
         (F(0), F(1)), (F(0), F(2)), (F(0), F(3)), (F(1), F(3)), (F(2), F(3)),
     ]
-    assert not is_totally_ordered(poset)
+    assert not poset.is_total()
     assert poset.leq(1, 3) and not poset.leq(3, 1)
     assert not poset.comparable(1, 2)
 
 
 def test_chain_family_poset_is_total():
     poset = family_poset(_chain_family())
-    assert is_totally_ordered(poset)
+    assert poset.is_total()
     assert poset.nonreflexive_pairs() == [
         (F(0), F(1)), (F(0), F(2)), (F(0), F(3)),
         (F(1), F(2)), (F(1), F(3)), (F(2), F(3)),
@@ -101,7 +108,7 @@ def test_disjoint_values_stay_incomparable():
     b = must_validate(DistanceMatrixCandidate.from_rows(["c", "d"], [[0, 2], [2, 0]]))
     poset = family_poset(SpaceFamily((a, b)))
     assert not poset.comparable(1, 2)
-    assert not is_totally_ordered(poset)
+    assert not poset.is_total()
 
 
 def test_poset_invariants_on_random_families():
@@ -128,8 +135,25 @@ def test_poset_constructor_rejects_bad_relations():
         FinitePoset(g, frozenset(diag | {(F(0), F(1)), (F(1), F(0))}))
     g3 = (F(0), F(1), F(2))
     diag3 = {(t, t) for t in g3}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0, 2\) is implied but missing"):
         FinitePoset(g3, frozenset(diag3 | {(F(0), F(1)), (F(1), F(2))}))
+
+
+@given(st.data())
+def test_poset_constructor_accepts_exactly_the_transitive_relations(data):
+    ground = tuple(sorted(F(v) for v in data.draw(st.sets(st.integers(-3, 9), max_size=6))))
+    pairs = {(t, t) for t in ground}
+    for i, a in enumerate(ground):
+        for b in ground[i + 1 :]:
+            way = data.draw(st.sampled_from((None, (a, b), (b, a))))
+            if way is not None:
+                pairs.add(way)
+    try:
+        FinitePoset(ground, frozenset(pairs))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == brute_is_transitive(pairs)
 
 
 def test_poset_json_roundtrip():
@@ -272,7 +296,7 @@ def test_counterexample_on_random_non_total_families():
     while found < 15:
         family = random_family(rng)
         poset = family_poset(family)
-        if is_totally_ordered(poset):
+        if poset.is_total():
             continue
         found += 1
         fn = counterexample_function(family)

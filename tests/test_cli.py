@@ -280,6 +280,20 @@ def test_json_floats_are_input_errors(capsys, tmp_path):
     path.write_text(json.dumps({"points": ["a", "b"], "d": [[0, 0.1], [0.1, 0]]}))
     code, payload = run_json(capsys, "space", "validate", "--file", str(path))
     assert code == 2 and payload["error"] == "invalid_input"
+    # integer fields refuse floats and bools instead of truncating them
+    canonical = {"kind": "canonical"}
+    for spec in (
+        {"kind": "power_map", "p": 2.9, "q": 3},
+        {"kind": "power_map", "p": True, "q": 3},
+        {"kind": "power_map", "p": "5/2", "q": 3},
+        {"kind": "power_step", "inner": canonical, "p": 3.5},
+        {"kind": "prime_shift", "bound": 100.7},
+    ):
+        code, payload = run_json(capsys, "fn", "eval", "--spec", json.dumps(spec), "--x", "4")
+        assert code == 2 and payload["error"] == "invalid_input", spec
+    for spec in ({"kind": "power_map", "p": 2, "q": 3}, {"kind": "power_map", "p": "2", "q": "3"}):
+        code, payload = run_json(capsys, "fn", "eval", "--spec", json.dumps(spec), "--x", "4")
+        assert code == 0 and payload == {"value": "9"}
 
 
 def test_non_prime_modulus(capsys):
