@@ -87,48 +87,73 @@ def distance_values(family: SpaceFamily) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
+def _pairs_of(ground: tuple[Fraction, ...], up: list[int]) -> frozenset[Pair]:
+    """Decode per-value bitsets: bit j of up[i] stands for (ground[i], ground[j])."""
+    n = len(ground)
+    return frozenset(
+        (ground[i], ground[j]) for i in range(n) for j in range(n) if up[i] >> j & 1
+    )
+
+
+def _base_leg_bits(family: SpaceFamily, ground: tuple[Fraction, ...]) -> list[int]:
+    """The base-leg relation on the family's values, as per-value bitsets."""
+    index = {v: i for i, v in enumerate(ground)}
+    up = [0] * len(ground)
+    up[0] = 1  # ground[0] is 0
+    for s in family.spaces:
+        m = [[index[v] for v in row] for row in s.dist]
+        for row in m:
+            at: dict[int, list[int]] = {}
+            for b, x in enumerate(row):
+                at.setdefault(x, []).append(b)
+            present = sum(1 << x for x in at)
+            for x, points in at.items():
+                up[x] |= present >> (x + 1) << (x + 1)
+                rep = m[points[0]]
+                if any(rep[c] == x for c in points[1:]):
+                    up[x] |= 1 << x
+    return up
+
+
 def base_leg_pairs(family: SpaceFamily) -> frozenset[Pair]:
     """All pairs (base, leg) realized by point triples, repetition allowed.
 
     A pair (s, t) is collected when some space has points a, b, c (not
     necessarily distinct) with s = d(a, c) and t = d(a, b) = d(b, c).
+
+    The spaces must be validated ultrametrics, where that reads row by
+    row, in O(n^2) per space plus the size of the answer:
+    - (0, 0) is always realized (a = b = c).
+    - For s < t, (s, t) is realized exactly when some row holds both
+      values: d(a, c) = s < t = d(a, b) forces d(b, c) = t.
+    - (t, t) is realized exactly when, for some row a, one representative
+      r among the points at distance t from a lies at distance t from
+      another of them. Otherwise all of those points are within < t of r,
+      hence within < t of each other.
     """
-    pairs: set[Pair] = set()
-    for s in family.spaces:
-        d = s.dist
-        n = s.n
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if d[a][b] == d[b][c]:
-                        pairs.add((d[a][c], d[a][b]))
-    return frozenset(pairs)
+    ground = distance_values(family)
+    return _pairs_of(ground, _base_leg_bits(family, ground))
+
+
+def _close(up: list[int]) -> None:
+    """Warshall's sweep in place: row i gains row k whenever i reaches k."""
+    for k, via in enumerate(up):
+        bit = 1 << k
+        for i, row in enumerate(up):
+            if row & bit:
+                up[i] = row | via
 
 
 def transitive_closure(
     ground: tuple[Fraction, ...], pairs: frozenset[Pair]
 ) -> frozenset[Pair]:
-    """Smallest transitive superset, by the all-intermediates sweep."""
+    """Smallest transitive superset, by Warshall's sweep on int bitsets."""
     index = {v: i for i, v in enumerate(ground)}
-    n = len(ground)
-    reach = [[False] * n for _ in range(n)]
+    up = [0] * len(ground)
     for a, b in pairs:
-        reach[index[a]][index[b]] = True
-    for k in range(n):
-        row_k = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                row_i = reach[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    closed = {
-        (ground[i], ground[j])
-        for i in range(n)
-        for j in range(n)
-        if reach[i][j]
-    }
-    return frozenset(closed)
+        up[index[a]] |= 1 << index[b]
+    _close(up)
+    return _pairs_of(ground, up)
 
 
 @dataclass(frozen=True)
@@ -205,16 +230,19 @@ def family_poset(family: SpaceFamily) -> FinitePoset:
     returning nonsense.
     """
     ran = distance_values(family)
-    closed = transitive_closure(ran, base_leg_pairs(family))
-    pairs = set(closed) | {(t, t) for t in ran}
-    for a, b in pairs:
-        if a > b:
-            raise SelfCheckError(f"distance order escapes numeric order on {a}, {b}")
-    zero = Fraction(0)
-    for t in ran:
-        if (zero, t) not in pairs:
+    up = [row | 1 << i for i, row in enumerate(_base_leg_bits(family, ran))]
+    _close(up)
+    for i, row in enumerate(up):
+        below = row & ((1 << i) - 1)
+        if below:
+            j = below.bit_length() - 1
+            raise SelfCheckError(
+                f"distance order escapes numeric order on {ran[i]}, {ran[j]}"
+            )
+    for j, t in enumerate(ran):
+        if not up[0] >> j & 1:
             raise SelfCheckError(f"0 is not below {t}")
-    return FinitePoset(ran, frozenset(pairs))
+    return FinitePoset(ran, _pairs_of(ran, up))
 
 
 @dataclass(frozen=True)
@@ -284,15 +312,19 @@ class PreservationReport:
 
 
 def _order_side(f: FunctionSpec, poset: FinitePoset) -> OrderWitness | None:
+    """First failing order-side condition; f is called once per value."""
     f0 = f(Fraction(0))
     if f0 != 0:
         return OrderWitness("origin", (Fraction(0),), (f0,))
+    image = {Fraction(0): f0}
     for t in poset.ground:
-        if t > 0 and f(t) == 0:
-            return OrderWitness("vanishes", (t,), (Fraction(0),))
+        if t > 0:
+            image[t] = f(t)
+            if image[t] == 0:
+                return OrderWitness("vanishes", (t,), (Fraction(0),))
     for s, t in poset.nonreflexive_pairs():
-        if f(s) > f(t):
-            return OrderWitness("pair", (s, t), (f(s), f(t)))
+        if image[s] > image[t]:
+            return OrderWitness("pair", (s, t), (image[s], image[t]))
     return None
 
 

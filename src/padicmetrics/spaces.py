@@ -6,15 +6,24 @@ input (asymmetry, nonzero diagonal, negative or vanishing off-diagonal
 entries) raises, while a strong-triangle failure is a legitimate negative
 answer and is returned as a witness the caller can re-check.
 
+The strong-triangle test is quadratic: a matrix is an ultrametric exactly
+when it equals its subdominant ultrametric, the minimax path distance over
+a minimum spanning tree (Gower and Ross, 1969). Only the pairs where the
+two differ can hold a violation, so only those are scanned for one.
+
 Embedding dimension works without ever leaving the rationals: instead of
 constructing coordinates (which would need square roots), the Gram matrix
-of squared distances is ranked by exact Gaussian elimination. For a valid
-ultrametric space on n points that rank is always n - 1, and the public
-entry point cross-checks the closed form against the elimination.
+of squared distances is ranked. Its denominators are cleared and it is
+eliminated modulo the prime 2^61 - 1; full rank there proves full rank
+over the rationals, and anything less is settled by exact Gaussian
+elimination. For a valid ultrametric space on n points that rank is
+always n - 1, and the public entry point cross-checks the closed form
+against the elimination.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +41,9 @@ from .functions import FunctionSpec
 from .padic import RationalLike, as_fraction
 
 MAX_SEARCH_POINTS = 10
+
+# modulus of the fast rank test (a Mersenne prime)
+_RANK_PRIME = 2**61 - 1
 
 
 def _coerce_rows(
@@ -118,10 +130,48 @@ class TriangleViolation:
         }
 
 
+def _subdominant(d: tuple[tuple[Fraction, ...], ...]) -> list[list[Fraction]]:
+    """Greatest ultrametric below d (zero diagonal): minimax path distance
+    over a minimum spanning tree.
+
+    Prim's algorithm grows the tree one point at a time; a point v joining
+    through the tree edge (p, v) of weight w is, for every point x already
+    in the tree, at minimax distance max(u(p, x), w). Both steps are O(n^2).
+    """
+    n = len(d)
+    u = [[d[0][0]] * n for _ in range(n)]
+    best = list(d[0])
+    via = [0] * n
+    tree = [0]
+    rest = list(range(1, n))
+    while rest:
+        v = min(rest, key=best.__getitem__)
+        rest.remove(v)
+        w, up, uv = best[v], u[via[v]], u[v]
+        for x in tree:
+            uv[x] = u[x][v] = max(up[x], w)
+        tree.append(v)
+        dv = d[v]
+        for x in rest:
+            if dv[x] < best[x]:
+                best[x] = dv[x]
+                via[x] = v
+    return u
+
+
 def validate_ultrametric(
     c: DistanceMatrixCandidate,
 ) -> FiniteUltrametricSpace | TriangleViolation:
-    """Structural defects raise; a strong-triangle breach is returned."""
+    """Structural defects raise; a strong-triangle breach is returned.
+
+    The breach returned is the least (i, j, k) in lexicographic order with
+    d[i][j] > max(d[i][k], d[k][j]). Rather than scanning all n^3 triples,
+    the subdominant ultrametric u of d is built (O(n^2)) and k is sought
+    only for the pairs with d[i][j] > u[i][j], in the same (i, j) order.
+    No violating triple is skipped: any one has u[i][j] <= max(d[i][k],
+    d[k][j]) < d[i][j], because the path i, k, j bounds the minimax
+    distance. A valid space has u = d and scans no pair at all.
+    """
     n = c.n
     d = c.dist
     for i in range(n):
@@ -136,11 +186,15 @@ def validate_ultrametric(
                 raise ZeroDistanceError(
                     f"distinct points {c.labels[i]!r}, {c.labels[j]!r} at distance 0"
                 )
+    u = _subdominant(d)
     for i in range(n):
+        if list(d[i]) == u[i]:
+            continue
         for j in range(n):
-            for k in range(n):
-                if d[i][j] > max(d[i][k], d[k][j]):
-                    return TriangleViolation(i, j, k, (d[i][j], d[i][k], d[k][j]))
+            if d[i][j] > u[i][j]:
+                for k in range(n):
+                    if d[i][j] > max(d[i][k], d[k][j]):
+                        return TriangleViolation(i, j, k, (d[i][j], d[i][k], d[k][j]))
     return FiniteUltrametricSpace(c.labels, c.dist)
 
 
@@ -149,8 +203,12 @@ def apply_function(s: FiniteUltrametricSpace, f: FunctionSpec) -> DistanceMatrix
 
     The result is only a candidate: whether f(0) = 0 and whether the image
     is still an ultrametric is the validator's business, not this one's.
+    f is called once per distinct distance, in row-major order of first
+    appearance.
     """
-    rows = tuple(tuple(f(v) for v in row) for row in s.dist)
+    first_seen = dict.fromkeys(v for row in s.dist for v in row)
+    image = {v: f(v) for v in first_seen}
+    rows = tuple(tuple(image[v] for v in row) for row in s.dist)
     return DistanceMatrixCandidate(s.labels, rows)
 
 
@@ -233,6 +291,43 @@ def _exact_rank(matrix: list[list[Fraction]]) -> int:
     return rank
 
 
+def _rank_mod_prime(matrix: list[list[int]]) -> int:
+    m = [[v % _RANK_PRIME for v in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        inv = pow(top[col], -1, _RANK_PRIME)
+        for r in range(rank + 1, rows):
+            row = m[r]
+            if row[col]:
+                factor = row[col] * inv % _RANK_PRIME
+                m[r] = [(v - factor * w) % _RANK_PRIME for v, w in zip(row, top)]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def _integer_rank(matrix: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix, modulo 2^61 - 1 when that decides.
+
+    Every minor that vanishes over Q vanishes modulo a prime, so the rank
+    modulo the prime is at most the rational rank. A result equal to the
+    least dimension is therefore the rational rank; anything smaller may
+    be an accident of the prime and goes to exact elimination.
+    """
+    rank = _rank_mod_prime(matrix)
+    if rank == min(len(matrix), len(matrix[0])):
+        return rank
+    return _exact_rank([[Fraction(v) for v in row] for row in matrix])
+
+
 def gram_rank(s: FiniteUltrametricSpace, base: int = 0) -> int:
     """Rank of the inner-product matrix induced by squared distances.
 
@@ -240,19 +335,22 @@ def gram_rank(s: FiniteUltrametricSpace, base: int = 0) -> int:
     - d(i,j)^2) / 2 over the remaining points. Any Euclidean realization
     of the space must have Gram matrix G, so its rank is the least
     dimension that could possibly host the points.
+
+    With L the least common denominator of the distances, 2 L^2 G is an
+    integer matrix of the same rank. It is eliminated modulo 2^61 - 1;
+    full rank n - 1 there is full rank over Q, and any smaller result
+    falls back to exact Gaussian elimination over the rationals.
     """
     if s.n < 2:
         raise ValueError("gram rank needs at least two points")
+    if isinstance(base, bool) or not isinstance(base, int) or not 0 <= base < s.n:
+        raise ValueError(f"base must be a point index in range({s.n}), got {base!r}")
+    scale = math.lcm(*{v.denominator for row in s.dist for v in row})
+    sq = [[(v.numerator * (scale // v.denominator)) ** 2 for v in row] for row in s.dist]
     others = [i for i in range(s.n) if i != base]
-    g = [
-        [
-            (s.dist[base][i] ** 2 + s.dist[base][j] ** 2 - s.dist[i][j] ** 2)
-            / 2
-            for j in others
-        ]
-        for i in others
-    ]
-    return _exact_rank(g)
+    to_base = sq[base]
+    g = [[to_base[i] + to_base[j] - sq[i][j] for j in others] for i in others]
+    return _integer_rank(g)
 
 
 def embedding_dimension(s: FiniteUltrametricSpace) -> int:

@@ -10,6 +10,11 @@ sampled triplet checks: they scan every ordered triple of samples, with no
 use of sorting, so the package's sorted scan can be compared against them.
 ``brute_is_transitive`` is the reference for the poset constructor's
 closure-based transitivity check.
+
+``brute_validate_ultrametric``, ``brute_base_leg_pairs`` and
+``brute_transitive_closure`` are the cubic loops the package used before
+its quadratic routes (spanning-tree validation, row-wise base-leg pairs,
+bitset closure); they stay here as differential references.
 """
 
 from __future__ import annotations
@@ -133,6 +138,50 @@ def brute_is_transitive(pairs) -> bool:
             if b == c and (a, d) not in pairs:
                 return False
     return True
+
+
+def brute_validate_ultrametric(candidate: DistanceMatrixCandidate):
+    """Least (i, j, k) by a full n^3 scan, on a structurally valid candidate."""
+    d = candidate.dist
+    n = candidate.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][j] > max(d[i][k], d[k][j]):
+                    return TriangleViolation(i, j, k, (d[i][j], d[i][k], d[k][j]))
+    return FiniteUltrametricSpace(candidate.labels, candidate.dist)
+
+
+def brute_base_leg_pairs(family: SpaceFamily) -> frozenset:
+    """(d(a, c), d(a, b)) over every point triple with d(a, b) = d(b, c)."""
+    pairs = set()
+    for s in family.spaces:
+        d = s.dist
+        n = s.n
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if d[a][b] == d[b][c]:
+                        pairs.add((d[a][c], d[a][b]))
+    return frozenset(pairs)
+
+
+def brute_transitive_closure(ground, pairs) -> frozenset:
+    """Warshall's sweep on a boolean matrix."""
+    index = {v: i for i, v in enumerate(ground)}
+    n = len(ground)
+    reach = [[False] * n for _ in range(n)]
+    for a, b in pairs:
+        reach[index[a]][index[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    return frozenset(
+        (ground[i], ground[j]) for i in range(n) for j in range(n) if reach[i][j]
+    )
 
 
 def brute_triple_scan(f, xs, in_family, image_ok) -> Witness | None:

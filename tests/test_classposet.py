@@ -10,7 +10,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicmetrics import (
@@ -34,6 +34,7 @@ from padicmetrics import (
     isotone_for_incomparables,
     positive_extremes,
 )
+from padicmetrics.families import _order_side, base_leg_pairs, transitive_closure
 from padicmetrics.fixtures import (
     four_point_family,
     four_point_space,
@@ -45,7 +46,9 @@ from padicmetrics.fixtures import (
 
 from support import (
     SIX_VALUE_POOL,
+    brute_base_leg_pairs,
     brute_is_transitive,
+    brute_transitive_closure,
     comb_space,
     must_validate,
     random_family,
@@ -124,6 +127,37 @@ def test_poset_invariants_on_random_families():
             assert a <= b  # the order never escapes the numeric one
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_row_wise_pairs_match_cubic_scan(data):
+    """Few levels make equilateral triples, which realize (t, t)."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    values = data.draw(st.sampled_from((SIX_VALUE_POOL, SIX_VALUE_POOL[:2], (F(1),))))
+    family = random_family(rng, max_spaces=3, max_points=7, values=values)
+    pairs = brute_base_leg_pairs(family)
+    assert base_leg_pairs(family) == pairs
+    ground = distance_values(family)
+    want = brute_transitive_closure(ground, pairs) | {(t, t) for t in ground}
+    assert family_poset(family).pairs == want
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_bitset_closure_matches_boolean_matrix(data):
+    ground = tuple(sorted(F(v) for v in data.draw(st.sets(st.integers(-3, 12), min_size=1, max_size=8))))
+    value = st.sampled_from(ground)
+    pairs = frozenset(data.draw(st.sets(st.tuples(value, value), max_size=20)))
+    assert transitive_closure(ground, pairs) == brute_transitive_closure(ground, pairs)
+
+
+def test_sixty_value_comb_is_the_full_chain():
+    chain = [F(k, 7) for k in range(1, 61)]
+    poset = family_poset(SpaceFamily((comb_space(chain),)))
+    ground = (F(0),) + tuple(chain)
+    assert poset.ground == ground
+    assert poset.pairs == {(a, b) for a in ground for b in ground if a <= b}
+
+
 def test_poset_constructor_rejects_bad_relations():
     g = (F(0), F(1))
     with pytest.raises(ValueError):
@@ -196,6 +230,18 @@ def test_zigzag_breaks_the_four_point_family():
     assert report.order_witness.points == (F(1), F(3))
     assert report.order_witness.values == (F(1), F(1, 8))
     assert report.space_witness.kind == "strong_triangle"
+
+
+def test_order_side_calls_f_once_per_value():
+    family = SpaceFamily((comb_space(range(1, 31)),))
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x
+
+    assert _order_side(f, family_poset(family)) is None
+    assert calls == list(distance_values(family))
 
 
 def test_origin_and_vanishing_witnesses():

@@ -10,6 +10,8 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicmetrics import (
     AsymmetricError,
@@ -30,8 +32,15 @@ from padicmetrics import (
     validate_ultrametric,
 )
 from padicmetrics.fixtures import four_point_space, legs_three_space, level_swap_map
+from padicmetrics.spaces import _exact_rank, _integer_rank, _rank_mod_prime
 
-from support import SIX_VALUE_POOL, isosceles_check, must_validate, random_ultrametric
+from support import (
+    SIX_VALUE_POOL,
+    brute_validate_ultrametric,
+    isosceles_check,
+    must_validate,
+    random_ultrametric,
+)
 
 F = Fraction
 
@@ -78,6 +87,27 @@ def test_triangle_violation_is_lex_least():
                     assert d[i][j] <= max(d[i][k], d[k][j])
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_validation_matches_cubic_scan(data):
+    """Random dendrograms with 0-4 entries moved: same space or same witness."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    n = data.draw(st.integers(1, 9))
+    rows = [list(row) for row in random_ultrametric(rng, n, SIX_VALUE_POOL).dist]
+    moved = SIX_VALUE_POOL + (F(3, 4), F(8))
+    for _ in range(data.draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i][j] = rows[j][i] = data.draw(st.sampled_from(moved))
+    cand = _candidate(rows)
+    assert validate_ultrametric(cand) == brute_validate_ultrametric(cand)
+
+
+def test_large_dendrogram_validates_with_full_dimension():
+    s = random_ultrametric(Random(120), 120, SIX_VALUE_POOL + (F(5), F(7, 3)))
+    assert validate_ultrametric(s.candidate()) == s
+    assert embedding_dimension(s) == 119
+
+
 def test_fixture_spaces_validate():
     assert four_point_space().n == 4
     assert legs_three_space().n == 4
@@ -115,6 +145,19 @@ def test_apply_function_is_entrywise():
     assert image.dist[0][1] == 3  # 3 -> 3
     assert image.dist[0][0] == 0
     must_validate(image)
+
+
+def test_apply_function_calls_f_once_per_distance():
+    s = random_ultrametric(Random(3), 12, SIX_VALUE_POOL)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return level_swap_map()(x)
+
+    image = apply_function(s, f)
+    assert calls == list(dict.fromkeys(v for row in s.dist for v in row))
+    assert image.dist == tuple(tuple(level_swap_map()(v) for v in row) for row in s.dist)
 
 
 def test_apply_can_break_the_space():
@@ -228,6 +271,25 @@ def test_gram_rank_is_basepoint_independent():
         s = random_ultrametric(rng, n, SIX_VALUE_POOL)
         ranks = {gram_rank(s, base=b) for b in range(n)}
         assert ranks == {n - 1}
+
+
+def test_gram_rank_rejects_bad_base():
+    s = random_ultrametric(Random(5), 5, SIX_VALUE_POOL)
+    for base in (-1, 7, True):
+        with pytest.raises(ValueError, match="base must be a point index"):
+            gram_rank(s, base=base)
+    assert gram_rank(s, base=4) == 4
+
+
+def test_rank_fallback_matches_exact_elimination():
+    p = 2**61 - 1
+    singular_mod_p = [[[1, 0], [0, p]], [[p, 2 * p], [3, 4]], [[2, 1, 0], [p + 2, 1, 0], [0, 0, 1]]]
+    rank_deficient = [[1, 2, 3], [2, 4, 6], [5, -1, 3]]
+    for m in singular_mod_p + [rank_deficient]:
+        assert _rank_mod_prime(m) < min(len(m), len(m[0]))
+        assert _integer_rank(m) == _exact_rank([[F(v) for v in row] for row in m])
+    assert [_integer_rank(m) for m in singular_mod_p] == [2, 2, 3]
+    assert _integer_rank(rank_deficient) == 2
 
 
 def test_embedding_dimension_random_spaces():
