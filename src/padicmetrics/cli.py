@@ -501,12 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
+        # argument types such as parse_window may raise domain errors too
         args = parser.parse_args(argv)
+        code, payload = args.handler(args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        code, payload = args.handler(args)
     except (SelfCheckError, EquivalenceBreachError):
         raise  # internal defects must stay loud
     except PadicMetricsError as err:

@@ -8,13 +8,15 @@ exponent symbolic so extreme valuations never materialize as huge integers
 unless explicitly converted.
 
 Primality of the modulus is certified deterministically for p < 2**64 via
-Miller-Rabin with a fixed witness set; larger moduli are rejected.
+Miller-Rabin with a fixed witness set, once per modulus and process (the
+last 64 moduli are cached); larger moduli are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import NotPrimeError, OrdOfZeroError, TooShortError
@@ -40,8 +42,12 @@ def as_fraction(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
+@lru_cache(maxsize=64, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality test, certified for n < 2**64.
+
+    Answers are cached per process, keyed by value and type, so a 61-bit
+    modulus pays for Miller-Rabin once. Exceptions are not cached.
 
     Raises:
         TooLargeError: never; moduli at or above 2**64 raise NotPrimeError

@@ -2,10 +2,19 @@
 
 The p-adic distance only takes values 0 and integer powers of p, so whether
 a function respects it is decided entirely by the values f(p**k). The two
-checks here scan a finite exponent window:
+checks here scan a finite exponent window of w exponents, evaluating f once
+per exponent:
 
   metric:      f(0) = 0 and 0 < f(p**m) <= 2 f(p**n) for all m < n
   ultrametric: f(0) = 0 and 0 < f(p**n) <= f(p**(n+1)) for all n
+
+Both are decided in O(w). The ultrametric condition is a walk over adjacent
+exponents. The metric (band) condition quantifies over ~w**2/2 pairs, but a
+pair m < n breaks it exactly when the running maximum of f(p**m) over
+m < n exceeds 2 f(p**n), so one sweep from lo to hi decides it. Only when
+the sweep finds a failure is the reported pair sought, by a lazy walk over
+the pairs in (|m| + |n|, m, n) order that stops at the first failing one;
+passing inputs never enumerate pairs.
 
 Every failed verdict carries a witness: the offending exponent pair plus a
 concrete rational triple whose pairwise p-adic distances are p**m and p**n
@@ -14,22 +23,34 @@ family. Witness triples are rebuilt from scratch and re-measured before
 being returned, so a reported witness is always checkable by hand.
 
 The window is an honest cutoff, not an approximation claim: a passing
-verdict certifies the quantifier only on [lo, hi] and says so.
+verdict certifies the quantifier only on [lo, hi] and says so. Windows are
+capped at MAX_WINDOW_EXPONENTS exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .errors import BadOrderError, NotPreservingError, SelfCheckError
+from .errors import BadOrderError, NotPreservingError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PowerMap, PowerStep, PrimeShift, StepFunction
 from .padic import padic_distance, require_prime
 
 
+# The widest window accepted, in exponents: -512..512 and its shifts.
+MAX_WINDOW_EXPONENTS = 1025
+
+
 @dataclass(frozen=True)
 class ExponentWindow:
-    """Inclusive exponent range standing in for "all integers"."""
+    """Inclusive exponent range standing in for "all integers".
+
+    Raises:
+        ValueError: if lo > hi.
+        TooLargeError: if the window holds more than MAX_WINDOW_EXPONENTS
+            exponents; nothing is allocated before the check.
+    """
 
     lo: int
     hi: int
@@ -37,25 +58,25 @@ class ExponentWindow:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"empty window [{self.lo}, {self.hi}]")
+        width = self.hi - self.lo + 1
+        if width > MAX_WINDOW_EXPONENTS:
+            raise TooLargeError(
+                f"window [{self.lo}, {self.hi}] holds {width} exponents, "
+                f"more than the {MAX_WINDOW_EXPONENTS} accepted"
+            )
 
     def exponents(self) -> list[int]:
         """All exponents, nearest to zero first (ties: negative first)."""
         return sorted(range(self.lo, self.hi + 1), key=lambda k: (abs(k), k))
 
     def pairs(self) -> list[tuple[int, int]]:
-        """All pairs m < n, smallest combined magnitude first.
+        """All pairs m < n, in (|m| + |n|, m, n) order.
 
         The scan spirals out from the origin so that a failing check
         reports the witness with the most readable exponents, not the one
         nearest the window's lower corner.
         """
-        ps = [
-            (m, n)
-            for m in range(self.lo, self.hi + 1)
-            for n in range(m + 1, self.hi + 1)
-        ]
-        ps.sort(key=lambda p: (abs(p[0]) + abs(p[1]), p[0], p[1]))
-        return ps
+        return list(_spiral_pairs(self))
 
     def adjacent(self) -> list[tuple[int, int]]:
         """All pairs (n, n+1), nearest to zero first."""
@@ -67,6 +88,21 @@ class ExponentWindow:
 
 
 DEFAULT_WINDOW = ExponentWindow(-16, 16)
+
+
+def _spiral_pairs(window: ExponentWindow) -> Iterator[tuple[int, int]]:
+    # Pairs m < n in (|m| + |n|, m, n) order with no list and no sort: for
+    # each combined magnitude s, m rises through [max(lo, -s), min(hi, s)]
+    # and n = -r, then r, where r = s - |m|.
+    lo, hi = window.lo, window.hi
+    near = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    far = max(abs(lo), abs(hi))
+    for s in range(2 * near, 2 * far + 1):
+        for m in range(max(lo, -s), min(hi, s) + 1):
+            r = s - abs(m)
+            for n in (-r, r) if r else (0,):
+                if m < n <= hi:
+                    yield m, n
 
 
 def parse_window(text: str) -> ExponentWindow:
@@ -175,10 +211,31 @@ def _shared_gate(
     return None
 
 
+def _band_breaks(values: dict[int, Fraction], window: ExponentWindow) -> bool:
+    # some m < n has values[m] > 2 values[n] iff, at some n, the largest
+    # value before n does
+    top = values[window.lo]
+    for k in range(window.lo + 1, window.hi + 1):
+        v = values[k]
+        if top > 2 * v:
+            return True
+        if v > top:
+            top = v
+    return False
+
+
 def check_p_metric_preserving(
     f: FunctionSpec, p: int, window: ExponentWindow = DEFAULT_WINDOW
 ) -> PreservationVerdict:
     """Decide the two-sided band condition f(p**m) <= 2 f(p**n), m < n.
+
+    One O(w) sweep decides it: the band breaks exactly when, for some n,
+    the running maximum of f(p**m) over m < n exceeds 2 f(p**n). Only on
+    failure are the pairs walked, lazily and in the (|m| + |n|, m, n)
+    order of :meth:`ExponentWindow.pairs`, to the first failing one. The
+    witness is therefore the same pair a scan of every pair in that order
+    would report: the walk visits pairs in that order and starts only when
+    a failing pair exists.
 
     On failure the witness pins the offending pair and a rational triple
     realizing the two distances; its distance images (f(p**n), f(p**n),
@@ -189,7 +246,9 @@ def check_p_metric_preserving(
     early = _shared_gate(f, p, window, values)
     if early is not None:
         return early
-    for m, n in window.pairs():
+    if not _band_breaks(values, window):
+        return PreservationVerdict(True, window)
+    for m, n in _spiral_pairs(window):
         if values[m] > 2 * values[n]:
             triple = witness_triple(p, n, m)
             witness = WindowWitness(
@@ -200,18 +259,27 @@ def check_p_metric_preserving(
                 images=(values[n], values[n], values[m]),
             )
             return PreservationVerdict(False, window, "band", witness)
-    return PreservationVerdict(True, window)
+    raise SelfCheckError(
+        f"the band sweep failed on [{window.lo}, {window.hi}] but no pair breaks it"
+    )
 
 
 def check_p_ultrametric_preserving(
     f: FunctionSpec, p: int, window: ExponentWindow = DEFAULT_WINDOW
 ) -> PreservationVerdict:
     """Decide monotonicity over consecutive powers: f(p**n) <= f(p**(n+1))."""
+    return _ultrametric_verdict(f, p, window)[0]
+
+
+def _ultrametric_verdict(
+    f: FunctionSpec, p: int, window: ExponentWindow
+) -> tuple[PreservationVerdict, dict[int, Fraction]]:
+    # the verdict plus the power values it was decided on
     require_prime(p)
     values = _power_values(f, p, window)
     early = _shared_gate(f, p, window, values)
     if early is not None:
-        return early
+        return early, values
     for n, n1 in window.adjacent():
         if values[n] > values[n1]:
             triple = witness_triple(p, n1, n)
@@ -222,8 +290,8 @@ def check_p_ultrametric_preserving(
                 triple=triple,
                 images=(values[n1], values[n1], values[n]),
             )
-            return PreservationVerdict(False, window, "adjacent", witness)
-    return PreservationVerdict(True, window)
+            return PreservationVerdict(False, window, "adjacent", witness), values
+    return PreservationVerdict(True, window), values
 
 
 def power_step(f: FunctionSpec, p: int) -> PowerStep:
@@ -244,16 +312,13 @@ def extend_to_ultrametric_preserving(
     output is increasing and amenable on all of the nonnegatives, not just
     near the powers. Requires the window check to pass first.
     """
-    verdict = check_p_ultrametric_preserving(f, p, window)
+    verdict, values = _ultrametric_verdict(f, p, window)
     if not verdict.passed:
         raise NotPreservingError(
             f"f is not {p}-adic ultrametric preserving on "
             f"[{window.lo}, {window.hi}]: {verdict.reason}"
         )
-    points = tuple(
-        (Fraction(p) ** k, f(Fraction(p) ** k))
-        for k in range(window.lo, window.hi + 1)
-    )
+    points = tuple((Fraction(p) ** k, v) for k, v in values.items())
     return StepFunction(below=points[0][1], points=points)
 
 

@@ -15,6 +15,10 @@ closure-based transitivity check.
 ``brute_transitive_closure`` are the cubic loops the package used before
 its quadratic routes (spanning-tree validation, row-wise base-leg pairs,
 bitset closure); they stay here as differential references.
+
+``brute_window_pairs`` and ``brute_check_p_metric_preserving`` are the
+p-adic band check as it was before its O(w) sweep: every exponent pair
+built, sorted by (|m| + |n|, m, n) and compared one at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +37,16 @@ from padicmetrics import (
     as_fraction,
     is_strong_triplet,
     is_triangle_triplet,
+    require_prime,
     samples_digest,
     validate_ultrametric,
+)
+from padicmetrics.padic_preserving import (
+    PreservationVerdict,
+    WindowWitness,
+    _power_values,
+    _shared_gate,
+    witness_triple,
 )
 from padicmetrics.preserving import (
     _amenability_witness,
@@ -239,3 +251,30 @@ def brute_check_ultra_to_metric(f, samples) -> TripletVerdict:
     if (direct is None) != (scan is None):
         raise EquivalenceBreachError(f"routes disagree: {direct} vs {scan}")
     return TripletVerdict(direct is None, digest, direct)
+
+
+def brute_window_pairs(lo: int, hi: int) -> list[tuple[int, int]]:
+    """Every pair lo <= m < n <= hi, built in full and sorted by (|m| + |n|, m, n)."""
+    ps = [(m, n) for m in range(lo, hi + 1) for n in range(m + 1, hi + 1)]
+    ps.sort(key=lambda p: (abs(p[0]) + abs(p[1]), p[0], p[1]))
+    return ps
+
+
+def brute_check_p_metric_preserving(f, p, window) -> PreservationVerdict:
+    """The band check comparing every sorted pair in turn, O(w^2 log w)."""
+    require_prime(p)
+    values = _power_values(f, p, window)
+    early = _shared_gate(f, p, window, values)
+    if early is not None:
+        return early
+    for m, n in brute_window_pairs(window.lo, window.hi):
+        if values[m] > 2 * values[n]:
+            witness = WindowWitness(
+                "band",
+                m=m,
+                n=n,
+                triple=witness_triple(p, n, m),
+                images=(values[n], values[n], values[m]),
+            )
+            return PreservationVerdict(False, window, "band", witness)
+    return PreservationVerdict(True, window)

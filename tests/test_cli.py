@@ -124,6 +124,14 @@ def test_window_flag(capsys):
     assert payload["witness"]["triple"] == ["1", "-1", "1/3"]
 
 
+def test_window_over_the_cap_is_refused(capsys):
+    code, payload = run_json(
+        capsys, "fn", "padic-check", "--spec", ZIGZAG, "--p", "3", "--window=-513:512"
+    )
+    assert code == 2
+    assert payload["error"] == "too_large"
+
+
 def test_witness_verb(capsys):
     code, payload = run_json(capsys, "fn", "witness", "--p", "3", "--m", "0", "--n=-1")
     assert code == 0

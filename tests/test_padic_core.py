@@ -101,15 +101,33 @@ def test_rejects_non_primes():
     for bad in (1, 4, 6, 9, 15, -3, 0):
         with pytest.raises(NotPrimeError):
             valuation(1, bad)
-    with pytest.raises(NotPrimeError):
-        require_prime(True)
-    with pytest.raises(NotPrimeError):
-        is_prime(2**64)
+    # twice each: the certificate cache stores answers, never exceptions,
+    # and the bool is refused before the cache is consulted
+    for _ in range(2):
+        with pytest.raises(NotPrimeError):
+            require_prime(True)
+        with pytest.raises(NotPrimeError):
+            is_prime(2**64)
 
 
 def test_is_prime_spot_values():
-    assert is_prime(2) and is_prime(97) and is_prime(2**61 - 1)
-    assert not is_prime(1) and not is_prime(91) and not is_prime(2**32)
+    for _ in range(2):  # computed, then cached
+        assert is_prime(2) and is_prime(97) and is_prime(2**61 - 1)
+        assert not is_prime(1) and not is_prime(91) and not is_prime(2**32)
+
+
+def test_prime_certificate_is_cached_per_value_and_type():
+    p = 2**61 - 1
+    require_prime(p)
+    before = is_prime.cache_info()
+    require_prime(p)
+    after = is_prime.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # typed: a float never reads an int's entry
+    is_prime(5)
+    before = is_prime.cache_info()
+    assert is_prime(5.0)
+    assert is_prime.cache_info().misses == before.misses + 1
 
 
 def test_symbolic_exponent_avoids_huge_integers():

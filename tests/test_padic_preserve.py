@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicmetrics import (
@@ -12,11 +12,13 @@ from padicmetrics import (
     ExponentWindow,
     NotPreservingError,
     NotPrimeError,
+    PadicMetricsError,
     PowerMap,
     PrimeShift,
     Reciprocal,
     StepFunction,
     Tabulated,
+    TooLargeError,
     check_p_metric_preserving,
     check_p_ultrametric_preserving,
     closed_form_note,
@@ -30,7 +32,8 @@ from padicmetrics import (
 )
 from padicmetrics.functions import floor_power_index
 from padicmetrics.fixtures import identity_map, zigzag_map
-from padicmetrics.padic_preserving import DEFAULT_WINDOW
+from padicmetrics.padic_preserving import DEFAULT_WINDOW, MAX_WINDOW_EXPONENTS
+from support import brute_check_p_metric_preserving, brute_window_pairs
 
 F = Fraction
 
@@ -53,6 +56,24 @@ def test_window_validation_and_parsing():
     for bad in ("4", "a:b", "5:1", ""):
         with pytest.raises(ValueError):
             parse_window(bad)
+
+
+def test_window_cap_by_construction_only():
+    # the cap itself and one exponent over it; no check runs on either
+    for lo, hi in ((-512, 512), (1000, 2024)):
+        w = ExponentWindow(lo, hi)
+        assert w.hi - w.lo + 1 == MAX_WINDOW_EXPONENTS == 1025
+    for lo, hi in ((-513, 512), (-512, 513), (1000, 2025)):
+        with pytest.raises(TooLargeError):
+            ExponentWindow(lo, hi)
+    with pytest.raises(TooLargeError):
+        parse_window("-513:512")
+
+
+def test_pairs_match_the_sorted_build_on_every_small_window():
+    for lo in range(-20, 21):
+        for hi in range(lo, 21):
+            assert ExponentWindow(lo, hi).pairs() == brute_window_pairs(lo, hi)
 
 
 def test_window_json_shape():
@@ -122,6 +143,52 @@ def test_band_check_window_dependence():
     assert check_p_metric_preserving(zigzag_map(), 3, ExponentWindow(-1, 0)).passed
 
 
+LEVELS = (F(1), F(4), F(1, 2), F(2), F(3), F(1), F(0))
+
+
+@st.composite
+def band_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    shape = draw(st.sampled_from(("straddle", "above", "below", "single")))
+    if shape == "single":
+        lo = hi = draw(st.integers(-20, 20))
+    elif shape == "straddle":
+        lo, hi = draw(st.integers(-20, -1)), draw(st.integers(0, 20))
+    else:
+        side = st.integers(1, 20) if shape == "above" else st.integers(-20, -1)
+        lo, hi = sorted(draw(st.lists(side, min_size=2, max_size=2, unique=True)))
+    window = ExponentWindow(lo, hi)
+    kind = draw(st.sampled_from(("step",) * 4 + ("canonical", "reciprocal", "power_map")))
+    if kind == "step":
+        # thresholds in or next to the window, so both verdicts occur
+        exps = st.integers(lo - 2, hi + 2)
+        ks = sorted(draw(st.sets(exps, min_size=1, max_size=5)))
+        level = st.sampled_from(LEVELS)
+        f = StepFunction(draw(level), tuple((F(p) ** k, draw(level)) for k in ks))
+    elif kind == "power_map":
+        f = PowerMap(draw(st.sampled_from((2, 3, 5))), draw(st.sampled_from((2, 3, 5))))
+    else:
+        f = Canonical() if kind == "canonical" else Reciprocal()
+    return p, f, window
+
+
+def _band_outcome(check, f, p, window):
+    try:
+        return check(f, p, window).to_json_dict()
+    except PadicMetricsError as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=400)
+@given(case=band_cases())
+def test_band_sweep_matches_the_sorted_pair_scan(case):
+    p, f, window = case
+    assert _band_outcome(check_p_metric_preserving, f, p, window) == _band_outcome(
+        brute_check_p_metric_preserving, f, p, window
+    )
+    assert window.pairs() == brute_window_pairs(window.lo, window.hi)
+
+
 def test_shared_gate_origin_and_vanishes():
     small = ExponentWindow(0, 1)
     shifted = Tabulated.from_mapping({0: 1, 1: 1, 2: 1})
@@ -188,8 +255,24 @@ def test_extension_contract_for_prime_swap():
 
 
 def test_extension_requires_a_preserving_input():
-    with pytest.raises(NotPreservingError):
+    with pytest.raises(
+        NotPreservingError,
+        match=r"^f is not 2-adic ultrametric preserving on \[-2, 2\]: adjacent$",
+    ):
         extend_to_ultrametric_preserving(Reciprocal(), 2, ExponentWindow(-2, 2))
+
+
+def test_extension_calls_f_once_per_power():
+    window = ExponentWindow(-4, 4)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return PowerMap(2, 3)(x)
+
+    g = extend_to_ultrametric_preserving(f, 2, window)
+    assert calls == [F(2) ** k for k in range(-4, 5)] + [0]
+    assert g == extend_to_ultrametric_preserving(PowerMap(2, 3), 2, window)
 
 
 # ------------------------------------------------------------- factories --
