@@ -211,17 +211,19 @@ def _shared_gate(
     return None
 
 
-def _band_breaks(values: dict[int, Fraction], window: ExponentWindow) -> bool:
-    # some m < n has values[m] > 2 values[n] iff, at some n, the largest
-    # value before n does
+def _band_breaks(values: dict[int, Fraction], window: ExponentWindow) -> set[int]:
+    # The n at which the largest value before n exceeds 2 values[n]: exactly
+    # the n of the failing pairs m < n, since values[m] > 2 values[n] forces
+    # the running maximum at n above it too.
+    breaks = set()
     top = values[window.lo]
     for k in range(window.lo + 1, window.hi + 1):
         v = values[k]
         if top > 2 * v:
-            return True
+            breaks.add(k)
         if v > top:
             top = v
-    return False
+    return breaks
 
 
 def check_p_metric_preserving(
@@ -230,12 +232,13 @@ def check_p_metric_preserving(
     """Decide the two-sided band condition f(p**m) <= 2 f(p**n), m < n.
 
     One O(w) sweep decides it: the band breaks exactly when, for some n,
-    the running maximum of f(p**m) over m < n exceeds 2 f(p**n). Only on
-    failure are the pairs walked, lazily and in the (|m| + |n|, m, n)
-    order of :meth:`ExponentWindow.pairs`, to the first failing one. The
-    witness is therefore the same pair a scan of every pair in that order
-    would report: the walk visits pairs in that order and starts only when
-    a failing pair exists.
+    the running maximum of f(p**m) over m < n exceeds 2 f(p**n), and it
+    names every such n. Only on failure are the pairs walked, lazily and in
+    the (|m| + |n|, m, n) order of :meth:`ExponentWindow.pairs`, to the
+    first failing one, comparing values only for pairs whose n was named:
+    no other pair can fail. The witness is therefore the same pair a scan
+    of every pair in that order would report: the walk visits pairs in
+    that order and starts only when a failing pair exists.
 
     On failure the witness pins the offending pair and a rational triple
     realizing the two distances; its distance images (f(p**n), f(p**n),
@@ -246,10 +249,11 @@ def check_p_metric_preserving(
     early = _shared_gate(f, p, window, values)
     if early is not None:
         return early
-    if not _band_breaks(values, window):
+    breaks = _band_breaks(values, window)
+    if not breaks:
         return PreservationVerdict(True, window)
     for m, n in _spiral_pairs(window):
-        if values[m] > 2 * values[n]:
+        if n in breaks and values[m] > 2 * values[n]:
             triple = witness_triple(p, n, m)
             witness = WindowWitness(
                 "band",

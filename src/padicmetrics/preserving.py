@@ -9,6 +9,24 @@ the checks below reduce to finite scans with exact arithmetic. Sorted triples
 are enough: both families are closed under permuting the entries, so the
 lexicographically least failing ordered triple is itself sorted.
 
+Every check evaluates f once per distinct point, in the order in which the
+points are first needed, so the first error a spec raises does not depend
+on how many routes read its value. The three triplet checks keep the images
+of their samples in one table, filled by the amenability gate and read by
+the direct routes and the scan.
+
+The scan visits each sorted pair a <= b once. Its admissible c form a
+range of samples, b <= c <= a + b for triangles and c = b for strong
+triplets, and the images allowed for c form one interval: a triangle image
+needs |f(a) - f(b)| <= f(c) <= f(a) + f(b); a strong image needs
+f(c) = max(f(a), f(b)) when f(a) != f(b), and f(c) <= f(a) when they are
+equal, because the two largest entries of a strong triplet are equal. With
+samples and images scaled to integers, sparse tables of range minima and
+maxima answer that in O(1) per pair, so a scan of n samples costs O(n^2).
+Only a pair whose query fails has its range walked, upwards, to its least
+bad c. Pairs go in lexicographic order and every earlier pair has no bad c
+at all, so the witness is the least failing sorted triple.
+
 Every verdict carries a short hash of the canonicalized sample set, so a
 recorded verdict can be tied back to the inputs that produced it. A passing
 sampled verdict certifies the sampled triples only, nothing beyond them.
@@ -18,13 +36,13 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .errors import EquivalenceBreachError, NegativeInputError
+from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError
 from .functions import FunctionSpec, PiecewiseLinear, StepFunction
 from .padic import RationalLike, as_fraction
 
@@ -110,34 +128,111 @@ def is_strong_triplet(a: RationalLike, b: RationalLike, c: RationalLike) -> bool
     return a <= max(b, c) and b <= max(a, c) and c <= max(a, b)
 
 
-def _amenability_witness(f: FunctionSpec, samples: Sequence[Fraction]) -> Witness | None:
-    # amenable: f(0) = 0 and f strictly positive on the positive samples
+class _Images(dict):
+    # a per-call memo of f: each point is evaluated once, when first read
+    def __init__(self, f: FunctionSpec) -> None:
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, x: Fraction) -> Fraction:
+        y = self[x] = self.f(x)
+        return y
+
+
+def _amenable_images(
+    f: FunctionSpec, xs: Sequence[Fraction]
+) -> tuple[list[Fraction], Witness | None]:
+    # The images of xs, evaluated by the amenability gate: f(0) = 0 and f
+    # strictly positive on the positive samples. A breach stops the gate at
+    # once, so no later sample is evaluated.
     f0 = f(Fraction(0))
     if f0 != 0:
-        return Witness("origin", (Fraction(0),), (f0,))
-    for x in samples:
-        if x > 0 and f(x) == 0:
-            return Witness("vanishes", (x,), (Fraction(0),))
-    return None
+        return [], Witness("origin", (Fraction(0),), (f0,))
+    images = []
+    for x in xs:
+        y = f0 if x == 0 else f(x)
+        if x > 0 and y == 0:
+            return [], Witness("vanishes", (x,), (Fraction(0),))
+        images.append(y)
+    return images, None
+
+
+def _scaled(values: Sequence[Fraction]) -> list[int]:
+    # the values over their common denominator: same order, same sums
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _sparse_table(values: list[int], pick: Callable[[int, int], int]) -> list[list[int]]:
+    # rows[k][i] = pick over values[i : i + 2**k]
+    rows = [values]
+    width = 1
+    while 2 * width <= len(values):
+        prev = rows[-1]
+        rows.append(list(map(pick, prev, prev[width:])))
+        width *= 2
+    return rows
+
+
+def _triangle_band(ya: int, yb: int) -> tuple[int, int]:
+    return abs(ya - yb), ya + yb
+
+
+def _strong_band(ya: int, yb: int) -> tuple[int, int]:
+    top = max(ya, yb)
+    return (top, top) if ya != yb else (0, top)
 
 
 def _first_bad_triple(
-    f: FunctionSpec,
     xs: Sequence[Fraction],
-    reach: Callable[[Fraction, Fraction], Fraction],
-    image_ok: Callable[[Fraction, Fraction, Fraction], bool],
+    images: Sequence[Fraction],
+    reach: Callable[[int, int], int],
+    band: Callable[[int, int], tuple[int, int]],
 ) -> Witness | None:
-    # xs ascending and nonnegative. A sorted triple a <= b <= c lies in the
-    # scanned family exactly when c <= reach(a, b): a + b for triangles,
-    # max(a, b) for strong triplets. Sorted triples are walked in
-    # lexicographic order, so the first failure is the least one.
-    values = {x: f(x) for x in xs}
-    for i, a in enumerate(xs):
-        for j, b in enumerate(xs[i:], i):
-            for c in xs[j : bisect_right(xs, reach(a, b), j)]:
-                fa, fb, fc = values[a], values[b], values[c]
-                if not image_ok(fa, fb, fc):
-                    return Witness("triple", (a, b, c), (fa, fb, fc))
+    """Least sorted triple of samples in the scanned family whose images are not.
+
+    xs ascends and is nonnegative; images[k] is f(xs[k]). A sorted triple
+    a <= b <= c is in the scanned family exactly when c <= reach(a, b): a + b
+    for triangles, max(a, b) for strong triplets. Its images are in the
+    target family exactly when f(c) lies in band(f(a), f(b)): the interval
+    [|f(a) - f(b)|, f(a) + f(b)] for triangles; for strong triplets
+    [max, max] when f(a) != f(b) and [0, f(a)] when they are equal. Both
+    run on the integers that the samples and the images scale to.
+
+    Pairs are visited in lexicographic order. For a fixed a, reach(a, b)
+    grows with b, so the end of the c range only moves up, and one pointer
+    finds every end in O(n). Two sparse tables, of range minima and maxima,
+    bound the images over the range in O(1) (Bender and Farach-Colton, "The
+    LCA problem revisited", 2000), so n samples cost O(n log n) to set up
+    and O(n^2) to scan. Only a pair whose range strays from its interval
+    has the range walked, from c = b upwards, to its first bad c. Every
+    earlier pair has no bad c, so that triple is the lexicographically least
+    failing one; a failed query whose walk finds none raises SelfCheckError.
+    """
+    n = len(xs)
+    xi, yi = _scaled(xs), _scaled(images)
+    lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
+    for i in range(n):
+        xa, ya = xi[i], yi[i]
+        end = i
+        for j in range(i, n):
+            top = reach(xa, xi[j])
+            while end < n and xi[end] <= top:
+                end += 1
+            lo, hi = band(ya, yi[j])
+            k = (end - j).bit_length() - 1
+            right = end - (1 << k)
+            if lo <= min(lows[k][j], lows[k][right]) and max(highs[k][j], highs[k][right]) <= hi:
+                continue
+            for c in range(j, end):
+                if not lo <= yi[c] <= hi:
+                    return Witness(
+                        "triple", (xs[i], xs[j], xs[c]), (images[i], images[j], images[c])
+                    )
+            raise SelfCheckError(
+                f"the range query failed at ({xs[i]}, {xs[j]}) but no c up to "
+                f"{xs[end - 1]} breaks it"
+            )
     return None
 
 
@@ -154,9 +249,9 @@ def check_metric_preserving_sampled(
     if Fraction(0) not in xs:
         raise ValueError("the sample set must contain 0")
     digest = samples_digest(xs)
-    bad = _amenability_witness(f, xs) or _first_bad_triple(
-        f, xs, operator.add, is_triangle_triplet
-    )
+    images, bad = _amenable_images(f, xs)
+    if bad is None:
+        bad = _first_bad_triple(xs, images, operator.add, _triangle_band)
     return TripletVerdict(bad is None, digest, bad)
 
 
@@ -175,14 +270,10 @@ def _refine(f: FunctionSpec, xs: list[Fraction]) -> list[Fraction]:
     return sorted(set(xs) | set(extra))
 
 
-def _monotone_witness(f: FunctionSpec, xs: Sequence[Fraction]) -> Witness | None:
-    prev_x: Fraction | None = None
-    prev_y: Fraction | None = None
-    for x in xs:
-        y = f(x)
-        if prev_x is not None and prev_y > y:
-            return Witness("pair", (prev_x, x), (prev_y, y))
-        prev_x, prev_y = x, y
+def _monotone_witness(xs: Sequence[Fraction], images: Sequence[Fraction]) -> Witness | None:
+    for k in range(1, len(xs)):
+        if images[k - 1] > images[k]:
+            return Witness("pair", (xs[k - 1], xs[k]), (images[k - 1], images[k]))
     return None
 
 
@@ -201,17 +292,28 @@ def check_ultrametric_preserving(
     """
     xs = _refine(f, _canonical(samples))
     digest = samples_digest(xs)
+    images, bad = _amenable_images(f, xs)
+    if bad is None:
+        bad = _monotone_witness(xs, images)
+        scan = _first_bad_triple(xs, images, max, _strong_band)
+        if (bad is None) != (scan is None):
+            raise EquivalenceBreachError(
+                f"monotonicity inspection and triplet scan disagree: {bad} vs {scan}"
+            )
+    return TripletVerdict(bad is None, digest, bad)
 
-    amen = _amenability_witness(f, xs)
-    direct = amen or _monotone_witness(f, xs)
 
-    scan = amen or _first_bad_triple(f, xs, max, is_strong_triplet)
-
-    if (direct is None) != (scan is None):
-        raise EquivalenceBreachError(
-            f"monotonicity inspection and triplet scan disagree: {direct} vs {scan}"
-        )
-    return TripletVerdict(direct is None, digest, direct)
+def _halving_witness(xs: Sequence[Fraction], images: Sequence[Fraction]) -> Witness | None:
+    # the least positive a, then the least later b, with f(a) > 2 f(b): a is
+    # the first sample whose image exceeds twice the least later image
+    pos = [(x, y) for x, y in zip(xs, images) if x > 0]
+    later_min = list(accumulate((y for _, y in reversed(pos)), min))[::-1]
+    for i in range(len(pos) - 1):
+        a, ya = pos[i]
+        if ya > 2 * later_min[i + 1]:
+            b, yb = next((b, yb) for b, yb in pos[i + 1 :] if ya > 2 * yb)
+            return Witness("pair", (a, b), (ya, yb))
+    return None
 
 
 def check_ultra_to_metric(
@@ -219,44 +321,38 @@ def check_ultra_to_metric(
 ) -> TripletVerdict:
     """Decide whether f carries ultrametrics into plain metrics, sampled.
 
-    Direct form: f(0) = 0 and 0 < f(a) <= 2 f(b) for all sampled 0 < a < b.
+    Direct form: f(0) = 0 and 0 < f(a) <= 2 f(b) for all sampled 0 < a < b,
+    decided by one sweep against the suffix minima of the images.
     Cross-check: every sampled strong triplet must map into the triangle
     family. Both run; disagreement raises EquivalenceBreachError.
     """
     xs = _canonical(samples)
     digest = samples_digest(xs)
-
-    amen = _amenability_witness(f, xs)
-    direct: Witness | None = amen
-    if direct is None:
-        positives = [x for x in xs if x > 0]
-        for i, a in enumerate(positives):
-            for b in positives[i + 1 :]:
-                if f(a) > 2 * f(b):
-                    direct = Witness("pair", (a, b), (f(a), f(b)))
-                    break
-            if direct is not None:
-                break
-
-    scan = amen or _first_bad_triple(f, xs, max, is_triangle_triplet)
-
-    if (direct is None) != (scan is None):
-        raise EquivalenceBreachError(
-            f"pair inspection and triplet scan disagree: {direct} vs {scan}"
-        )
-    return TripletVerdict(direct is None, digest, direct)
+    images, bad = _amenable_images(f, xs)
+    if bad is None:
+        bad = _halving_witness(xs, images)
+        scan = _first_bad_triple(xs, images, max, _triangle_band)
+        if (bad is None) != (scan is None):
+            raise EquivalenceBreachError(
+                f"pair inspection and triplet scan disagree: {bad} vs {scan}"
+            )
+    return TripletVerdict(bad is None, digest, bad)
 
 
 def check_euclid_preserving_sampled(
     f: FunctionSpec, pairs: Iterable[tuple[RationalLike, RationalLike]]
 ) -> TripletVerdict:
-    """Check (f(a), f(b), f(a+b)) is a triangle triplet for sampled pairs."""
+    """Check (f(a), f(b), f(a+b)) is a triangle triplet for sampled pairs.
+
+    f is evaluated once per distinct point of {a, b, a + b}.
+    """
     canon = sorted({(as_fraction(a), as_fraction(b)) for a, b in pairs})
     if any(a < 0 or b < 0 for a, b in canon):
         raise NegativeInputError("pair entries must be nonnegative")
     digest = samples_digest([x for pair in canon for x in pair])
+    value = _Images(f)
     for a, b in canon:
-        fa, fb, fc = f(a), f(b), f(a + b)
+        fa, fb, fc = value[a], value[b], value[a + b]
         if not is_triangle_triplet(fa, fb, fc):
             return TripletVerdict(
                 False, digest, Witness("triple", (a, b, a + b), (fa, fb, fc))
@@ -287,13 +383,17 @@ def sufficient_conditions(
     concave: exact slope inspection for piecewise-linear shapes, otherwise
         nonincreasing secant slopes through the sampled points.
     subadditive_on_samples: f(a+b) <= f(a) + f(b) for all sampled pairs.
+
+    f is evaluated once per distinct point of the samples and of the pair
+    sums a + b that the subadditivity scan reaches.
     """
     xs = _canonical(samples)
     positives = [x for x in xs if x > 0]
+    value = _Images(f)
 
     band = False
     if positives:
-        values = [f(x) for x in positives]
+        values = [value[x] for x in positives]
         low, high = min(values), max(values)
         band = low > 0 and high <= 2 * low
 
@@ -303,19 +403,12 @@ def sufficient_conditions(
             slopes.append(Fraction(0))
         concave = all(s0 >= s1 for s0, s1 in zip(slopes, slopes[1:]))
     else:
-        secants = []
-        for a, b in zip(xs, xs[1:]):
-            secants.append((f(b) - f(a)) / (b - a))
+        secants = [(value[b] - value[a]) / (b - a) for a, b in zip(xs, xs[1:])]
         concave = all(s0 >= s1 for s0, s1 in zip(secants, secants[1:]))
 
-    subadditive = True
-    for i, a in enumerate(xs):
-        for b in xs[i:]:
-            if f(a + b) > f(a) + f(b):
-                subadditive = False
-                break
-        if not subadditive:
-            break
+    subadditive = all(
+        value[a + b] <= value[a] + value[b] for i, a in enumerate(xs) for b in xs[i:]
+    )
 
     return SufficientConditions(band, concave, subadditive)
 

@@ -174,8 +174,12 @@ def validate_ultrametric(
     """
     n = c.n
     d = c.dist
+    # Each unordered pair once, (i, j) with j >= i in row-major order: the
+    # first error is the one a pass over every ordered pair would raise,
+    # since a pair (j, i) with j > i is reached only after (i, j) has
+    # passed, and then repeats its tests on the same value.
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             if d[i][j] != d[j][i]:
                 raise AsymmetricError(f"d[{i}][{j}] != d[{j}][{i}]")
             if d[i][j] < 0:

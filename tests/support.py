@@ -15,6 +15,14 @@ closure-based transitivity check.
 ``brute_transitive_closure`` are the cubic loops the package used before
 its quadratic routes (spanning-tree validation, row-wise base-leg pairs,
 bitset closure); they stay here as differential references.
+``brute_structural_check`` is the validator's structural pass over every
+ordered pair, before it visited each unordered pair once.
+
+``sorted_triple_scan`` is the sorted scan the sampled checks used before
+their range-query engine: every c of every sorted pair's range visited as
+a ``Fraction``. The ``ref_*`` functions are the five public sampled checks
+built on it, with f called afresh wherever a value is read
+(``amenability_witness`` and ``monotone_witness`` are their routes).
 
 ``brute_window_pairs`` and ``brute_check_p_metric_preserving`` are the
 p-adic band check as it was before its O(w) sweep: every exponent pair
@@ -23,17 +31,26 @@ built, sorted by (|m| + |n|, m, n) and compared one at a time.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from fractions import Fraction
 from random import Random
 
 from padicmetrics import (
+    AsymmetricError,
     DistanceMatrixCandidate,
     EquivalenceBreachError,
     FiniteUltrametricSpace,
+    NegativeEntryError,
+    NegativeInputError,
+    NonzeroDiagonalError,
+    PiecewiseLinear,
     SpaceFamily,
+    SufficientConditions,
     TriangleViolation,
     TripletVerdict,
     Witness,
+    ZeroDistanceError,
     as_fraction,
     is_strong_triplet,
     is_triangle_triplet,
@@ -48,12 +65,7 @@ from padicmetrics.padic_preserving import (
     _shared_gate,
     witness_triple,
 )
-from padicmetrics.preserving import (
-    _amenability_witness,
-    _canonical,
-    _monotone_witness,
-    _refine,
-)
+from padicmetrics.preserving import _canonical, _refine
 
 # a spread of scales, including non-integers, for random distances
 SIX_VALUE_POOL = tuple(
@@ -196,6 +208,47 @@ def brute_transitive_closure(ground, pairs) -> frozenset:
     )
 
 
+def brute_structural_check(candidate: DistanceMatrixCandidate) -> None:
+    """The validator's structural checks over every ordered pair (i, j)."""
+    d = candidate.dist
+    n = candidate.n
+    for i in range(n):
+        for j in range(n):
+            if d[i][j] != d[j][i]:
+                raise AsymmetricError(f"d[{i}][{j}] != d[{j}][{i}]")
+            if d[i][j] < 0:
+                raise NegativeEntryError(f"d[{i}][{j}] = {d[i][j]} < 0")
+            if i == j and d[i][j] != 0:
+                raise NonzeroDiagonalError(f"d[{i}][{i}] = {d[i][i]} != 0")
+            if i != j and d[i][j] == 0:
+                raise ZeroDistanceError(
+                    f"distinct points {candidate.labels[i]!r}, {candidate.labels[j]!r} "
+                    "at distance 0"
+                )
+
+
+def amenability_witness(f, samples) -> Witness | None:
+    """f(0) = 0 and f strictly positive on the positive samples, or a breach."""
+    f0 = f(Fraction(0))
+    if f0 != 0:
+        return Witness("origin", (Fraction(0),), (f0,))
+    for x in samples:
+        if x > 0 and f(x) == 0:
+            return Witness("vanishes", (x,), (Fraction(0),))
+    return None
+
+
+def monotone_witness(f, xs) -> Witness | None:
+    """First neighbouring pair of xs on which f decreases."""
+    prev_x = prev_y = None
+    for x in xs:
+        y = f(x)
+        if prev_x is not None and prev_y > y:
+            return Witness("pair", (prev_x, x), (prev_y, y))
+        prev_x, prev_y = x, y
+    return None
+
+
 def brute_triple_scan(f, xs, in_family, image_ok) -> Witness | None:
     """First ordered triple of xs in in_family whose images fail image_ok."""
     values = {x: f(x) for x in xs}
@@ -215,7 +268,7 @@ def brute_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
     if Fraction(0) not in xs:
         raise ValueError("the sample set must contain 0")
     digest = samples_digest(xs)
-    amen = _amenability_witness(f, xs)
+    amen = amenability_witness(f, xs)
     if amen is not None:
         return TripletVerdict(False, digest, amen)
     bad = brute_triple_scan(f, xs, is_triangle_triplet, is_triangle_triplet)
@@ -225,8 +278,8 @@ def brute_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
 def brute_check_ultrametric_preserving(f, samples) -> TripletVerdict:
     xs = _refine(f, _canonical(samples))
     digest = samples_digest(xs)
-    amen = _amenability_witness(f, xs)
-    direct = amen or _monotone_witness(f, xs)
+    amen = amenability_witness(f, xs)
+    direct = amen or monotone_witness(f, xs)
     scan = amen or brute_triple_scan(f, xs, is_strong_triplet, is_strong_triplet)
     if (direct is None) != (scan is None):
         raise EquivalenceBreachError(f"routes disagree: {direct} vs {scan}")
@@ -236,7 +289,7 @@ def brute_check_ultrametric_preserving(f, samples) -> TripletVerdict:
 def brute_check_ultra_to_metric(f, samples) -> TripletVerdict:
     xs = _canonical(samples)
     digest = samples_digest(xs)
-    amen = _amenability_witness(f, xs)
+    amen = amenability_witness(f, xs)
     direct = amen
     if direct is None:
         positives = [x for x in xs if x > 0]
@@ -278,3 +331,108 @@ def brute_check_p_metric_preserving(f, p, window) -> PreservationVerdict:
             )
             return PreservationVerdict(False, window, "band", witness)
     return PreservationVerdict(True, window)
+
+
+def sorted_triple_scan(f, xs, reach, image_ok) -> Witness | None:
+    """First sorted triple of xs with c <= reach(a, b) whose images fail image_ok.
+
+    xs ascending and nonnegative; for each sorted pair every c in
+    [b, reach(a, b)] is visited, as Fractions, with no range query.
+    """
+    values = {x: f(x) for x in xs}
+    for i, a in enumerate(xs):
+        for j, b in enumerate(xs[i:], i):
+            for c in xs[j : bisect_right(xs, reach(a, b), j)]:
+                fa, fb, fc = values[a], values[b], values[c]
+                if not image_ok(fa, fb, fc):
+                    return Witness("triple", (a, b, c), (fa, fb, fc))
+    return None
+
+
+def ref_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
+    xs = _canonical(samples)
+    if Fraction(0) not in xs:
+        raise ValueError("the sample set must contain 0")
+    digest = samples_digest(xs)
+    bad = amenability_witness(f, xs) or sorted_triple_scan(
+        f, xs, operator.add, is_triangle_triplet
+    )
+    return TripletVerdict(bad is None, digest, bad)
+
+
+def ref_check_ultrametric_preserving(f, samples) -> TripletVerdict:
+    xs = _refine(f, _canonical(samples))
+    digest = samples_digest(xs)
+    amen = amenability_witness(f, xs)
+    direct = amen or monotone_witness(f, xs)
+    scan = amen or sorted_triple_scan(f, xs, max, is_strong_triplet)
+    if (direct is None) != (scan is None):
+        raise EquivalenceBreachError(
+            f"monotonicity inspection and triplet scan disagree: {direct} vs {scan}"
+        )
+    return TripletVerdict(direct is None, digest, direct)
+
+
+def ref_check_ultra_to_metric(f, samples) -> TripletVerdict:
+    xs = _canonical(samples)
+    digest = samples_digest(xs)
+    amen = amenability_witness(f, xs)
+    direct = amen
+    if direct is None:
+        positives = [x for x in xs if x > 0]
+        for i, a in enumerate(positives):
+            for b in positives[i + 1 :]:
+                if f(a) > 2 * f(b):
+                    direct = Witness("pair", (a, b), (f(a), f(b)))
+                    break
+            if direct is not None:
+                break
+    scan = amen or sorted_triple_scan(f, xs, max, is_triangle_triplet)
+    if (direct is None) != (scan is None):
+        raise EquivalenceBreachError(
+            f"pair inspection and triplet scan disagree: {direct} vs {scan}"
+        )
+    return TripletVerdict(direct is None, digest, direct)
+
+
+def ref_check_euclid_preserving_sampled(f, pairs) -> TripletVerdict:
+    canon = sorted({(as_fraction(a), as_fraction(b)) for a, b in pairs})
+    if any(a < 0 or b < 0 for a, b in canon):
+        raise NegativeInputError("pair entries must be nonnegative")
+    digest = samples_digest([x for pair in canon for x in pair])
+    for a, b in canon:
+        fa, fb, fc = f(a), f(b), f(a + b)
+        if not is_triangle_triplet(fa, fb, fc):
+            return TripletVerdict(
+                False, digest, Witness("triple", (a, b, a + b), (fa, fb, fc))
+            )
+    return TripletVerdict(True, digest)
+
+
+def ref_sufficient_conditions(f, samples) -> SufficientConditions:
+    xs = _canonical(samples)
+    positives = [x for x in xs if x > 0]
+    band = False
+    if positives:
+        values = [f(x) for x in positives]
+        low, high = min(values), max(values)
+        band = low > 0 and high <= 2 * low
+    if isinstance(f, PiecewiseLinear):
+        slopes = list(f.segment_slopes())
+        if f.tail == "constant":
+            slopes.append(Fraction(0))
+        concave = all(s0 >= s1 for s0, s1 in zip(slopes, slopes[1:]))
+    else:
+        secants = []
+        for a, b in zip(xs, xs[1:]):
+            secants.append((f(b) - f(a)) / (b - a))
+        concave = all(s0 >= s1 for s0, s1 in zip(secants, secants[1:]))
+    subadditive = True
+    for i, a in enumerate(xs):
+        for b in xs[i:]:
+            if f(a + b) > f(a) + f(b):
+                subadditive = False
+                break
+        if not subadditive:
+            break
+    return SufficientConditions(band, concave, subadditive)

@@ -36,6 +36,7 @@ from padicmetrics.spaces import _exact_rank, _integer_rank, _rank_mod_prime
 
 from support import (
     SIX_VALUE_POOL,
+    brute_structural_check,
     brute_validate_ultrametric,
     isosceles_check,
     must_validate,
@@ -100,6 +101,33 @@ def test_validation_matches_cubic_scan(data):
         rows[i][j] = rows[j][i] = data.draw(st.sampled_from(moved))
     cand = _candidate(rows)
     assert validate_ultrametric(cand) == brute_validate_ultrametric(cand)
+
+
+def _structural_error(check, cand):
+    try:
+        check(cand)
+    except (AsymmetricError, NegativeEntryError, NonzeroDiagonalError, ZeroDistanceError) as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_structural_errors_match_the_ordered_pair_loop(data):
+    """Symmetric matrices with 0-3 entries overwritten: same first error."""
+    n = data.draw(st.integers(1, 5))
+    entries = st.sampled_from((F(-1), F(0), F(1, 2), F(1), F(2)))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(entries)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] = data.draw(entries)
+    cand = _candidate(rows)
+    assert _structural_error(validate_ultrametric, cand) == _structural_error(
+        brute_structural_check, cand
+    )
 
 
 def test_large_dendrogram_validates_with_full_dimension():

@@ -17,6 +17,7 @@ from padicmetrics import (
     Canonical,
     DomainMissError,
     NegativeInputError,
+    PadicMetricsError,
     PiecewiseLinear,
     PowerMap,
     PowerStep,
@@ -39,12 +40,19 @@ from padicmetrics import (
     sufficient_conditions,
 )
 from padicmetrics.fixtures import identity_map, level_swap_map, zigzag_map
-from padicmetrics.preserving import _first_bad_triple
+from padicmetrics.functions import FunctionSpec
+from padicmetrics.preserving import _first_bad_triple, _strong_band, _triangle_band
 from support import (
     brute_check_metric_preserving_sampled,
     brute_check_ultra_to_metric,
     brute_check_ultrametric_preserving,
     brute_triple_scan,
+    ref_check_euclid_preserving_sampled,
+    ref_check_metric_preserving_sampled,
+    ref_check_ultra_to_metric,
+    ref_check_ultrametric_preserving,
+    ref_sufficient_conditions,
+    sorted_triple_scan,
 )
 
 F = Fraction
@@ -340,7 +348,7 @@ TABLE_VALUES = (F(0), F(1, 2), F(1), F(3, 2), F(2), F(3))
 def _outcome(check, f, samples):
     try:
         return check(f, samples).to_json_dict()
-    except (DomainMissError, ValueError) as err:
+    except (PadicMetricsError, ValueError) as err:
         return type(err).__name__, str(err)
 
 
@@ -360,22 +368,131 @@ def test_sorted_scan_matches_ordered_brute_force(origin, table, drop, stray):
     f = Tabulated.from_mapping({F(0): origin, **table})
     xs = [k for k, _ in f.entries if k not in drop]
     samples = xs if stray is None else [*xs, stray]
-    for check, brute in (
-        (check_metric_preserving_sampled, brute_check_metric_preserving_sampled),
-        (check_ultrametric_preserving, brute_check_ultrametric_preserving),
-        (check_ultra_to_metric, brute_check_ultra_to_metric),
+    for check, brute, ref in (
+        (
+            check_metric_preserving_sampled,
+            brute_check_metric_preserving_sampled,
+            ref_check_metric_preserving_sampled,
+        ),
+        (
+            check_ultrametric_preserving,
+            brute_check_ultrametric_preserving,
+            ref_check_ultrametric_preserving,
+        ),
+        (check_ultra_to_metric, brute_check_ultra_to_metric, ref_check_ultra_to_metric),
     ):
-        assert _outcome(check, f, samples) == _outcome(brute, f, samples)
+        want = _outcome(brute, f, samples)
+        assert _outcome(check, f, samples) == want
+        assert _outcome(ref, f, samples) == want
     # the ultrametric verdicts report the direct route's witness, so compare
-    # the scan's own witness too
-    for reach, in_family, image_ok in (
-        (operator.add, is_triangle_triplet, is_triangle_triplet),
-        (max, is_strong_triplet, is_strong_triplet),
-        (max, is_strong_triplet, is_triangle_triplet),
+    # the scans' own witnesses too
+    images = [f(x) for x in xs]
+    for reach, band, in_family, image_ok in (
+        (operator.add, _triangle_band, is_triangle_triplet, is_triangle_triplet),
+        (max, _strong_band, is_strong_triplet, is_strong_triplet),
+        (max, _triangle_band, is_strong_triplet, is_triangle_triplet),
     ):
-        assert _first_bad_triple(f, xs, reach, image_ok) == brute_triple_scan(
-            f, xs, in_family, image_ok
-        )
+        want = brute_triple_scan(f, xs, in_family, image_ok)
+        assert sorted_triple_scan(f, xs, reach, image_ok) == want
+        assert _first_bad_triple(xs, images, reach, band) == want
+
+
+PRIMES = (2, 3, 5, 7)
+slopes = st.fractions(min_value=F(0), max_value=F(3), max_denominator=4)
+steps = st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4)
+levels = st.sampled_from((F(0), F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(3), F(4)))
+
+
+@st.composite
+def piecewise_linear_specs(draw, concave: bool):
+    # concave: falling nonnegative slopes; otherwise arbitrary ordinates
+    points = [(F(0), F(0))]
+    rises = sorted(draw(st.lists(slopes, min_size=1, max_size=4)), reverse=True)
+    for rise in rises:
+        x, y = points[-1]
+        dx = draw(steps)
+        points.append((x + dx, y + rise * dx if concave else draw(levels)))
+    tail = draw(st.sampled_from(("constant", "linear")))
+    if tail == "linear" and points[-1][1] < points[-2][1]:
+        tail = "constant"  # a sinking linear tail is rejected by the shape
+    return PiecewiseLinear.from_pairs(points, tail=tail)
+
+
+@st.composite
+def step_specs(draw):
+    thresholds = sorted(draw(st.sets(steps, max_size=4)))
+    return StepFunction.from_pairs(draw(levels), [(t, draw(levels)) for t in thresholds])
+
+
+sampled_specs = st.one_of(
+    st.just(Canonical()),
+    st.builds(PowerMap, st.sampled_from(PRIMES), st.sampled_from(PRIMES)),
+    piecewise_linear_specs(concave=True),
+    piecewise_linear_specs(concave=False),
+    step_specs(),
+    # a small sieve, so that samples fall below its floor and beyond it
+    st.builds(PrimeShift, st.sampled_from((7, 12, 30))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    f=sampled_specs,
+    xs=st.lists(
+        st.one_of(
+            st.fractions(min_value=F(0), max_value=F(12), max_denominator=8),
+            st.sampled_from((F(1, 40), F(1, 9), F(31), F(40))),
+        ),
+        min_size=3,
+        max_size=12,
+    ),
+    origin=st.sampled_from((True, True, True, False)),
+)
+def test_sampled_checks_match_the_sorted_scan(f, xs, origin):
+    # every public sampled check gives the verdict, witness and error of the
+    # sorted Fraction scan with f called afresh at every read
+    samples = [F(0), *xs] if origin else xs
+    pairs = list(zip(samples, reversed(samples)))
+    for check, ref, arg in (
+        (check_metric_preserving_sampled, ref_check_metric_preserving_sampled, samples),
+        (check_ultrametric_preserving, ref_check_ultrametric_preserving, samples),
+        (check_ultra_to_metric, ref_check_ultra_to_metric, samples),
+        (sufficient_conditions, ref_sufficient_conditions, samples),
+        (check_euclid_preserving_sampled, ref_check_euclid_preserving_sampled, pairs),
+    ):
+        assert _outcome(check, f, arg) == _outcome(ref, f, arg)
+
+
+class _Counting(FunctionSpec):
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def _value(self, x):
+        self.calls.append(x)
+        return self.inner(x)
+
+
+def test_sampled_checks_call_f_once_per_point():
+    xs = sorted({F(0), *default_samples(Canonical()), F(5, 3), F(7)})
+    for check in (
+        check_metric_preserving_sampled,
+        check_ultrametric_preserving,
+        check_ultra_to_metric,
+    ):
+        f = _Counting(Canonical())
+        assert check(f, reversed(xs)).passed
+        assert f.calls == xs
+
+    f = _Counting(Canonical())
+    assert sufficient_conditions(f, xs).subadditive_on_samples
+    sums = [x for i, a in enumerate(xs) for b in xs[i:] for x in (a + b, a, b)]
+    assert f.calls == list(dict.fromkeys([*xs[1:], xs[0], *sums]))
+
+    f = _Counting(Canonical())
+    pairs = pairs_from_grid(F(1, 4), 3)
+    assert check_euclid_preserving_sampled(f, pairs).passed
+    assert f.calls == list(dict.fromkeys(x for a, b in pairs for x in (a, b, a + b)))
 
 
 # ------------------------------------------------------------ euclid grid --
