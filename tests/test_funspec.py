@@ -16,6 +16,7 @@ from padicmetrics import (
     BelowFloorError,
     Canonical,
     DomainMissError,
+    FunctionSpec,
     NegativeInputError,
     PadicMetricsError,
     PiecewiseLinear,
@@ -40,7 +41,6 @@ from padicmetrics import (
     sufficient_conditions,
 )
 from padicmetrics.fixtures import identity_map, level_swap_map, zigzag_map
-from padicmetrics.functions import FunctionSpec
 from padicmetrics.preserving import _first_bad_triple, _strong_band, _triangle_band
 from support import (
     brute_check_metric_preserving_sampled,
