@@ -21,8 +21,9 @@ ordered pair, before it visited each unordered pair once.
 ``sorted_triple_scan`` is the sorted scan the sampled checks used before
 their range-query engine: every c of every sorted pair's range visited as
 a ``Fraction``. The ``ref_*`` functions are the five public sampled checks
-built on it, with f called afresh wherever a value is read
-(``amenability_witness`` and ``monotone_witness`` are their routes).
+in that form: the three triplet checks scan with it, and all five call f
+afresh wherever they read a value (``amenability_witness``,
+``monotone_witness`` and ``halving_witness`` are the direct routes).
 
 ``brute_window_pairs`` and ``brute_check_p_metric_preserving`` are the
 p-adic band check as it was before its O(w) sweep: every exponent pair
@@ -249,6 +250,16 @@ def monotone_witness(f, xs) -> Witness | None:
     return None
 
 
+def halving_witness(f, xs) -> Witness | None:
+    """First sampled 0 < a < b, by a and then b, with f(a) > 2 f(b)."""
+    positives = [x for x in xs if x > 0]
+    for i, a in enumerate(positives):
+        for b in positives[i + 1 :]:
+            if f(a) > 2 * f(b):
+                return Witness("pair", (a, b), (f(a), f(b)))
+    return None
+
+
 def brute_triple_scan(f, xs, in_family, image_ok) -> Witness | None:
     """First ordered triple of xs in in_family whose images fail image_ok."""
     values = {x: f(x) for x in xs}
@@ -290,16 +301,7 @@ def brute_check_ultra_to_metric(f, samples) -> TripletVerdict:
     xs = _canonical(samples)
     digest = samples_digest(xs)
     amen = amenability_witness(f, xs)
-    direct = amen
-    if direct is None:
-        positives = [x for x in xs if x > 0]
-        for i, a in enumerate(positives):
-            for b in positives[i + 1 :]:
-                if f(a) > 2 * f(b):
-                    direct = Witness("pair", (a, b), (f(a), f(b)))
-                    break
-            if direct is not None:
-                break
+    direct = amen or halving_witness(f, xs)
     scan = amen or brute_triple_scan(f, xs, is_strong_triplet, is_triangle_triplet)
     if (direct is None) != (scan is None):
         raise EquivalenceBreachError(f"routes disagree: {direct} vs {scan}")
@@ -377,16 +379,7 @@ def ref_check_ultra_to_metric(f, samples) -> TripletVerdict:
     xs = _canonical(samples)
     digest = samples_digest(xs)
     amen = amenability_witness(f, xs)
-    direct = amen
-    if direct is None:
-        positives = [x for x in xs if x > 0]
-        for i, a in enumerate(positives):
-            for b in positives[i + 1 :]:
-                if f(a) > 2 * f(b):
-                    direct = Witness("pair", (a, b), (f(a), f(b)))
-                    break
-            if direct is not None:
-                break
+    direct = amen or halving_witness(f, xs)
     scan = amen or sorted_triple_scan(f, xs, max, is_triangle_triplet)
     if (direct is None) != (scan is None):
         raise EquivalenceBreachError(
