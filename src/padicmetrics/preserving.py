@@ -42,9 +42,14 @@ from itertools import accumulate, combinations_with_replacement
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError
+from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PiecewiseLinear, StepFunction
 from .padic import RationalLike, as_fraction
+
+# The largest grid accepted, in points, as for exponent windows.
+MAX_GRID_POINTS = 1025
+
+_ratio = operator.attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True)
@@ -100,9 +105,13 @@ class SufficientConditions:
         }
 
 
+def _digest(canon: Iterable[Fraction]) -> str:
+    # the hash of a sample set that is already sorted and free of repeats
+    return hashlib.sha256(",".join(map(str, canon)).encode()).hexdigest()[:16]
+
+
 def samples_digest(samples: Iterable[Fraction]) -> str:
-    canon = ",".join(str(x) for x in sorted(set(samples)))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return _digest(sorted(set(samples)))
 
 
 def _canonical(samples: Iterable[RationalLike]) -> list[Fraction]:
@@ -128,14 +137,14 @@ def is_strong_triplet(a: RationalLike, b: RationalLike, c: RationalLike) -> bool
     return a <= max(b, c) and b <= max(a, c) and c <= max(a, b)
 
 
-class _Images(dict):
-    # a per-call memo of f: each point is evaluated once, when first read
-    def __init__(self, f: FunctionSpec) -> None:
+class _Memo(dict):
+    # a per-call memo of f: each key is evaluated once, when first read
+    def __init__(self, f: Callable) -> None:
         super().__init__()
         self.f = f
 
-    def __missing__(self, x: Fraction) -> Fraction:
-        y = self[x] = self.f(x)
+    def __missing__(self, key):
+        y = self[key] = self.f(key)
         return y
 
 
@@ -248,7 +257,7 @@ def check_metric_preserving_sampled(
     xs = _canonical(samples)
     if Fraction(0) not in xs:
         raise ValueError("the sample set must contain 0")
-    digest = samples_digest(xs)
+    digest = _digest(xs)
     images, bad = _amenable_images(f, xs)
     if bad is None:
         bad = _first_bad_triple(xs, images, operator.add, _triangle_band)
@@ -291,7 +300,7 @@ def check_ultrametric_preserving(
     EquivalenceBreachError because it can only come from a bug.
     """
     xs = _refine(f, _canonical(samples))
-    digest = samples_digest(xs)
+    digest = _digest(xs)
     images, bad = _amenable_images(f, xs)
     if bad is None:
         bad = _monotone_witness(xs, images)
@@ -327,7 +336,7 @@ def check_ultra_to_metric(
     family. Both run; disagreement raises EquivalenceBreachError.
     """
     xs = _canonical(samples)
-    digest = samples_digest(xs)
+    digest = _digest(xs)
     images, bad = _amenable_images(f, xs)
     if bad is None:
         bad = _halving_witness(xs, images)
@@ -344,34 +353,71 @@ def check_euclid_preserving_sampled(
 ) -> TripletVerdict:
     """Check (f(a), f(b), f(a+b)) is a triangle triplet for sampled pairs.
 
-    f is evaluated once per distinct point of {a, b, a + b}.
+    Fails with the least pair (a, b), in lexicographic order, whose images
+    are no triangle triplet.
+
+    The check runs on integers. Every entry is coerced once, in the order
+    given, so floats and bools are refused as by ``as_fraction``; then all
+    entries are scaled to integers over their one common denominator L.
+    Scaling by L > 0 keeps order, so the sorted distinct integer pairs come
+    in the order of the sorted Fraction pairs, and the sorted distinct
+    integers give the digest. f is evaluated once per distinct point: at a,
+    then b, then a + b of each pair in turn, which is where a scan without
+    a memo first reads it, so the first error a spec raises is unchanged.
+    Each image is coerced once, and each triple checks the signs of its
+    images, as ``is_triangle_triplet`` does, before it is decided by
+    cross-multiplying the three images and comparing each with the sum of
+    the other two. The witness points are Fractions and the images are as
+    f returned them. For N pairs over P distinct points a, b and a + b,
+    the cost is one sort of N integer pairs, P evaluations of f and
+    Fraction constructions, and O(1) integer operations per pair.
     """
-    canon = sorted({(as_fraction(a), as_fraction(b)) for a, b in pairs})
-    if any(a < 0 or b < 0 for a, b in canon):
+    parts = [_ratio(as_fraction(a)) + _ratio(as_fraction(b)) for a, b in pairs]
+    den = lcm(*{d for _, da, _, db in parts for d in (da, db)})
+    keys = sorted({(na * (den // da), nb * (den // db)) for na, da, nb, db in parts})
+    distinct = sorted({k for pair in keys for k in pair})
+    if distinct and distinct[0] < 0:
         raise NegativeInputError("pair entries must be nonnegative")
-    digest = samples_digest([x for pair in canon for x in pair])
-    value = _Images(f)
-    for a, b in canon:
-        fa, fb, fc = value[a], value[b], value[a + b]
-        if not is_triangle_triplet(fa, fb, fc):
-            return TripletVerdict(
-                False, digest, Witness("triple", (a, b, a + b), (fa, fb, fc))
-            )
+    digest = _digest(Fraction(k, den) for k in distinct)
+    value = _Memo(lambda k: f(Fraction(k, den)))
+    exact = _Memo(lambda k: _ratio(as_fraction(value[k])))
+    for ka, kb in keys:
+        kc = ka + kb
+        fa, fb, fc = value[ka], value[kb], value[kc]
+        (na, da), (nb, db), (nc, dc) = exact[ka], exact[kb], exact[kc]
+        if na < 0 or nb < 0 or nc < 0:
+            raise NegativeInputError("triplet entries must be nonnegative")
+        ya, yb, yc = na * db * dc, nb * da * dc, nc * da * db
+        if ya > yb + yc or yb > ya + yc or yc > ya + yb:
+            points = (Fraction(ka, den), Fraction(kb, den), Fraction(kc, den))
+            return TripletVerdict(False, digest, Witness("triple", points, (fa, fb, fc)))
     return TripletVerdict(True, digest)
 
 
-def pairs_from_grid(step: RationalLike, stop: RationalLike) -> list[tuple[Fraction, Fraction]]:
-    """All unordered pairs from the grid {0, step, 2 step, ..., stop}."""
+def _grid(step: RationalLike, stop: RationalLike) -> list[Fraction]:
+    # the grid {0, step, ..., stop}, its size checked before it is built
     step = as_fraction(step)
     stop = as_fraction(stop)
     if step <= 0 or stop < step:
         raise ValueError("need 0 < step <= stop")
-    grid = []
-    k = 0
-    while k * step <= stop:
-        grid.append(k * step)
-        k += 1
-    return list(combinations_with_replacement(grid, 2))
+    count = stop // step + 1
+    if count > MAX_GRID_POINTS:
+        raise TooLargeError(
+            f"grid 0..{stop} by {step} holds {count} points, "
+            f"more than the {MAX_GRID_POINTS} accepted"
+        )
+    return [k * step for k in range(count)]
+
+
+def pairs_from_grid(step: RationalLike, stop: RationalLike) -> list[tuple[Fraction, Fraction]]:
+    """All unordered pairs from the grid {0, step, 2 step, ..., stop}.
+
+    Raises:
+        ValueError: unless 0 < step <= stop.
+        TooLargeError: if the grid holds more than MAX_GRID_POINTS points;
+            nothing is allocated before the check.
+    """
+    return list(combinations_with_replacement(_grid(step, stop), 2))
 
 
 def sufficient_conditions(
@@ -389,7 +435,7 @@ def sufficient_conditions(
     """
     xs = _canonical(samples)
     positives = [x for x in xs if x > 0]
-    value = _Images(f)
+    value = _Memo(f)
 
     band = False
     if positives:

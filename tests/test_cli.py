@@ -153,6 +153,12 @@ def test_euclid_exit_code(capsys):
     assert payload["witness"]["points"] == ["3/4", "23/8", "29/8"]
 
 
+def test_euclid_grid_over_the_cap_is_refused(capsys):
+    code, payload = run_json(capsys, "fn", "euclid", "--spec", ZIGZAG, "--step", "1/100000")
+    assert code == 2
+    assert payload["error"] == "too_large"
+
+
 def test_extend_rejects_non_preserving(capsys):
     code, payload = run_json(capsys, "fn", "extend", "--spec", ZIGZAG, "--p", "3")
     assert code == 2

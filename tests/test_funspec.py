@@ -27,6 +27,7 @@ from padicmetrics import (
     StepFunction,
     Tabulated,
     TooLargeError,
+    as_fraction,
     check_euclid_preserving_sampled,
     check_metric_preserving_sampled,
     check_ultra_to_metric,
@@ -41,7 +42,14 @@ from padicmetrics import (
     sufficient_conditions,
 )
 from padicmetrics.fixtures import identity_map, level_swap_map, zigzag_map
-from padicmetrics.preserving import _first_bad_triple, _strong_band, _triangle_band
+from padicmetrics.preserving import (
+    MAX_GRID_POINTS,
+    _digest,
+    _first_bad_triple,
+    _grid,
+    _strong_band,
+    _triangle_band,
+)
 from support import (
     brute_check_metric_preserving_sampled,
     brute_check_ultra_to_metric,
@@ -525,6 +533,94 @@ def test_pairs_from_grid_counts_and_validation():
         pairs_from_grid(2, 1)
 
 
+def test_pairs_from_grid_is_capped():
+    # the point count is read from step and stop before any list is built,
+    # so the refused grids below cost nothing
+    assert _grid(1, MAX_GRID_POINTS - 1) == [F(k) for k in range(MAX_GRID_POINTS)]
+    assert len(_grid(F(1, 1024), 1)) == MAX_GRID_POINTS
+    assert len(_grid(F(1, 1024), F(1025, 1024) - F(1, 10**6))) == MAX_GRID_POINTS
+    with pytest.raises(TooLargeError, match="1026 points"):
+        pairs_from_grid(1, MAX_GRID_POINTS)
+    with pytest.raises(TooLargeError, match="1026 points"):
+        pairs_from_grid(F(1, 1024), F(1025, 1024))
+    with pytest.raises(TooLargeError):
+        pairs_from_grid(F(1, 100000), 8)
+
+
+# entries with denominators 1, 3, 6 and 8, as Fractions, "a/b" strings or ints
+_entry_values = st.builds(F, st.integers(0, 24), st.sampled_from((1, 3, 6, 8)))
+
+
+@st.composite
+def _euclid_entries(draw):
+    x = draw(_entry_values)
+    form = draw(st.sampled_from(("fraction", "string", "int")))
+    if form == "string":
+        return f"{x.numerator}/{x.denominator}"
+    if form == "int" and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+class _Drawn(FunctionSpec):
+    # images from a cycle of drawn levels, keyed by the point's numerator and
+    # denominator, with per-point overrides; an override None is a domain miss
+    def __init__(self, levels, overrides):
+        self.levels = levels
+        self.overrides = overrides
+
+    def _value(self, x):
+        key = (x.numerator + x.denominator) % len(self.levels)
+        y = self.overrides.get(x, self.levels[key])
+        if y is None:
+            raise DomainMissError(f"no image at {x}")
+        return y
+
+
+def _euclid_outcome(check, f, pairs):
+    # as _outcome, and a float entry is refused with TypeError
+    try:
+        return check(f, pairs).to_json_dict()
+    except (PadicMetricsError, TypeError) as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.lists(st.tuples(_euclid_entries(), _euclid_entries()), min_size=1, max_size=12),
+    levels=st.lists(
+        st.sampled_from((0, 1, 2, 3, F(1, 2), F(3, 2), F(5, 3), F(7, 8))),
+        min_size=1,
+        max_size=5,
+    ),
+    trap=st.sampled_from((None, None, "negative b", "negative b, miss a+b", "miss a+b")),
+    float_pair=st.sampled_from((None,) * 7 + ((0.5, 1), (F(1), 0.25))),
+    data=st.data(),
+)
+def test_euclid_grid_check_matches_the_fraction_scan(base, levels, trap, float_pair, data):
+    # independent pairs, repeated and swapped, in any order; the integer
+    # route must give the JSON, or the error type and message, of the
+    # Fraction scan that calls f afresh at every read
+    pairs = list(base)
+    for a, b in data.draw(st.lists(st.sampled_from(base), max_size=4)):
+        pairs.append(data.draw(st.sampled_from(((a, b), (b, a)))))
+    pairs = data.draw(st.permutations(pairs))
+    overrides = {F(0): 0}
+    if trap is not None:
+        a, b = map(as_fraction, data.draw(st.sampled_from(pairs)))
+        if "negative" in trap:
+            overrides[b] = data.draw(st.sampled_from((-1, F(-1, 2))))
+        if "miss" in trap:
+            overrides[a + b] = None
+    if float_pair is not None:
+        pairs.insert(len(pairs) // 2, float_pair)
+    f = _Drawn(levels, overrides)
+    want = _euclid_outcome(ref_check_euclid_preserving_sampled, f, pairs)
+    assert _euclid_outcome(check_euclid_preserving_sampled, f, pairs) == want
+    if float_pair is not None:
+        assert want[0] == "TypeError"
+
+
 # ------------------------------------------------- sufficient conditions --
 
 
@@ -571,3 +667,10 @@ def test_samples_digest_is_order_insensitive():
     assert a == b
     assert len(a) == 16
     assert a != samples_digest([F(1), F(2)])
+    assert samples_digest([F(2), F(1, 2), F(0), F(5, 3), F(1), F(2)]) == "ac837beb71453ebd"
+
+
+@given(xs=st.lists(small_fractions, max_size=12), data=st.data())
+def test_digest_of_a_canonical_list_matches_samples_digest(xs, data):
+    noisy = data.draw(st.permutations(xs + xs[: len(xs) // 2]))
+    assert _digest(sorted(set(xs))) == samples_digest(noisy)
