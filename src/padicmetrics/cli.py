@@ -4,6 +4,10 @@ Exit codes: 0 for a pass or a plain query, 1 when a checked property is
 violated (the payload then carries a re-checkable witness), 2 for bad
 input or an unmet precondition. Output is deterministic: sorted keys,
 two-space indent, rationals as canonical strings.
+
+Each verb is declared once, in ``VERBS``: its group, its handler and its
+arguments. An argument several verbs share is declared once, in
+``_SHARED``, and named there.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .families import (
     family_poset,
 )
 from .fixtures import run_all
-from .functions import FunctionSpec, spec_from_json_dict, spec_to_json_dict
+from .functions import FunctionSpec, PowerMap, PowerStep, PrimeShift, spec_from_json_dict
 from .padic import as_fraction, digit_window, padic_abs, padic_distance, valuation
 from .padic_preserving import (
     DEFAULT_WINDOW,
@@ -40,9 +44,6 @@ from .padic_preserving import (
     closed_form_note,
     extend_to_ultrametric_preserving,
     parse_window,
-    power_step,
-    prime_shift,
-    prime_swap,
     witness_triple,
 )
 from .preserving import (
@@ -203,30 +204,28 @@ def _cmd_fn_padic_ultra_check(args) -> Result:
     return (0 if verdict.passed else 1), verdict.to_json_dict()
 
 
+def _value_or_spec(f: FunctionSpec, x: str | None) -> Result:
+    # fn psi, prime-swap and prime-shift: the value at --x, or else the spec
+    if x is not None:
+        return 0, {"value": str(f(Fraction(x)))}
+    return 0, f.to_json_dict()
+
+
 def _cmd_fn_psi(args) -> Result:
-    stepped = power_step(_load_spec(args.spec), args.p)
-    if args.x is not None:
-        return 0, {"value": str(stepped(Fraction(args.x)))}
-    return 0, spec_to_json_dict(stepped)
+    return _value_or_spec(PowerStep(_load_spec(args.spec), args.p), args.x)
 
 
 def _cmd_fn_extend(args) -> Result:
     g = extend_to_ultrametric_preserving(_load_spec(args.spec), args.p, args.window)
-    return 0, spec_to_json_dict(g)
+    return 0, g.to_json_dict()
 
 
 def _cmd_fn_prime_swap(args) -> Result:
-    f = prime_swap(args.p, args.q)
-    if args.x is not None:
-        return 0, {"value": str(f(Fraction(args.x)))}
-    return 0, spec_to_json_dict(f)
+    return _value_or_spec(PowerMap(args.p, args.q), args.x)
 
 
 def _cmd_fn_prime_shift(args) -> Result:
-    f = prime_shift(args.bound)
-    if args.x is not None:
-        return 0, {"value": str(f(Fraction(args.x)))}
-    return 0, spec_to_json_dict(f)
+    return _value_or_spec(PrimeShift(args.bound), args.x)
 
 
 def _cmd_fn_witness(args) -> Result:
@@ -279,7 +278,8 @@ def _cmd_space_isometry(args) -> Result:
     mapping = isometry_search(a, b)
     if mapping is None:
         return 0, {"found": False}
-    assert is_isometry(a, b, mapping)
+    if not is_isometry(a, b, mapping):
+        raise SelfCheckError(f"isometry_search returned {mapping}, not an isometry")
     labels = {a.labels[i]: b.labels[mapping[i]] for i in range(a.n)}
     return 0, {"found": True, "map": list(mapping), "labels": labels}
 
@@ -313,12 +313,11 @@ def _cmd_class_check(args) -> Result:
 
 def _cmd_class_extend(args) -> Result:
     g = build_extension(_load_spec(args.spec), _load_family(args.file))
-    return 0, spec_to_json_dict(g)
+    return 0, g.to_json_dict()
 
 
 def _cmd_class_counterexample(args) -> Result:
-    fn = counterexample_function(_load_family(args.file))
-    return 0, spec_to_json_dict(fn)
+    return 0, counterexample_function(_load_family(args.file)).to_json_dict()
 
 
 def _cmd_class_compare(args) -> Result:
@@ -341,20 +340,77 @@ def _cmd_examples_reproduce(args) -> Result:
 
 # ------------------------------------------------------------- plumbing --
 
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
 
-def _add_spec(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--spec", required=True, help="function spec: inline JSON or a file path"
-    )
+# Arguments that more than one verb takes. A verb's argument list names
+# these, or gives (name, add_argument keywords) for one of its own.
+_SHARED = {
+    "spec": {"required": True, "help": "function spec: inline JSON or a file path"},
+    "window": {
+        "type": parse_window,
+        "default": DEFAULT_WINDOW,
+        "help": "exponent window lo:hi (use --window=-16:16 form for negatives)",
+    },
+    "samples": {"help": "comma-separated rationals, must include 0"},
+    "p": _REQUIRED_INT,
+    "file": _REQUIRED,
+    "to": _REQUIRED,
+    "x": _REQUIRED,
+}
 
+_OPTIONAL_X = ("x", {})
 
-def _add_window(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--window",
-        type=parse_window,
-        default=DEFAULT_WINDOW,
-        help="exponent window lo:hi (use --window=-16:16 form for negatives)",
-    )
+# group -> (help, {verb -> (handler, arguments in --help order)})
+VERBS = {
+    "padic": ("valuations, absolute values, digits", {
+        "abs": (_cmd_padic_abs, ["p", "x"]),
+        "ord": (_cmd_padic_ord, ["p", "x"]),
+        "dist": (_cmd_padic_dist, ["p", "x", ("y", _REQUIRED)]),
+        "digits": (_cmd_padic_digits, ["p", "x", ("high", _REQUIRED_INT)]),
+    }),
+    "fn": ("function spec checks", {
+        "eval": (_cmd_fn_eval, ["spec", "x"]),
+        "triplet": (_cmd_fn_triplet, [(name, _REQUIRED) for name in "abc"]),
+        "classify": (_cmd_fn_classify, [
+            "spec",
+            "samples",
+            ("p", {"type": int, "help": "switch to the p-adic window check"}),
+            "window",
+        ]),
+        "euclid": (
+            _cmd_fn_euclid, ["spec", ("step", {"default": "1/8"}), ("stop", {"default": "8"})]
+        ),
+        "sufficient": (_cmd_fn_sufficient, ["spec", "samples"]),
+        "padic-check": (_cmd_fn_padic_check, ["spec", "p", "window"]),
+        "padic-ultra-check": (_cmd_fn_padic_ultra_check, ["spec", "p", "window"]),
+        "psi": (_cmd_fn_psi, ["spec", "p", _OPTIONAL_X]),
+        "extend": (_cmd_fn_extend, ["spec", "p", "window"]),
+        "prime-swap": (_cmd_fn_prime_swap, ["p", ("q", _REQUIRED_INT), _OPTIONAL_X]),
+        "prime-shift": (
+            _cmd_fn_prime_shift, [_OPTIONAL_X, ("bound", {"type": int, "default": 1_000_000})]
+        ),
+        "witness": (_cmd_fn_witness, ["p", ("m", _REQUIRED_INT), ("n", _REQUIRED_INT)]),
+    }),
+    "space": ("finite ultrametric spaces", {
+        "validate": (_cmd_space_validate, ["file"]),
+        "apply": (_cmd_space_apply, ["file", "spec"]),
+        "range": (_cmd_space_range, ["file"]),
+        "isometry": (_cmd_space_isometry, ["file", "to"]),
+        "embed-dim": (_cmd_space_embed_dim, ["file"]),
+    }),
+    "class": ("families of spaces and their order", {
+        "ran": (_cmd_class_ran, ["file"]),
+        "poset": (_cmd_class_poset, ["file"]),
+        "check": (_cmd_class_check, ["file", "spec"]),
+        "extend": (_cmd_class_extend, ["file", "spec"]),
+        "counterexample": (_cmd_class_counterexample, ["file"]),
+        "compare": (_cmd_class_compare, ["file", "to"]),
+    }),
+    "examples": ("batch worked examples", {
+        "reproduce": (_cmd_examples_reproduce, []),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,138 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rational checks for p-adic and ultrametric preservation.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    padic = groups.add_parser("padic", help="valuations, absolute values, digits")
-    padic_sub = padic.add_subparsers(dest="verb", required=True)
-    p_abs = padic_sub.add_parser("abs")
-    p_abs.add_argument("--p", type=int, required=True)
-    p_abs.add_argument("--x", required=True)
-    p_abs.set_defaults(handler=_cmd_padic_abs)
-    p_ord = padic_sub.add_parser("ord")
-    p_ord.add_argument("--p", type=int, required=True)
-    p_ord.add_argument("--x", required=True)
-    p_ord.set_defaults(handler=_cmd_padic_ord)
-    p_dist = padic_sub.add_parser("dist")
-    p_dist.add_argument("--p", type=int, required=True)
-    p_dist.add_argument("--x", required=True)
-    p_dist.add_argument("--y", required=True)
-    p_dist.set_defaults(handler=_cmd_padic_dist)
-    p_dig = padic_sub.add_parser("digits")
-    p_dig.add_argument("--p", type=int, required=True)
-    p_dig.add_argument("--x", required=True)
-    p_dig.add_argument("--high", type=int, required=True)
-    p_dig.set_defaults(handler=_cmd_padic_digits)
-
-    fn = groups.add_parser("fn", help="function spec checks")
-    fn_sub = fn.add_subparsers(dest="verb", required=True)
-    f_eval = fn_sub.add_parser("eval")
-    _add_spec(f_eval)
-    f_eval.add_argument("--x", required=True)
-    f_eval.set_defaults(handler=_cmd_fn_eval)
-    f_trip = fn_sub.add_parser("triplet")
-    f_trip.add_argument("--a", required=True)
-    f_trip.add_argument("--b", required=True)
-    f_trip.add_argument("--c", required=True)
-    f_trip.set_defaults(handler=_cmd_fn_triplet)
-    f_cls = fn_sub.add_parser("classify")
-    _add_spec(f_cls)
-    f_cls.add_argument("--samples", help="comma-separated rationals, must include 0")
-    f_cls.add_argument("--p", type=int, help="switch to the p-adic window check")
-    _add_window(f_cls)
-    f_cls.set_defaults(handler=_cmd_fn_classify)
-    f_euc = fn_sub.add_parser("euclid")
-    _add_spec(f_euc)
-    f_euc.add_argument("--step", default="1/8")
-    f_euc.add_argument("--stop", default="8")
-    f_euc.set_defaults(handler=_cmd_fn_euclid)
-    f_suf = fn_sub.add_parser("sufficient")
-    _add_spec(f_suf)
-    f_suf.add_argument("--samples", help="comma-separated rationals, must include 0")
-    f_suf.set_defaults(handler=_cmd_fn_sufficient)
-    f_pc = fn_sub.add_parser("padic-check")
-    _add_spec(f_pc)
-    f_pc.add_argument("--p", type=int, required=True)
-    _add_window(f_pc)
-    f_pc.set_defaults(handler=_cmd_fn_padic_check)
-    f_puc = fn_sub.add_parser("padic-ultra-check")
-    _add_spec(f_puc)
-    f_puc.add_argument("--p", type=int, required=True)
-    _add_window(f_puc)
-    f_puc.set_defaults(handler=_cmd_fn_padic_ultra_check)
-    f_psi = fn_sub.add_parser("psi")
-    _add_spec(f_psi)
-    f_psi.add_argument("--p", type=int, required=True)
-    f_psi.add_argument("--x")
-    f_psi.set_defaults(handler=_cmd_fn_psi)
-    f_ext = fn_sub.add_parser("extend")
-    _add_spec(f_ext)
-    f_ext.add_argument("--p", type=int, required=True)
-    _add_window(f_ext)
-    f_ext.set_defaults(handler=_cmd_fn_extend)
-    f_swap = fn_sub.add_parser("prime-swap")
-    f_swap.add_argument("--p", type=int, required=True)
-    f_swap.add_argument("--q", type=int, required=True)
-    f_swap.add_argument("--x")
-    f_swap.set_defaults(handler=_cmd_fn_prime_swap)
-    f_shift = fn_sub.add_parser("prime-shift")
-    f_shift.add_argument("--x")
-    f_shift.add_argument("--bound", type=int, default=1_000_000)
-    f_shift.set_defaults(handler=_cmd_fn_prime_shift)
-    f_wit = fn_sub.add_parser("witness")
-    f_wit.add_argument("--p", type=int, required=True)
-    f_wit.add_argument("--m", type=int, required=True)
-    f_wit.add_argument("--n", type=int, required=True)
-    f_wit.set_defaults(handler=_cmd_fn_witness)
-
-    space = groups.add_parser("space", help="finite ultrametric spaces")
-    space_sub = space.add_subparsers(dest="verb", required=True)
-    s_val = space_sub.add_parser("validate")
-    s_val.add_argument("--file", required=True)
-    s_val.set_defaults(handler=_cmd_space_validate)
-    s_app = space_sub.add_parser("apply")
-    s_app.add_argument("--file", required=True)
-    _add_spec(s_app)
-    s_app.set_defaults(handler=_cmd_space_apply)
-    s_rng = space_sub.add_parser("range")
-    s_rng.add_argument("--file", required=True)
-    s_rng.set_defaults(handler=_cmd_space_range)
-    s_iso = space_sub.add_parser("isometry")
-    s_iso.add_argument("--file", required=True)
-    s_iso.add_argument("--to", required=True)
-    s_iso.set_defaults(handler=_cmd_space_isometry)
-    s_dim = space_sub.add_parser("embed-dim")
-    s_dim.add_argument("--file", required=True)
-    s_dim.set_defaults(handler=_cmd_space_embed_dim)
-
-    klass = groups.add_parser("class", help="families of spaces and their order")
-    klass_sub = klass.add_subparsers(dest="verb", required=True)
-    c_ran = klass_sub.add_parser("ran")
-    c_ran.add_argument("--file", required=True)
-    c_ran.set_defaults(handler=_cmd_class_ran)
-    c_pos = klass_sub.add_parser("poset")
-    c_pos.add_argument("--file", required=True)
-    c_pos.set_defaults(handler=_cmd_class_poset)
-    c_chk = klass_sub.add_parser("check")
-    c_chk.add_argument("--file", required=True)
-    _add_spec(c_chk)
-    c_chk.set_defaults(handler=_cmd_class_check)
-    c_ext = klass_sub.add_parser("extend")
-    c_ext.add_argument("--file", required=True)
-    _add_spec(c_ext)
-    c_ext.set_defaults(handler=_cmd_class_extend)
-    c_cex = klass_sub.add_parser("counterexample")
-    c_cex.add_argument("--file", required=True)
-    c_cex.set_defaults(handler=_cmd_class_counterexample)
-    c_cmp = klass_sub.add_parser("compare")
-    c_cmp.add_argument("--file", required=True)
-    c_cmp.add_argument("--to", required=True)
-    c_cmp.set_defaults(handler=_cmd_class_compare)
-
-    examples = groups.add_parser("examples", help="batch worked examples")
-    examples_sub = examples.add_subparsers(dest="verb", required=True)
-    e_rep = examples_sub.add_parser("reproduce")
-    e_rep.set_defaults(handler=_cmd_examples_reproduce)
-
+    for group, (help_text, verbs) in VERBS.items():
+        group_verbs = groups.add_parser(group, help=help_text).add_subparsers(
+            dest="verb", required=True
+        )
+        for verb, (handler, arguments) in verbs.items():
+            command = group_verbs.add_parser(verb)
+            for argument in arguments:
+                name, options = (
+                    (argument, _SHARED[argument]) if isinstance(argument, str) else argument
+                )
+                command.add_argument(f"--{name}", **options)
+            command.set_defaults(handler=handler)
     return parser
 
 

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .functions import FunctionSpec, StepFunction, Tabulated
 from .padic import RationalLike, as_fraction
+from .preserving import _amenable_images
 from .spaces import (
     DistanceMatrixCandidate,
     FiniteUltrametricSpace,
@@ -313,15 +314,10 @@ class PreservationReport:
 
 def _order_side(f: FunctionSpec, poset: FinitePoset) -> OrderWitness | None:
     """First failing order-side condition; f is called once per value."""
-    f0 = f(Fraction(0))
-    if f0 != 0:
-        return OrderWitness("origin", (Fraction(0),), (f0,))
-    image = {Fraction(0): f0}
-    for t in poset.ground:
-        if t > 0:
-            image[t] = f(t)
-            if image[t] == 0:
-                return OrderWitness("vanishes", (t,), (Fraction(0),))
+    images, bad = _amenable_images(f, poset.ground)
+    if bad is not None:
+        return OrderWitness(bad.kind, bad.points, bad.images)
+    image = dict(zip(poset.ground, images))
     for s, t in poset.nonreflexive_pairs():
         if image[s] > image[t]:
             return OrderWitness("pair", (s, t), (image[s], image[t]))

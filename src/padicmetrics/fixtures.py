@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import NotPreservingError
+from .errors import NotPreservingError, SelfCheckError
 from .families import (
     SpaceFamily,
     check_family_preserving,
@@ -21,15 +21,13 @@ from .families import (
     distance_values,
     family_poset,
 )
-from .functions import PiecewiseLinear, Reciprocal
+from .functions import PiecewiseLinear, PowerMap, PrimeShift, Reciprocal
 from .padic import cauchy_profile, digit_window, padic_abs, padic_distance, valuation
 from .padic_preserving import (
     ExponentWindow,
     check_p_metric_preserving,
     check_p_ultrametric_preserving,
     extend_to_ultrametric_preserving,
-    prime_shift,
-    prime_swap,
     witness_triple,
 )
 from .preserving import (
@@ -53,9 +51,16 @@ from .spaces import (
 F = Fraction
 
 
+def _fixture_space(candidate: DistanceMatrixCandidate) -> FiniteUltrametricSpace:
+    space = validate_ultrametric(candidate)
+    if not isinstance(space, FiniteUltrametricSpace):
+        raise SelfCheckError(f"the fixture space is not ultrametric: {space}")
+    return space
+
+
 def four_point_space() -> FiniteUltrametricSpace:
     """Points x1..x4 with d(x1,x3) = 1, d(x2,x4) = 2, everything else 3."""
-    candidate = DistanceMatrixCandidate.from_rows(
+    return _fixture_space(DistanceMatrixCandidate.from_rows(
         ("x1", "x2", "x3", "x4"),
         (
             (0, 3, 1, 3),
@@ -63,10 +68,7 @@ def four_point_space() -> FiniteUltrametricSpace:
             (1, 3, 0, 3),
             (3, 2, 3, 0),
         ),
-    )
-    space = validate_ultrametric(candidate)
-    assert isinstance(space, FiniteUltrametricSpace)
-    return space
+    ))
 
 
 def four_point_family() -> SpaceFamily:
@@ -75,7 +77,7 @@ def four_point_family() -> SpaceFamily:
 
 def legs_three_space() -> FiniteUltrametricSpace:
     """Points y1..y4 with d(y1,y2) = 2, d(y3,y4) = 1, everything else 3."""
-    candidate = DistanceMatrixCandidate.from_rows(
+    return _fixture_space(DistanceMatrixCandidate.from_rows(
         ("y1", "y2", "y3", "y4"),
         (
             (0, 2, 3, 3),
@@ -83,10 +85,7 @@ def legs_three_space() -> FiniteUltrametricSpace:
             (3, 3, 0, 1),
             (3, 3, 1, 0),
         ),
-    )
-    space = validate_ultrametric(candidate)
-    assert isinstance(space, FiniteUltrametricSpace)
-    return space
+    ))
 
 
 def level_swap_map() -> PiecewiseLinear:
@@ -327,13 +326,13 @@ def _zigzag_three_adic_failure() -> tuple[bool, str]:
 
 
 def _prime_swap_values() -> tuple[bool, str]:
-    f = prime_swap(2, 3)
+    f = PowerMap(2, 3)
     got = (f(4), f(3), f(1))
     return got == (9, 6, 1), f"2->3 swap at 4, 3, 1 = {got}"
 
 
 def _prime_shift_values() -> tuple[bool, str]:
-    f = prime_shift()
+    f = PrimeShift()
     got = (f(4), f(5), f(1), f(6))
     return got == (9, 7, 1, 9), f"shift at 4, 5, 1, 6 = {got}"
 

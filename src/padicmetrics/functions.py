@@ -2,7 +2,7 @@
 
 Every variant maps a nonnegative Fraction to a nonnegative Fraction with no
 rounding anywhere. Specs are small frozen dataclasses, are callable, and
-round-trip through JSON dicts via :func:`spec_to_json_dict` and
+round-trip through JSON dicts via their ``to_json_dict`` method and
 :func:`spec_from_json_dict`. Rationals serialize as canonical "a/b" strings
 (denominator omitted when 1).
 """
@@ -25,6 +25,9 @@ from .padic import RationalLike, as_fraction, require_prime
 
 TAIL_CONSTANT = "constant"
 TAIL_LINEAR = "linear"
+
+# The largest PrimeShift sieve bound accepted: ten times the default.
+MAX_SIEVE_BOUND = 10_000_000
 
 
 def floor_power_index(x: Fraction, base: int) -> int:
@@ -258,11 +261,21 @@ class PrimeShift(FunctionSpec):
     using primes below the bound. Inputs at or below 1/p_last raise
     BelowFloorError, inputs at or beyond p_last raise TooLargeError, where
     p_last is the largest sieved prime.
+
+    Raises:
+        TooLargeError: if sieve_bound exceeds MAX_SIEVE_BOUND; nothing is
+            allocated before the check.
     """
 
     sieve_bound: int = 1_000_000
 
     kind = "prime_shift"
+
+    def __post_init__(self) -> None:
+        if self.sieve_bound > MAX_SIEVE_BOUND:
+            raise TooLargeError(
+                f"sieve bound {self.sieve_bound} is over the {MAX_SIEVE_BOUND} accepted"
+            )
 
     def _value(self, x: Fraction) -> Fraction:
         if x == 0:
@@ -448,7 +461,3 @@ def spec_from_json_dict(data: dict) -> FunctionSpec:
     if kind == "step":
         return StepFunction(as_fraction(data["below"]), tuple(_parse_pairs(data["points"])))
     raise ValueError(f"unknown function spec kind {kind!r}")
-
-
-def spec_to_json_dict(spec: FunctionSpec) -> dict:
-    return spec.to_json_dict()

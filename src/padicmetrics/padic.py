@@ -19,13 +19,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .errors import NotPrimeError, OrdOfZeroError, TooShortError
+from .errors import NotPrimeError, OrdOfZeroError, TooLargeError, TooShortError
 
 RationalLike = Union[Fraction, int, str]
 
 # Witnesses certifying Miller-Rabin for every n < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _CERTIFIED_LIMIT = 2**64
+
+# The most digits digit_window returns: high - low + 1.
+MAX_DIGITS = 1025
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -202,12 +205,23 @@ def digit_window(x: RationalLike, p: int, high: int) -> DigitWindow:
     Examples:
         digit_window(17, 3, 2).digits == (2, 2, 1)        # 17 = "122" base 3
         digit_window(-1, 3, 3).digits == (2, 2, 2, 2)     # ...2222
+
+    Raises:
+        ValueError: if high is below the window start.
+        TooLargeError: if the window holds more than MAX_DIGITS digits;
+            nothing is allocated before the check.
     """
     require_prime(p)
     x = as_fraction(x)
     low = 0 if x == 0 else min(0, _order(x, p))
     if high < low:
         raise ValueError(f"high must be at least the window start {low}, got {high}")
+    count = high - low + 1
+    if count > MAX_DIGITS:
+        raise TooLargeError(
+            f"digit window [{low}, {high}] holds {count} digits, "
+            f"more than the {MAX_DIGITS} accepted"
+        )
     digits: list[int] = []
     base = Fraction(p)
     remainder = x

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BadOrderError, NotPreservingError, SelfCheckError, TooLargeError
-from .functions import FunctionSpec, PowerMap, PowerStep, PrimeShift, StepFunction
+from .functions import FunctionSpec, PowerMap, StepFunction
 from .padic import padic_distance, require_prime
 
 
@@ -298,15 +298,6 @@ def _ultrametric_verdict(
     return PreservationVerdict(True, window), values
 
 
-def power_step(f: FunctionSpec, p: int) -> PowerStep:
-    """Flatten f to its values at p-powers: constant on [p**m, p**(m+1)).
-
-    The result agrees with f on every value the p-adic distance can take,
-    so the two transport p-adic distance matrices identically.
-    """
-    return PowerStep(inner=f, p=p)
-
-
 def extend_to_ultrametric_preserving(
     f: FunctionSpec, p: int, window: ExponentWindow = DEFAULT_WINDOW
 ) -> StepFunction:
@@ -324,16 +315,6 @@ def extend_to_ultrametric_preserving(
         )
     points = tuple((Fraction(p) ** k, v) for k, v in values.items())
     return StepFunction(below=points[0][1], points=points)
-
-
-def prime_swap(p: int, q: int) -> PowerMap:
-    """The map sending p**n to q**n, linear between consecutive p-powers."""
-    return PowerMap(p=p, q=q)
-
-
-def prime_shift(sieve_bound: int = 1_000_000) -> PrimeShift:
-    """The map replacing every prime power p_k**n by p_{k+1}**n."""
-    return PrimeShift(sieve_bound=sieve_bound)
 
 
 def closed_form_note(f: FunctionSpec) -> str | None:

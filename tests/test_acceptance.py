@@ -12,6 +12,7 @@ from support import SIX_VALUE_POOL, comb_space, random_family, random_ultrametri
 from padicmetrics import (
     DistanceMatrixCandidate,
     FiniteUltrametricSpace,
+    PowerMap,
     Reciprocal,
     SpaceFamily,
     StepFunction,
@@ -34,7 +35,6 @@ from padicmetrics import (
     padic_abs,
     padic_distance,
     pairs_from_grid,
-    prime_swap,
     validate_ultrametric,
     witness_triple,
 )
@@ -378,7 +378,7 @@ def test_criterion_11_extension_contract():
 
 
 def test_criterion_12_prime_swap():
-    swap = prime_swap(2, 3)
+    swap = PowerMap(2, 3)
     ultra = check_p_ultrametric_preserving(swap, 2)
     metric = check_metric_preserving_sampled(
         swap, (F(0), F(1, 4), F(1, 2), F(1), F(2), F(4))

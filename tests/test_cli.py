@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import padicmetrics
+from padicmetrics import SelfCheckError, cli
 from padicmetrics.cli import main
 from padicmetrics.fixtures import four_point_space, legs_three_space
 
@@ -57,6 +59,44 @@ def chain_file(tmp_path):
 
 
 # ----------------------------------------------------------------- golden --
+
+# One call per verb with its exact stdout and exit code, and the flags the
+# verb cannot run without. "{space}", "{legs}", "{family}" and "{chain}"
+# stand for the files the test writes.
+VERB_GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
+
+
+@pytest.fixture()
+def golden_paths(space_file, family_file, chain_file, tmp_path):
+    legs = tmp_path / "legs.json"
+    legs.write_text(json.dumps(legs_three_space().to_json_dict()))
+    return {"{space}": space_file, "{legs}": str(legs), "{family}": family_file,
+            "{chain}": chain_file}
+
+
+@pytest.mark.parametrize("case", VERB_GOLDENS, ids=lambda case: case["verb"])
+def test_verb_golden(capsys, golden_paths, case):
+    def argv(leave_out=None):
+        flags = [f for f in case["flags"] if f.split("=")[0] != leave_out]
+        for key, path in golden_paths.items():
+            flags = [f.replace(key, path) for f in flags]
+        return [*case["verb"].split(), *flags]
+
+    assert run(capsys, *argv()) == (case["code"], case["stdout"])
+    for flag in case["required"]:
+        assert main(argv(leave_out=flag)) == 2
+        assert f"the following arguments are required: {flag}\n" in capsys.readouterr().err
+
+
+def test_every_verb_has_a_golden(capsys):
+    def choices(*argv):
+        code, out = run(capsys, *argv, "--help")
+        assert code == 0
+        return re.search(r"\{([^}]*)\}", out).group(1).split(",")
+
+    listed = {f"{group} {verb}" for group in choices() for verb in choices(group)}
+    assert listed == {case["verb"] for case in VERB_GOLDENS}
+
 
 
 def test_abs_golden_bytes(capsys):
@@ -159,6 +199,22 @@ def test_euclid_grid_over_the_cap_is_refused(capsys):
     assert payload["error"] == "too_large"
 
 
+def test_size_caps_are_refused(capsys):
+    # each cap holds at its limit and refuses one over it; nothing is sieved
+    code, payload = run_json(capsys, "fn", "prime-shift", "--bound", "10000000")
+    assert code == 0 and payload == {"bound": 10_000_000, "kind": "prime_shift"}
+    for argv in (
+        ("fn", "prime-shift", "--bound", "10000001"),
+        ("fn", "prime-shift", "--bound", "10000001", "--x", "2"),
+        ("fn", "eval", "--spec", '{"kind": "prime_shift", "bound": 10000001}', "--x", "2"),
+        ("padic", "digits", "--p", "3", "--x", "17", "--high", "1025"),
+    ):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and payload["error"] == "too_large", argv
+    code, payload = run_json(capsys, "padic", "digits", "--p", "3", "--x", "17", "--high", "1024")
+    assert code == 0 and len(payload["digits"]) == 1025
+
+
 def test_extend_rejects_non_preserving(capsys):
     code, payload = run_json(capsys, "fn", "extend", "--spec", ZIGZAG, "--p", "3")
     assert code == 2
@@ -211,6 +267,14 @@ def test_space_isometry(capsys, space_file, tmp_path):
     assert payload["found"] is True
     assert payload["map"] == [2, 0, 3, 1]
     assert payload["labels"] == {"x1": "y3", "x2": "y1", "x3": "y4", "x4": "y2"}
+
+
+def test_space_isometry_self_check(capsys, space_file, monkeypatch):
+    # a mapping that fails re-verification is an internal defect, raised
+    # even under python -O
+    monkeypatch.setattr(cli, "is_isometry", lambda a, b, mapping: False)
+    with pytest.raises(SelfCheckError):
+        main(["space", "isometry", "--file", space_file, "--to", space_file])
 
 
 def test_space_embed_dim(capsys, space_file):

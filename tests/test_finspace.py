@@ -19,6 +19,7 @@ from padicmetrics import (
     NegativeEntryError,
     NonzeroDiagonalError,
     Reciprocal,
+    SelfCheckError,
     SizeMismatchError,
     TooLargeError,
     TriangleViolation,
@@ -31,6 +32,7 @@ from padicmetrics import (
     isometry_search,
     validate_ultrametric,
 )
+from padicmetrics import fixtures
 from padicmetrics.fixtures import four_point_space, legs_three_space, level_swap_map
 from padicmetrics.spaces import _exact_rank, _integer_rank, _rank_mod_prime
 
@@ -141,6 +143,16 @@ def test_fixture_spaces_validate():
     assert legs_three_space().n == 4
     must_validate(four_point_space().candidate())
     must_validate(legs_three_space().candidate())
+
+
+def test_fixture_spaces_self_check(monkeypatch):
+    # a fixture space that fails validation is an internal defect, raised
+    # even under python -O
+    violation = TriangleViolation(0, 1, 2, (F(3), F(1), F(1)))
+    monkeypatch.setattr(fixtures, "validate_ultrametric", lambda candidate: violation)
+    for build in (four_point_space, legs_three_space):
+        with pytest.raises(SelfCheckError):
+            build()
 
 
 def test_random_spaces_validate_and_are_isosceles():

@@ -38,10 +38,10 @@ from padicmetrics import (
     pairs_from_grid,
     samples_digest,
     spec_from_json_dict,
-    spec_to_json_dict,
     sufficient_conditions,
 )
 from padicmetrics.fixtures import identity_map, level_swap_map, zigzag_map
+from padicmetrics.functions import MAX_SIEVE_BOUND
 from padicmetrics.preserving import (
     MAX_GRID_POINTS,
     _digest,
@@ -141,6 +141,17 @@ def test_prime_shift_certification_window():
         f(997)
 
 
+def test_prime_shift_sieve_bound_cap():
+    # the bound is checked at construction, before any sieve is built
+    assert PrimeShift(MAX_SIEVE_BOUND).sieve_bound == MAX_SIEVE_BOUND == 10_000_000
+    at_cap = {"kind": "prime_shift", "bound": MAX_SIEVE_BOUND}
+    assert spec_from_json_dict(at_cap) == PrimeShift(MAX_SIEVE_BOUND)
+    with pytest.raises(TooLargeError, match="10000001"):
+        PrimeShift(MAX_SIEVE_BOUND + 1)
+    with pytest.raises(TooLargeError, match="10000001"):
+        spec_from_json_dict({"kind": "prime_shift", "bound": MAX_SIEVE_BOUND + 1})
+
+
 def test_tabulated_lookup_and_misses():
     f = Tabulated.from_mapping({0: 0, 1: 2, 2: 1})
     assert f(1) == 2
@@ -194,7 +205,7 @@ ALL_SPECS = (
 
 @pytest.mark.parametrize("f", ALL_SPECS, ids=lambda f: f.kind)
 def test_json_roundtrip(f):
-    data = spec_to_json_dict(f)
+    data = f.to_json_dict()
     assert data["kind"] == f.kind
     assert spec_from_json_dict(data) == f
 

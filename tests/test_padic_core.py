@@ -17,6 +17,7 @@ from padicmetrics import (
     NotPrimeError,
     OrdOfZeroError,
     PAdicAbs,
+    TooLargeError,
     TooShortError,
     as_fraction,
     cauchy_profile,
@@ -27,6 +28,7 @@ from padicmetrics import (
     require_prime,
     valuation,
 )
+from padicmetrics.padic import MAX_DIGITS
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -195,6 +197,16 @@ def test_digit_window_prefix_stable_under_extension(x, p, extra):
 def test_digit_window_rejects_high_below_start():
     with pytest.raises(ValueError):
         digit_window(Fraction(1, 9), 3, -3)
+
+
+def test_digit_window_cap():
+    # 1/9 starts at exponent -2, so high = 1022 gives exactly MAX_DIGITS digits
+    assert len(digit_window(Fraction(1, 9), 3, 1022).digits) == MAX_DIGITS == 1025
+    assert len(digit_window(17, 3, 1024).digits) == MAX_DIGITS
+    with pytest.raises(TooLargeError, match="1026 digits"):
+        digit_window(Fraction(1, 9), 3, 1023)
+    with pytest.raises(TooLargeError, match="1026 digits"):
+        digit_window(17, 3, 1025)
 
 
 def test_digit_window_json_shape():

@@ -14,7 +14,7 @@ from padicmetrics import (
     NotPrimeError,
     PadicMetricsError,
     PowerMap,
-    PrimeShift,
+    PowerStep,
     Reciprocal,
     StepFunction,
     Tabulated,
@@ -25,9 +25,6 @@ from padicmetrics import (
     extend_to_ultrametric_preserving,
     padic_distance,
     parse_window,
-    power_step,
-    prime_shift,
-    prime_swap,
     witness_triple,
 )
 from padicmetrics.functions import floor_power_index
@@ -231,7 +228,7 @@ def test_adjacent_check_passes_increasing_shapes():
 )
 def test_power_step_agreement(k, p, num, den):
     f = Canonical()
-    psi = power_step(f, p)
+    psi = PowerStep(f, p)
     # exact agreement on every power of p, hence on every p-adic distance
     assert psi(F(p) ** k) == f(F(p) ** k)
     x = F(num, den)
@@ -279,9 +276,7 @@ def test_extension_calls_f_once_per_power():
 
 
 def test_factories_and_note():
-    assert prime_swap(2, 3) == PowerMap(2, 3)
-    assert prime_shift(1000) == PrimeShift(sieve_bound=1000)
     with pytest.raises(NotPrimeError):
-        prime_swap(4, 3)
+        PowerMap(4, 3)
     assert closed_form_note(PowerMap(2, 3)) is not None
     assert closed_form_note(Reciprocal()) is None
