@@ -14,6 +14,11 @@ Point triples are enumerated with repetition on purpose: the degenerate
 triple (x, y, x) contributes the pair (0, d(x, y)), which is what makes 0
 the least element of the order.
 
+``FinitePoset(ground, up)`` holds the order as one bit row per ascending
+value (bit j of ``up[i]``: ground[i] <= ground[j]); ``pairs`` is derived.
+``family_poset`` builds and closes the base-leg rows itself, so
+``base_leg_pairs`` and ``transitive_closure`` are gone.
+
 When the order is total, a preserving function extends to an increasing
 amenable step function on all nonnegatives (sup of f over the values seen
 so far, clamped at the extremes). When it is not, an explicit two-valued
@@ -22,9 +27,11 @@ counterexample shows no increasing extension can exist.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 from .errors import (
     BadIntervalError,
@@ -88,16 +95,30 @@ def distance_values(family: SpaceFamily) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
-def _pairs_of(ground: tuple[Fraction, ...], up: list[int]) -> frozenset[Pair]:
-    """Decode per-value bitsets: bit j of up[i] stands for (ground[i], ground[j])."""
-    n = len(ground)
-    return frozenset(
-        (ground[i], ground[j]) for i in range(n) for j in range(n) if up[i] >> j & 1
-    )
+def _bits(row: int) -> Iterator[int]:
+    """Indices of the set bits of row, ascending."""
+    while row:
+        yield (row & -row).bit_length() - 1
+        row &= row - 1
 
 
 def _base_leg_bits(family: SpaceFamily, ground: tuple[Fraction, ...]) -> list[int]:
-    """The base-leg relation on the family's values, as per-value bitsets."""
+    """All pairs (base, leg) realized by point triples, repetition allowed.
+
+    Bit j of row i is set when some space has points a, b, c (not
+    necessarily distinct) with ground[i] = d(a, c) and ground[j] =
+    d(a, b) = d(b, c).
+
+    The spaces must be validated ultrametrics, where that reads row by
+    row, in O(n^2) per space:
+    - (0, 0) is always realized (a = b = c).
+    - For s < t, (s, t) is realized exactly when some row holds both
+      values: d(a, c) = s < t = d(a, b) forces d(b, c) = t.
+    - (t, t) is realized exactly when, for some row a, one representative
+      r among the points at distance t from a lies at distance t from
+      another of them. Otherwise all of those points are within < t of r,
+      hence within < t of each other.
+    """
     index = {v: i for i, v in enumerate(ground)}
     up = [0] * len(ground)
     up[0] = 1  # ground[0] is 0
@@ -116,26 +137,6 @@ def _base_leg_bits(family: SpaceFamily, ground: tuple[Fraction, ...]) -> list[in
     return up
 
 
-def base_leg_pairs(family: SpaceFamily) -> frozenset[Pair]:
-    """All pairs (base, leg) realized by point triples, repetition allowed.
-
-    A pair (s, t) is collected when some space has points a, b, c (not
-    necessarily distinct) with s = d(a, c) and t = d(a, b) = d(b, c).
-
-    The spaces must be validated ultrametrics, where that reads row by
-    row, in O(n^2) per space plus the size of the answer:
-    - (0, 0) is always realized (a = b = c).
-    - For s < t, (s, t) is realized exactly when some row holds both
-      values: d(a, c) = s < t = d(a, b) forces d(b, c) = t.
-    - (t, t) is realized exactly when, for some row a, one representative
-      r among the points at distance t from a lies at distance t from
-      another of them. Otherwise all of those points are within < t of r,
-      hence within < t of each other.
-    """
-    ground = distance_values(family)
-    return _pairs_of(ground, _base_leg_bits(family, ground))
-
-
 def _close(up: list[int]) -> None:
     """Warshall's sweep in place: row i gains row k whenever i reaches k."""
     for k, via in enumerate(up):
@@ -145,68 +146,67 @@ def _close(up: list[int]) -> None:
                 up[i] = row | via
 
 
-def transitive_closure(
-    ground: tuple[Fraction, ...], pairs: frozenset[Pair]
-) -> frozenset[Pair]:
-    """Smallest transitive superset, by Warshall's sweep on int bitsets."""
-    index = {v: i for i, v in enumerate(ground)}
-    up = [0] * len(ground)
-    for a, b in pairs:
-        up[index[a]] |= 1 << index[b]
-    _close(up)
-    return _pairs_of(ground, up)
-
-
 @dataclass(frozen=True)
 class FinitePoset:
-    """Reflexive, transitive, antisymmetric relation on rational values."""
+    """Partial order on ascending ``ground``; bit j of ``up[i]``: ground[i] <= ground[j]."""
 
     ground: tuple[Fraction, ...]
-    pairs: frozenset[Pair]
+    up: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if list(self.ground) != sorted(set(self.ground)):
+        ground, up, n = self.ground, self.up, len(self.ground)
+        if list(ground) != sorted(set(ground)):
             raise ValueError("ground must be sorted and duplicate-free")
-        grounded = set(self.ground)
-        for a, b in self.pairs:
-            if a not in grounded or b not in grounded:
-                raise ValueError(f"pair ({a}, {b}) leaves the ground set")
-        for t in self.ground:
-            if (t, t) not in self.pairs:
-                raise ValueError(f"missing reflexive pair for {t}")
-        for a, b in self.pairs:
-            if a != b and (b, a) in self.pairs:
-                raise ValueError(f"antisymmetry fails on {a}, {b}")
-        missing = transitive_closure(self.ground, self.pairs) - self.pairs
-        if missing:
-            a, b = min(missing)
-            raise ValueError(f"transitivity fails: ({a}, {b}) is implied but missing")
+        if len(up) != n or any(row >> n for row in up):
+            raise ValueError("need one row per value and no bit beyond the ground")
+        for i, row in enumerate(up):
+            if not row >> i & 1:
+                raise ValueError(f"missing reflexive pair for {ground[i]}")
+            for j in _bits(row >> i + 1 << i + 1):
+                if up[j] >> i & 1:
+                    raise ValueError(f"antisymmetry fails on {ground[i]}, {ground[j]}")
+        closed = list(up)
+        _close(closed)
+        for i, row in enumerate(up):
+            for j in _bits(closed[i] ^ row):
+                raise ValueError(
+                    f"transitivity fails: ({ground[i]}, {ground[j]}) is implied but missing"
+                )
+
+    @property
+    def pairs(self) -> frozenset[Pair]:
+        g = self.ground
+        return frozenset((g[i], g[j]) for i, row in enumerate(self.up) for j in _bits(row))
+
+    def _index(self, v: RationalLike) -> int | None:
+        v = as_fraction(v)
+        i = bisect_left(self.ground, v)
+        return i if i < len(self.ground) and self.ground[i] == v else None
 
     def leq(self, a: RationalLike, b: RationalLike) -> bool:
-        return (as_fraction(a), as_fraction(b)) in self.pairs
+        i, j = self._index(a), self._index(b)
+        return i is not None and j is not None and bool(self.up[i] >> j & 1)
 
     def comparable(self, a: RationalLike, b: RationalLike) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
     def is_total(self) -> bool:
-        return all(
-            self.comparable(a, b)
-            for i, a in enumerate(self.ground)
-            for b in self.ground[i + 1 :]
-        )
+        # by antisymmetry each comparable pair sets one bit, besides the diagonal
+        n = len(self.ground)
+        return sum(row.bit_count() for row in self.up) == n * (n + 1) // 2
 
     def restrict(self, subset: Iterable[RationalLike]) -> "FinitePoset":
         keep = {as_fraction(v) for v in subset}
         missing = keep - set(self.ground)
         if missing:
             raise ValueError(f"values {sorted(missing)} are not in the ground set")
-        return FinitePoset(
-            tuple(v for v in self.ground if v in keep),
-            frozenset((a, b) for a, b in self.pairs if a in keep and b in keep),
-        )
+        idx = [i for i, v in enumerate(self.ground) if v in keep]
+        rows = (sum(1 << k for k, j in enumerate(idx) if self.up[i] >> j & 1) for i in idx)
+        return FinitePoset(tuple(self.ground[i] for i in idx), tuple(rows))
 
     def nonreflexive_pairs(self) -> list[Pair]:
-        return sorted((a, b) for a, b in self.pairs if a != b)
+        g, up = self.ground, self.up
+        return [(g[i], g[j]) for i in range(len(g)) for j in _bits(up[i] & ~(1 << i))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,9 +217,14 @@ class FinitePoset:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FinitePoset":
         ground = tuple(sorted(as_fraction(v) for v in data["ground"]))
-        pairs = {(as_fraction(a), as_fraction(b)) for a, b in data["pairs"]}
-        pairs.update((t, t) for t in ground)
-        return cls(ground, frozenset(pairs))
+        index = {v: i for i, v in enumerate(ground)}
+        up = [1 << i for i in range(len(ground))]
+        for a, b in data["pairs"]:
+            a, b = as_fraction(a), as_fraction(b)
+            if a not in index or b not in index:
+                raise ValueError(f"pair ({a}, {b}) leaves the ground set")
+            up[index[a]] |= 1 << index[b]
+        return cls(ground, tuple(up))
 
 
 def family_poset(family: SpaceFamily) -> FinitePoset:
@@ -243,7 +248,7 @@ def family_poset(family: SpaceFamily) -> FinitePoset:
     for j, t in enumerate(ran):
         if not up[0] >> j & 1:
             raise SelfCheckError(f"0 is not below {t}")
-    return FinitePoset(ran, _pairs_of(ran, up))
+    return FinitePoset(ran, tuple(up))
 
 
 @dataclass(frozen=True)
@@ -317,10 +322,11 @@ def _order_side(f: FunctionSpec, poset: FinitePoset) -> OrderWitness | None:
     images, bad = _amenable_images(f, poset.ground)
     if bad is not None:
         return OrderWitness(bad.kind, bad.points, bad.images)
-    image = dict(zip(poset.ground, images))
-    for s, t in poset.nonreflexive_pairs():
-        if image[s] > image[t]:
-            return OrderWitness("pair", (s, t), (image[s], image[t]))
+    g = poset.ground
+    for i, row in enumerate(poset.up):
+        for j in _bits(row & ~(1 << i)):
+            if images[i] > images[j]:
+                return OrderWitness("pair", (g[i], g[j]), (images[i], images[j]))
     return None
 
 
@@ -381,13 +387,8 @@ def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
     positives = [v for v in poset.ground if v > 0]
     if not positives:
         raise NoPositiveDistancesError("nothing to extend: no positive distances")
-    points: list[tuple[Fraction, Fraction]] = []
-    running = None
-    for v in positives:
-        value = f(v)
-        running = value if running is None else max(running, value)
-        points.append((v, running))
-    return StepFunction(below=points[0][1], points=tuple(points))
+    points = tuple(zip(positives, accumulate(map(f, positives), max)))
+    return StepFunction(below=points[0][1], points=points)
 
 
 def isotone_for_incomparables(
@@ -412,7 +413,7 @@ def isotone_for_incomparables(
     if poset.comparable(x1, x2):
         raise ComparableError(f"{x1} and {x2} are comparable")
     phi = {x: p2 if poset.leq(x2, x) else p1 for x in poset.ground}
-    for s, t in poset.pairs:
+    for s, t in poset.nonreflexive_pairs():
         if phi[s] > phi[t]:
             raise SelfCheckError(f"constructed map is not isotone on {s}, {t}")
     return phi
@@ -431,14 +432,15 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     poset = family_poset(family)
     if poset.is_total():
         raise TotallyOrderedError("the family's distance order is already total")
-    positives = [v for v in poset.ground if v > 0]
-    incomparable = [
-        (a, b)
-        for i, a in enumerate(positives)
-        for b in positives[i + 1 :]
-        if not poset.comparable(a, b)
-    ]
-    small, big = max(incomparable)
+    ran, up = poset.ground, poset.up
+    # 0 is below every value, so the largest incomparable pair is positive
+    small, big = max(
+        (a, ran[j])
+        for i, a in enumerate(ran)
+        for j in range(i + 1, len(ran))
+        if not (up[i] >> j | up[j] >> i) & 1
+    )
+    positives = [v for v in ran if v > 0]
     phi = isotone_for_incomparables(
         poset.restrict(positives), big, small, Fraction(1), Fraction(2)
     )
@@ -447,7 +449,6 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     fn = Tabulated.from_mapping(table)
 
     report = _report(fn, family, poset)
-    ran = poset.ground
     decreasing = any(
         fn(s) > fn(t) for i, s in enumerate(ran) for t in ran[i + 1 :]
     )
@@ -462,6 +463,5 @@ def compare_families(a: SpaceFamily, b: SpaceFamily) -> dict[str, bool]:
     poset_b = family_poset(b)
     return {
         "same_range": poset_a.ground == poset_b.ground,
-        "same_order": poset_a.ground == poset_b.ground
-        and poset_a.pairs == poset_b.pairs,
+        "same_order": poset_a.ground == poset_b.ground and poset_a.up == poset_b.up,
     }

@@ -237,7 +237,7 @@ class PowerMap(FunctionSpec):
         return {"kind": self.kind, "p": self.p, "q": self.q}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # an entry holds every prime below its bound: ~3 MB at 10**6
 def _sieve(bound: int) -> tuple[int, ...]:
     if bound < 5:
         raise ValueError("sieve bound must be at least 5")

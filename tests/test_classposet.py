@@ -34,7 +34,7 @@ from padicmetrics import (
     isotone_for_incomparables,
     positive_extremes,
 )
-from padicmetrics.families import _order_side, base_leg_pairs, transitive_closure
+from padicmetrics.families import _base_leg_bits, _close, _order_side
 from padicmetrics.fixtures import (
     four_point_family,
     four_point_space,
@@ -64,6 +64,19 @@ def _chain_family():
 def _singleton_family():
     only = must_validate(DistanceMatrixCandidate.from_rows(["only"], [[0]]))
     return SpaceFamily((only,))
+
+
+def _encode(ground, pairs):
+    """Bit rows of a relation: bit j of row i stands for (ground[i], ground[j])."""
+    up = [0] * len(ground)
+    for a, b in pairs:
+        up[ground.index(a)] |= 1 << ground.index(b)
+    return up
+
+
+def _decode(ground, up):
+    n = len(ground)
+    return {(ground[i], ground[j]) for i in range(n) for j in range(n) if up[i] >> j & 1}
 
 
 # ------------------------------------------------------------------ poset --
@@ -135,8 +148,8 @@ def test_row_wise_pairs_match_cubic_scan(data):
     values = data.draw(st.sampled_from((SIX_VALUE_POOL, SIX_VALUE_POOL[:2], (F(1),))))
     family = random_family(rng, max_spaces=3, max_points=7, values=values)
     pairs = brute_base_leg_pairs(family)
-    assert base_leg_pairs(family) == pairs
     ground = distance_values(family)
+    assert _decode(ground, _base_leg_bits(family, ground)) == pairs
     want = brute_transitive_closure(ground, pairs) | {(t, t) for t in ground}
     assert family_poset(family).pairs == want
 
@@ -147,7 +160,9 @@ def test_bitset_closure_matches_boolean_matrix(data):
     ground = tuple(sorted(F(v) for v in data.draw(st.sets(st.integers(-3, 12), min_size=1, max_size=8))))
     value = st.sampled_from(ground)
     pairs = frozenset(data.draw(st.sets(st.tuples(value, value), max_size=20)))
-    assert transitive_closure(ground, pairs) == brute_transitive_closure(ground, pairs)
+    up = _encode(ground, pairs)
+    _close(up)
+    assert _decode(ground, up) == brute_transitive_closure(ground, pairs)
 
 
 def test_sixty_value_comb_is_the_full_chain():
@@ -160,17 +175,26 @@ def test_sixty_value_comb_is_the_full_chain():
 
 def test_poset_constructor_rejects_bad_relations():
     g = (F(0), F(1))
-    with pytest.raises(ValueError):
-        FinitePoset((F(1), F(0)), frozenset())
-    with pytest.raises(ValueError):
-        FinitePoset(g, frozenset({(F(0), F(0))}))  # missing reflexive pair
+    with pytest.raises(ValueError, match="sorted"):
+        FinitePoset((F(1), F(0)), (1, 2))
+    with pytest.raises(ValueError, match="one row per value"):
+        FinitePoset(g, (1,))
+    with pytest.raises(ValueError, match="no bit beyond"):
+        FinitePoset(g, (1, 2 | 4))
+    with pytest.raises(ValueError, match="missing reflexive pair for 1"):
+        FinitePoset(g, tuple(_encode(g, {(F(0), F(0))})))
     diag = {(F(0), F(0)), (F(1), F(1))}
-    with pytest.raises(ValueError):
-        FinitePoset(g, frozenset(diag | {(F(0), F(1)), (F(1), F(0))}))
+    with pytest.raises(ValueError, match="antisymmetry fails on 0, 1"):
+        FinitePoset(g, tuple(_encode(g, diag | {(F(0), F(1)), (F(1), F(0))})))
     g3 = (F(0), F(1), F(2))
     diag3 = {(t, t) for t in g3}
     with pytest.raises(ValueError, match=r"\(0, 2\) is implied but missing"):
-        FinitePoset(g3, frozenset(diag3 | {(F(0), F(1)), (F(1), F(2))}))
+        FinitePoset(g3, tuple(_encode(g3, diag3 | {(F(0), F(1)), (F(1), F(2))})))
+    # (0, 2), (0, 3) and (1, 3) are all missing; the least one is named
+    g4 = g3 + (F(3),)
+    steps = {(t, t) for t in g4} | {(F(0), F(1)), (F(1), F(2)), (F(2), F(3))}
+    with pytest.raises(ValueError, match=r"\(0, 2\) is implied but missing"):
+        FinitePoset(g4, tuple(_encode(g4, steps)))
 
 
 @given(st.data())
@@ -183,8 +207,9 @@ def test_poset_constructor_accepts_exactly_the_transitive_relations(data):
             if way is not None:
                 pairs.add(way)
     try:
-        FinitePoset(ground, frozenset(pairs))
+        poset = FinitePoset(ground, tuple(_encode(ground, pairs)))
         accepted = True
+        assert poset.pairs == pairs
     except ValueError:
         accepted = False
     assert accepted == brute_is_transitive(pairs)
@@ -198,6 +223,60 @@ def test_poset_json_roundtrip():
     assert FinitePoset.from_json_dict(data) == poset
     with pytest.raises(TypeError):
         FinitePoset.from_json_dict({"ground": [0, 0.5], "pairs": []})
+
+
+def _assert_row_views_match_pairs(poset, data):
+    """Every view of the rows against its definition on ``poset.pairs``."""
+    pairs, ground = poset.pairs, poset.ground
+    probes = list(ground)
+    if ground:
+        probes += [ground[0] - 1, ground[-1] + 1]
+        probes += [(a + b) / 2 for a, b in zip(ground, ground[1:])]
+    for a in probes:
+        for b in probes:
+            assert poset.leq(a, b) == ((a, b) in pairs)
+            assert poset.comparable(a, b) == ((a, b) in pairs or (b, a) in pairs)
+    assert poset.is_total() == all(
+        (a, b) in pairs or (b, a) in pairs for a in ground for b in ground
+    )
+    assert poset.nonreflexive_pairs() == sorted((a, b) for a, b in pairs if a != b)
+    keep = data.draw(st.sets(st.sampled_from(ground))) if ground else set()
+    sub = poset.restrict(keep)
+    assert sub.ground == tuple(sorted(keep))
+    assert sub.pairs == {(a, b) for a, b in pairs if a in keep and b in keep}
+    assert FinitePoset.from_json_dict(poset.to_json_dict()) == poset
+
+
+@given(st.data())
+def test_row_views_match_pairs_on_random_families(data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    _assert_row_views_match_pairs(family_poset(random_family(rng)), data)
+
+
+@given(st.data())
+def test_row_views_match_pairs_on_loaded_relations(data):
+    # each drawn pair points up a random linear order, so the closure is a
+    # partial order that need not follow the numeric one
+    ground = sorted(F(v, 2) for v in data.draw(st.sets(st.integers(-3, 9), max_size=7)))
+    rank = data.draw(st.permutations(range(len(ground))))
+    drawn = set()
+    for i in range(len(ground)):
+        for j in range(i + 1, len(ground)):
+            if data.draw(st.booleans()):
+                lo, hi = sorted((i, j), key=rank.__getitem__)
+                drawn.add((ground[lo], ground[hi]))
+    want = brute_transitive_closure(ground, drawn) | {(t, t) for t in ground}
+    listed = data.draw(st.permutations(sorted(want)))
+    payload = {
+        "ground": [str(v) for v in data.draw(st.permutations(ground))],
+        "pairs": [[str(a), str(b)] for a, b in listed],
+    }
+    poset = FinitePoset.from_json_dict(payload)
+    assert poset.pairs == want
+    _assert_row_views_match_pairs(poset, data)
+    stray = str(F(1, 3))  # halves never meet a third
+    with pytest.raises(ValueError, match="leaves the ground set"):
+        FinitePoset.from_json_dict({**payload, "pairs": payload["pairs"] + [[stray, stray]]})
 
 
 def test_positive_extremes():
@@ -259,7 +338,8 @@ def test_origin_and_vanishing_witnesses():
 
 def test_random_tabulations_agree_across_routes():
     # smaller cousin of the acceptance sweep: every call compares the
-    # order-side and space-side verdicts internally
+    # order-side and space-side verdicts internally; an amenable table's
+    # order witness is the first failing pair in sorted order
     rng = Random(37)
     outcomes = {True: 0, False: 0}
     for _ in range(200):
@@ -273,6 +353,16 @@ def test_random_tabulations_agree_across_routes():
             table[F(0)] = F(1)
         report = check_family_preserving(Tabulated.from_mapping(table), family)
         outcomes[report.passed] += 1
+        if table[F(0)] == 0 and all(table[v] > 0 for v in values if v > 0):
+            failing = [
+                (s, t)
+                for s, t in family_poset(family).nonreflexive_pairs()
+                if table[s] > table[t]
+            ]
+            witness = report.order_witness
+            assert (witness is None) == (not failing)
+            if failing:
+                assert witness.kind == "pair" and witness.points == failing[0]
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 

@@ -41,7 +41,7 @@ from padicmetrics import (
     sufficient_conditions,
 )
 from padicmetrics.fixtures import identity_map, level_swap_map, zigzag_map
-from padicmetrics.functions import MAX_SIEVE_BOUND
+from padicmetrics.functions import MAX_SIEVE_BOUND, _sieve
 from padicmetrics.preserving import (
     MAX_GRID_POINTS,
     _digest,
@@ -150,6 +150,15 @@ def test_prime_shift_sieve_bound_cap():
         PrimeShift(MAX_SIEVE_BOUND + 1)
     with pytest.raises(TooLargeError, match="10000001"):
         spec_from_json_dict({"kind": "prime_shift", "bound": MAX_SIEVE_BOUND + 1})
+
+
+def test_sieve_cache_is_bounded():
+    # every distinct bound would otherwise keep its prime tuple for good
+    cap = _sieve.cache_info().maxsize
+    assert cap is not None
+    for bound in range(20, 20 + cap + 2):
+        assert PrimeShift(bound)(2) == 3
+    assert _sieve.cache_info().currsize <= cap
 
 
 def test_tabulated_lookup_and_misses():
