@@ -61,11 +61,15 @@ def main() -> int:
                     {Fraction(0): Fraction(0), **dict(zip(positives, images))}
                 )
                 g = build_extension(isotone, family)
-                assert check_family_preserving(g, family).passed
+                if not check_family_preserving(g, family).passed:
+                    print(f"extension {g} does not preserve its family", file=sys.stderr)
+                    return 1
                 extensions += 1
         else:
             fn = counterexample_function(family)
-            assert check_family_preserving(fn, family).passed
+            if not check_family_preserving(fn, family).passed:
+                print(f"counterexample {fn} does not preserve its family", file=sys.stderr)
+                return 1
             counterexamples += 1
 
     print(f"trials                     {args.trials}")

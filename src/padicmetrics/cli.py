@@ -62,7 +62,6 @@ from .spaces import (
     FiniteUltrametricSpace,
     TriangleViolation,
     apply_function,
-    distance_range,
     embedding_dimension,
     gram_rank,
     is_isometry,
@@ -95,7 +94,10 @@ def _load_json(path: str) -> dict:
 
 def _load_spec(value: str) -> FunctionSpec:
     text = value if value.lstrip().startswith("{") else _read_text(value)
-    return spec_from_json_dict(json.loads(text))
+    try:
+        return spec_from_json_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError("function spec is nested too deeply") from None
 
 
 def _load_candidate(path: str) -> DistanceMatrixCandidate:
@@ -118,26 +120,26 @@ def _load_family(path: str) -> SpaceFamily:
 def _samples(args, spec: FunctionSpec) -> tuple[Fraction, ...]:
     if args.samples is None:
         return default_samples(spec)
-    return tuple(as_fraction(Fraction(tok)) for tok in args.samples.split(","))
+    return tuple(as_fraction(tok) for tok in args.samples.split(","))
 
 
 # ---------------------------------------------------------------- padic --
 
 
 def _cmd_padic_abs(args) -> Result:
-    return 0, {"value": str(padic_abs(Fraction(args.x), args.p).as_fraction())}
+    return 0, {"value": str(padic_abs(as_fraction(args.x), args.p).as_fraction())}
 
 
 def _cmd_padic_ord(args) -> Result:
-    return 0, {"value": valuation(Fraction(args.x), args.p)}
+    return 0, {"value": valuation(as_fraction(args.x), args.p)}
 
 
 def _cmd_padic_dist(args) -> Result:
-    return 0, {"value": str(padic_distance(Fraction(args.x), Fraction(args.y), args.p))}
+    return 0, {"value": str(padic_distance(as_fraction(args.x), as_fraction(args.y), args.p))}
 
 
 def _cmd_padic_digits(args) -> Result:
-    return 0, digit_window(Fraction(args.x), args.p, args.high).to_json_dict()
+    return 0, digit_window(as_fraction(args.x), args.p, args.high).to_json_dict()
 
 
 # ------------------------------------------------------------------- fn --
@@ -145,11 +147,11 @@ def _cmd_padic_digits(args) -> Result:
 
 def _cmd_fn_eval(args) -> Result:
     spec = _load_spec(args.spec)
-    return 0, {"value": str(spec(Fraction(args.x)))}
+    return 0, {"value": str(spec(as_fraction(args.x)))}
 
 
 def _cmd_fn_triplet(args) -> Result:
-    a, b, c = Fraction(args.a), Fraction(args.b), Fraction(args.c)
+    a, b, c = as_fraction(args.a), as_fraction(args.b), as_fraction(args.c)
     return 0, {
         "triangle": is_triangle_triplet(a, b, c),
         "strong": is_strong_triplet(a, b, c),
@@ -179,7 +181,7 @@ def _cmd_fn_classify(args) -> Result:
 
 def _cmd_fn_euclid(args) -> Result:
     spec = _load_spec(args.spec)
-    pairs = pairs_from_grid(Fraction(args.step), Fraction(args.stop))
+    pairs = pairs_from_grid(as_fraction(args.step), as_fraction(args.stop))
     verdict = check_euclid_preserving_sampled(spec, pairs)
     payload = verdict.to_json_dict()
     payload["pair_count"] = len(pairs)
@@ -207,7 +209,7 @@ def _cmd_fn_padic_ultra_check(args) -> Result:
 def _value_or_spec(f: FunctionSpec, x: str | None) -> Result:
     # fn psi, prime-swap and prime-shift: the value at --x, or else the spec
     if x is not None:
-        return 0, {"value": str(f(Fraction(x)))}
+        return 0, {"value": str(f(as_fraction(x)))}
     return 0, f.to_json_dict()
 
 
@@ -269,7 +271,7 @@ def _cmd_space_apply(args) -> Result:
 
 def _cmd_space_range(args) -> Result:
     space = _require_space(args.file)
-    return 0, {"range": [str(v) for v in distance_range(space)]}
+    return 0, {"range": [str(v) for v in distance_values(SpaceFamily((space,)))]}
 
 
 def _cmd_space_isometry(args) -> Result:

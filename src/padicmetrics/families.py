@@ -14,11 +14,6 @@ Point triples are enumerated with repetition on purpose: the degenerate
 triple (x, y, x) contributes the pair (0, d(x, y)), which is what makes 0
 the least element of the order.
 
-``FinitePoset(ground, up)`` holds the order as one bit row per ascending
-value (bit j of ``up[i]``: ground[i] <= ground[j]); ``pairs`` is derived.
-``family_poset`` builds and closes the base-leg rows itself, so
-``base_leg_pairs`` and ``transitive_closure`` are gone.
-
 When the order is total, a preserving function extends to an increasing
 amenable step function on all nonnegatives (sup of f over the values seen
 so far, clamped at the extremes). When it is not, an explicit two-valued
@@ -31,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import (
     BadIntervalError,
@@ -194,15 +189,6 @@ class FinitePoset:
         # by antisymmetry each comparable pair sets one bit, besides the diagonal
         n = len(self.ground)
         return sum(row.bit_count() for row in self.up) == n * (n + 1) // 2
-
-    def restrict(self, subset: Iterable[RationalLike]) -> "FinitePoset":
-        keep = {as_fraction(v) for v in subset}
-        missing = keep - set(self.ground)
-        if missing:
-            raise ValueError(f"values {sorted(missing)} are not in the ground set")
-        idx = [i for i, v in enumerate(self.ground) if v in keep]
-        rows = (sum(1 << k for k, j in enumerate(idx) if self.up[i] >> j & 1) for i in idx)
-        return FinitePoset(tuple(self.ground[i] for i in idx), tuple(rows))
 
     def nonreflexive_pairs(self) -> list[Pair]:
         g, up = self.ground, self.up
@@ -424,10 +410,10 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
 
     Requires the distance order not to be total. Takes the largest
     incomparable pair, maps the numerically bigger value to 1 and the
-    smaller to 2 (up-set construction for the rest), and tabulates. The
-    result provably preserves the family while being decreasing somewhere
-    on its values, so no increasing function can agree with it; both
-    facts are re-verified before returning.
+    smaller to 2 (up-set construction for the rest, 0 to 0), and
+    tabulates. The result provably preserves the family while being
+    decreasing somewhere on its values, so no increasing function can
+    agree with it; both facts are re-verified before returning.
     """
     poset = family_poset(family)
     if poset.is_total():
@@ -440,13 +426,8 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
         for j in range(i + 1, len(ran))
         if not (up[i] >> j | up[j] >> i) & 1
     )
-    positives = [v for v in ran if v > 0]
-    phi = isotone_for_incomparables(
-        poset.restrict(positives), big, small, Fraction(1), Fraction(2)
-    )
-    table: dict[Fraction, Fraction] = {Fraction(0): Fraction(0)}
-    table.update(phi)
-    fn = Tabulated.from_mapping(table)
+    phi = isotone_for_incomparables(poset, big, small, Fraction(1), Fraction(2))
+    fn = Tabulated.from_mapping({**phi, Fraction(0): Fraction(0)})
 
     report = _report(fn, family, poset)
     decreasing = any(

@@ -444,9 +444,10 @@ def spec_from_json_dict(data: dict) -> FunctionSpec:
         if tail == TAIL_LINEAR:
             return PiecewiseLinear(points, TAIL_LINEAR)
         if isinstance(tail, dict) and "constant" in tail:
+            f = PiecewiseLinear(points, TAIL_CONSTANT)
             if as_fraction(tail["constant"]) != points[-1][1]:
                 raise ValueError("constant tail must equal the last ordinate")
-            return PiecewiseLinear(points, TAIL_CONSTANT)
+            return f
         raise ValueError(f"unknown tail {tail!r}")
     if kind == "reciprocal":
         return Reciprocal()

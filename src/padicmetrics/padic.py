@@ -37,12 +37,17 @@ def as_fraction(x: RationalLike) -> Fraction:
     Raises:
         TypeError: for a bool, or for a float, which is already rounded to
             binary (0.1 would become 3602879701896397/36028797018963968).
+        ValueError: for a string that is no rational, or whose
+            denominator is zero ("1/0").
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (float, bool)):
         raise TypeError(f"exact rationals only: got the {type(x).__name__} {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -131,14 +136,6 @@ class PAdicAbs:
     p: int
     exponent: int | None
 
-    @classmethod
-    def zero(cls, p: int) -> "PAdicAbs":
-        return cls(p, None)
-
-    @classmethod
-    def power(cls, p: int, exponent: int) -> "PAdicAbs":
-        return cls(p, exponent)
-
     @property
     def is_zero(self) -> bool:
         return self.exponent is None
@@ -159,8 +156,8 @@ def padic_abs(x: RationalLike, p: int) -> PAdicAbs:
     require_prime(p)
     x = as_fraction(x)
     if x == 0:
-        return PAdicAbs.zero(p)
-    return PAdicAbs.power(p, -_order(x, p))
+        return PAdicAbs(p, None)
+    return PAdicAbs(p, -_order(x, p))
 
 
 def padic_distance(x: RationalLike, y: RationalLike, p: int) -> Fraction:

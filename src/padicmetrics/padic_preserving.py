@@ -24,7 +24,8 @@ being returned, so a reported witness is always checkable by hand.
 
 The window is an honest cutoff, not an approximation claim: a passing
 verdict certifies the quantifier only on [lo, hi] and says so. Windows are
-capped at MAX_WINDOW_EXPONENTS exponents.
+capped at MAX_WINDOW_EXPONENTS exponents, and windows and witness triples
+at exponents of magnitude MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -40,6 +41,19 @@ from .padic import padic_distance, require_prime
 
 # The widest window accepted, in exponents: -512..512 and its shifts.
 MAX_WINDOW_EXPONENTS = 1025
+# The largest exponent magnitude accepted. The cost of p**k grows with |k|,
+# so the width cap alone does not bound a check: for p = 2**61 - 1 the
+# window 0:1024 takes about 4 s on Python 3.11, and 3072:4096 over a minute.
+MAX_EXPONENT = 1024
+
+
+def _check_exponents(*exponents: int) -> None:
+    # before any power of p is built
+    for k in exponents:
+        if abs(k) > MAX_EXPONENT:
+            raise TooLargeError(
+                f"exponent {k} is beyond the {MAX_EXPONENT} accepted in magnitude"
+            )
 
 
 @dataclass(frozen=True)
@@ -49,7 +63,8 @@ class ExponentWindow:
     Raises:
         ValueError: if lo > hi.
         TooLargeError: if the window holds more than MAX_WINDOW_EXPONENTS
-            exponents; nothing is allocated before the check.
+            exponents, or an exponent beyond MAX_EXPONENT in magnitude;
+            nothing is allocated before the check.
     """
 
     lo: int
@@ -64,19 +79,11 @@ class ExponentWindow:
                 f"window [{self.lo}, {self.hi}] holds {width} exponents, "
                 f"more than the {MAX_WINDOW_EXPONENTS} accepted"
             )
+        _check_exponents(self.lo, self.hi)
 
     def exponents(self) -> list[int]:
         """All exponents, nearest to zero first (ties: negative first)."""
         return sorted(range(self.lo, self.hi + 1), key=lambda k: (abs(k), k))
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """All pairs m < n, in (|m| + |n|, m, n) order.
-
-        The scan spirals out from the origin so that a failing check
-        reports the witness with the most readable exponents, not the one
-        nearest the window's lower corner.
-        """
-        return list(_spiral_pairs(self))
 
     def adjacent(self) -> list[tuple[int, int]]:
         """All pairs (n, n+1), nearest to zero first."""
@@ -91,9 +98,14 @@ DEFAULT_WINDOW = ExponentWindow(-16, 16)
 
 
 def _spiral_pairs(window: ExponentWindow) -> Iterator[tuple[int, int]]:
-    # Pairs m < n in (|m| + |n|, m, n) order with no list and no sort: for
-    # each combined magnitude s, m rises through [max(lo, -s), min(hi, s)]
-    # and n = -r, then r, where r = s - |m|.
+    """All pairs m < n, in (|m| + |n|, m, n) order.
+
+    The scan spirals out from the origin so that a failing check reports
+    the witness with the most readable exponents, not the one nearest the
+    window's lower corner.
+    """
+    # No list and no sort: for each combined magnitude s, m rises through
+    # [max(lo, -s), min(hi, s)] and n = -r, then r, where r = s - |m|.
     lo, hi = window.lo, window.hi
     near = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
     far = max(abs(lo), abs(hi))
@@ -167,10 +179,15 @@ def witness_triple(p: int, m: int, n: int) -> tuple[Fraction, Fraction, Fraction
     (p**k, -p**k, 1) with k = m - n have legs 1, 1 and base p**(-k); for
     p = 2 the midpoint halves ((2**(k-1), -2**(k-1), 1), and (1, -1, 0)
     when k = 1). The result is re-measured before being returned.
+
+    Raises:
+        TooLargeError: if m or n is beyond MAX_EXPONENT in magnitude;
+            no power is built before the check.
     """
     require_prime(p)
     if n >= m:
         raise BadOrderError(f"need n < m, got m={m}, n={n}")
+    _check_exponents(m, n)
     k = m - n
     if p == 2:
         base = (1, -1, 0) if k == 1 else (2 ** (k - 1), -(2 ** (k - 1)), 1)
@@ -234,7 +251,7 @@ def check_p_metric_preserving(
     One O(w) sweep decides it: the band breaks exactly when, for some n,
     the running maximum of f(p**m) over m < n exceeds 2 f(p**n), and it
     names every such n. Only on failure are the pairs walked, lazily and in
-    the (|m| + |n|, m, n) order of :meth:`ExponentWindow.pairs`, to the
+    the (|m| + |n|, m, n) order of :func:`_spiral_pairs`, to the
     first failing one, comparing values only for pairs whose n was named:
     no other pair can fail. The witness is therefore the same pair a scan
     of every pair in that order would report: the walk visits pairs in

@@ -459,15 +459,17 @@ def sufficient_conditions(
     return SufficientConditions(band, concave, subadditive)
 
 
-def default_samples(f: FunctionSpec, bound: RationalLike = 8) -> tuple[Fraction, ...]:
-    """A reasonable sample grid for a spec: kink-aware when kinks exist."""
-    bound = as_fraction(bound)
+def default_samples(f: FunctionSpec) -> tuple[Fraction, ...]:
+    """A reasonable sample grid for a spec: kink-aware when kinks exist.
+
+    Sums of kinks are kept up to 8 or the last kink, whichever is larger.
+    """
     base = {Fraction(0)}
     if isinstance(f, PiecewiseLinear):
         xs = [x for x, _ in f.points]
         base.update(xs)
         base.update((a + b) / 2 for a, b in zip(xs, xs[1:]))
-        base.update(a + b for a in xs for b in xs if a + b <= max(bound, xs[-1]))
+        base.update(a + b for a in xs for b in xs if a + b <= max(8, xs[-1]))
         base.add(xs[-1] + 1)
     elif isinstance(f, StepFunction):
         ts = [t for t, _ in f.points]
@@ -482,6 +484,5 @@ def default_samples(f: FunctionSpec, bound: RationalLike = 8) -> tuple[Fraction,
         base.update(
             Fraction(n, d)
             for n, d in ((1, 8), (1, 4), (1, 2), (1, 1), (3, 2), (2, 1), (3, 1), (4, 1), (8, 1))
-            if Fraction(n, d) <= bound
         )
     return tuple(sorted(base))

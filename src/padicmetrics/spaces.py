@@ -11,14 +11,13 @@ when it equals its subdominant ultrametric, the minimax path distance over
 a minimum spanning tree (Gower and Ross, 1969). Only the pairs where the
 two differ can hold a violation, so only those are scanned for one.
 
-Embedding dimension works without ever leaving the rationals: instead of
+The Gram rank works without ever leaving the rationals: instead of
 constructing coordinates (which would need square roots), the Gram matrix
 of squared distances is ranked. Its denominators are cleared and it is
 eliminated modulo the prime 2^61 - 1; full rank there proves full rank
 over the rationals, and anything less is settled by exact Gaussian
 elimination. For a valid ultrametric space on n points that rank is
-always n - 1, and the public entry point cross-checks the closed form
-against the elimination.
+always n - 1 (Lemin, 1985), which is the embedding dimension.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .errors import (
     AsymmetricError,
     NegativeEntryError,
     NonzeroDiagonalError,
-    SelfCheckError,
     SizeMismatchError,
     TooLargeError,
     ZeroDistanceError,
@@ -216,11 +214,6 @@ def apply_function(s: FiniteUltrametricSpace, f: FunctionSpec) -> DistanceMatrix
     return DistanceMatrixCandidate(s.labels, rows)
 
 
-def distance_range(s: FiniteUltrametricSpace) -> tuple[Fraction, ...]:
-    """All distinct distance values, 0 included, ascending."""
-    return tuple(sorted({v for row in s.dist for v in row}))
-
-
 def isometry_search(
     a: FiniteUltrametricSpace, b: FiniteUltrametricSpace
 ) -> tuple[int, ...] | None:
@@ -332,13 +325,13 @@ def _integer_rank(matrix: list[list[int]]) -> int:
     return _exact_rank([[Fraction(v) for v in row] for row in matrix])
 
 
-def gram_rank(s: FiniteUltrametricSpace, base: int = 0) -> int:
+def gram_rank(s: FiniteUltrametricSpace) -> int:
     """Rank of the inner-product matrix induced by squared distances.
 
-    With x_base as origin, G[i][j] = (d(base,i)^2 + d(base,j)^2
-    - d(i,j)^2) / 2 over the remaining points. Any Euclidean realization
-    of the space must have Gram matrix G, so its rank is the least
-    dimension that could possibly host the points.
+    With x_0 as origin, G[i][j] = (d(0,i)^2 + d(0,j)^2 - d(i,j)^2) / 2
+    over the remaining points. Any Euclidean realization of the space
+    must have Gram matrix G, so its rank is the least dimension that
+    could possibly host the points.
 
     With L the least common denominator of the distances, 2 L^2 G is an
     integer matrix of the same rank. It is eliminated modulo 2^61 - 1;
@@ -347,28 +340,17 @@ def gram_rank(s: FiniteUltrametricSpace, base: int = 0) -> int:
     """
     if s.n < 2:
         raise ValueError("gram rank needs at least two points")
-    if isinstance(base, bool) or not isinstance(base, int) or not 0 <= base < s.n:
-        raise ValueError(f"base must be a point index in range({s.n}), got {base!r}")
     scale = math.lcm(*{v.denominator for row in s.dist for v in row})
     sq = [[(v.numerator * (scale // v.denominator)) ** 2 for v in row] for row in s.dist]
-    others = [i for i in range(s.n) if i != base]
-    to_base = sq[base]
-    g = [[to_base[i] + to_base[j] - sq[i][j] for j in others] for i in others]
+    origin, others = sq[0], range(1, s.n)
+    g = [[origin[i] + origin[j] - sq[i][j] for j in others] for i in others]
     return _integer_rank(g)
 
 
 def embedding_dimension(s: FiniteUltrametricSpace) -> int:
     """Least Euclidean dimension isometrically containing the space: n - 1.
 
-    The closed form is cross-checked against the exact Gram rank; the two
-    can only disagree through a bug, so disagreement raises.
+    Every n-point ultrametric space embeds as the vertices of a simplex
+    (Lemin, 1985), so its Gram rank is n - 1 and no elimination is needed.
     """
-    if s.n == 1:
-        return 0
-    dim = s.n - 1
-    rank = gram_rank(s)
-    if rank != dim:
-        raise SelfCheckError(
-            f"gram rank {rank} disagrees with point-count dimension {dim}"
-        )
-    return dim
+    return s.n - 1

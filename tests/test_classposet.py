@@ -225,7 +225,7 @@ def test_poset_json_roundtrip():
         FinitePoset.from_json_dict({"ground": [0, 0.5], "pairs": []})
 
 
-def _assert_row_views_match_pairs(poset, data):
+def _assert_row_views_match_pairs(poset):
     """Every view of the rows against its definition on ``poset.pairs``."""
     pairs, ground = poset.pairs, poset.ground
     probes = list(ground)
@@ -240,17 +240,13 @@ def _assert_row_views_match_pairs(poset, data):
         (a, b) in pairs or (b, a) in pairs for a in ground for b in ground
     )
     assert poset.nonreflexive_pairs() == sorted((a, b) for a, b in pairs if a != b)
-    keep = data.draw(st.sets(st.sampled_from(ground))) if ground else set()
-    sub = poset.restrict(keep)
-    assert sub.ground == tuple(sorted(keep))
-    assert sub.pairs == {(a, b) for a, b in pairs if a in keep and b in keep}
     assert FinitePoset.from_json_dict(poset.to_json_dict()) == poset
 
 
 @given(st.data())
 def test_row_views_match_pairs_on_random_families(data):
     rng = data.draw(st.randoms(use_true_random=False))
-    _assert_row_views_match_pairs(family_poset(random_family(rng)), data)
+    _assert_row_views_match_pairs(family_poset(random_family(rng)))
 
 
 @given(st.data())
@@ -273,7 +269,7 @@ def test_row_views_match_pairs_on_loaded_relations(data):
     }
     poset = FinitePoset.from_json_dict(payload)
     assert poset.pairs == want
-    _assert_row_views_match_pairs(poset, data)
+    _assert_row_views_match_pairs(poset)
     stray = str(F(1, 3))  # halves never meet a third
     with pytest.raises(ValueError, match="leaves the ground set"):
         FinitePoset.from_json_dict({**payload, "pairs": payload["pairs"] + [[stray, stray]]})
@@ -400,7 +396,7 @@ def test_build_extension_requires_positive_values():
 
 
 def test_isotone_for_incomparables():
-    poset = family_poset(four_point_family()).restrict([F(1), F(2), F(3)])
+    poset = family_poset(four_point_family())
     phi = isotone_for_incomparables(poset, 2, 1, 1, 2)
     assert phi[F(1)] == 2 and phi[F(2)] == 1
     for s, t in poset.pairs:

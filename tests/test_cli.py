@@ -208,11 +208,22 @@ def test_size_caps_are_refused(capsys):
         ("fn", "prime-shift", "--bound", "10000001", "--x", "2"),
         ("fn", "eval", "--spec", '{"kind": "prime_shift", "bound": 10000001}', "--x", "2"),
         ("padic", "digits", "--p", "3", "--x", "17", "--high", "1025"),
+        ("fn", "witness", "--p", "3", "--m", "1025", "--n", "0"),
+        ("fn", "witness", "--p", "3", "--m", "0", "--n=-1025"),
+        ("fn", "padic-check", "--spec", ZIGZAG, "--p", "3", "--window=1000:1025"),
+        ("fn", "padic-ultra-check", "--spec", ZIGZAG, "--p", "3", "--window=-1025:-1000"),
     ):
         code, payload = run_json(capsys, *argv)
         assert code == 2 and payload["error"] == "too_large", argv
     code, payload = run_json(capsys, "padic", "digits", "--p", "3", "--x", "17", "--high", "1024")
     assert code == 0 and len(payload["digits"]) == 1025
+    code, payload = run_json(capsys, "fn", "witness", "--p", "3", "--m", "1024", "--n=-1024")
+    assert code == 0 and payload["distances"][2] == f"1/{3**1024}"
+    for window in ("1000:1024", "-1024:-1000"):
+        code, payload = run_json(
+            capsys, "fn", "padic-check", "--spec", ZIGZAG, "--p", "3", f"--window={window}"
+        )
+        assert code in (0, 1) and "error" not in payload, window
 
 
 def test_extend_rejects_non_preserving(capsys):
@@ -343,6 +354,35 @@ def test_malformed_spec_is_an_input_error(capsys):
     code, payload = run_json(capsys, "fn", "eval", "--spec", "{broken", "--x", "1")
     assert code == 2
     assert payload["error"] == "invalid_input"
+
+
+def _deep_power_step(depth):
+    return '{"kind": "power_step", "p": 3, "inner": ' * depth + '{"kind": "canonical"}' + "}" * depth
+
+
+CANONICAL = '{"kind": "canonical"}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fn", "eval", "--spec", CANONICAL, "--x", "1/0"),
+        ("padic", "abs", "--p", "3", "--x", "1/0"),
+        ("fn", "sufficient", "--spec", CANONICAL, "--samples", "0,1/0"),
+        ("fn", "euclid", "--spec", CANONICAL, "--step", "1/0"),
+        ("fn", "eval", "--spec", '{"kind": "step", "below": "1/0", "points": []}', "--x", "1"),
+        (
+            "fn", "eval", "--x", "1", "--spec",
+            '{"kind": "piecewise_linear", "points": [], "tail": {"constant": "0"}}',
+        ),
+        ("fn", "eval", "--spec", _deep_power_step(3000), "--x", "2"),
+    ],
+    ids=["eval-x", "abs-x", "samples", "euclid-step", "step-below", "empty-polyline",
+         "deep-spec"],
+)
+def test_malformed_input_exits_2(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == 2 and payload["error"] == "invalid_input"
 
 
 def test_json_floats_are_input_errors(capsys, tmp_path):

@@ -16,16 +16,18 @@ from hypothesis import strategies as st
 from padicmetrics import (
     AsymmetricError,
     DistanceMatrixCandidate,
+    FiniteUltrametricSpace,
     NegativeEntryError,
     NonzeroDiagonalError,
     Reciprocal,
     SelfCheckError,
     SizeMismatchError,
+    SpaceFamily,
     TooLargeError,
     TriangleViolation,
     ZeroDistanceError,
     apply_function,
-    distance_range,
+    distance_values,
     embedding_dimension,
     gram_rank,
     is_isometry,
@@ -175,7 +177,9 @@ def test_json_roundtrip():
 
 
 def test_distance_range():
-    assert distance_range(four_point_space()) == (F(0), F(1), F(2), F(3))
+    # what `space range` prints: the values of the one-space family
+    family = SpaceFamily((four_point_space(),))
+    assert distance_values(family) == (F(0), F(1), F(2), F(3))
 
 
 def test_apply_function_is_entrywise():
@@ -304,21 +308,20 @@ def test_gram_rank_matches_determinant_oracle():
         assert _det(_gram(s)) != 0
 
 
+def _with_origin(s, b):
+    # the same space with point b moved to index 0, the Gram origin
+    order = [b, *(i for i in range(s.n) if i != b)]
+    rows = tuple(tuple(s.dist[i][j] for j in order) for i in order)
+    return FiniteUltrametricSpace(tuple(s.labels[i] for i in order), rows)
+
+
 def test_gram_rank_is_basepoint_independent():
     rng = Random(19)
     for _ in range(15):
         n = rng.randint(2, 6)
         s = random_ultrametric(rng, n, SIX_VALUE_POOL)
-        ranks = {gram_rank(s, base=b) for b in range(n)}
+        ranks = {gram_rank(_with_origin(s, b)) for b in range(n)}
         assert ranks == {n - 1}
-
-
-def test_gram_rank_rejects_bad_base():
-    s = random_ultrametric(Random(5), 5, SIX_VALUE_POOL)
-    for base in (-1, 7, True):
-        with pytest.raises(ValueError, match="base must be a point index"):
-            gram_rank(s, base=base)
-    assert gram_rank(s, base=4) == 4
 
 
 def test_rank_fallback_matches_exact_elimination():
@@ -332,9 +335,13 @@ def test_rank_fallback_matches_exact_elimination():
     assert _integer_rank(rank_deficient) == 2
 
 
-def test_embedding_dimension_random_spaces():
-    rng = Random(23)
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        s = random_ultrametric(rng, n, SIX_VALUE_POOL)
-        assert embedding_dimension(s) == max(0, n - 1)
+@settings(max_examples=200)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(2, 9),
+    pool=st.sampled_from((SIX_VALUE_POOL, SIX_VALUE_POOL[:2], (F(1),), (F(1, 3), F(5, 7), F(9)))),
+)
+def test_embedding_dimension_random_spaces(rng, n, pool):
+    # the closed form against the elimination it replaced
+    s = random_ultrametric(rng, n, pool)
+    assert embedding_dimension(s) == gram_rank(s) == s.n - 1

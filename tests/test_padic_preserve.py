@@ -29,7 +29,12 @@ from padicmetrics import (
 )
 from padicmetrics.functions import floor_power_index
 from padicmetrics.fixtures import identity_map, zigzag_map
-from padicmetrics.padic_preserving import DEFAULT_WINDOW, MAX_WINDOW_EXPONENTS
+from padicmetrics.padic_preserving import (
+    DEFAULT_WINDOW,
+    MAX_EXPONENT,
+    MAX_WINDOW_EXPONENTS,
+    _spiral_pairs,
+)
 from support import brute_check_p_metric_preserving, brute_window_pairs
 
 F = Fraction
@@ -42,7 +47,7 @@ def test_window_enumeration_orders():
     w = ExponentWindow(-2, 2)
     assert w.exponents() == [0, -1, 1, -2, 2]
     assert w.adjacent() == [(0, 1), (-1, 0), (1, 2), (-2, -1)]
-    assert ExponentWindow(-1, 1).pairs() == [(-1, 0), (0, 1), (-1, 1)]
+    assert list(_spiral_pairs(ExponentWindow(-1, 1))) == [(-1, 0), (0, 1), (-1, 1)]
 
 
 def test_window_validation_and_parsing():
@@ -57,20 +62,40 @@ def test_window_validation_and_parsing():
 
 def test_window_cap_by_construction_only():
     # the cap itself and one exponent over it; no check runs on either
-    for lo, hi in ((-512, 512), (1000, 2024)):
+    for lo, hi in ((-512, 512), (-1024, 0)):
         w = ExponentWindow(lo, hi)
         assert w.hi - w.lo + 1 == MAX_WINDOW_EXPONENTS == 1025
-    for lo, hi in ((-513, 512), (-512, 513), (1000, 2025)):
+    for lo, hi in ((-513, 512), (-512, 513), (-1024, 1)):
         with pytest.raises(TooLargeError):
             ExponentWindow(lo, hi)
     with pytest.raises(TooLargeError):
         parse_window("-513:512")
 
 
+def test_exponent_magnitude_cap():
+    # narrow windows and witness triples at the cap build; one over is
+    # refused before any power of p is built
+    assert MAX_EXPONENT == 1024
+    for lo, hi in ((-1024, -1024), (1024, 1024), (-1024, -1000), (1000, 1024)):
+        assert ExponentWindow(lo, hi).to_json_dict() == {"lo": lo, "hi": hi}
+    for lo, hi in ((-1025, -1025), (1025, 1025), (-1025, -1000), (1000, 1025), (3072, 4096)):
+        with pytest.raises(TooLargeError):
+            ExponentWindow(lo, hi)
+    with pytest.raises(TooLargeError):
+        parse_window("1000:1025")
+    p = 2**61 - 1
+    x, y, z = witness_triple(p, 1024, -1024)
+    assert padic_distance(x, y, p) == F(p) ** -1024
+    assert padic_distance(x, z, p) == F(p) ** 1024
+    for m, n in ((1025, 0), (0, -1025), (300000, 0)):
+        with pytest.raises(TooLargeError):
+            witness_triple(3, m, n)
+
+
 def test_pairs_match_the_sorted_build_on_every_small_window():
     for lo in range(-20, 21):
         for hi in range(lo, 21):
-            assert ExponentWindow(lo, hi).pairs() == brute_window_pairs(lo, hi)
+            assert list(_spiral_pairs(ExponentWindow(lo, hi))) == brute_window_pairs(lo, hi)
 
 
 def test_window_json_shape():
@@ -183,7 +208,7 @@ def test_band_sweep_matches_the_sorted_pair_scan(case):
     assert _band_outcome(check_p_metric_preserving, f, p, window) == _band_outcome(
         brute_check_p_metric_preserving, f, p, window
     )
-    assert window.pairs() == brute_window_pairs(window.lo, window.hi)
+    assert list(_spiral_pairs(window)) == brute_window_pairs(window.lo, window.hi)
 
 
 def test_shared_gate_origin_and_vanishes():
