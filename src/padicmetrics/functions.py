@@ -29,17 +29,31 @@ TAIL_LINEAR = "linear"
 # The largest PrimeShift sieve bound accepted: ten times the default.
 MAX_SIEVE_BOUND = 10_000_000
 
+# The most power_step layers one spec may nest. Every layer adds frames to
+# each evaluation, and a few hundred layers overflow the interpreter stack.
+MAX_POWER_STEP_DEPTH = 64
+
+
+def _power_at_most(base: int, m: int, n: int, d: int) -> bool:
+    # base**m <= n/d, on integers: d > 0, and base**m is an integer or 1/base**-m
+    return base**m * d <= n if m >= 0 else d <= n * base**-m
+
 
 def floor_power_index(x: Fraction, base: int) -> int:
-    """Largest integer m with base**m <= x, for x > 0, computed exactly."""
-    if x <= 0:
+    """Largest integer m with base**m <= x, for x > 0, computed exactly.
+
+    The comparison is integer-only: with x = n/d in lowest terms, base**m <= x
+    is base**m * d <= n for m >= 0 and d <= n * base**-m for m < 0. The
+    search starts from the difference of the bit lengths of n and d and
+    moves a step or two from there.
+    """
+    n, d = x.numerator, x.denominator
+    if n <= 0:
         raise ValueError("x must be positive")
-    estimate = (x.numerator.bit_length() - x.denominator.bit_length()) / math.log2(base)
-    m = math.floor(estimate)
-    b = Fraction(base)
-    while b**m > x:
+    m = math.floor((n.bit_length() - d.bit_length()) / math.log2(base))
+    while not _power_at_most(base, m, n, d):
         m -= 1
-    while b ** (m + 1) <= x:
+    while _power_at_most(base, m + 1, n, d):
         m += 1
     return m
 
@@ -224,14 +238,16 @@ class PowerMap(FunctionSpec):
     def _value(self, x: Fraction) -> Fraction:
         if x == 0:
             return Fraction(0)
-        m = floor_power_index(x, self.p)
-        lo = Fraction(self.p) ** m
-        if lo == x:
-            return Fraction(self.q) ** m
-        hi = Fraction(self.p) ** (m + 1)
-        img_lo = Fraction(self.q) ** m
-        img_hi = Fraction(self.q) ** (m + 1)
-        return img_lo + (x - lo) * (img_hi - img_lo) / (hi - lo)
+        p, q = self.p, self.q
+        m = floor_power_index(x, p)
+        # x = p**m * b / a with 1 <= b / a < p, and the line through
+        # (p**m, q**m) and (p**(m+1), q**(m+1)) takes at x the value
+        # q**m * (1 + (b / a - 1) * (q - 1) / (p - 1)), built from integers
+        if m >= 0:
+            a, b, up, down = x.denominator * p**m, x.numerator, q**m, 1
+        else:
+            a, b, up, down = x.denominator, x.numerator * p**-m, 1, q**-m
+        return Fraction(up * ((p - 1) * a + (q - 1) * (b - a)), down * (p - 1) * a)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "p": self.p, "q": self.q}
@@ -347,6 +363,11 @@ class PowerStep(FunctionSpec):
     Takes the value inner(p**m) on every interval [p**m, p**(m+1)) and 0 at
     0, so it agrees with ``inner`` on all p-adic distances while flattening
     everything in between.
+
+    Raises:
+        TooLargeError: if power_step layers, this one included, nest more
+            than MAX_POWER_STEP_DEPTH deep; nothing is evaluated before the
+            check.
     """
 
     inner: FunctionSpec
@@ -356,6 +377,14 @@ class PowerStep(FunctionSpec):
 
     def __post_init__(self) -> None:
         require_prime(self.p)
+        depth, inner = 1, self.inner
+        while isinstance(inner, PowerStep):
+            depth, inner = depth + 1, inner.inner
+        if depth > MAX_POWER_STEP_DEPTH:
+            raise TooLargeError(
+                f"power_step layers nest {depth} deep, more than the "
+                f"{MAX_POWER_STEP_DEPTH} accepted"
+            )
 
     def _value(self, x: Fraction) -> Fraction:
         if x == 0:

@@ -38,7 +38,7 @@ import hashlib
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, pairwise
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -420,6 +420,20 @@ def pairs_from_grid(step: RationalLike, stop: RationalLike) -> list[tuple[Fracti
     return list(combinations_with_replacement(_grid(step, stop), 2))
 
 
+def _subadditive(keys: Sequence[int], exact: _Memo) -> bool:
+    # f(a + b) <= f(a) + f(b) for every sorted pair of keys, in lexicographic
+    # order up to the first that fails; exact[k] is (numerator, denominator)
+    # of f at the key k. Every positive key has been read before; 0 may not
+    # have been, and the scan reads it first anyway, at the pair (0, 0).
+    ratios = [exact[k] for k in keys]
+    for i, (ka, (na, da)) in enumerate(zip(keys, ratios)):
+        for kb, (nb, db) in zip(keys[i:], ratios[i:]):
+            nc, dc = exact[ka + kb]
+            if nc * da * db > (na * db + nb * da) * dc:
+                return False
+    return True
+
+
 def sufficient_conditions(
     f: FunctionSpec, samples: Iterable[RationalLike]
 ) -> SufficientConditions:
@@ -430,16 +444,30 @@ def sufficient_conditions(
         nonincreasing secant slopes through the sampled points.
     subadditive_on_samples: f(a+b) <= f(a) + f(b) for all sampled pairs.
 
-    f is evaluated once per distinct point of the samples and of the pair
-    sums a + b that the subadditivity scan reaches.
+    The subadditivity scan runs on integers. The samples are scaled to
+    integers over their one common denominator L, so each pair sum a + b is
+    one integer addition, and f is memoised by integer key: it receives the
+    sample itself, or Fraction(k, L) for a pair sum k, once per distinct
+    point. f is read where a scan without a memo first reads it: the
+    positive samples ascending for band, then the secants, then f(a + b),
+    f(a), f(b) for each sorted pair in lexicographic order, up to the first
+    pair that fails. So the first error a spec raises is unchanged. Each
+    image is split once into its numerator and denominator, and each pair
+    is decided by cross-multiplying them. For n samples whose pairs reach P
+    distinct sums, the cost is P evaluations of f and Fraction
+    constructions and O(1) integer operations per pair.
     """
     xs = _canonical(samples)
-    positives = [x for x in xs if x > 0]
-    value = _Memo(f)
+    den = lcm(*(x.denominator for x in xs))
+    keys = [x.numerator * (den // x.denominator) for x in xs]
+    point = dict(zip(keys, xs))
+    value = _Memo(lambda k: f(point[k] if k in point else Fraction(k, den)))
+    exact = _Memo(lambda k: _ratio(value[k]))
+    positives = [k for k in keys if k > 0]
 
     band = False
     if positives:
-        values = [value[x] for x in positives]
+        values = [value[k] for k in positives]
         low, high = min(values), max(values)
         band = low > 0 and high <= 2 * low
 
@@ -449,14 +477,12 @@ def sufficient_conditions(
             slopes.append(Fraction(0))
         concave = all(s0 >= s1 for s0, s1 in zip(slopes, slopes[1:]))
     else:
-        secants = [(value[b] - value[a]) / (b - a) for a, b in zip(xs, xs[1:])]
+        secants = [
+            (value[kb] - value[ka]) / (b - a) for (ka, a), (kb, b) in pairwise(point.items())
+        ]
         concave = all(s0 >= s1 for s0, s1 in zip(secants, secants[1:]))
 
-    subadditive = all(
-        value[a + b] <= value[a] + value[b] for i, a in enumerate(xs) for b in xs[i:]
-    )
-
-    return SufficientConditions(band, concave, subadditive)
+    return SufficientConditions(band, concave, _subadditive(keys, exact))
 
 
 def default_samples(f: FunctionSpec) -> tuple[Fraction, ...]:

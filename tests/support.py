@@ -28,10 +28,15 @@ afresh wherever they read a value (``amenability_witness``,
 ``brute_window_pairs`` and ``brute_check_p_metric_preserving`` are the
 p-adic band check as it was before its O(w) sweep: every exponent pair
 built, sorted by (|m| + |n|, m, n) and compared one at a time.
+
+``ref_floor_power_index`` and ``ref_power_map_value`` are the p-power
+search and the ``PowerMap`` interpolation in ``Fraction`` arithmetic, as
+they were before both moved to integers.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from fractions import Fraction
@@ -429,3 +434,31 @@ def ref_sufficient_conditions(f, samples) -> SufficientConditions:
         if not subadditive:
             break
     return SufficientConditions(band, concave, subadditive)
+
+
+def ref_floor_power_index(x: Fraction, base: int) -> int:
+    """Largest m with base**m <= x, for x > 0, by Fraction powers."""
+    if x <= 0:
+        raise ValueError("x must be positive")
+    estimate = (x.numerator.bit_length() - x.denominator.bit_length()) / math.log2(base)
+    m = math.floor(estimate)
+    b = Fraction(base)
+    while b**m > x:
+        m -= 1
+    while b ** (m + 1) <= x:
+        m += 1
+    return m
+
+
+def ref_power_map_value(p: int, q: int, x: Fraction) -> Fraction:
+    """PowerMap(p, q)(x) interpolated between Fraction powers of p and q."""
+    if x == 0:
+        return Fraction(0)
+    m = ref_floor_power_index(x, p)
+    lo = Fraction(p) ** m
+    if lo == x:
+        return Fraction(q) ** m
+    hi = Fraction(p) ** (m + 1)
+    img_lo = Fraction(q) ** m
+    img_hi = Fraction(q) ** (m + 1)
+    return img_lo + (x - lo) * (img_hi - img_lo) / (hi - lo)

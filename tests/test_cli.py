@@ -385,6 +385,18 @@ def test_malformed_input_exits_2(capsys, argv):
     assert code == 2 and payload["error"] == "invalid_input"
 
 
+@pytest.mark.parametrize("depth", [400, 600])
+@pytest.mark.parametrize(
+    "verb",
+    [("eval", "--x", "2"), ("classify",), ("padic-check", "--p", "3")],
+    ids=lambda verb: verb[0],
+)
+def test_deep_power_step_is_too_large(capsys, verb, depth):
+    # parsed, but more power_step layers than evaluation can nest
+    code, payload = run_json(capsys, "fn", verb[0], "--spec", _deep_power_step(depth), *verb[1:])
+    assert code == 2 and payload["error"] == "too_large"
+
+
 def test_json_floats_are_input_errors(capsys, tmp_path):
     # a float has already been rounded to binary, so it is refused, while
     # the same value as an "a/b" string is read exactly

@@ -6,6 +6,7 @@ raises inside the library, so a quiet pass here certifies both.
 """
 
 import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,12 @@ from padicmetrics import (
     sufficient_conditions,
 )
 from padicmetrics.fixtures import identity_map, level_swap_map, zigzag_map
-from padicmetrics.functions import MAX_SIEVE_BOUND, _sieve
+from padicmetrics.functions import (
+    MAX_POWER_STEP_DEPTH,
+    MAX_SIEVE_BOUND,
+    _sieve,
+    floor_power_index,
+)
 from padicmetrics.preserving import (
     MAX_GRID_POINTS,
     _digest,
@@ -59,11 +65,14 @@ from support import (
     ref_check_metric_preserving_sampled,
     ref_check_ultra_to_metric,
     ref_check_ultrametric_preserving,
+    ref_floor_power_index,
+    ref_power_map_value,
     ref_sufficient_conditions,
     sorted_triple_scan,
 )
 
 F = Fraction
+PRIMES = (2, 3, 5, 7)
 
 small_fractions = st.fractions(
     min_value=F(0), max_value=F(20), max_denominator=64
@@ -187,6 +196,58 @@ def test_power_step_agrees_on_powers_and_flattens_between():
     for m in range(-5, 6):
         assert f(F(2) ** m) == F(2) ** -m
     assert f(3) == f(2) == F(1, 2)
+
+
+def test_power_step_nesting_is_capped():
+    f = Canonical()
+    for _ in range(MAX_POWER_STEP_DEPTH):
+        f = PowerStep(f, 3)
+    assert f(2) == F(1, 2)
+    with pytest.raises(TooLargeError):
+        PowerStep(f, 3)
+    data = {"kind": "power_step", "p": 2, "inner": f.to_json_dict()}
+    with pytest.raises(TooLargeError):
+        spec_from_json_dict(data)
+
+
+@st.composite
+def power_map_points(draw):
+    # exact powers p**m, points just below and just above them, points over
+    # powers of p, and plain fractions
+    p, q = draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRIMES))
+    power = F(p) ** draw(st.integers(-40, 40))
+    x = draw(
+        st.one_of(
+            st.just(power),
+            st.builds(
+                lambda k, side: power * (1 + F(side, k)),
+                st.integers(2, 10**12),
+                st.sampled_from((-1, 1)),
+            ),
+            st.builds(lambda k, e: F(k, p**e), st.integers(1, 10**9), st.integers(0, 40)),
+            st.fractions(min_value=F(0), max_value=F(10**6), max_denominator=10**6),
+        )
+    )
+    return p, q, x
+
+
+@settings(max_examples=500)
+@given(point=power_map_points())
+def test_integer_power_path_matches_the_fraction_path(point):
+    p, q, x = point
+    if x > 0:
+        assert floor_power_index(x, p) == ref_floor_power_index(x, p)
+        assert floor_power_index(x, q) == ref_floor_power_index(x, q)
+    value = PowerMap(p, q)(x)
+    assert type(value) is Fraction
+    assert str(value) == str(ref_power_map_value(p, q, x))
+
+
+def test_floor_power_index_refuses_nonpositive_input():
+    for x in (F(0), F(-3, 2)):
+        for search in (floor_power_index, ref_floor_power_index):
+            with pytest.raises(ValueError):
+                search(x, 3)
 
 
 def test_negative_inputs_rejected():
@@ -425,7 +486,6 @@ def test_sorted_scan_matches_ordered_brute_force(origin, table, drop, stray):
         assert _first_bad_triple(xs, images, reach, band) == want
 
 
-PRIMES = (2, 3, 5, 7)
 slopes = st.fractions(min_value=F(0), max_value=F(3), max_denominator=4)
 steps = st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4)
 levels = st.sampled_from((F(0), F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(3), F(4)))
@@ -501,6 +561,15 @@ class _Counting(FunctionSpec):
         return self.inner(x)
 
 
+@dataclass(frozen=True)
+class _CountingPolyline(PiecewiseLinear):
+    calls: list = field(default_factory=list, compare=False)
+
+    def _value(self, x):
+        self.calls.append(x)
+        return super()._value(x)
+
+
 def test_sampled_checks_call_f_once_per_point():
     xs = sorted({F(0), *default_samples(Canonical()), F(5, 3), F(7)})
     for check in (
@@ -516,6 +585,24 @@ def test_sampled_checks_call_f_once_per_point():
     assert sufficient_conditions(f, xs).subadditive_on_samples
     sums = [x for i, a in enumerate(xs) for b in xs[i:] for x in (a + b, a, b)]
     assert f.calls == list(dict.fromkeys([*xs[1:], xs[0], *sums]))
+
+    # a convex polyline is not subadditive: f(1/8 + 1) > f(1/8) + f(1), so the
+    # scan stops at that pair. Before it, the secants read f(0) through the
+    # wrapper, and the slopes of the polyline itself read nothing.
+    convex = [(0, 0), (1, F(1, 2)), (2, 2)]
+    ordered_pairs = [(a, b) for i, a in enumerate(xs) for b in xs[i:]]
+    first_bad = ordered_pairs.index((F(1, 8), F(1)))
+    sums = [x for a, b in ordered_pairs[: first_bad + 1] for x in (a + b, a, b)]
+    for make, concavity_reads in (
+        (lambda: _Counting(PiecewiseLinear.from_pairs(convex, "linear")), [xs[0]]),
+        (lambda: _CountingPolyline.from_pairs(convex, "linear"), []),
+    ):
+        f, g = make(), make()
+        report = sufficient_conditions(f, xs)
+        assert report == ref_sufficient_conditions(g, xs)
+        assert not report.subadditive_on_samples
+        assert f.calls == list(dict.fromkeys(g.calls))
+        assert f.calls == list(dict.fromkeys([*xs[1:], *concavity_reads, *sums]))
 
     f = _Counting(Canonical())
     pairs = pairs_from_grid(F(1, 4), 3)
