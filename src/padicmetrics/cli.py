@@ -23,6 +23,7 @@ from .errors import (
     NonzeroDiagonalError,
     PadicMetricsError,
     SelfCheckError,
+    TooLargeError,
     ZeroDistanceError,
 )
 from .families import (
@@ -97,7 +98,7 @@ def _load_spec(value: str) -> FunctionSpec:
     try:
         return spec_from_json_dict(json.loads(text))
     except RecursionError:
-        raise ValueError("function spec is nested too deeply") from None
+        raise TooLargeError("function spec is nested too deeply to parse") from None
 
 
 def _load_candidate(path: str) -> DistanceMatrixCandidate:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import pairwise
 
 from .errors import (
     BelowFloorError,
@@ -323,11 +324,10 @@ class PrimeShift(FunctionSpec):
             return exact
         # Small primes contribute the two powers around x.
         limit = max(x, 1 / x)
-        for i, p in enumerate(primes[:-1]):
+        for p, q in pairwise(primes):
             if p > limit:
                 break
             m = floor_power_index(x, p)
-            q = primes[i + 1]
             for n in (m, m + 1):
                 exact = offer(Fraction(p) ** n, Fraction(q) ** n)
                 if exact is not None:

@@ -348,6 +348,33 @@ def check_ultra_to_metric(
     return TripletVerdict(bad is None, digest, bad)
 
 
+def _first_bad_sum(
+    pairs: Iterable[tuple[int, int]],
+    value: _Memo,
+    breaks: Callable[[int, int, int], bool],
+) -> tuple[int, int] | None:
+    """First pair (a, b) of integer keys whose images break the caller's test.
+
+    value memoises f by key and is read at a, then b, then a + b of each
+    pair. Each image is coerced and split once; breaks gets f(a), f(b) and
+    f(a + b) cross-multiplied onto one positive common denominator, which
+    keeps their signs, sums and order.
+    """
+    exact = _Memo(lambda k: _ratio(as_fraction(value[k])))
+    for ka, kb in pairs:
+        (na, da), (nb, db), (nc, dc) = exact[ka], exact[kb], exact[ka + kb]
+        if breaks(na * db * dc, nb * da * dc, nc * da * db):
+            return ka, kb
+    return None
+
+
+def _not_triangle(ya: int, yb: int, yc: int) -> bool:
+    # as is_triangle_triplet decides it, negative entries refused first
+    if ya < 0 or yb < 0 or yc < 0:
+        raise NegativeInputError("triplet entries must be nonnegative")
+    return ya > yb + yc or yb > ya + yc or yc > ya + yb
+
+
 def check_euclid_preserving_sampled(
     f: FunctionSpec, pairs: Iterable[tuple[RationalLike, RationalLike]]
 ) -> TripletVerdict:
@@ -361,14 +388,13 @@ def check_euclid_preserving_sampled(
     entries are scaled to integers over their one common denominator L.
     Scaling by L > 0 keeps order, so the sorted distinct integer pairs come
     in the order of the sorted Fraction pairs, and the sorted distinct
-    integers give the digest. f is evaluated once per distinct point: at a,
-    then b, then a + b of each pair in turn, which is where a scan without
-    a memo first reads it, so the first error a spec raises is unchanged.
-    Each image is coerced once, and each triple checks the signs of its
-    images, as ``is_triangle_triplet`` does, before it is decided by
-    cross-multiplying the three images and comparing each with the sum of
-    the other two. The witness points are Fractions and the images are as
-    f returned them. For N pairs over P distinct points a, b and a + b,
+    integers give the digest. The pairs go through ``_first_bad_sum``, the
+    pair-sum scan shared with ``sufficient_conditions``, which reads f where
+    a scan without a memo first reads it, so the first error a spec raises
+    is unchanged. Each triple checks the signs of its images, as
+    ``is_triangle_triplet`` does, before comparing each image with the sum
+    of the other two. The witness points are Fractions and the images are
+    as f returned them. For N pairs over P distinct points a, b and a + b,
     the cost is one sort of N integer pairs, P evaluations of f and
     Fraction constructions, and O(1) integer operations per pair.
     """
@@ -380,18 +406,14 @@ def check_euclid_preserving_sampled(
         raise NegativeInputError("pair entries must be nonnegative")
     digest = _digest(Fraction(k, den) for k in distinct)
     value = _Memo(lambda k: f(Fraction(k, den)))
-    exact = _Memo(lambda k: _ratio(as_fraction(value[k])))
-    for ka, kb in keys:
-        kc = ka + kb
-        fa, fb, fc = value[ka], value[kb], value[kc]
-        (na, da), (nb, db), (nc, dc) = exact[ka], exact[kb], exact[kc]
-        if na < 0 or nb < 0 or nc < 0:
-            raise NegativeInputError("triplet entries must be nonnegative")
-        ya, yb, yc = na * db * dc, nb * da * dc, nc * da * db
-        if ya > yb + yc or yb > ya + yc or yc > ya + yb:
-            points = (Fraction(ka, den), Fraction(kb, den), Fraction(kc, den))
-            return TripletVerdict(False, digest, Witness("triple", points, (fa, fb, fc)))
-    return TripletVerdict(True, digest)
+    bad = _first_bad_sum(keys, value, _not_triangle)
+    if bad is None:
+        return TripletVerdict(True, digest)
+    ka, kb = bad
+    kc = ka + kb
+    points = (Fraction(ka, den), Fraction(kb, den), Fraction(kc, den))
+    images = (value[ka], value[kb], value[kc])
+    return TripletVerdict(False, digest, Witness("triple", points, images))
 
 
 def _grid(step: RationalLike, stop: RationalLike) -> list[Fraction]:
@@ -420,20 +442,6 @@ def pairs_from_grid(step: RationalLike, stop: RationalLike) -> list[tuple[Fracti
     return list(combinations_with_replacement(_grid(step, stop), 2))
 
 
-def _subadditive(keys: Sequence[int], exact: _Memo) -> bool:
-    # f(a + b) <= f(a) + f(b) for every sorted pair of keys, in lexicographic
-    # order up to the first that fails; exact[k] is (numerator, denominator)
-    # of f at the key k. Every positive key has been read before; 0 may not
-    # have been, and the scan reads it first anyway, at the pair (0, 0).
-    ratios = [exact[k] for k in keys]
-    for i, (ka, (na, da)) in enumerate(zip(keys, ratios)):
-        for kb, (nb, db) in zip(keys[i:], ratios[i:]):
-            nc, dc = exact[ka + kb]
-            if nc * da * db > (na * db + nb * da) * dc:
-                return False
-    return True
-
-
 def sufficient_conditions(
     f: FunctionSpec, samples: Iterable[RationalLike]
 ) -> SufficientConditions:
@@ -444,25 +452,25 @@ def sufficient_conditions(
         nonincreasing secant slopes through the sampled points.
     subadditive_on_samples: f(a+b) <= f(a) + f(b) for all sampled pairs.
 
-    The subadditivity scan runs on integers. The samples are scaled to
-    integers over their one common denominator L, so each pair sum a + b is
-    one integer addition, and f is memoised by integer key: it receives the
-    sample itself, or Fraction(k, L) for a pair sum k, once per distinct
-    point. f is read where a scan without a memo first reads it: the
-    positive samples ascending for band, then the secants, then f(a + b),
-    f(a), f(b) for each sorted pair in lexicographic order, up to the first
-    pair that fails. So the first error a spec raises is unchanged. Each
-    image is split once into its numerator and denominator, and each pair
-    is decided by cross-multiplying them. For n samples whose pairs reach P
-    distinct sums, the cost is P evaluations of f and Fraction
-    constructions and O(1) integer operations per pair.
+    The subadditivity scan runs on integers, through ``_first_bad_sum``,
+    the pair-sum scan shared with ``check_euclid_preserving_sampled``. The
+    samples are scaled to integers over their one common denominator L, so
+    each pair sum a + b is one integer addition, and f is memoised by
+    integer key: it receives the sample itself, or Fraction(k, L) for a
+    pair sum k, once per distinct point. f is read where a scan without a
+    memo first reads it: the positive samples ascending for band, then the
+    secants, then the sorted pairs in lexicographic order, up to the first
+    pair that fails. Band and secants read every sample but perhaps 0,
+    which the scan reads at its first pair, (0, 0), so the first error a
+    spec raises is unchanged. For n samples whose pairs reach P distinct
+    sums, the cost is P evaluations of f and Fraction constructions and
+    O(1) integer operations per pair.
     """
     xs = _canonical(samples)
     den = lcm(*(x.denominator for x in xs))
     keys = [x.numerator * (den // x.denominator) for x in xs]
     point = dict(zip(keys, xs))
     value = _Memo(lambda k: f(point[k] if k in point else Fraction(k, den)))
-    exact = _Memo(lambda k: _ratio(value[k]))
     positives = [k for k in keys if k > 0]
 
     band = False
@@ -482,7 +490,9 @@ def sufficient_conditions(
         ]
         concave = all(s0 >= s1 for s0, s1 in zip(secants, secants[1:]))
 
-    return SufficientConditions(band, concave, _subadditive(keys, exact))
+    pairs = combinations_with_replacement(keys, 2)
+    subadditive = _first_bad_sum(pairs, value, lambda ya, yb, yc: yc > ya + yb) is None
+    return SufficientConditions(band, concave, subadditive)
 
 
 def default_samples(f: FunctionSpec) -> tuple[Fraction, ...]:

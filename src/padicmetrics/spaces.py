@@ -13,11 +13,11 @@ two differ can hold a violation, so only those are scanned for one.
 
 The Gram rank works without ever leaving the rationals: instead of
 constructing coordinates (which would need square roots), the Gram matrix
-of squared distances is ranked. Its denominators are cleared and it is
-eliminated modulo the prime 2^61 - 1; full rank there proves full rank
-over the rationals, and anything less is settled by exact Gaussian
-elimination. For a valid ultrametric space on n points that rank is
-always n - 1 (Lemin, 1985), which is the embedding dimension.
+of squared distances is ranked. Its denominators are cleared and the
+integer matrix is ranked exactly by fraction-free (Bareiss) elimination,
+which divides exactly at every step and so never leaves the integers.
+For a valid ultrametric space on n points that rank is always n - 1
+(Lemin, 1985), which is the embedding dimension.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from .functions import FunctionSpec
 from .padic import RationalLike, as_fraction
 
 MAX_SEARCH_POINTS = 10
-
-# modulus of the fast rank test (a Mersenne prime)
-_RANK_PRIME = 2**61 - 1
 
 
 def _coerce_rows(
@@ -266,63 +263,35 @@ def is_isometry(
     )
 
 
-def _exact_rank(matrix: list[list[Fraction]]) -> int:
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _rank_mod_prime(matrix: list[list[int]]) -> int:
-    m = [[v % _RANK_PRIME for v in row] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        inv = pow(top[col], -1, _RANK_PRIME)
-        for r in range(rank + 1, rows):
-            row = m[r]
-            if row[col]:
-                factor = row[col] * inv % _RANK_PRIME
-                m[r] = [(v - factor * w) % _RANK_PRIME for v, w in zip(row, top)]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def _integer_rank(matrix: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, modulo 2^61 - 1 when that decides.
+    """Rank over Q of an integer matrix, by fraction-free elimination.
 
-    Every minor that vanishes over Q vanishes modulo a prime, so the rank
-    modulo the prime is at most the rational rank. A result equal to the
-    least dimension is therefore the rational rank; anything smaller may
-    be an accident of the prime and goes to exact elimination.
+    Bareiss's elimination (Math. Comp. 22, 1968) keeps every entry an
+    integer. Each step takes as pivot row the first row top whose first
+    entry lead is nonzero, and replaces every other row by lead * row -
+    row[0] * top, without its first column, divided by the previous lead.
+    By Sylvester's identity each entry is then the minor of the matrix on
+    the pivot rows and columns so far plus its own row and column, so the
+    division is exact and the entries grow only as the minors do. A first
+    column with no nonzero entry adds no pivot and is dropped; the pivots
+    found are the rank.
     """
-    rank = _rank_mod_prime(matrix)
-    if rank == min(len(matrix), len(matrix[0])):
-        return rank
-    return _exact_rank([[Fraction(v) for v in row] for row in matrix])
+    rank, prev = 0, 1
+    while matrix and matrix[0]:
+        pivot = next((r for r, row in enumerate(matrix) if row[0]), None)
+        if pivot is None:
+            matrix = [row[1:] for row in matrix]
+            continue
+        top = matrix[pivot]
+        lead, rest = top[0], top[1:]
+        matrix = [
+            [(lead * v - row[0] * w) // prev for v, w in zip(row[1:], rest)]
+            for r, row in enumerate(matrix)
+            if r != pivot
+        ]
+        prev = lead
+        rank += 1
+    return rank
 
 
 def gram_rank(s: FiniteUltrametricSpace) -> int:
@@ -334,9 +303,8 @@ def gram_rank(s: FiniteUltrametricSpace) -> int:
     could possibly host the points.
 
     With L the least common denominator of the distances, 2 L^2 G is an
-    integer matrix of the same rank. It is eliminated modulo 2^61 - 1;
-    full rank n - 1 there is full rank over Q, and any smaller result
-    falls back to exact Gaussian elimination over the rationals.
+    integer matrix of the same rank, ranked exactly by fraction-free
+    (Bareiss) elimination in O(n^3) integer operations.
     """
     if s.n < 2:
         raise ValueError("gram rank needs at least two points")

@@ -32,6 +32,9 @@ built, sorted by (|m| + |n|, m, n) and compared one at a time.
 ``ref_floor_power_index`` and ``ref_power_map_value`` are the p-power
 search and the ``PowerMap`` interpolation in ``Fraction`` arithmetic, as
 they were before both moved to integers.
+
+``ref_exact_rank`` is Gauss-Jordan elimination over ``Fraction``s, the
+reference for the package's fraction-free integer rank.
 """
 
 from __future__ import annotations
@@ -462,3 +465,26 @@ def ref_power_map_value(p: int, q: int, x: Fraction) -> Fraction:
     img_lo = Fraction(q) ** m
     img_hi = Fraction(q) ** (m + 1)
     return img_lo + (x - lo) * (img_hi - img_lo) / (hi - lo)
+
+
+def ref_exact_rank(matrix) -> int:
+    """Rank over Q of a matrix of rationals, by Gauss-Jordan elimination."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(rows):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank

@@ -36,7 +36,7 @@ from padicmetrics import (
 )
 from padicmetrics import fixtures
 from padicmetrics.fixtures import four_point_space, legs_three_space, level_swap_map
-from padicmetrics.spaces import _exact_rank, _integer_rank, _rank_mod_prime
+from padicmetrics.spaces import _integer_rank
 
 from support import (
     SIX_VALUE_POOL,
@@ -45,6 +45,7 @@ from support import (
     isosceles_check,
     must_validate,
     random_ultrametric,
+    ref_exact_rank,
 )
 
 F = Fraction
@@ -329,10 +330,30 @@ def test_rank_fallback_matches_exact_elimination():
     singular_mod_p = [[[1, 0], [0, p]], [[p, 2 * p], [3, 4]], [[2, 1, 0], [p + 2, 1, 0], [0, 0, 1]]]
     rank_deficient = [[1, 2, 3], [2, 4, 6], [5, -1, 3]]
     for m in singular_mod_p + [rank_deficient]:
-        assert _rank_mod_prime(m) < min(len(m), len(m[0]))
-        assert _integer_rank(m) == _exact_rank([[F(v) for v in row] for row in m])
+        assert _integer_rank(m) == ref_exact_rank(m)
     assert [_integer_rank(m) for m in singular_mod_p] == [2, 2, 3]
     assert _integer_rank(rank_deficient) == 2
+
+
+@st.composite
+def _planted_rank_matrices(draw):
+    # rows combined from `rank` random integer rows, so the rank is at most
+    # `rank`; columns may be zeroed, and entries may be multiples of 2^61 - 1
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rank = draw(st.integers(0, min(rows, cols)))
+    p = 2**61 - 1
+    entry = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda k: k * p))
+    basis = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rank)]
+    mixes = [draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)) for _ in range(rows)]
+    matrix = [[sum(c * b[j] for c, b in zip(mix, basis)) for j in range(cols)] for mix in mixes]
+    zeroed = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    return [[0 if j in zeroed else v for j, v in enumerate(row)] for row in matrix]
+
+
+@settings(max_examples=500, deadline=None)
+@given(m=_planted_rank_matrices())
+def test_integer_rank_matches_fraction_elimination(m):
+    assert _integer_rank(m) == ref_exact_rank(m)
 
 
 @settings(max_examples=200)
