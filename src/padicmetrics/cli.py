@@ -8,11 +8,20 @@ two-space indent, rationals as canonical strings.
 Each verb is declared once, in ``VERBS``: its group, its handler and its
 arguments. An argument several verbs share is declared once, in
 ``_SHARED``, and named there.
+
+``build_parser`` turns that table into one argparse tree, built on the
+first ``main`` call (not at import) and shared by every later call in the
+process, so an in-process caller pays for the verb's own work only.
+Sharing it is safe: each ``parse_args`` fills a new ``Namespace``; usage,
+errors and ``--help`` go to ``sys.stdout``/``sys.stderr`` as they are at
+call time; and the help formatter, which reads ``COLUMNS``, is made anew
+on every call. Handlers are bound when the tree is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -90,7 +99,10 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(_read_text(path))
+    try:
+        return json.loads(_read_text(path))
+    except RecursionError:
+        raise TooLargeError("JSON input is nested too deeply to parse") from None
 
 
 def _load_spec(value: str) -> FunctionSpec:
@@ -416,7 +428,22 @@ VERBS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every verb in ``VERBS``, built once per process.
+
+    Every call returns the same parser, which callers must not mutate. It
+    holds no state between ``parse_args`` calls: each call makes a new
+    ``Namespace`` and copies the subparser defaults (the handler among
+    them) into it, writes usage, errors and ``--help`` to ``sys.stdout``
+    and ``sys.stderr`` as they are at that moment (so ``redirect_stdout``
+    and pytest's ``capsys`` capture them), and creates its help formatter
+    anew, so ``COLUMNS`` is still read. The handlers are bound here, once:
+    patching a module name that a handler calls (``cli.is_isometry``, say)
+    still takes effect, but patching a ``_cmd_*`` function after the first
+    call does not. Building the subparsers lazily, per group, would save
+    more but change the ``--help`` and usage bytes.
+    """
     parser = argparse.ArgumentParser(
         prog="padicmetrics",
         description="Exact rational checks for p-adic and ultrametric preservation.",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import pairwise
+from itertools import compress, pairwise
 
 from .errors import (
     BelowFloorError,
@@ -262,8 +262,8 @@ def _sieve(bound: int) -> tuple[int, ...]:
     flags[0] = flags[1] = 0
     for i in range(2, math.isqrt(bound) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(i for i, f in enumerate(flags) if f)
+            flags[i * i :: i] = bytes((bound - i * i) // i + 1)
+    return tuple(compress(range(bound + 1), flags))
 
 
 @dataclass(frozen=True)

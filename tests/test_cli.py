@@ -98,6 +98,27 @@ def test_every_verb_has_a_golden(capsys):
     assert listed == {case["verb"] for case in VERB_GOLDENS}
 
 
+def test_one_parser_serves_every_call(capsys, golden_paths):
+    # the parser is built on the first call and shared by every later one,
+    # so no call may leave anything in it that changes a later call's bytes
+    cli.build_parser.cache_clear()
+    helps = {}
+    for case in [*VERB_GOLDENS, *reversed(VERB_GOLDENS)]:
+        flags = case["flags"]
+        for key, path in golden_paths.items():
+            flags = [f.replace(key, path) for f in flags]
+        verb = case["verb"].split()
+        assert run(capsys, *verb, *flags) == (case["code"], case["stdout"]), verb
+        code, out = run(capsys, *verb, "--help")
+        assert code == 0 and out.startswith(f"usage: padicmetrics {case['verb']} ")
+        assert helps.setdefault(case["verb"], out) == out
+        assert main(["padic", "abs", "--x", "2"]) == 2
+        assert "the following arguments are required: --p\n" in capsys.readouterr().err
+        code, payload = run_json(capsys, "padic", "abs", "--p", "3", "--x", "1/0")
+        assert code == 2 and payload["error"] == "invalid_input"
+    assert cli.build_parser() is cli.build_parser()
+
+
 
 def test_abs_golden_bytes(capsys):
     code, out = run(capsys, "padic", "abs", "--p", "3", "--x", "25/18")
@@ -393,6 +414,24 @@ def test_deep_power_step_is_too_large(capsys, verb, depth):
     # more power_step layers than evaluation can nest; from about 1000 on,
     # more than the parser can nest either, with the same error name
     code, payload = run_json(capsys, "fn", verb[0], "--spec", _deep_power_step(depth), *verb[1:])
+    assert code == 2 and payload["error"] == "too_large"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000],
+    ids=["array", "object"],
+)
+@pytest.mark.parametrize("verb", ["space validate", "class poset"])
+def test_deep_json_file_is_too_large(capsys, monkeypatch, tmp_path, doc, verb):
+    # deeper than the JSON parser can nest: an input error, not a traceback
+    if verb == "space validate":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        path = "-"
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(doc)
+    code, payload = run_json(capsys, *verb.split(), "--file", str(path))
     assert code == 2 and payload["error"] == "too_large"
 
 

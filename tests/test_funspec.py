@@ -170,6 +170,19 @@ def test_sieve_cache_is_bounded():
     assert _sieve.cache_info().currsize <= cap
 
 
+def test_sieve_matches_trial_division():
+    def trial_primes(bound):
+        return tuple(
+            n for n in range(2, bound + 1)
+            if all(n % d for d in range(2, int(n**0.5) + 1))
+        )
+
+    for bound in range(5, 301):
+        assert _sieve(bound) == trial_primes(bound), bound
+    primes = _sieve(10**6)
+    assert len(primes) == 78_498 and primes[-1] == 999_983
+
+
 def test_tabulated_lookup_and_misses():
     f = Tabulated.from_mapping({0: 0, 1: 2, 2: 1})
     assert f(1) == 2
