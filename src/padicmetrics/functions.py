@@ -212,7 +212,9 @@ class Canonical(FunctionSpec):
     kind = "canonical"
 
     def _value(self, x: Fraction) -> Fraction:
-        return x / (1 + x)
+        # x = n/d gives n / (n + d), in lowest terms as gcd(n, n + d) = gcd(n, d)
+        n = x.numerator
+        return Fraction(n, n + x.denominator)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind}

@@ -1,11 +1,13 @@
 """Exact p-adic arithmetic over the rationals.
 
-Everything in this module works with ``fractions.Fraction``, which Python
-keeps in lowest terms with a positive denominator, so equality and ordering
-are exact and structural throughout. The p-adic absolute value of a nonzero
+Rationals come in and go out as ``fractions.Fraction``, which Python keeps
+in lowest terms with a positive denominator, so equality and ordering are
+exact and structural throughout. The p-adic absolute value of a nonzero
 rational is always an integer power of p; :class:`PAdicAbs` keeps that
 exponent symbolic so extreme valuations never materialize as huge integers
-unless explicitly converted.
+unless explicitly converted. Digit windows are computed on integers: one
+modular inverse of the scaled denominator per window, then one ``divmod``
+per digit.
 
 Primality of the modulus is certified deterministically for p < 2**64 via
 Miller-Rabin with a fixed witness set, once per modulus and process (the
@@ -57,10 +59,11 @@ def is_prime(n: int) -> bool:
     Answers are cached per process, keyed by value and type, so a 61-bit
     modulus pays for Miller-Rabin once. Exceptions are not cached.
 
+    Returns False for n < 2 and for composites below 2**64.
+
     Raises:
-        TooLargeError: never; moduli at or above 2**64 raise NotPrimeError
-            from :func:`require_prime` instead. Direct callers get False
-            for small composites and an exception for uncertifiable sizes.
+        NotPrimeError: for n >= 2**64, whose primality the fixed witness
+            set cannot certify.
     """
     if n >= _CERTIFIED_LIMIT:
         raise NotPrimeError(f"cannot certify primality of {n}: not below 2**64")
@@ -199,6 +202,10 @@ def digit_window(x: RationalLike, p: int, high: int) -> DigitWindow:
     divisible by p start below exponent zero; negative rationals come out
     with the usual repeating high digits.
 
+    For a window of ``count`` digits from ``low``, x / p**low = a / b with
+    p not dividing b, and the digits are the base-p digits of
+    a * b**-1 mod p**count: one modular inverse and ``count`` divmods.
+
     Examples:
         digit_window(17, 3, 2).digits == (2, 2, 1)        # 17 = "122" base 3
         digit_window(-1, 3, 3).digits == (2, 2, 2, 2)     # ...2222
@@ -219,18 +226,15 @@ def digit_window(x: RationalLike, p: int, high: int) -> DigitWindow:
             f"digit window [{low}, {high}] holds {count} digits, "
             f"more than the {MAX_DIGITS} accepted"
         )
-    digits: list[int] = []
-    base = Fraction(p)
-    remainder = x
-    for k in range(low, high + 1):
-        # remainder always has p-adic order >= k here
-        shifted = remainder / base**k
-        if shifted == 0:
-            digit = 0
-        else:
-            digit = shifted.numerator * pow(shifted.denominator, -1, p) % p
+    a, b = x.numerator, x.denominator
+    if low < 0:
+        b //= p**-low
+    modulus = p**count
+    r = a * pow(b, -1, modulus) % modulus
+    digits = []
+    for _ in range(count):
+        r, digit = divmod(r, p)
         digits.append(digit)
-        remainder -= digit * base**k
     return DigitWindow(p, low, tuple(digits))
 
 

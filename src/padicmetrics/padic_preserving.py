@@ -14,7 +14,10 @@ pair m < n breaks it exactly when the running maximum of f(p**m) over
 m < n exceeds 2 f(p**n), so one sweep from lo to hi decides it. Only when
 the sweep finds a failure is the reported pair sought, by a lazy walk over
 the pairs in (|m| + |n|, m, n) order that stops at the first failing one;
-passing inputs never enumerate pairs.
+passing inputs never enumerate pairs. Each image is coerced once by
+``as_fraction`` (so a float or bool image is refused, as in the pair-sum
+checks) and split into numerator and positive denominator, and every
+comparison cross-multiplies those integers: no Fraction pair is compared.
 
 Every failed verdict carries a witness: the offending exponent pair plus a
 concrete rational triple whose pairwise p-adic distances are p**m and p**n
@@ -36,7 +39,8 @@ from typing import Iterator
 
 from .errors import BadOrderError, NotPreservingError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PowerMap, StepFunction
-from .padic import padic_distance, require_prime
+from .padic import as_fraction, padic_distance, require_prime
+from .preserving import _ratio
 
 
 # The widest window accepted, in exponents: -512..512 and its shifts.
@@ -83,18 +87,32 @@ class ExponentWindow:
 
     def exponents(self) -> list[int]:
         """All exponents, nearest to zero first (ties: negative first)."""
-        return sorted(range(self.lo, self.hi + 1), key=lambda k: (abs(k), k))
+        return _nearest_zero_first(self.lo, self.hi)
 
     def adjacent(self) -> list[tuple[int, int]]:
         """All pairs (n, n+1), nearest to zero first."""
-        ns = sorted(range(self.lo, self.hi), key=lambda k: (abs(k), k))
-        return [(n, n + 1) for n in ns]
+        return [(n, n + 1) for n in _nearest_zero_first(self.lo, self.hi - 1)]
 
     def to_json_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi}
 
 
 DEFAULT_WINDOW = ExponentWindow(-16, 16)
+
+
+def _nearest_zero_first(lo: int, hi: int) -> list[int]:
+    # lo..hi in (|k|, k) order, empty if hi < lo; built without a sort
+    if lo >= 0:
+        return list(range(lo, hi + 1))
+    if hi <= 0:
+        return list(range(hi, lo - 1, -1))
+    # 0, then -r, r while both sides last, then the rest of the longer side
+    both = min(-lo, hi)
+    out = [0]
+    for r in range(1, both + 1):
+        out += (-r, r)
+    out += range(-both - 1, lo - 1, -1) if -lo > hi else range(both + 1, hi + 1)
+    return out
 
 
 def _spiral_pairs(window: ExponentWindow) -> Iterator[tuple[int, int]]:
@@ -208,8 +226,19 @@ def witness_triple(p: int, m: int, n: int) -> tuple[Fraction, Fraction, Fraction
     return (x, y, z)
 
 
-def _power_values(f: FunctionSpec, p: int, window: ExponentWindow) -> dict[int, Fraction]:
-    return {k: f(Fraction(p) ** k) for k in range(window.lo, window.hi + 1)}
+def _power_values(
+    f: FunctionSpec, p: int, window: ExponentWindow
+) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    # the powers p**k of the window, and f read at each from lo to hi
+    base = Fraction(p)
+    powers = {k: base**k for k in range(window.lo, window.hi + 1)}
+    return powers, {k: f(x) for k, x in powers.items()}
+
+
+def _exact(values: dict[int, Fraction]) -> dict[int, tuple[int, int]]:
+    # each image coerced once, so floats and bools are refused, and split
+    # into numerator and positive denominator for cross-multiplication
+    return {k: _ratio(as_fraction(v)) for k, v in values.items()}
 
 
 def _shared_gate(
@@ -228,18 +257,20 @@ def _shared_gate(
     return None
 
 
-def _band_breaks(values: dict[int, Fraction], window: ExponentWindow) -> set[int]:
+def _band_breaks(exact: dict[int, tuple[int, int]], window: ExponentWindow) -> set[int]:
     # The n at which the largest value before n exceeds 2 values[n]: exactly
     # the n of the failing pairs m < n, since values[m] > 2 values[n] forces
     # the running maximum at n above it too.
     breaks = set()
-    top = values[window.lo]
+    top, top_den = exact[window.lo]
     for k in range(window.lo + 1, window.hi + 1):
-        v = values[k]
-        if top > 2 * v:
+        v, den = exact[k]
+        # both values over the common denominator top_den * den
+        top_over, v_over = top * den, v * top_den
+        if top_over > 2 * v_over:
             breaks.add(k)
-        if v > top:
-            top = v
+        if v_over > top_over:
+            top, top_den = v, den
     return breaks
 
 
@@ -262,15 +293,19 @@ def check_p_metric_preserving(
     f(p**m)) then break the plain triangle inequality.
     """
     require_prime(p)
-    values = _power_values(f, p, window)
+    values = _power_values(f, p, window)[1]
     early = _shared_gate(f, p, window, values)
     if early is not None:
         return early
-    breaks = _band_breaks(values, window)
+    exact = _exact(values)
+    breaks = _band_breaks(exact, window)
     if not breaks:
         return PreservationVerdict(True, window)
     for m, n in _spiral_pairs(window):
-        if n in breaks and values[m] > 2 * values[n]:
+        if n not in breaks:
+            continue
+        (vm, dm), (vn, dn) = exact[m], exact[n]
+        if vm * dn > 2 * vn * dm:
             triple = witness_triple(p, n, m)
             witness = WindowWitness(
                 "band",
@@ -294,15 +329,17 @@ def check_p_ultrametric_preserving(
 
 def _ultrametric_verdict(
     f: FunctionSpec, p: int, window: ExponentWindow
-) -> tuple[PreservationVerdict, dict[int, Fraction]]:
-    # the verdict plus the power values it was decided on
+) -> tuple[PreservationVerdict, dict[int, Fraction], dict[int, Fraction]]:
+    # the verdict plus the powers and the values it was decided on
     require_prime(p)
-    values = _power_values(f, p, window)
+    powers, values = _power_values(f, p, window)
     early = _shared_gate(f, p, window, values)
     if early is not None:
-        return early, values
+        return early, powers, values
+    exact = _exact(values)
     for n, n1 in window.adjacent():
-        if values[n] > values[n1]:
+        (v, den), (v1, den1) = exact[n], exact[n1]
+        if v * den1 > v1 * den:
             triple = witness_triple(p, n1, n)
             witness = WindowWitness(
                 "adjacent",
@@ -311,8 +348,8 @@ def _ultrametric_verdict(
                 triple=triple,
                 images=(values[n1], values[n1], values[n]),
             )
-            return PreservationVerdict(False, window, "adjacent", witness), values
-    return PreservationVerdict(True, window), values
+            return PreservationVerdict(False, window, "adjacent", witness), powers, values
+    return PreservationVerdict(True, window), powers, values
 
 
 def extend_to_ultrametric_preserving(
@@ -324,13 +361,13 @@ def extend_to_ultrametric_preserving(
     output is increasing and amenable on all of the nonnegatives, not just
     near the powers. Requires the window check to pass first.
     """
-    verdict, values = _ultrametric_verdict(f, p, window)
+    verdict, powers, values = _ultrametric_verdict(f, p, window)
     if not verdict.passed:
         raise NotPreservingError(
             f"f is not {p}-adic ultrametric preserving on "
             f"[{window.lo}, {window.hi}]: {verdict.reason}"
         )
-    points = tuple((Fraction(p) ** k, v) for k, v in values.items())
+    points = tuple(zip(powers.values(), values.values()))
     return StepFunction(below=points[0][1], points=points)
 
 

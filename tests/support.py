@@ -28,6 +28,17 @@ afresh wherever they read a value (``amenability_witness``,
 ``brute_window_pairs`` and ``brute_check_p_metric_preserving`` are the
 p-adic band check as it was before its O(w) sweep: every exponent pair
 built, sorted by (|m| + |n|, m, n) and compared one at a time.
+``ref_check_p_ultrametric_preserving`` and
+``ref_extend_to_ultrametric_preserving`` are the adjacent walk and the
+step extension as they were before the window checks cross-multiplied
+integers. All three read f at Fraction powers built one at a time and
+compare the images as Fractions; ``ref_window_exponents`` and
+``ref_window_adjacent`` are the window orders by a keyed sort, and
+``ref_window_gate`` the origin and vanishing checks over them.
+
+``ref_digit_window`` is the digit expansion as a loop over Fractions,
+one subtraction of digit * p**k per digit, as it was before the package
+read the digits off one residue mod p**count.
 
 ``ref_floor_power_index`` and ``ref_power_map_value`` are the p-power
 search and the ``PowerMap`` interpolation in ``Fraction`` arithmetic, as
@@ -47,14 +58,17 @@ from random import Random
 
 from padicmetrics import (
     AsymmetricError,
+    DigitWindow,
     DistanceMatrixCandidate,
     EquivalenceBreachError,
     FiniteUltrametricSpace,
     NegativeEntryError,
     NegativeInputError,
     NonzeroDiagonalError,
+    NotPreservingError,
     PiecewiseLinear,
     SpaceFamily,
+    StepFunction,
     SufficientConditions,
     TriangleViolation,
     TripletVerdict,
@@ -66,12 +80,11 @@ from padicmetrics import (
     require_prime,
     samples_digest,
     validate_ultrametric,
+    valuation,
 )
 from padicmetrics.padic_preserving import (
     PreservationVerdict,
     WindowWitness,
-    _power_values,
-    _shared_gate,
     witness_triple,
 )
 from padicmetrics.preserving import _canonical, _refine
@@ -323,11 +336,41 @@ def brute_window_pairs(lo: int, hi: int) -> list[tuple[int, int]]:
     return ps
 
 
+def ref_window_exponents(lo: int, hi: int) -> list[int]:
+    """lo..hi sorted by (|k|, k): nearest to zero first, negative first."""
+    return sorted(range(lo, hi + 1), key=lambda k: (abs(k), k))
+
+
+def ref_window_adjacent(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The pairs (n, n + 1) in [lo, hi], sorted by (|n|, n)."""
+    return [(n, n + 1) for n in ref_window_exponents(lo, hi - 1)]
+
+
+def ref_power_values(f, p, window) -> dict:
+    """f at each Fraction power p**k of the window, read from lo to hi."""
+    return {k: f(Fraction(p) ** k) for k in range(window.lo, window.hi + 1)}
+
+
+def ref_window_gate(f, p, window, values) -> PreservationVerdict | None:
+    """The origin check, then the first vanishing value nearest zero."""
+    f0 = f(Fraction(0))
+    if f0 != 0:
+        return PreservationVerdict(
+            False, window, "origin", WindowWitness("origin", images=(f0,))
+        )
+    for k in ref_window_exponents(window.lo, window.hi):
+        if values[k] == 0:
+            return PreservationVerdict(
+                False, window, "vanishes", WindowWitness("vanishes", m=k)
+            )
+    return None
+
+
 def brute_check_p_metric_preserving(f, p, window) -> PreservationVerdict:
     """The band check comparing every sorted pair in turn, O(w^2 log w)."""
     require_prime(p)
-    values = _power_values(f, p, window)
-    early = _shared_gate(f, p, window, values)
+    values = ref_power_values(f, p, window)
+    early = ref_window_gate(f, p, window, values)
     if early is not None:
         return early
     for m, n in brute_window_pairs(window.lo, window.hi):
@@ -341,6 +384,62 @@ def brute_check_p_metric_preserving(f, p, window) -> PreservationVerdict:
             )
             return PreservationVerdict(False, window, "band", witness)
     return PreservationVerdict(True, window)
+
+
+def _ref_ultrametric_verdict(f, p, window) -> tuple[PreservationVerdict, dict]:
+    require_prime(p)
+    values = ref_power_values(f, p, window)
+    early = ref_window_gate(f, p, window, values)
+    if early is not None:
+        return early, values
+    for n, n1 in ref_window_adjacent(window.lo, window.hi):
+        if values[n] > values[n1]:
+            witness = WindowWitness(
+                "adjacent",
+                m=n,
+                n=n1,
+                triple=witness_triple(p, n1, n),
+                images=(values[n1], values[n1], values[n]),
+            )
+            return PreservationVerdict(False, window, "adjacent", witness), values
+    return PreservationVerdict(True, window), values
+
+
+def ref_check_p_ultrametric_preserving(f, p, window) -> PreservationVerdict:
+    """The adjacent walk comparing Fraction images pair by pair."""
+    return _ref_ultrametric_verdict(f, p, window)[0]
+
+
+def ref_extend_to_ultrametric_preserving(f, p, window) -> StepFunction:
+    """The step extension with each point's power rebuilt as Fraction(p) ** k."""
+    verdict, values = _ref_ultrametric_verdict(f, p, window)
+    if not verdict.passed:
+        raise NotPreservingError(
+            f"f is not {p}-adic ultrametric preserving on "
+            f"[{window.lo}, {window.hi}]: {verdict.reason}"
+        )
+    points = tuple((Fraction(p) ** k, v) for k, v in values.items())
+    return StepFunction(below=points[0][1], points=points)
+
+
+def ref_digit_window(x, p: int, high: int) -> DigitWindow:
+    """Base-p digits of x on [min(0, v_p(x)), high], one Fraction step each."""
+    require_prime(p)
+    x = as_fraction(x)
+    low = 0 if x == 0 else min(0, valuation(x, p))
+    digits: list[int] = []
+    base = Fraction(p)
+    remainder = x
+    for k in range(low, high + 1):
+        # remainder always has p-adic order >= k here
+        shifted = remainder / base**k
+        if shifted == 0:
+            digit = 0
+        else:
+            digit = shifted.numerator * pow(shifted.denominator, -1, p) % p
+        digits.append(digit)
+        remainder -= digit * base**k
+    return DigitWindow(p, low, tuple(digits))
 
 
 def sorted_triple_scan(f, xs, reach, image_ok) -> Witness | None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicmetrics import (
@@ -48,6 +48,7 @@ from padicmetrics.functions import (
     _sieve,
     floor_power_index,
 )
+from padicmetrics.padic_preserving import MAX_EXPONENT
 from padicmetrics.preserving import (
     MAX_GRID_POINTS,
     _digest,
@@ -122,6 +123,20 @@ def test_reciprocal_and_canonical():
     assert r(0) == 0 and r(F(1, 4)) == 4 and r(8) == F(1, 8)
     c = Canonical()
     assert c(0) == 0 and c(1) == F(1, 2) and c(F(1, 3)) == F(1, 4)
+
+
+@given(
+    x=st.fractions(min_value=F(0), max_denominator=10**9),
+    k=st.integers(-MAX_EXPONENT, MAX_EXPONENT),
+)
+@example(x=F(0), k=MAX_EXPONENT)
+@example(x=F(0), k=-MAX_EXPONENT)
+def test_canonical_matches_the_fraction_formula(x, k):
+    # x, and the power (2**61 - 1)**k, built here: its repr is too long to print
+    for point in (x, F(2**61 - 1) ** k):
+        value = Canonical()(point)
+        assert type(value) is Fraction
+        assert value == point / (1 + point)
 
 
 def test_power_map_interpolates_between_powers():

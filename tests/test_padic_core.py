@@ -9,7 +9,7 @@ against a hand-derived closed form.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicmetrics import (
@@ -29,6 +29,7 @@ from padicmetrics import (
     valuation,
 )
 from padicmetrics.padic import MAX_DIGITS
+from support import ref_digit_window
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -209,6 +210,34 @@ def test_digit_window_cap():
         digit_window(Fraction(1, 9), 3, 1023)
     with pytest.raises(TooLargeError, match="1026 digits"):
         digit_window(17, 3, 1025)
+
+
+@st.composite
+def digit_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 257, 2**61 - 1)))
+    x = Fraction(draw(st.integers(-(10**30), 10**30)), draw(st.integers(1, 10**12)))
+    x *= Fraction(p) ** draw(st.integers(-4, 4))
+    low = 0 if x == 0 else min(0, valuation(x, p))
+    return x, p, low + draw(st.integers(0, 70))
+
+
+@settings(max_examples=400)
+@given(case=digit_cases())
+@example(case=(Fraction(0), 3, 0))
+@example(case=(Fraction(0), 2**61 - 1, 70))
+@example(case=(Fraction(-1), 2, 70))
+@example(case=(Fraction(-25, 18), 3, 68))
+def test_digit_window_matches_the_fraction_loop(case):
+    x, p, high = case
+    assert digit_window(x, p, high) == ref_digit_window(x, p, high)
+
+
+def test_digit_window_at_the_cap_matches_the_fraction_loop():
+    # -25/18 starts at exponent -2, so high = 1022 gives MAX_DIGITS digits
+    x, high = Fraction(-25, 18), MAX_DIGITS - 3
+    w = digit_window(x, 3, high)
+    assert len(w.digits) == MAX_DIGITS
+    assert w == ref_digit_window(x, 3, high)
 
 
 def test_digit_window_json_shape():

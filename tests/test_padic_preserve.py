@@ -1,18 +1,21 @@
 """Power-window checks, witness triples, and the step extension."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicmetrics import (
     BadOrderError,
     Canonical,
     ExponentWindow,
+    FunctionSpec,
     NotPreservingError,
     NotPrimeError,
     PadicMetricsError,
+    PiecewiseLinear,
     PowerMap,
     PowerStep,
     Reciprocal,
@@ -35,7 +38,14 @@ from padicmetrics.padic_preserving import (
     MAX_WINDOW_EXPONENTS,
     _spiral_pairs,
 )
-from support import brute_check_p_metric_preserving, brute_window_pairs
+from support import (
+    brute_check_p_metric_preserving,
+    brute_window_pairs,
+    ref_check_p_ultrametric_preserving,
+    ref_extend_to_ultrametric_preserving,
+    ref_window_adjacent,
+    ref_window_exponents,
+)
 
 F = Fraction
 
@@ -48,6 +58,25 @@ def test_window_enumeration_orders():
     assert w.exponents() == [0, -1, 1, -2, 2]
     assert w.adjacent() == [(0, 1), (-1, 0), (1, 2), (-2, -1)]
     assert list(_spiral_pairs(ExponentWindow(-1, 1))) == [(-1, 0), (0, 1), (-1, 1)]
+
+
+@given(
+    lo=st.integers(-MAX_EXPONENT, MAX_EXPONENT),
+    width=st.integers(0, MAX_WINDOW_EXPONENTS - 1),
+)
+@example(lo=-512, width=1024)
+@example(lo=-512, width=0)
+@example(lo=512, width=0)
+@example(lo=0, width=0)
+@example(lo=-MAX_EXPONENT, width=1024)
+@example(lo=0, width=1024)
+@example(lo=-3, width=1024)
+@example(lo=-1024, width=1021)
+def test_window_orders_match_the_keyed_sort(lo, width):
+    hi = min(lo + width, MAX_EXPONENT)
+    w = ExponentWindow(lo, hi)
+    assert w.exponents() == ref_window_exponents(lo, hi)
+    assert w.adjacent() == ref_window_adjacent(lo, hi)
 
 
 def test_window_validation_and_parsing():
@@ -168,27 +197,54 @@ def test_band_check_window_dependence():
 LEVELS = (F(1), F(4), F(1, 2), F(2), F(3), F(1), F(0))
 
 
+@dataclass(frozen=True)
+class IntegerLevels(FunctionSpec):
+    """f(0) = 0 and f(x) = levels[m % len(levels)] for p**m <= x < p**(m+1), as ints."""
+
+    p: int
+    levels: tuple[int, ...]
+
+    def _value(self, x):
+        if x == 0:
+            return 0
+        return self.levels[floor_power_index(x, self.p) % len(self.levels)]
+
+
 @st.composite
-def band_cases(draw):
-    p = draw(st.sampled_from((2, 3, 5)))
-    shape = draw(st.sampled_from(("straddle", "above", "below", "single")))
+def window_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 257)))
+    shape = draw(st.sampled_from(("straddle", "above", "below", "single", "edges")))
     if shape == "single":
-        lo = hi = draw(st.integers(-20, 20))
+        lo = hi = draw(st.integers(-20, 20) | st.sampled_from((-512, 512)))
     elif shape == "straddle":
         lo, hi = draw(st.integers(-20, -1)), draw(st.integers(0, 20))
+    elif shape == "edges":
+        # windows reaching -512 or 512, the ends of the widest window
+        lo, hi = draw(st.sampled_from(((-512, -490), (490, 512), (-512, -500), (500, 512))))
     else:
         side = st.integers(1, 20) if shape == "above" else st.integers(-20, -1)
         lo, hi = sorted(draw(st.lists(side, min_size=2, max_size=2, unique=True)))
     window = ExponentWindow(lo, hi)
-    kind = draw(st.sampled_from(("step",) * 4 + ("canonical", "reciprocal", "power_map")))
+    kinds = ("step",) * 4 + ("canonical", "reciprocal", "power_map", "piecewise", "integer")
+    kind = draw(st.sampled_from(kinds))
+    # thresholds in or next to the window, so both verdicts occur
+    exps = st.integers(lo - 2, hi + 2)
+    level = st.sampled_from(LEVELS)
     if kind == "step":
-        # thresholds in or next to the window, so both verdicts occur
-        exps = st.integers(lo - 2, hi + 2)
         ks = sorted(draw(st.sets(exps, min_size=1, max_size=5)))
-        level = st.sampled_from(LEVELS)
         f = StepFunction(draw(level), tuple((F(p) ** k, draw(level)) for k in ks))
+    elif kind == "piecewise":
+        ks = sorted(draw(st.sets(exps, min_size=1, max_size=5)))
+        # mostly through the origin, so the sweeps run
+        ys = [draw(st.sampled_from((F(0),) * 3 + (F(1),)))] + [draw(level) for _ in ks]
+        pts = ((F(0), ys[0]),) + tuple((F(p) ** k, y) for k, y in zip(ks, ys[1:]))
+        tail = "linear" if ys[-1] >= ys[-2] and draw(st.booleans()) else "constant"
+        f = PiecewiseLinear(pts, tail)
     elif kind == "power_map":
         f = PowerMap(draw(st.sampled_from((2, 3, 5))), draw(st.sampled_from((2, 3, 5))))
+    elif kind == "integer":
+        levels = st.lists(st.sampled_from((0, 1, 2, 3, 5, 8)), min_size=1, max_size=4)
+        f = IntegerLevels(draw(st.sampled_from((2, 3))), tuple(draw(levels)))
     else:
         f = Canonical() if kind == "canonical" else Reciprocal()
     return p, f, window
@@ -201,14 +257,56 @@ def _band_outcome(check, f, p, window):
         return type(err).__name__, str(err)
 
 
+def _extension_outcome(f, extend, p, window):
+    try:
+        g = extend(f, p, window)
+    except PadicMetricsError as err:
+        return type(err).__name__, str(err)
+    return g, g.to_json_dict()
+
+
 @settings(max_examples=400)
-@given(case=band_cases())
+@given(case=window_cases())
 def test_band_sweep_matches_the_sorted_pair_scan(case):
+    # and the adjacent walk and the extension match their Fraction references
     p, f, window = case
     assert _band_outcome(check_p_metric_preserving, f, p, window) == _band_outcome(
         brute_check_p_metric_preserving, f, p, window
     )
     assert list(_spiral_pairs(window)) == brute_window_pairs(window.lo, window.hi)
+    assert _band_outcome(check_p_ultrametric_preserving, f, p, window) == _band_outcome(
+        ref_check_p_ultrametric_preserving, f, p, window
+    )
+    assert _extension_outcome(f, extend_to_ultrametric_preserving, p, window) == (
+        _extension_outcome(f, ref_extend_to_ultrametric_preserving, p, window)
+    )
+
+
+@pytest.mark.parametrize(
+    "f",
+    [PowerMap(3, 5), Reciprocal(), IntegerLevels(3, (4,)), IntegerLevels(3, (1, 2, 3))],
+    ids=["power_map", "reciprocal", "constant_int", "cycling_int"],
+)
+def test_widest_window_matches_the_fraction_references(f):
+    # the band reference sorts ~w**2/2 pairs, too slow at w = 1025; the
+    # band sweep meets the ends +-512 in the random cases above
+    window = ExponentWindow(-512, 512)
+    assert _band_outcome(check_p_ultrametric_preserving, f, 3, window) == _band_outcome(
+        ref_check_p_ultrametric_preserving, f, 3, window
+    )
+    assert _extension_outcome(f, extend_to_ultrametric_preserving, 3, window) == (
+        _extension_outcome(f, ref_extend_to_ultrametric_preserving, 3, window)
+    )
+
+
+def test_window_checks_refuse_float_images():
+    class Halves(FunctionSpec):
+        def _value(self, x):
+            return 0 if x == 0 else float(x) / 2
+
+    for check in (check_p_metric_preserving, check_p_ultrametric_preserving):
+        with pytest.raises(TypeError, match="exact rationals only"):
+            check(Halves(), 2, ExponentWindow(-2, 2))
 
 
 def test_shared_gate_origin_and_vanishes():
