@@ -47,7 +47,8 @@ from .spaces import (
     DistanceMatrixCandidate,
     FiniteUltrametricSpace,
     TriangleViolation,
-    apply_function,
+    _ranked,
+    _validate_image,
     validate_ultrametric,
 )
 
@@ -82,12 +83,13 @@ class SpaceFamily:
 
 
 def distance_values(family: SpaceFamily) -> tuple[Fraction, ...]:
-    """Union of all distance values over the family, 0 included, ascending."""
-    values: set[Fraction] = set()
-    for s in family.spaces:
-        values.update(v for row in s.dist for v in row)
-    values.add(Fraction(0))
-    return tuple(sorted(values))
+    """Union of all distance values over the family, 0 included, ascending.
+
+    The values are the ones ``spaces._ranked`` sorts once to rank the
+    family's matrices: told apart by (numerator, denominator), so no
+    Fraction is hashed per entry.
+    """
+    return tuple(_ranked(s.dist for s in family.spaces)[0])
 
 
 def _bits(row: int) -> Iterator[int]:
@@ -97,12 +99,15 @@ def _bits(row: int) -> Iterator[int]:
         row &= row - 1
 
 
-def _base_leg_bits(family: SpaceFamily, ground: tuple[Fraction, ...]) -> list[int]:
+def _base_leg_bits(ranked: list[list[list[int]]], size: int) -> list[int]:
     """All pairs (base, leg) realized by point triples, repetition allowed.
 
-    Bit j of row i is set when some space has points a, b, c (not
-    necessarily distinct) with ground[i] = d(a, c) and ground[j] =
-    d(a, b) = d(b, c).
+    ``ranked`` holds the family's matrices on the ranks of ``_ranked``, so
+    rank i is ground[i] of the family's ``size`` ascending values (rank 0
+    is 0, the least). Bit j of row i is set when some space has points
+    a, b, c (not necessarily distinct) with rank i = d(a, c) and rank j =
+    d(a, b) = d(b, c); the loops below compare and hash those int ranks
+    only.
 
     The spaces must be validated ultrametrics, where that reads row by
     row, in O(n^2) per space:
@@ -114,11 +119,9 @@ def _base_leg_bits(family: SpaceFamily, ground: tuple[Fraction, ...]) -> list[in
       another of them. Otherwise all of those points are within < t of r,
       hence within < t of each other.
     """
-    index = {v: i for i, v in enumerate(ground)}
-    up = [0] * len(ground)
-    up[0] = 1  # ground[0] is 0
-    for s in family.spaces:
-        m = [[index[v] for v in row] for row in s.dist]
+    up = [0] * size
+    up[0] = 1  # rank 0 is 0
+    for m in ranked:
         for row in m:
             at: dict[int, list[int]] = {}
             for b, x in enumerate(row):
@@ -221,8 +224,14 @@ def family_poset(family: SpaceFamily) -> FinitePoset:
     are re-derived here and a breach raises SelfCheckError rather than
     returning nonsense.
     """
-    ran = distance_values(family)
-    up = [row | 1 << i for i, row in enumerate(_base_leg_bits(family, ran))]
+    return _ranked_poset(family)[0]
+
+
+def _ranked_poset(family: SpaceFamily) -> tuple[FinitePoset, list[list[list[int]]]]:
+    """``family_poset`` with the family's matrices on the ranks of its ground."""
+    ground, _, ranked = _ranked(s.dist for s in family.spaces)
+    ran = tuple(ground)
+    up = [row | 1 << i for i, row in enumerate(_base_leg_bits(ranked, len(ran)))]
     _close(up)
     for i, row in enumerate(up):
         below = row & ((1 << i) - 1)
@@ -234,7 +243,7 @@ def family_poset(family: SpaceFamily) -> FinitePoset:
     for j, t in enumerate(ran):
         if not up[0] >> j & 1:
             raise SelfCheckError(f"0 is not below {t}")
-    return FinitePoset(ran, tuple(up))
+    return FinitePoset(ran, tuple(up)), ranked
 
 
 @dataclass(frozen=True)
@@ -304,23 +313,36 @@ class PreservationReport:
 
 
 def _order_side(f: FunctionSpec, poset: FinitePoset) -> OrderWitness | None:
-    """First failing order-side condition; f is called once per value."""
+    """First failing order-side condition; f is called once per value.
+
+    The pair scan compares the int ranks of the images (see ``_ranked``),
+    not the images themselves.
+    """
     images, bad = _amenable_images(f, poset.ground)
     if bad is not None:
         return OrderWitness(bad.kind, bad.points, bad.images)
+    _, _, ([ranks],) = _ranked(([images],))
     g = poset.ground
     for i, row in enumerate(poset.up):
         for j in _bits(row & ~(1 << i)):
-            if images[i] > images[j]:
+            if ranks[i] > ranks[j]:
                 return OrderWitness("pair", (g[i], g[j]), (images[i], images[j]))
     return None
 
 
-def _space_side(f: FunctionSpec, family: SpaceFamily) -> SpaceWitness | None:
-    for idx, s in enumerate(family.spaces):
-        candidate = apply_function(s, f)
+def _space_side(
+    f: FunctionSpec, family: SpaceFamily, poset: FinitePoset, ranked: list[list[list[int]]]
+) -> SpaceWitness | None:
+    """Transform and validate each space, on its ranks in the poset's ground.
+
+    Each space gets the witness ``validate_ultrametric(apply_function(s,
+    f))`` would give, calling f on the same values in the same order,
+    without ranking its matrix again; rank r is ground[r], since 0 is the
+    least value.
+    """
+    for idx, (s, r) in enumerate(zip(family.spaces, ranked)):
         try:
-            out = validate_ultrametric(candidate)
+            out = _validate_image(s, r, poset.ground, 0, f)
         except NonzeroDiagonalError:
             return SpaceWitness(idx, "nonzero_diagonal")
         except ZeroDistanceError:
@@ -331,11 +353,11 @@ def _space_side(f: FunctionSpec, family: SpaceFamily) -> SpaceWitness | None:
 
 
 def _report(
-    f: FunctionSpec, family: SpaceFamily, poset: FinitePoset
+    f: FunctionSpec, family: SpaceFamily, poset: FinitePoset, ranked: list[list[list[int]]]
 ) -> PreservationReport:
     """Run both routes against the family's own poset and compare them."""
     order_witness = _order_side(f, poset)
-    space_witness = _space_side(f, family)
+    space_witness = _space_side(f, family, poset, ranked)
     if (order_witness is None) != (space_witness is None):
         raise EquivalenceBreachError(
             f"order side says {order_witness}, space side says {space_witness}"
@@ -350,9 +372,10 @@ def check_family_preserving(f: FunctionSpec, family: SpaceFamily) -> Preservatio
     order-side test (f(0) = 0, positive on positive values, isotone for
     the family's distance order). Their verdicts are compared on every
     call; disagreement raises EquivalenceBreachError because the
-    equivalence is a theorem, not a heuristic.
+    equivalence is a theorem, not a heuristic. The family's matrices are
+    ranked once, for the poset and for every space's image.
     """
-    return _report(f, family, family_poset(family))
+    return _report(f, family, *_ranked_poset(family))
 
 
 def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
@@ -364,10 +387,10 @@ def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
     staying at f(high) forever after. It agrees with f on every value the
     family realizes.
     """
-    poset = family_poset(family)
+    poset, ranked = _ranked_poset(family)
     if not poset.is_total():
         raise NotTotallyOrderedError("the family's distance order is not total")
-    report = _report(f, family, poset)
+    report = _report(f, family, poset, ranked)
     if not report.passed:
         raise NotPreservingError(f"f does not preserve the family: {report.order_witness}")
     positives = [v for v in poset.ground if v > 0]
@@ -415,7 +438,7 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     decreasing somewhere on its values, so no increasing function can
     agree with it; both facts are re-verified before returning.
     """
-    poset = family_poset(family)
+    poset, ranked = _ranked_poset(family)
     if poset.is_total():
         raise TotallyOrderedError("the family's distance order is already total")
     ran, up = poset.ground, poset.up
@@ -429,7 +452,7 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     phi = isotone_for_incomparables(poset, big, small, Fraction(1), Fraction(2))
     fn = Tabulated.from_mapping({**phi, Fraction(0): Fraction(0)})
 
-    report = _report(fn, family, poset)
+    report = _report(fn, family, poset, ranked)
     decreasing = any(
         fn(s) > fn(t) for i, s in enumerate(ran) for t in ran[i + 1 :]
     )

@@ -11,6 +11,18 @@ when it equals its subdominant ultrametric, the minimax path distance over
 a minimum spanning tree (Gower and Ross, 1969). Only the pairs where the
 two differ can hold a violation, so only those are scanned for one.
 
+Every O(n^2) loop of this layer runs on int ranks, not on Fractions
+(comparing or hashing a Fraction runs Python code; an int's runs in C). The
+distinct entries are keyed by (numerator, denominator), exact because
+ints and Fractions are kept in lowest terms, and sorted once by
+(floor(value * 2^64), value): the floor settles every pair at least
+2^-64 apart with int arithmetic and never contradicts the order, and the
+value breaks the remaining ties. Each entry then becomes its position
+minus the position of 0, so ranks keep every order, equality and sign of
+the entries. Unlike scaling to a common denominator, ranks stay small
+when the denominators are pairwise coprime. Messages, witnesses and the
+returned space still quote the original entries.
+
 The Gram rank works without ever leaving the rationals: instead of
 constructing coordinates (which would need square roots), the Gram matrix
 of squared distances is ranked. Its denominators are cleared and the
@@ -25,7 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from .errors import (
     AsymmetricError,
@@ -39,6 +53,8 @@ from .functions import FunctionSpec
 from .padic import RationalLike, as_fraction
 
 MAX_SEARCH_POINTS = 10
+
+_key = attrgetter("numerator", "denominator")
 
 
 def _coerce_rows(
@@ -125,17 +141,68 @@ class TriangleViolation:
         }
 
 
-def _subdominant(d: tuple[tuple[Fraction, ...], ...]) -> list[list[Fraction]]:
-    """Greatest ultrametric below d (zero diagonal): minimax path distance
+def _ranked(
+    matrices: Iterable[Sequence[Sequence[RationalLike]]],
+) -> tuple[list[RationalLike], int, list[list[list[int]]]]:
+    """Every matrix rewritten on int ranks of the distinct values, 0 included.
+
+    Returns the distinct values in ascending order (the first entry seen
+    stands for its value), the position ``zero`` of 0 among them, and each
+    matrix with every entry replaced by its position minus ``zero``: the
+    rank of values[zero + r] is r. Ranks keep every order, equality and
+    sign of the entries, so an O(n^2) loop over them compares ints only.
+
+    Entries are told apart by (numerator, denominator), which is exact
+    because ints and Fractions are kept in lowest terms, and sorted once
+    by ((numerator << 64) // denominator, value). The first component is
+    a floor, so it never orders two values the wrong way round, and it
+    differs whenever they are 2^-64 or more apart; the value itself only
+    breaks the rare remaining ties.
+
+    Raises:
+        TypeError: for an entry with no numerator, such as a float, which
+            is already rounded to binary.
+    """
+    first: dict[tuple[int, int], RationalLike] = {}
+    keyed = []
+    for m in matrices:
+        try:
+            keys = [list(map(_key, row)) for row in m]
+        except AttributeError:
+            bad = next(
+                v
+                for row in m
+                for v in row
+                if not (hasattr(v, "numerator") and hasattr(v, "denominator"))
+            )
+            raise TypeError(
+                f"exact rationals only: got the {type(bad).__name__} {bad!r}"
+            ) from None
+        for row_keys, row in zip(keys, m):
+            for k, v in zip(row_keys, row):
+                if k not in first:
+                    first[k] = v
+        keyed.append(keys)
+    first.setdefault((0, 1), Fraction(0))
+    order = sorted(first, key=lambda k: ((k[0] << 64) // k[1], first[k]))
+    zero = order.index((0, 1))
+    rank = {k: i - zero for i, k in enumerate(order)}
+    values = [first[k] for k in order]
+    return values, zero, [[list(map(rank.__getitem__, row)) for row in m] for m in keyed]
+
+
+def _subdominant(r: list[list[int]]) -> list[list[int]]:
+    """Greatest ultrametric below r (zero diagonal): minimax path distance
     over a minimum spanning tree.
 
     Prim's algorithm grows the tree one point at a time; a point v joining
     through the tree edge (p, v) of weight w is, for every point x already
     in the tree, at minimax distance max(u(p, x), w). Both steps are O(n^2).
+    Only order matters here, so r may hold ranks as well as distances.
     """
-    n = len(d)
-    u = [[d[0][0]] * n for _ in range(n)]
-    best = list(d[0])
+    n = len(r)
+    u = [[r[0][0]] * n for _ in range(n)]
+    best = list(r[0])
     via = [0] * n
     tree = [0]
     rest = list(range(1, n))
@@ -146,10 +213,10 @@ def _subdominant(d: tuple[tuple[Fraction, ...], ...]) -> list[list[Fraction]]:
         for x in tree:
             uv[x] = u[x][v] = max(up[x], w)
         tree.append(v)
-        dv = d[v]
+        rv = r[v]
         for x in rest:
-            if dv[x] < best[x]:
-                best[x] = dv[x]
+            if rv[x] < best[x]:
+                best[x] = rv[x]
                 via[x] = v
     return u
 
@@ -166,7 +233,22 @@ def validate_ultrametric(
     No violating triple is skipped: any one has u[i][j] <= max(d[i][k],
     d[k][j]) < d[i][j], because the path i, k, j bounds the minimax
     distance. A valid space has u = d and scans no pair at all.
+
+    Every test runs on the int ranks of the entries (see ``_ranked``),
+    which order, equate and sign exactly as the entries do, so each
+    Fraction is read once to be ranked and never compared in a loop.
+    Messages, witness sides and the returned space quote the entries.
+
+    Raises:
+        TypeError: for an entry that is no exact rational, such as a float.
     """
+    _, _, (r,) = _ranked((c.dist,))
+    return _validate_ranked(c, r)
+
+
+def _validate_ranked(
+    c: DistanceMatrixCandidate, r: list[list[int]]
+) -> FiniteUltrametricSpace | TriangleViolation:
     n = c.n
     d = c.dist
     # Each unordered pair once, (i, j) with j >= i in row-major order: the
@@ -174,25 +256,27 @@ def validate_ultrametric(
     # since a pair (j, i) with j > i is reached only after (i, j) has
     # passed, and then repeats its tests on the same value.
     for i in range(n):
+        ri = r[i]
         for j in range(i, n):
-            if d[i][j] != d[j][i]:
+            if ri[j] != r[j][i]:
                 raise AsymmetricError(f"d[{i}][{j}] != d[{j}][{i}]")
-            if d[i][j] < 0:
+            if ri[j] < 0:
                 raise NegativeEntryError(f"d[{i}][{j}] = {d[i][j]} < 0")
-            if i == j and d[i][j] != 0:
+            if i == j and ri[j] != 0:
                 raise NonzeroDiagonalError(f"d[{i}][{i}] = {d[i][i]} != 0")
-            if i != j and d[i][j] == 0:
+            if i != j and ri[j] == 0:
                 raise ZeroDistanceError(
                     f"distinct points {c.labels[i]!r}, {c.labels[j]!r} at distance 0"
                 )
-    u = _subdominant(d)
+    u = _subdominant(r)
     for i in range(n):
-        if list(d[i]) == u[i]:
+        ri = r[i]
+        if ri == u[i]:
             continue
         for j in range(n):
-            if d[i][j] > u[i][j]:
+            if ri[j] > u[i][j]:
                 for k in range(n):
-                    if d[i][j] > max(d[i][k], d[k][j]):
+                    if ri[j] > max(ri[k], r[k][j]):
                         return TriangleViolation(i, j, k, (d[i][j], d[i][k], d[k][j]))
     return FiniteUltrametricSpace(c.labels, c.dist)
 
@@ -203,12 +287,43 @@ def apply_function(s: FiniteUltrametricSpace, f: FunctionSpec) -> DistanceMatrix
     The result is only a candidate: whether f(0) = 0 and whether the image
     is still an ultrametric is the validator's business, not this one's.
     f is called once per distinct distance, in row-major order of first
-    appearance.
+    appearance; the distances are grouped by their int ranks (see
+    ``_ranked``), so no Fraction is hashed per entry.
     """
-    first_seen = dict.fromkeys(v for row in s.dist for v in row)
-    image = {v: f(v) for v in first_seen}
-    rows = tuple(tuple(image[v] for v in row) for row in s.dist)
-    return DistanceMatrixCandidate(s.labels, rows)
+    values, zero, (r,) = _ranked((s.dist,))
+    return _apply_ranked(s, r, values, zero, f)[0]
+
+
+def _apply_ranked(
+    s: FiniteUltrametricSpace,
+    r: list[list[int]],
+    values: Sequence[RationalLike],
+    zero: int,
+    f: FunctionSpec,
+) -> tuple[DistanceMatrixCandidate, dict[int, RationalLike]]:
+    """``apply_function`` on the ranks r of s into ``values``, and f per rank."""
+    image = {x: f(values[zero + x]) for x in dict.fromkeys(chain.from_iterable(r))}
+    rows = tuple(tuple(map(image.__getitem__, row)) for row in r)
+    return DistanceMatrixCandidate(s.labels, rows), image
+
+
+def _validate_image(
+    s: FiniteUltrametricSpace,
+    r: list[list[int]],
+    values: Sequence[RationalLike],
+    zero: int,
+    f: FunctionSpec,
+) -> FiniteUltrametricSpace | TriangleViolation:
+    """``validate_ultrametric(apply_function(s, f))``, from the ranks r of s.
+
+    The image's ranks are the ones ``_ranked`` would give its matrix: only
+    its distinct values and 0 are ranked, and r is mapped through them, so
+    no image entry is read again.
+    """
+    candidate, image = _apply_ranked(s, r, values, zero, f)
+    _, _, ([ranks],) = _ranked(([list(image.values())],))
+    rank = dict(zip(image, ranks))
+    return _validate_ranked(candidate, [list(map(rank.__getitem__, row)) for row in r])
 
 
 def isometry_search(

@@ -46,6 +46,10 @@ they were before both moved to integers.
 
 ``ref_exact_rank`` is Gauss-Jordan elimination over ``Fraction``s, the
 reference for the package's fraction-free integer rank.
+
+``adversarial_pool`` and ``mix_ints`` make distance values that are hard
+to rank: pairwise coprime denominators up to 2^61 - 1, twins less than
+2^-64 apart, and ints next to Fractions of the same value.
 """
 
 from __future__ import annotations
@@ -93,6 +97,35 @@ from padicmetrics.preserving import _canonical, _refine
 SIX_VALUE_POOL = tuple(
     Fraction(n, d) for n, d in ((1, 4), (1, 2), (1, 1), (3, 2), (2, 1), (4, 1))
 )
+
+
+# 1 and six primes, up to the Mersenne prime 2^61 - 1: pairwise coprime
+COPRIME_DENOMINATORS = (1, 2, 3, 7, 65537, 1048573, 2**61 - 1)
+
+
+def adversarial_pool(rng: Random, size: int) -> list[Fraction]:
+    """Positive rationals that stress an order keyed on (numerator, denominator).
+
+    Denominators are mixed and pairwise coprime, up to 2^61 - 1. About
+    half of the values come with a twin less than 2^-64 above them, so
+    floor(value * 2^64) often cannot tell the two apart.
+    """
+    pool = []
+    for _ in range(size):
+        den = rng.choice(COPRIME_DENOMINATORS)
+        v = Fraction(rng.randint(1, 4 * den), den)
+        pool.append(v)
+        if rng.random() < 0.5:
+            pool.append(v + Fraction(1, 2**64 * rng.choice((1, 3, 2**61 - 1))))
+    return pool
+
+
+def mix_ints(rng: Random, rows) -> tuple[tuple, ...]:
+    """The rows with about half of their integral entries turned into ints."""
+    return tuple(
+        tuple(int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in row)
+        for row in rows
+    )
 
 
 def must_validate(candidate: DistanceMatrixCandidate) -> FiniteUltrametricSpace:

@@ -17,6 +17,7 @@ from padicmetrics import (
     ComparableError,
     BadIntervalError,
     DistanceMatrixCandidate,
+    FiniteUltrametricSpace,
     FinitePoset,
     NoPositiveDistancesError,
     NotPreservingError,
@@ -25,6 +26,8 @@ from padicmetrics import (
     StepFunction,
     Tabulated,
     TotallyOrderedError,
+    TriangleViolation,
+    apply_function,
     build_extension,
     check_family_preserving,
     compare_families,
@@ -33,8 +36,9 @@ from padicmetrics import (
     family_poset,
     isotone_for_incomparables,
     positive_extremes,
+    validate_ultrametric,
 )
-from padicmetrics.families import _base_leg_bits, _close, _order_side
+from padicmetrics.families import SpaceWitness, _base_leg_bits, _close, _order_side
 from padicmetrics.fixtures import (
     four_point_family,
     four_point_space,
@@ -43,15 +47,19 @@ from padicmetrics.fixtures import (
     level_swap_map,
     zigzag_map,
 )
+from padicmetrics.spaces import _ranked
 
 from support import (
     SIX_VALUE_POOL,
+    adversarial_pool,
     brute_base_leg_pairs,
     brute_is_transitive,
     brute_transitive_closure,
     comb_space,
+    mix_ints,
     must_validate,
     random_family,
+    random_ultrametric,
 )
 
 F = Fraction
@@ -148,8 +156,9 @@ def test_row_wise_pairs_match_cubic_scan(data):
     values = data.draw(st.sampled_from((SIX_VALUE_POOL, SIX_VALUE_POOL[:2], (F(1),))))
     family = random_family(rng, max_spaces=3, max_points=7, values=values)
     pairs = brute_base_leg_pairs(family)
-    ground = distance_values(family)
-    assert _decode(ground, _base_leg_bits(family, ground)) == pairs
+    ground, _, ranked = _ranked(s.dist for s in family.spaces)
+    assert tuple(ground) == distance_values(family)
+    assert _decode(ground, _base_leg_bits(ranked, len(ground))) == pairs
     want = brute_transitive_closure(ground, pairs) | {(t, t) for t in ground}
     assert family_poset(family).pairs == want
 
@@ -163,6 +172,35 @@ def test_bitset_closure_matches_boolean_matrix(data):
     up = _encode(ground, pairs)
     _close(up)
     assert _decode(ground, up) == brute_transitive_closure(ground, pairs)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_poset_and_space_side_match_brute_on_adversarial_rationals(data):
+    """Coprime denominators, twins under 2^-64 apart, ints among Fractions."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    pool = adversarial_pool(rng, data.draw(st.integers(1, 4)))
+    spaces = []
+    for k in range(data.draw(st.integers(1, 3))):
+        s = random_ultrametric(rng, rng.randint(1, 7), pool, prefix=f"s{k}_")
+        spaces.append(FiniteUltrametricSpace(s.labels, mix_ints(rng, s.dist)))
+    family = SpaceFamily(tuple(spaces))
+    ground = tuple(sorted({v for s in spaces for row in s.dist for v in row} | {0}))
+    assert distance_values(family) == ground
+    want = brute_transitive_closure(ground, brute_base_leg_pairs(family))
+    assert family_poset(family).pairs == want | {(t, t) for t in ground}
+
+    # a random table on the values: the report's space witness is the first
+    # one that transforming and validating each space finds
+    images = [F(0)] + [data.draw(st.sampled_from(pool)) for _ in ground[1:]]
+    f = Tabulated.from_mapping(dict(zip(ground, images)))
+    expected = None
+    for idx, s in enumerate(spaces):
+        out = validate_ultrametric(apply_function(s, f))
+        if isinstance(out, TriangleViolation):
+            expected = SpaceWitness(idx, "strong_triangle", (out.i, out.j, out.k))
+            break
+    assert check_family_preserving(f, family).space_witness == expected
 
 
 def test_sixty_value_comb_is_the_full_chain():

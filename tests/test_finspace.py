@@ -36,13 +36,15 @@ from padicmetrics import (
 )
 from padicmetrics import fixtures
 from padicmetrics.fixtures import four_point_space, legs_three_space, level_swap_map
-from padicmetrics.spaces import _integer_rank
+from padicmetrics.spaces import _integer_rank, _ranked
 
 from support import (
     SIX_VALUE_POOL,
+    adversarial_pool,
     brute_structural_check,
     brute_validate_ultrametric,
     isosceles_check,
+    mix_ints,
     must_validate,
     random_ultrametric,
     ref_exact_rank,
@@ -133,6 +135,104 @@ def test_structural_errors_match_the_ordered_pair_loop(data):
     assert _structural_error(validate_ultrametric, cand) == _structural_error(
         brute_structural_check, cand
     )
+
+
+def _adversarial_space(data, max_points=9):
+    rng = data.draw(st.randoms(use_true_random=False))
+    pool = adversarial_pool(rng, data.draw(st.integers(1, 5)))
+    n = data.draw(st.integers(1, max_points))
+    return rng, pool, random_ultrametric(rng, n, pool)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_validation_matches_cubic_scan_on_adversarial_rationals(data):
+    """Coprime denominators, twins under 2^-64 apart, ints among Fractions."""
+    rng, pool, s = _adversarial_space(data)
+    n = s.n
+    rows = [list(row) for row in s.dist]
+    for _ in range(data.draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i][j] = rows[j][i] = data.draw(st.sampled_from(pool))
+    cand = DistanceMatrixCandidate(s.labels, mix_ints(rng, rows))
+    assert validate_ultrametric(cand) == brute_validate_ultrametric(cand)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_structural_errors_match_on_adversarial_rationals(data):
+    """Same first error and message, with ints, zeros and negatives mixed in."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    pool = adversarial_pool(rng, 3)
+    entries = st.sampled_from(pool + [-v for v in pool] + [0, F(0), 1, F(1)])
+    n = data.draw(st.integers(1, 5))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(entries)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] = data.draw(entries)
+    cand = DistanceMatrixCandidate(tuple(f"x{i}" for i in range(n)), mix_ints(rng, rows))
+    assert _structural_error(validate_ultrametric, cand) == _structural_error(
+        brute_structural_check, cand
+    )
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_apply_function_calls_f_in_first_seen_order_on_adversarial_rationals(data):
+    rng, _, s = _adversarial_space(data)
+    s = FiniteUltrametricSpace(s.labels, mix_ints(rng, s.dist))
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 2 * x
+
+    image = apply_function(s, f)
+    first_seen = list(dict.fromkeys(v for row in s.dist for v in row))
+    assert calls == first_seen
+    assert list(map(type, calls)) == list(map(type, first_seen))
+    assert image.dist == tuple(tuple(2 * v for v in row) for row in s.dist)
+
+
+def test_twins_closer_than_2_to_the_minus_64_rank_apart():
+    a = F(1, 3)
+    b = a + F(1, 2**70)
+    assert (a.numerator << 64) // a.denominator == (b.numerator << 64) // b.denominator
+    values, zero, ranked = _ranked([[(b, a, 0)], [(F(1), 1, F(0))]])
+    assert (values, zero) == ([0, a, b, 1], 0)
+    assert ranked == [[[2, 1, 0]], [[3, 3, 0]]]
+
+
+def _coprime_matrix(n):
+    # n(n - 1)/2 distinct 20-bit primes as denominators, one per pair, so
+    # every entry is its own value and no two denominators share a factor
+    primes = [p for p in range(2**20 - 40_000, 2**20) if all(p % q for q in range(2, 1024))]
+    rng = Random(48)
+    rows = [[F(0)] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), p in zip(pairs, primes):
+        rows[i][j] = rows[j][i] = F(rng.randrange(p, 4 * p), p)
+    return DistanceMatrixCandidate.from_rows([f"x{i}" for i in range(n)], rows)
+
+
+def test_pairwise_coprime_48_point_matrix_matches_cubic_scan():
+    cand = _coprime_matrix(48)
+    assert len({v.denominator for row in cand.dist for v in row}) == 1 + 48 * 47 // 2
+    out = validate_ultrametric(cand)
+    assert isinstance(out, TriangleViolation)
+    assert out == brute_validate_ultrametric(cand)
+
+
+def test_float_entries_are_refused():
+    cand = DistanceMatrixCandidate(("a", "b"), ((0, 0.5), (0.5, 0)))
+    with pytest.raises(TypeError, match=r"^exact rationals only: got the float 0\.5$"):
+        validate_ultrametric(cand)
+    space = FiniteUltrametricSpace(("a", "b"), ((F(0), F(1)), (F(1), 0.0)))
+    with pytest.raises(TypeError, match="got the float 0.0"):
+        apply_function(space, level_swap_map())
 
 
 def test_large_dendrogram_validates_with_full_dimension():
