@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence, Union
 
 from .errors import NotPrimeError, OrdOfZeroError, TooLargeError, TooShortError
@@ -31,6 +32,10 @@ _CERTIFIED_LIMIT = 2**64
 
 # The most digits digit_window returns: high - low + 1.
 MAX_DIGITS = 1025
+
+# A Fraction as (numerator, positive denominator), for exact comparisons
+# by cross-multiplying integers.
+_ratio = attrgetter("numerator", "denominator")
 
 
 def as_fraction(x: RationalLike) -> Fraction:

@@ -8,16 +8,21 @@ per exponent:
   metric:      f(0) = 0 and 0 < f(p**m) <= 2 f(p**n) for all m < n
   ultrametric: f(0) = 0 and 0 < f(p**n) <= f(p**(n+1)) for all n
 
-Both are decided in O(w). The ultrametric condition is a walk over adjacent
-exponents. The metric (band) condition quantifies over ~w**2/2 pairs, but a
-pair m < n breaks it exactly when the running maximum of f(p**m) over
-m < n exceeds 2 f(p**n), so one sweep from lo to hi decides it. Only when
-the sweep finds a failure is the reported pair sought, by a lazy walk over
-the pairs in (|m| + |n|, m, n) order that stops at the first failing one;
-passing inputs never enumerate pairs. Each image is coerced once by
-``as_fraction`` (so a float or bool image is refused, as in the pair-sum
-checks) and split into numerator and positive denominator, and every
-comparison cross-multiplies those integers: no Fraction pair is compared.
+Both are decided in O(w). The ultrametric condition compares each adjacent
+pair of exponents once. The metric (band) condition quantifies over
+~w**2/2 pairs, but a pair m < n breaks it exactly when the running maximum
+of f(p**m) over m < n exceeds 2 f(p**n), so one sweep from lo to hi
+decides it and names every n at which some pair fails.
+
+A failed check reports the failing exponent or pair nearest to zero: the
+least one by the key ``_near`` (|k|, k), or by (|m| + |n|, m, n) for a
+band pair, taken with ``min`` over the failing candidates; no window is
+enumerated in that order, and passing inputs never look at a pair (see
+``_band_witness`` for the cost of a band witness). Each image is coerced
+once by ``as_fraction`` (so a float or bool image is refused, as in the
+pair-sum checks) and split into numerator and positive denominator, and
+every comparison cross-multiplies those integers: no Fraction pair is
+compared.
 
 Every failed verdict carries a witness: the offending exponent pair plus a
 concrete rational triple whose pairwise p-adic distances are p**m and p**n
@@ -35,12 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import BadOrderError, NotPreservingError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PowerMap, StepFunction
-from .padic import as_fraction, padic_distance, require_prime
-from .preserving import _ratio
+from .padic import _ratio, as_fraction, padic_distance, require_prime
 
 
 # The widest window accepted, in exponents: -512..512 and its shifts.
@@ -85,14 +88,6 @@ class ExponentWindow:
             )
         _check_exponents(self.lo, self.hi)
 
-    def exponents(self) -> list[int]:
-        """All exponents, nearest to zero first (ties: negative first)."""
-        return _nearest_zero_first(self.lo, self.hi)
-
-    def adjacent(self) -> list[tuple[int, int]]:
-        """All pairs (n, n+1), nearest to zero first."""
-        return [(n, n + 1) for n in _nearest_zero_first(self.lo, self.hi - 1)]
-
     def to_json_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi}
 
@@ -100,39 +95,9 @@ class ExponentWindow:
 DEFAULT_WINDOW = ExponentWindow(-16, 16)
 
 
-def _nearest_zero_first(lo: int, hi: int) -> list[int]:
-    # lo..hi in (|k|, k) order, empty if hi < lo; built without a sort
-    if lo >= 0:
-        return list(range(lo, hi + 1))
-    if hi <= 0:
-        return list(range(hi, lo - 1, -1))
-    # 0, then -r, r while both sides last, then the rest of the longer side
-    both = min(-lo, hi)
-    out = [0]
-    for r in range(1, both + 1):
-        out += (-r, r)
-    out += range(-both - 1, lo - 1, -1) if -lo > hi else range(both + 1, hi + 1)
-    return out
-
-
-def _spiral_pairs(window: ExponentWindow) -> Iterator[tuple[int, int]]:
-    """All pairs m < n, in (|m| + |n|, m, n) order.
-
-    The scan spirals out from the origin so that a failing check reports
-    the witness with the most readable exponents, not the one nearest the
-    window's lower corner.
-    """
-    # No list and no sort: for each combined magnitude s, m rises through
-    # [max(lo, -s), min(hi, s)] and n = -r, then r, where r = s - |m|.
-    lo, hi = window.lo, window.hi
-    near = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    far = max(abs(lo), abs(hi))
-    for s in range(2 * near, 2 * far + 1):
-        for m in range(max(lo, -s), min(hi, s) + 1):
-            r = s - abs(m)
-            for n in (-r, r) if r else (0,):
-                if m < n <= hi:
-                    yield m, n
+def _near(k: int) -> tuple[int, int]:
+    # the report order: nearest to zero first, the negative side on a tie
+    return abs(k), k
 
 
 def parse_window(text: str) -> ExponentWindow:
@@ -249,12 +214,25 @@ def _shared_gate(
         return PreservationVerdict(
             False, window, "origin", WindowWitness("origin", images=(f0,))
         )
-    for k in window.exponents():
-        if values[k] == 0:
-            return PreservationVerdict(
-                False, window, "vanishes", WindowWitness("vanishes", m=k)
-            )
+    zeros = [k for k, v in values.items() if v == 0]
+    if zeros:
+        k = min(zeros, key=_near)
+        return PreservationVerdict(False, window, "vanishes", WindowWitness("vanishes", m=k))
     return None
+
+
+def _exceeds(a: tuple[int, int], b: tuple[int, int], factor: int = 1) -> bool:
+    # a > factor * b for (numerator, positive denominator) pairs
+    return a[0] * b[1] > factor * b[0] * a[1]
+
+
+def _pair_verdict(
+    kind: str, p: int, window: ExponentWindow, values: dict[int, Fraction], m: int, n: int
+) -> PreservationVerdict:
+    # the failed verdict for m < n, with the images (f(p**n), f(p**n), f(p**m))
+    images = (values[n], values[n], values[m])
+    witness = WindowWitness(kind, m, n, witness_triple(p, n, m), images)
+    return PreservationVerdict(False, window, kind, witness)
 
 
 def _band_breaks(exact: dict[int, tuple[int, int]], window: ExponentWindow) -> set[int]:
@@ -274,6 +252,46 @@ def _band_breaks(exact: dict[int, tuple[int, int]], window: ExponentWindow) -> s
     return breaks
 
 
+def _band_witness(
+    exact: dict[int, tuple[int, int]], window: ExponentWindow, breaks: set[int]
+) -> tuple[int, int]:
+    """The least failing pair m < n by (|m| + |n|, m, n).
+
+    The breaks are visited in ``_near`` order, and for each break n the
+    least m < n by ``_near`` with f(p**m) > 2 f(p**n) is taken. This finds
+    the least pair: for a fixed n, the order (|m| + |n|, m, n) is the
+    order (|m|, m), so the m taken is the best pair with that n; every
+    pair with n has rank |m| + |n| at least |n|, so once |n| exceeds the
+    rank of the best pair so far no later break can beat it (the test is
+    strict, because a pair with m = 0 and a tied rank wins on m); and the
+    sweep names every n at which some pair fails, so no other n can hold
+    a failing pair. After the first break only |m| <= rank - |n| can tie
+    or beat the best pair, so only those m are searched. The first break
+    is searched in full; if no m fails there, the sweep was wrong, and
+    SelfCheckError is raised.
+    """
+
+    def least_m(n: int, ms: range) -> int | None:
+        bad = (m for m in ms if _exceeds(exact[m], exact[n], 2))
+        return min(bad, key=_near, default=None)
+
+    first, *rest = sorted(breaks, key=_near)
+    m = least_m(first, range(window.lo, first))
+    if m is None:
+        raise SelfCheckError(
+            f"the band sweep failed on [{window.lo}, {window.hi}] but no pair breaks it"
+        )
+    best = (abs(m) + abs(first), m, first)
+    for n in rest:
+        reach = best[0] - abs(n)
+        if reach < 0:
+            break
+        m = least_m(n, range(max(window.lo, -reach), min(n, reach + 1)))
+        if m is not None:
+            best = min(best, (abs(m) + abs(n), m, n))
+    return best[1], best[2]
+
+
 def check_p_metric_preserving(
     f: FunctionSpec, p: int, window: ExponentWindow = DEFAULT_WINDOW
 ) -> PreservationVerdict:
@@ -281,12 +299,11 @@ def check_p_metric_preserving(
 
     One O(w) sweep decides it: the band breaks exactly when, for some n,
     the running maximum of f(p**m) over m < n exceeds 2 f(p**n), and it
-    names every such n. Only on failure are the pairs walked, lazily and in
-    the (|m| + |n|, m, n) order of :func:`_spiral_pairs`, to the
-    first failing one, comparing values only for pairs whose n was named:
-    no other pair can fail. The witness is therefore the same pair a scan
-    of every pair in that order would report: the walk visits pairs in
-    that order and starts only when a failing pair exists.
+    names every such n. Only on failure is the reported pair sought: the
+    least failing pair by (|m| + |n|, m, n), found by ``_band_witness``
+    with one search for m per break it visits, O(w) for the first and
+    bounded by the best rank after it. It is the pair a scan of every
+    pair in that order would report first.
 
     On failure the witness pins the offending pair and a rational triple
     realizing the two distances; its distance images (f(p**n), f(p**n),
@@ -301,29 +318,16 @@ def check_p_metric_preserving(
     breaks = _band_breaks(exact, window)
     if not breaks:
         return PreservationVerdict(True, window)
-    for m, n in _spiral_pairs(window):
-        if n not in breaks:
-            continue
-        (vm, dm), (vn, dn) = exact[m], exact[n]
-        if vm * dn > 2 * vn * dm:
-            triple = witness_triple(p, n, m)
-            witness = WindowWitness(
-                "band",
-                m=m,
-                n=n,
-                triple=triple,
-                images=(values[n], values[n], values[m]),
-            )
-            return PreservationVerdict(False, window, "band", witness)
-    raise SelfCheckError(
-        f"the band sweep failed on [{window.lo}, {window.hi}] but no pair breaks it"
-    )
+    return _pair_verdict("band", p, window, values, *_band_witness(exact, window, breaks))
 
 
 def check_p_ultrametric_preserving(
     f: FunctionSpec, p: int, window: ExponentWindow = DEFAULT_WINDOW
 ) -> PreservationVerdict:
-    """Decide monotonicity over consecutive powers: f(p**n) <= f(p**(n+1))."""
+    """Decide monotonicity over consecutive powers: f(p**n) <= f(p**(n+1)).
+
+    A failure reports the least n by ``_near`` with f(p**n) > f(p**(n+1)).
+    """
     return _ultrametric_verdict(f, p, window)[0]
 
 
@@ -337,18 +341,10 @@ def _ultrametric_verdict(
     if early is not None:
         return early, powers, values
     exact = _exact(values)
-    for n, n1 in window.adjacent():
-        (v, den), (v1, den1) = exact[n], exact[n1]
-        if v * den1 > v1 * den:
-            triple = witness_triple(p, n1, n)
-            witness = WindowWitness(
-                "adjacent",
-                m=n,
-                n=n1,
-                triple=triple,
-                images=(values[n1], values[n1], values[n]),
-            )
-            return PreservationVerdict(False, window, "adjacent", witness), powers, values
+    drops = [n for n in range(window.lo, window.hi) if _exceeds(exact[n], exact[n + 1])]
+    if drops:
+        n = min(drops, key=_near)
+        return _pair_verdict("adjacent", p, window, values, n, n + 1), powers, values
     return PreservationVerdict(True, window), powers, values
 
 

@@ -44,12 +44,10 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PiecewiseLinear, StepFunction
-from .padic import RationalLike, as_fraction
+from .padic import RationalLike, _ratio, as_fraction
 
 # The largest grid accepted, in points, as for exponent windows.
 MAX_GRID_POINTS = 1025
-
-_ratio = operator.attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True)
@@ -166,10 +164,10 @@ def _amenable_images(
     return images, None
 
 
-def _scaled(values: Sequence[Fraction]) -> list[int]:
-    # the values over their common denominator: same order, same sums
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    # the common denominator, and the values over it: same order, same sums
     den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values]
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _sparse_table(values: list[int], pick: Callable[[int, int], int]) -> list[list[int]]:
@@ -219,7 +217,7 @@ def _first_bad_triple(
     failing one; a failed query whose walk finds none raises SelfCheckError.
     """
     n = len(xs)
-    xi, yi = _scaled(xs), _scaled(images)
+    xi, yi = _scaled(xs)[1], _scaled(images)[1]
     lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
     for i in range(n):
         xa, ya = xi[i], yi[i]
@@ -467,8 +465,7 @@ def sufficient_conditions(
     O(1) integer operations per pair.
     """
     xs = _canonical(samples)
-    den = lcm(*(x.denominator for x in xs))
-    keys = [x.numerator * (den // x.denominator) for x in xs]
+    den, keys = _scaled(xs)
     point = dict(zip(keys, xs))
     value = _Memo(lambda k: f(point[k] if k in point else Fraction(k, den)))
     positives = [k for k in keys if k > 0]

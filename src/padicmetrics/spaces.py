@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -50,11 +49,9 @@ from .errors import (
     ZeroDistanceError,
 )
 from .functions import FunctionSpec
-from .padic import RationalLike, as_fraction
+from .padic import RationalLike, _ratio, as_fraction
 
 MAX_SEARCH_POINTS = 10
-
-_key = attrgetter("numerator", "denominator")
 
 
 def _coerce_rows(
@@ -167,7 +164,7 @@ def _ranked(
     keyed = []
     for m in matrices:
         try:
-            keys = [list(map(_key, row)) for row in m]
+            keys = [list(map(_ratio, row)) for row in m]
         except AttributeError:
             bad = next(
                 v

@@ -32,9 +32,12 @@ built, sorted by (|m| + |n|, m, n) and compared one at a time.
 ``ref_extend_to_ultrametric_preserving`` are the adjacent walk and the
 step extension as they were before the window checks cross-multiplied
 integers. All three read f at Fraction powers built one at a time and
-compare the images as Fractions; ``ref_window_exponents`` and
-``ref_window_adjacent`` are the window orders by a keyed sort, and
-``ref_window_gate`` the origin and vanishing checks over them.
+compare the images as Fractions. ``ref_window_exponents`` is the window
+sorted by (|k|, k), and ``ref_window_gate`` the origin and vanishing
+checks over it. Each of these references walks a fully sorted order and
+stops at the first failure, so it is an independent check of the
+package's rule, which takes the least failing exponent or pair by that
+same key with ``min`` and never sorts the window.
 
 ``ref_digit_window`` is the digit expansion as a loop over Fractions,
 one subtraction of digit * p**k per digit, as it was before the package
@@ -374,11 +377,6 @@ def ref_window_exponents(lo: int, hi: int) -> list[int]:
     return sorted(range(lo, hi + 1), key=lambda k: (abs(k), k))
 
 
-def ref_window_adjacent(lo: int, hi: int) -> list[tuple[int, int]]:
-    """The pairs (n, n + 1) in [lo, hi], sorted by (|n|, n)."""
-    return [(n, n + 1) for n in ref_window_exponents(lo, hi - 1)]
-
-
 def ref_power_values(f, p, window) -> dict:
     """f at each Fraction power p**k of the window, read from lo to hi."""
     return {k: f(Fraction(p) ** k) for k in range(window.lo, window.hi + 1)}
@@ -425,14 +423,15 @@ def _ref_ultrametric_verdict(f, p, window) -> tuple[PreservationVerdict, dict]:
     early = ref_window_gate(f, p, window, values)
     if early is not None:
         return early, values
-    for n, n1 in ref_window_adjacent(window.lo, window.hi):
-        if values[n] > values[n1]:
+    # the pairs (n, n + 1) of the window, sorted by (|n|, n)
+    for n in ref_window_exponents(window.lo, window.hi - 1):
+        if values[n] > values[n + 1]:
             witness = WindowWitness(
                 "adjacent",
                 m=n,
-                n=n1,
-                triple=witness_triple(p, n1, n),
-                images=(values[n1], values[n1], values[n]),
+                n=n + 1,
+                triple=witness_triple(p, n + 1, n),
+                images=(values[n + 1], values[n + 1], values[n]),
             )
             return PreservationVerdict(False, window, "adjacent", witness), values
     return PreservationVerdict(True, window), values

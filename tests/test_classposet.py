@@ -215,6 +215,10 @@ def test_poset_constructor_rejects_bad_relations():
     g = (F(0), F(1))
     with pytest.raises(ValueError, match="sorted"):
         FinitePoset((F(1), F(0)), (1, 2))
+    # a repeat, and a descent after an ascent, are refused before any row
+    for ground in ((F(0), F(0)), (F(0), F(2), F(1))):
+        with pytest.raises(ValueError, match="^ground must be sorted and duplicate-free$"):
+            FinitePoset(ground, ())
     with pytest.raises(ValueError, match="one row per value"):
         FinitePoset(g, (1,))
     with pytest.raises(ValueError, match="no bit beyond"):

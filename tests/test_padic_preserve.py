@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicmetrics import (
@@ -24,6 +24,8 @@ from padicmetrics import (
     TooLargeError,
     check_p_metric_preserving,
     check_p_ultrametric_preserving,
+    check_ultra_to_metric,
+    check_ultrametric_preserving,
     closed_form_note,
     extend_to_ultrametric_preserving,
     padic_distance,
@@ -36,47 +38,17 @@ from padicmetrics.padic_preserving import (
     DEFAULT_WINDOW,
     MAX_EXPONENT,
     MAX_WINDOW_EXPONENTS,
-    _spiral_pairs,
 )
 from support import (
     brute_check_p_metric_preserving,
-    brute_window_pairs,
     ref_check_p_ultrametric_preserving,
     ref_extend_to_ultrametric_preserving,
-    ref_window_adjacent,
-    ref_window_exponents,
 )
 
 F = Fraction
 
 
 # ---------------------------------------------------------------- window --
-
-
-def test_window_enumeration_orders():
-    w = ExponentWindow(-2, 2)
-    assert w.exponents() == [0, -1, 1, -2, 2]
-    assert w.adjacent() == [(0, 1), (-1, 0), (1, 2), (-2, -1)]
-    assert list(_spiral_pairs(ExponentWindow(-1, 1))) == [(-1, 0), (0, 1), (-1, 1)]
-
-
-@given(
-    lo=st.integers(-MAX_EXPONENT, MAX_EXPONENT),
-    width=st.integers(0, MAX_WINDOW_EXPONENTS - 1),
-)
-@example(lo=-512, width=1024)
-@example(lo=-512, width=0)
-@example(lo=512, width=0)
-@example(lo=0, width=0)
-@example(lo=-MAX_EXPONENT, width=1024)
-@example(lo=0, width=1024)
-@example(lo=-3, width=1024)
-@example(lo=-1024, width=1021)
-def test_window_orders_match_the_keyed_sort(lo, width):
-    hi = min(lo + width, MAX_EXPONENT)
-    w = ExponentWindow(lo, hi)
-    assert w.exponents() == ref_window_exponents(lo, hi)
-    assert w.adjacent() == ref_window_adjacent(lo, hi)
 
 
 def test_window_validation_and_parsing():
@@ -119,12 +91,6 @@ def test_exponent_magnitude_cap():
     for m, n in ((1025, 0), (0, -1025), (300000, 0)):
         with pytest.raises(TooLargeError):
             witness_triple(3, m, n)
-
-
-def test_pairs_match_the_sorted_build_on_every_small_window():
-    for lo in range(-20, 21):
-        for hi in range(lo, 21):
-            assert list(_spiral_pairs(ExponentWindow(lo, hi))) == brute_window_pairs(lo, hi)
 
 
 def test_window_json_shape():
@@ -185,6 +151,18 @@ def test_band_check_zigzag_three_adic():
     assert (w.m, w.n) == (0, 1)
     assert w.triple == (F(1), F(-1), F(1, 3))
     assert w.images == (F(1, 8), F(1, 8), F(1))
+
+
+def test_band_check_tied_rank_reaches_m_zero():
+    # f(2**k) = 2, 3, 1, 1/2 on [0, 3]: the break at n = 2 gives (1, 2) of
+    # rank 3; the break at n = 3 has |n| equal to that rank and gives
+    # (0, 3), also of rank 3 and less on m, so it is the witness
+    f = StepFunction(F(2), ((F(1), F(2)), (F(2), F(3)), (F(4), F(1)), (F(8), F(1, 2))))
+    verdict = check_p_metric_preserving(f, 2, ExponentWindow(0, 3))
+    w = verdict.witness
+    assert (w.m, w.n) == (0, 3)
+    assert w.triple == (F(1, 2), F(-1, 2), F(1, 8))
+    assert w.images == (F(1, 2), F(1, 2), F(2))
 
 
 def test_band_check_window_dependence():
@@ -273,7 +251,6 @@ def test_band_sweep_matches_the_sorted_pair_scan(case):
     assert _band_outcome(check_p_metric_preserving, f, p, window) == _band_outcome(
         brute_check_p_metric_preserving, f, p, window
     )
-    assert list(_spiral_pairs(window)) == brute_window_pairs(window.lo, window.hi)
     assert _band_outcome(check_p_ultrametric_preserving, f, p, window) == _band_outcome(
         ref_check_p_ultrametric_preserving, f, p, window
     )
@@ -296,6 +273,52 @@ def test_widest_window_matches_the_fraction_references(f):
     )
     assert _extension_outcome(f, extend_to_ultrametric_preserving, 3, window) == (
         _extension_outcome(f, ref_extend_to_ultrametric_preserving, 3, window)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, band_triple, adjacent_triple",
+    [
+        (2, (F(1, 2), F(-1, 2), F(1, 2**510)), (F(1, 2**510), F(-1, 2**510), F(0))),
+        (3, (F(1), F(-1), F(1, 3**510)), (F(1, 3**509), F(-1, 3**509), F(1, 3**510))),
+    ],
+)
+def test_widest_window_late_witness(p, band_triple, adjacent_triple):
+    # f(p**k) is 3 below k = 510 and 1 from there on: every pair m < n with
+    # n >= 510 breaks the band, the least being (0, 510); the one drop is
+    # at (509, 510); the band reference is too slow here to compare with
+    f = StepFunction(F(3), ((F(p) ** 510, F(1)),))
+    window = ExponentWindow(-512, 512)
+    for check, pair, triple in (
+        (check_p_metric_preserving, (0, 510), band_triple),
+        (check_p_ultrametric_preserving, (509, 510), adjacent_triple),
+    ):
+        verdict = check(f, p, window)
+        assert not verdict.passed
+        w = verdict.witness
+        assert (w.m, w.n) == pair
+        assert w.triple == triple
+        assert w.images == (F(1), F(1), F(3))
+        x, y, z = w.triple
+        assert padic_distance(x, z, p) == padic_distance(z, y, p) == F(p) ** w.n
+        assert padic_distance(x, y, p) == F(p) ** w.m
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=window_cases().filter(lambda case: case[2].hi - case[2].lo < 33))
+def test_window_checks_match_the_sampled_checks_on_powers(case):
+    # f o d_p is an ultrametric (a metric) on Q_p exactly when f(0) = 0 and
+    # f preserves ultrametrics (carries them to metrics) on {0} u {p**k};
+    # on a window that is the sampled check of PowerStep(f, p) on its powers
+    p, f, window = case
+    samples = [F(0)] + [F(p) ** k for k in range(window.lo, window.hi + 1)]
+    g = PowerStep(f, p)
+    origin = f(F(0)) == 0
+    assert check_p_ultrametric_preserving(f, p, window).passed == (
+        origin and check_ultrametric_preserving(g, samples).passed
+    )
+    assert check_p_metric_preserving(f, p, window).passed == (
+        origin and check_ultra_to_metric(g, samples).passed
     )
 
 
