@@ -57,14 +57,14 @@ from .padic_preserving import (
     witness_triple,
 )
 from .preserving import (
-    check_euclid_preserving_sampled,
+    _grid,
+    check_euclid_preserving_grid,
     check_metric_preserving_sampled,
     check_ultra_to_metric,
     check_ultrametric_preserving,
     default_samples,
     is_strong_triplet,
     is_triangle_triplet,
-    pairs_from_grid,
     sufficient_conditions,
 )
 from .spaces import (
@@ -194,10 +194,10 @@ def _cmd_fn_classify(args) -> Result:
 
 def _cmd_fn_euclid(args) -> Result:
     spec = _load_spec(args.spec)
-    pairs = pairs_from_grid(as_fraction(args.step), as_fraction(args.stop))
-    verdict = check_euclid_preserving_sampled(spec, pairs)
+    count = _grid(args.step, args.stop)[1]
+    verdict = check_euclid_preserving_grid(spec, args.step, args.stop)
     payload = verdict.to_json_dict()
-    payload["pair_count"] = len(pairs)
+    payload["pair_count"] = count * (count + 1) // 2
     return (0 if verdict.passed else 1), payload
 
 

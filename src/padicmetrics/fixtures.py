@@ -31,11 +31,10 @@ from .padic_preserving import (
     witness_triple,
 )
 from .preserving import (
-    check_euclid_preserving_sampled,
+    check_euclid_preserving_grid,
     check_ultrametric_preserving,
     is_strong_triplet,
     is_triangle_triplet,
-    pairs_from_grid,
 )
 from .spaces import (
     DistanceMatrixCandidate,
@@ -241,7 +240,7 @@ def _triplet_calls() -> tuple[bool, str]:
 
 
 def _zigzag_euclid_grid() -> tuple[bool, str]:
-    verdict = check_euclid_preserving_sampled(zigzag_map(), pairs_from_grid(F(1, 8), 8))
+    verdict = check_euclid_preserving_grid(zigzag_map(), F(1, 8), 8)
     if verdict.passed:
         return True, "all pairs on the 1/8 grid up to 8 map into the triangle family"
     w = verdict.witness

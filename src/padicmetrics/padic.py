@@ -33,6 +33,13 @@ _CERTIFIED_LIMIT = 2**64
 # The most digits digit_window returns: high - low + 1.
 MAX_DIGITS = 1025
 
+# A window of at most _LEAF_DIGITS digits, or whose residue has at most
+# _LEAF_BITS bits, is read one divmod per digit; a larger one is split in
+# halves first (see _digits). Below either size the split's extra division
+# and calls cost more than the divmods on the whole residue save.
+_LEAF_DIGITS = 64
+_LEAF_BITS = 512
+
 # A Fraction as (numerator, positive denominator), for exact comparisons
 # by cross-multiplying integers.
 _ratio = attrgetter("numerator", "denominator")
@@ -209,7 +216,8 @@ def digit_window(x: RationalLike, p: int, high: int) -> DigitWindow:
 
     For a window of ``count`` digits from ``low``, x / p**low = a / b with
     p not dividing b, and the digits are the base-p digits of
-    a * b**-1 mod p**count: one modular inverse and ``count`` divmods.
+    a * b**-1 mod p**count: one modular inverse, then the digits as
+    ``_digits`` reads them.
 
     Examples:
         digit_window(17, 3, 2).digits == (2, 2, 1)        # 17 = "122" base 3
@@ -236,11 +244,26 @@ def digit_window(x: RationalLike, p: int, high: int) -> DigitWindow:
         b //= p**-low
     modulus = p**count
     r = a * pow(b, -1, modulus) % modulus
-    digits = []
-    for _ in range(count):
-        r, digit = divmod(r, p)
-        digits.append(digit)
+    digits: list[int] = []
+    _digits(r, p, count, digits)
     return DigitWindow(p, low, tuple(digits))
+
+
+def _digits(r: int, p: int, count: int, out: list[int]) -> None:
+    # Appends the count lowest base-p digits of r < p**count, least first.
+    # A short window takes one divmod by p per digit, each on the whole
+    # residue, which is quadratic in its size; a longer one is split at
+    # p**(count // 2) into a low and a high half, read in turn, so the
+    # large divisions work on numbers that halve at every level.
+    if count <= _LEAF_DIGITS or r.bit_length() <= _LEAF_BITS:
+        for _ in range(count):
+            r, digit = divmod(r, p)
+            out.append(digit)
+        return
+    half = count // 2
+    high, low = divmod(r, p**half)
+    _digits(low, p, half, out)
+    _digits(high, p, count - half, out)
 
 
 def cauchy_profile(prefix: Sequence[RationalLike], p: int) -> tuple[Fraction, ...]:

@@ -373,13 +373,34 @@ def _not_triangle(ya: int, yb: int, yc: int) -> bool:
     return ya > yb + yc or yb > ya + yc or yc > ya + yb
 
 
+def _euclid_verdict(
+    f: FunctionSpec, den: int, distinct: Iterable[int], pairs: Iterable[tuple[int, int]]
+) -> TripletVerdict:
+    # The scan and the witness of both Euclid routes. Keys are integers over
+    # den: distinct holds every key ascending, for the digest, and pairs
+    # come in lexicographic order. f is memoised by key.
+    digest = _digest(Fraction(k, den) for k in distinct)
+    value = _Memo(lambda k: f(Fraction(k, den)))
+    bad = _first_bad_sum(pairs, value, _not_triangle)
+    if bad is None:
+        return TripletVerdict(True, digest)
+    ka, kb = bad
+    kc = ka + kb
+    points = (Fraction(ka, den), Fraction(kb, den), Fraction(kc, den))
+    images = (value[ka], value[kb], value[kc])
+    return TripletVerdict(False, digest, Witness("triple", points, images))
+
+
 def check_euclid_preserving_sampled(
     f: FunctionSpec, pairs: Iterable[tuple[RationalLike, RationalLike]]
 ) -> TripletVerdict:
     """Check (f(a), f(b), f(a+b)) is a triangle triplet for sampled pairs.
 
     Fails with the least pair (a, b), in lexicographic order, whose images
-    are no triangle triplet.
+    are no triangle triplet. The pairs may be any list: repeated, swapped
+    or unordered. For the pairs of a grid {0, step, ..., stop},
+    ``check_euclid_preserving_grid`` gives the same verdict without a pair
+    list.
 
     The check runs on integers. Every entry is coerced once, in the order
     given, so floats and bools are refused as by ``as_fraction``; then all
@@ -402,20 +423,41 @@ def check_euclid_preserving_sampled(
     distinct = sorted({k for pair in keys for k in pair})
     if distinct and distinct[0] < 0:
         raise NegativeInputError("pair entries must be nonnegative")
-    digest = _digest(Fraction(k, den) for k in distinct)
-    value = _Memo(lambda k: f(Fraction(k, den)))
-    bad = _first_bad_sum(keys, value, _not_triangle)
-    if bad is None:
-        return TripletVerdict(True, digest)
-    ka, kb = bad
-    kc = ka + kb
-    points = (Fraction(ka, den), Fraction(kb, den), Fraction(kc, den))
-    images = (value[ka], value[kb], value[kc])
-    return TripletVerdict(False, digest, Witness("triple", points, images))
+    return _euclid_verdict(f, den, distinct, keys)
 
 
-def _grid(step: RationalLike, stop: RationalLike) -> list[Fraction]:
-    # the grid {0, step, ..., stop}, its size checked before it is built
+def check_euclid_preserving_grid(
+    f: FunctionSpec, step: RationalLike, stop: RationalLike
+) -> TripletVerdict:
+    """The Euclid check on every pair of the grid {0, step, 2 step, ..., stop}.
+
+    The verdict, digest, witness and reads of f are those of
+    ``check_euclid_preserving_sampled(f, pairs_from_grid(step, stop))``,
+    and the errors are those of ``pairs_from_grid``, raised before f is
+    read.
+
+    No pair list is built. The grid contains step itself, and every point
+    k * step has a denominator dividing step's, so the common denominator L
+    of the pair route is step.denominator, and point k scales to the
+    integer k * step.numerator. These keys ascend, so their pairs a <= b
+    come from ``combinations_with_replacement`` in lexicographic order, one
+    at a time, and go straight into the shared pair-sum scan. For n points
+    the set-up is O(n), with no sort; each pair visited costs O(1) integer
+    operations, and f is evaluated once per distinct point a, b or a + b
+    read before the first failing pair.
+
+    Raises:
+        ValueError: unless 0 < step <= stop.
+        TooLargeError: if the grid holds more than MAX_GRID_POINTS points.
+    """
+    step, count = _grid(step, stop)
+    keys = range(0, count * step.numerator, step.numerator)
+    return _euclid_verdict(f, step.denominator, keys, combinations_with_replacement(keys, 2))
+
+
+def _grid(step: RationalLike, stop: RationalLike) -> tuple[Fraction, int]:
+    # step as a Fraction, and the point count of {0, step, ..., stop},
+    # checked against the cap before anything is built
     step = as_fraction(step)
     stop = as_fraction(stop)
     if step <= 0 or stop < step:
@@ -426,18 +468,23 @@ def _grid(step: RationalLike, stop: RationalLike) -> list[Fraction]:
             f"grid 0..{stop} by {step} holds {count} points, "
             f"more than the {MAX_GRID_POINTS} accepted"
         )
-    return [k * step for k in range(count)]
+    return step, count
 
 
 def pairs_from_grid(step: RationalLike, stop: RationalLike) -> list[tuple[Fraction, Fraction]]:
     """All unordered pairs from the grid {0, step, 2 step, ..., stop}.
+
+    The pairs (a, b) have a <= b and come in lexicographic order, n(n + 1)/2
+    of them for n points, as Fractions. ``check_euclid_preserving_grid``
+    checks the same pairs without building this list.
 
     Raises:
         ValueError: unless 0 < step <= stop.
         TooLargeError: if the grid holds more than MAX_GRID_POINTS points;
             nothing is allocated before the check.
     """
-    return list(combinations_with_replacement(_grid(step, stop), 2))
+    step, count = _grid(step, stop)
+    return list(combinations_with_replacement([k * step for k in range(count)], 2))
 
 
 def sufficient_conditions(

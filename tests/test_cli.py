@@ -220,6 +220,20 @@ def test_euclid_grid_over_the_cap_is_refused(capsys):
     assert payload["error"] == "too_large"
 
 
+def test_euclid_grid_at_the_cap(capsys):
+    # 1025 points and 525825 pairs, checked without a pair list
+    code, payload = run_json(
+        capsys, "fn", "euclid", "--spec", CANONICAL, "--step", "1/128", "--stop", "8"
+    )
+    assert code == 0
+    assert payload == {
+        "pair_count": 525825,
+        "passed": True,
+        "samples_hash": "26e2fcf8def551d6",
+        "witness": None,
+    }
+
+
 def test_size_caps_are_refused(capsys):
     # each cap holds at its limit and refuses one over it; nothing is sieved
     code, payload = run_json(capsys, "fn", "prime-shift", "--bound", "10000000")

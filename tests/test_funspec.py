@@ -6,6 +6,7 @@ raises inside the library, so a quiet pass here certifies both.
 """
 
 import operator
+import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from padicmetrics import (
     Tabulated,
     TooLargeError,
     as_fraction,
+    check_euclid_preserving_grid,
     check_euclid_preserving_sampled,
     check_metric_preserving_sampled,
     check_ultra_to_metric,
@@ -637,6 +639,18 @@ def test_sampled_checks_call_f_once_per_point():
     assert check_euclid_preserving_sampled(f, pairs).passed
     assert f.calls == list(dict.fromkeys(x for a, b in pairs for x in (a, b, a + b)))
 
+    f = _Counting(Canonical())
+    assert check_euclid_preserving_grid(f, F(1, 4), 3).passed
+    assert f.calls == list(dict.fromkeys(x for a, b in pairs for x in (a, b, a + b)))
+
+    # the zigzag map fails at (3/4, 23/8), pair 392 of 2145 on its grid; the
+    # grid route reads f up to that pair and no further
+    f = _Counting(zigzag_map())
+    pairs = pairs_from_grid(F(1, 8), 8)
+    read = pairs[: pairs.index((F(3, 4), F(23, 8))) + 1]
+    assert not check_euclid_preserving_grid(f, F(1, 8), 8).passed
+    assert f.calls == list(dict.fromkeys(x for a, b in read for x in (a, b, a + b)))
+
 
 # ------------------------------------------------------------ euclid grid --
 
@@ -671,9 +685,9 @@ def test_pairs_from_grid_counts_and_validation():
 def test_pairs_from_grid_is_capped():
     # the point count is read from step and stop before any list is built,
     # so the refused grids below cost nothing
-    assert _grid(1, MAX_GRID_POINTS - 1) == [F(k) for k in range(MAX_GRID_POINTS)]
-    assert len(_grid(F(1, 1024), 1)) == MAX_GRID_POINTS
-    assert len(_grid(F(1, 1024), F(1025, 1024) - F(1, 10**6))) == MAX_GRID_POINTS
+    assert _grid(1, MAX_GRID_POINTS - 1) == (F(1), MAX_GRID_POINTS)
+    assert _grid(F(1, 1024), 1) == (F(1, 1024), MAX_GRID_POINTS)
+    assert _grid(F(1, 1024), F(1025, 1024) - F(1, 10**6)) == (F(1, 1024), MAX_GRID_POINTS)
     with pytest.raises(TooLargeError, match="1026 points"):
         pairs_from_grid(1, MAX_GRID_POINTS)
     with pytest.raises(TooLargeError, match="1026 points"):
@@ -686,15 +700,13 @@ def test_pairs_from_grid_is_capped():
 _entry_values = st.builds(F, st.integers(0, 24), st.sampled_from((1, 3, 6, 8)))
 
 
-@st.composite
-def _euclid_entries(draw):
-    x = draw(_entry_values)
-    form = draw(st.sampled_from(("fraction", "string", "int")))
-    if form == "string":
-        return f"{x.numerator}/{x.denominator}"
-    if form == "int" and x.denominator == 1:
-        return x.numerator
-    return x
+def _forms(x):
+    # x as a Fraction, as an "a/b" string, or as an int when it is whole
+    whole = x.numerator if x.denominator == 1 else x
+    return st.sampled_from((x, f"{x.numerator}/{x.denominator}", whole))
+
+
+_euclid_entries = _entry_values.flatmap(_forms)
 
 
 class _Drawn(FunctionSpec):
@@ -722,7 +734,7 @@ def _euclid_outcome(check, f, pairs):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    base=st.lists(st.tuples(_euclid_entries(), _euclid_entries()), min_size=1, max_size=12),
+    base=st.lists(st.tuples(_euclid_entries, _euclid_entries), min_size=1, max_size=12),
     levels=st.lists(
         st.sampled_from((0, 1, 2, 3, F(1, 2), F(3, 2), F(5, 3), F(7, 8))),
         min_size=1,
@@ -754,6 +766,87 @@ def test_euclid_grid_check_matches_the_fraction_scan(base, levels, trap, float_p
     assert _euclid_outcome(check_euclid_preserving_sampled, f, pairs) == want
     if float_pair is not None:
         assert want[0] == "TypeError"
+
+
+_grid_steps = st.sampled_from(
+    (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 8), F(1), F(3, 2))
+)
+
+
+@st.composite
+def _grid_bounds(draw):
+    # (step, stop) as arguments, and step as a Fraction: grids whose stop is
+    # a grid point or lies past the last one, stop == step among them, and
+    # the refused cases: step <= 0, stop < step, "1/0" and a grid over the cap
+    case = draw(st.sampled_from(("grid",) * 8 + ("step <= 0", "stop < step", "1/0", "cap")))
+    step = draw(st.sampled_from((F(0), F(-1, 2))) if case == "step <= 0" else _grid_steps)
+    gaps = {"grid": draw(st.integers(1, 14)), "stop < step": 0, "cap": MAX_GRID_POINTS}
+    stop = step * (gaps.get(case, 2) + draw(st.sampled_from((0, 0, F(1, 2), F(6, 7)))))
+    step_arg = "1/0" if case == "1/0" else draw(_forms(step))
+    return step_arg, draw(_forms(stop)), step
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bounds=_grid_bounds(),
+    shape=st.one_of(
+        piecewise_linear_specs(concave=True),
+        piecewise_linear_specs(concave=False),
+        step_specs(),
+        st.just(None),
+    ),
+    levels=st.lists(
+        st.sampled_from((0, 1, 2, 3, F(1, 2), F(3, 2), F(7, 8))), min_size=1, max_size=5
+    ),
+    trap=st.sampled_from((None, None, None, "miss", "float", "negative")),
+    data=st.data(),
+)
+def test_euclid_grid_route_matches_the_pair_list(bounds, shape, levels, trap, data):
+    # the grid route gives the JSON, or the error type and message, the pair
+    # count and the reads of f of the pair route over pairs_from_grid
+    step, stop, fraction_step = bounds
+    f = shape
+    if f is None:
+        overrides = {F(0): 0}
+        if trap is not None:
+            x = fraction_step * data.draw(st.integers(1, 30))
+            overrides[x] = {"miss": None, "float": 0.5, "negative": F(-1, 2)}[trap]
+        f = _Drawn(levels, overrides)
+
+    def by_grid(g):
+        count = _grid(step, stop)[1]
+        return check_euclid_preserving_grid(g, step, stop), count * (count + 1) // 2
+
+    def by_pairs(g):
+        pairs = pairs_from_grid(step, stop)
+        return check_euclid_preserving_sampled(g, pairs), len(pairs)
+
+    outcomes = []
+    for route in (by_grid, by_pairs):
+        g = _Counting(f)
+        try:
+            verdict, pair_count = route(g)
+            outcomes.append((verdict.to_json_dict(), pair_count, g.calls))
+        except (PadicMetricsError, TypeError, ValueError) as err:
+            outcomes.append((type(err).__name__, str(err), g.calls))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_euclid_grid_route_allocates_per_point_not_per_pair():
+    # 513 points and 131841 pairs: the peak traced allocation stays under
+    # 1 MB, where the pair list of the pair route alone takes about 36 MB
+    tracemalloc.start()
+    try:
+        verdict = check_euclid_preserving_grid(Canonical(), F(1, 64), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.to_json_dict() == {
+        "passed": True,
+        "samples_hash": "d9bf1b3f0e1e55f4",
+        "witness": None,
+    }
+    assert peak < 1_000_000
 
 
 # ------------------------------------------------- sufficient conditions --

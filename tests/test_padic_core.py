@@ -213,12 +213,13 @@ def test_digit_window_cap():
 
 
 @st.composite
-def digit_cases(draw):
-    p = draw(st.sampled_from((2, 3, 5, 7, 257, 2**61 - 1)))
+def digit_cases(draw, primes=(2, 3, 5, 7, 257, 2**61 - 1), counts=st.integers(1, 71)):
+    # (x, p, high) for a window of a drawn number of digits
+    p = draw(st.sampled_from(primes))
     x = Fraction(draw(st.integers(-(10**30), 10**30)), draw(st.integers(1, 10**12)))
     x *= Fraction(p) ** draw(st.integers(-4, 4))
     low = 0 if x == 0 else min(0, valuation(x, p))
-    return x, p, low + draw(st.integers(0, 70))
+    return x, p, low + draw(counts) - 1
 
 
 @settings(max_examples=400)
@@ -238,6 +239,27 @@ def test_digit_window_at_the_cap_matches_the_fraction_loop():
     w = digit_window(x, 3, high)
     assert len(w.digits) == MAX_DIGITS
     assert w == ref_digit_window(x, 3, high)
+
+
+# Windows around the points where digit_window splits the residue: 64
+# digits, 512 bits, and the cap. The 61-bit prime is drawn only below the
+# cap, where its Fraction loop takes most of a second; the examples add it.
+_split_cases = st.one_of(
+    digit_cases(primes=(257, 2**61 - 1), counts=st.sampled_from((63, 64, 65, 66, 128, 129))),
+    digit_cases(
+        primes=(2, 3, 257),
+        counts=st.sampled_from((322, 323, 324, 511, 512, 513, MAX_DIGITS - 1, MAX_DIGITS)),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_split_cases)
+@example(case=(Fraction(-25, 18), 2**61 - 1, MAX_DIGITS - 3))
+@example(case=(Fraction(0), 2**61 - 1, MAX_DIGITS - 1))
+def test_split_digit_window_matches_the_fraction_loop(case):
+    x, p, high = case
+    assert digit_window(x, p, high) == ref_digit_window(x, p, high)
 
 
 def test_digit_window_json_shape():
