@@ -2,8 +2,9 @@
 
 Exit codes: 0 for a pass or a plain query, 1 when a checked property is
 violated (the payload then carries a re-checkable witness), 2 for bad
-input or an unmet precondition. Output is deterministic: sorted keys,
-two-space indent, rationals as canonical strings.
+input or an unmet precondition, and for a verb that runs out of memory
+(``too_large``). Output is deterministic: sorted keys, two-space indent,
+rationals as canonical strings.
 
 Each verb is declared once, in ``VERBS``: its group, its handler and its
 arguments. An argument several verbs share is declared once, in
@@ -480,6 +481,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, KeyError, TypeError, OSError) as err:
         _emit({"error": "invalid_input", "detail": str(err)})
+        return 2
+    except MemoryError:
+        # exit 1 would claim a violated property; the input is too large
+        _emit({"error": "too_large", "detail": "the input needs more memory than is available"})
         return 2
     _emit(payload)
     return code

@@ -256,16 +256,39 @@ class PowerMap(FunctionSpec):
         return {"kind": self.kind, "p": self.p, "q": self.q}
 
 
-@lru_cache(maxsize=4)  # an entry holds every prime below its bound: ~3 MB at 10**6
-def _sieve(bound: int) -> tuple[int, ...]:
+@lru_cache(maxsize=4)  # an entry holds a byte per odd number to its bound: 0.5 MB at 10**6
+def _sieve(bound: int) -> bytes:
+    """Primality of the odd numbers up to bound: byte i is 1 when 2i + 1 is prime.
+
+    2 is the one even prime. The primes are read off with ``find`` and
+    ``rfind`` (``_next_prime``, ``_prime_at_most``) and ``_primes_to``, so no
+    int is made for a prime that is not asked for.
+    """
     if bound < 5:
         raise ValueError("sieve bound must be at least 5")
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
+    flags = bytearray([1]) * ((bound + 1) // 2)
+    flags[0] = 0
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
         if flags[i]:
-            flags[i * i :: i] = bytes((bound - i * i) // i + 1)
-    return tuple(compress(range(bound + 1), flags))
+            p = 2 * i + 1
+            start = p * p // 2  # the odd multiples of p from p*p are p apart
+            flags[start::p] = bytes((len(flags) - 1 - start) // p + 1)
+    return bytes(flags)
+
+
+def _primes_to(flags: bytes, n: int) -> tuple[int, ...]:
+    # the primes <= n, for 2 <= n <= the sieve bound
+    return (2, *compress(range(3, n + 1, 2), flags[1 : (n + 1) // 2]))
+
+
+def _prime_at_most(flags: bytes, n: int) -> int:
+    # the largest prime <= n, for 2 <= n <= the sieve bound
+    return 2 * flags.rfind(1, 0, (n + 1) // 2) + 1 if n >= 3 else 2
+
+
+def _next_prime(flags: bytes, n: int) -> int:
+    # the smallest prime > n, for n below the largest sieved prime
+    return 2 * flags.find(1, (n + 1) // 2) + 1 if n >= 2 else 2
 
 
 @dataclass(frozen=True)
@@ -280,6 +303,29 @@ class PrimeShift(FunctionSpec):
     using primes below the bound. Inputs at or below 1/p_last raise
     BelowFloorError, inputs at or beyond p_last raise TooLargeError, where
     p_last is the largest sieved prime.
+
+    Cost: besides the sieve (built once per bound and cached), an
+    evaluation makes O(pi(sqrt(L))) integer steps, L = floor(max(x, 1/x)):
+    one ``floor_power_index`` per prime up to isqrt(L), and a few searches
+    of the sieve for the primes next to isqrt(L) and L.
+
+    Why that finds the same neighbours as a walk over every prime up to L.
+    Write y = max(x, 1/x) >= 1. Every defined point other than 1 is p**k
+    or 1/p**k, so for x > 1 the neighbours of x are powers P = p**k near
+    y, and for x < 1 they are 1/P for the powers P nearest y on the other
+    side; the primes that can contribute are those up to L, as before.
+    For p <= isqrt(L), the two powers of p around y come from
+    ``floor_power_index``. A prime p in (isqrt(L), L] has p <= y < p**2,
+    so its powers next to y are p and p**2 (for x itself, m = 1 when
+    x > 1, and m = -2, or -1 at x = 1/p, when x < 1). Among those primes
+    the largest p at or below y is the largest prime <= L, and the
+    smallest p**2 above y is the square of the smallest prime > isqrt(L);
+    no other of them can be nearest. The nearest first power above y is
+    the smallest prime > L. All prime powers are distinct rationals, so
+    the nearest point below and above x, an exact hit, and with them the
+    value and every error, are those of the full walk. Points and images
+    stay integers, compared by cross-multiplying; a Fraction is built
+    only for the returned value.
 
     Raises:
         TooLargeError: if sieve_bound exceeds MAX_SIEVE_BOUND; nothing is
@@ -299,60 +345,56 @@ class PrimeShift(FunctionSpec):
     def _value(self, x: Fraction) -> Fraction:
         if x == 0:
             return Fraction(0)
-        primes = _sieve(self.sieve_bound)
-        last = primes[-1]
-        floor = Fraction(1, last)
-        if x <= floor:
+        flags = _sieve(self.sieve_bound)
+        last = 2 * flags.rfind(1) + 1
+        n, d = x.numerator, x.denominator
+        if n * last <= d:
             raise BelowFloorError(f"{x} is at or below the evaluation floor 1/{last}")
-        if x >= last:
+        if n >= last * d:
             raise TooLargeError(f"{x} is at or beyond the certified ceiling {last}")
 
-        lo = hi = None
-        lo_img = hi_img = None
-
-        def offer(point: Fraction, image: Fraction) -> Fraction | None:
-            nonlocal lo, hi, lo_img, hi_img
-            if point == x:
-                return image
-            if point < x and (lo is None or point > lo):
-                lo, lo_img = point, image
-            if point > x and (hi is None or point < hi):
-                hi, hi_img = point, image
-            return None
-
-        # 1 is p**0 for every prime and always maps to itself.
-        exact = offer(Fraction(1), Fraction(1))
-        if exact is not None:
-            return exact
-        # Small primes contribute the two powers around x.
-        limit = max(x, 1 / x)
-        for p, q in pairwise(primes):
-            if p > limit:
+        # y = big / small = max(x, 1/x); every candidate is an integer power
+        # P with its image Q, P <= y in lows and P > y in highs. 1 is p**0
+        # for every prime and always maps to itself. cap < last, so every
+        # prime up to cap has a next prime in the sieve.
+        big, small = (n, d) if n >= d else (d, n)
+        cap = big // small
+        after_root = _next_prime(flags, math.isqrt(cap))
+        y = x if n >= d else Fraction(d, n)
+        lows, highs = [(1, 1)], []
+        for p, q in pairwise(_primes_to(flags, after_root)):
+            m = floor_power_index(y, p)
+            power, image = p**m, q**m
+            lows.append((power, image))
+            highs.append((power * p, image * q))
+            if power * small == big:  # x is a power of p, so the largest of lows
                 break
-            m = floor_power_index(x, p)
-            for n in (m, m + 1):
-                exact = offer(Fraction(p) ** n, Fraction(q) ** n)
-                if exact is not None:
-                    return exact
-        # The nearest first powers straddling x or 1/x.
-        if x > 1:
-            j = bisect.bisect_right(primes, x)
-            if j < len(primes) - 1:
-                exact = offer(Fraction(primes[j]), Fraction(primes[j + 1]))
-                if exact is not None:
-                    return exact
-        else:
-            j = bisect.bisect_left(primes, 1 / x)
-            if j < len(primes) - 1:
-                exact = offer(Fraction(1, primes[j]), Fraction(1, primes[j + 1]))
-                if exact is not None:
-                    return exact
+        if after_root <= cap:  # the primes in (isqrt(cap), cap]
+            top = _prime_at_most(flags, cap)
+            lows.append((top, _next_prime(flags, top)))
+            highs.append((after_root**2, _next_prime(flags, after_root) ** 2))
+        above = _next_prime(flags, cap)
+        if above < last:
+            highs.append((above, _next_prime(flags, above)))
 
-        if lo is None or lo <= floor:
+        lo, lo_img = max(lows)
+        if lo * small == big:
+            return Fraction(lo_img) if n >= d else Fraction(1, lo_img)
+        if not highs or min(highs)[0] >= last:
+            # the point past y is x's upper neighbour, or for x < 1 its lower one
+            if n >= d:
+                raise TooLargeError(f"cannot certify the upper neighbour of {x}")
             raise BelowFloorError(f"cannot certify the lower neighbour of {x}")
-        if hi is None or hi >= last:
-            raise TooLargeError(f"cannot certify the upper neighbour of {x}")
-        return lo_img + (x - lo) * (hi_img - lo_img) / (hi - lo)
+        hi, hi_img = min(highs)
+        if n >= d:  # lo < x < hi, all integers
+            return Fraction(
+                lo_img * d * (hi - lo) + (n - lo * d) * (hi_img - lo_img), d * (hi - lo)
+            )
+        # 1/hi < x < 1/lo, with images 1/hi_img and 1/lo_img
+        return Fraction(
+            d * lo_img * (hi - lo) + (n * hi - d) * (hi_img - lo_img) * lo,
+            d * hi_img * lo_img * (hi - lo),
+        )
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "bound": self.sieve_bound}

@@ -48,6 +48,13 @@ _ratio = attrgetter("numerator", "denominator")
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce an int or canonical "a/b" string to an exact Fraction.
 
+    An ASCII string of the form ``-?digits(/digits)?`` (the form every
+    rational of this package serializes to) is read with ``int``, digits
+    and denominator one call each, as ``Fraction(str)`` reads them; any
+    other string goes to ``Fraction(str)``, the only path for decimals,
+    exponents, whitespace, ``+``, ``_`` and non-ASCII digits. Both give
+    the same Fraction or the same error.
+
     Raises:
         TypeError: for a bool, or for a float, which is already rounded to
             binary (0.1 would become 3602879701896397/36028797018963968).
@@ -58,6 +65,17 @@ def as_fraction(x: RationalLike) -> Fraction:
         return x
     if isinstance(x, (float, bool)):
         raise TypeError(f"exact rationals only: got the {type(x).__name__} {x!r}")
+    if isinstance(x, str) and x.isascii():
+        num, slash, den = x.partition("/")
+        negative = num.startswith("-")
+        digits = num[1:] if negative else num
+        # for ASCII text, isdigit() holds exactly for nonempty runs of 0-9
+        if digits.isdigit() and (not slash or den.isdigit()):
+            n = int(digits)
+            d = int(den) if slash else 1
+            if d == 0:
+                raise ValueError(f"zero denominator in {x!r}")
+            return Fraction(-n if negative else n, d)
     try:
         return Fraction(x)
     except ZeroDivisionError:

@@ -194,9 +194,15 @@ def witness_triple(p: int, m: int, n: int) -> tuple[Fraction, Fraction, Fraction
 def _power_values(
     f: FunctionSpec, p: int, window: ExponentWindow
 ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    # the powers p**k of the window, and f read at each from lo to hi
-    base = Fraction(p)
-    powers = {k: base**k for k in range(window.lo, window.hi + 1)}
+    """The powers p**k of the window, and f read at each from lo to hi.
+
+    Each power is built from one int, Fraction(p**k) or Fraction(1, p**-k),
+    not by Fraction.__pow__; the values and the read order are the same.
+    """
+    powers = {
+        k: Fraction(p**k) if k >= 0 else Fraction(1, p**-k)
+        for k in range(window.lo, window.hi + 1)
+    }
     return powers, {k: f(x) for k, x in powers.items()}
 
 

@@ -47,6 +47,10 @@ read the digits off one residue mod p**count.
 search and the ``PowerMap`` interpolation in ``Fraction`` arithmetic, as
 they were before both moved to integers.
 
+``ref_prime_shift_value`` is ``PrimeShift`` evaluation as it was before
+it moved to integers: every prime up to max(x, 1/x) offers its two
+``Fraction`` powers around x, and the nearest offers are kept.
+
 ``ref_exact_rank`` is Gauss-Jordan elimination over ``Fraction``s, the
 reference for the package's fraction-free integer rank.
 
@@ -59,12 +63,14 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import pairwise
 from random import Random
 
 from padicmetrics import (
     AsymmetricError,
+    BelowFloorError,
     DigitWindow,
     DistanceMatrixCandidate,
     EquivalenceBreachError,
@@ -77,6 +83,7 @@ from padicmetrics import (
     SpaceFamily,
     StepFunction,
     SufficientConditions,
+    TooLargeError,
     TriangleViolation,
     TripletVerdict,
     Witness,
@@ -89,6 +96,7 @@ from padicmetrics import (
     validate_ultrametric,
     valuation,
 )
+from padicmetrics.functions import _primes_to, _sieve, floor_power_index
 from padicmetrics.padic_preserving import (
     PreservationVerdict,
     WindowWitness,
@@ -596,6 +604,63 @@ def ref_power_map_value(p: int, q: int, x: Fraction) -> Fraction:
     img_lo = Fraction(q) ** m
     img_hi = Fraction(q) ** (m + 1)
     return img_lo + (x - lo) * (img_hi - img_lo) / (hi - lo)
+
+
+def ref_prime_shift_value(bound: int, x: Fraction) -> Fraction:
+    """PrimeShift(bound)(x), by a walk over every prime up to max(x, 1/x)."""
+    if x == 0:
+        return Fraction(0)
+    primes = _primes_to(_sieve(bound), bound)
+    last = primes[-1]
+    floor = Fraction(1, last)
+    if x <= floor:
+        raise BelowFloorError(f"{x} is at or below the evaluation floor 1/{last}")
+    if x >= last:
+        raise TooLargeError(f"{x} is at or beyond the certified ceiling {last}")
+
+    lo = hi = None
+    lo_img = hi_img = None
+
+    def offer(point: Fraction, image: Fraction) -> Fraction | None:
+        nonlocal lo, hi, lo_img, hi_img
+        if point == x:
+            return image
+        if point < x and (lo is None or point > lo):
+            lo, lo_img = point, image
+        if point > x and (hi is None or point < hi):
+            hi, hi_img = point, image
+        return None
+
+    exact = offer(Fraction(1), Fraction(1))
+    if exact is not None:
+        return exact
+    limit = max(x, 1 / x)
+    for p, q in pairwise(primes):
+        if p > limit:
+            break
+        m = floor_power_index(x, p)
+        for n in (m, m + 1):
+            exact = offer(Fraction(p) ** n, Fraction(q) ** n)
+            if exact is not None:
+                return exact
+    if x > 1:
+        j = bisect_right(primes, x)
+        if j < len(primes) - 1:
+            exact = offer(Fraction(primes[j]), Fraction(primes[j + 1]))
+            if exact is not None:
+                return exact
+    else:
+        j = bisect_left(primes, 1 / x)
+        if j < len(primes) - 1:
+            exact = offer(Fraction(1, primes[j]), Fraction(1, primes[j + 1]))
+            if exact is not None:
+                return exact
+
+    if lo is None or lo <= floor:
+        raise BelowFloorError(f"cannot certify the lower neighbour of {x}")
+    if hi is None or hi >= last:
+        raise TooLargeError(f"cannot certify the upper neighbour of {x}")
+    return lo_img + (x - lo) * (hi_img - lo_img) / (hi - lo)
 
 
 def ref_exact_rank(matrix) -> int:

@@ -234,6 +234,20 @@ def test_euclid_grid_at_the_cap(capsys):
     }
 
 
+def test_running_out_of_memory_is_too_large(capsys, monkeypatch):
+    # exit 1 means a violated property, so a MemoryError must not end there
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "check_euclid_preserving_grid", exhausted)
+    code, payload = run_json(capsys, "fn", "euclid", "--spec", CANONICAL)
+    assert code == 2
+    assert payload == {
+        "error": "too_large",
+        "detail": "the input needs more memory than is available",
+    }
+
+
 def test_size_caps_are_refused(capsys):
     # each cap holds at its limit and refuses one over it; nothing is sieved
     code, payload = run_json(capsys, "fn", "prime-shift", "--bound", "10000000")

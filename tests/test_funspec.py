@@ -9,9 +9,10 @@ import operator
 import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicmetrics import (
@@ -43,10 +44,14 @@ from padicmetrics import (
     spec_from_json_dict,
     sufficient_conditions,
 )
+from padicmetrics import functions
 from padicmetrics.fixtures import identity_map, level_swap_map, zigzag_map
 from padicmetrics.functions import (
     MAX_POWER_STEP_DEPTH,
     MAX_SIEVE_BOUND,
+    _next_prime,
+    _prime_at_most,
+    _primes_to,
     _sieve,
     floor_power_index,
 )
@@ -70,6 +75,7 @@ from support import (
     ref_check_ultrametric_preserving,
     ref_floor_power_index,
     ref_power_map_value,
+    ref_prime_shift_value,
     ref_sufficient_conditions,
     sorted_triple_scan,
 )
@@ -178,8 +184,83 @@ def test_prime_shift_sieve_bound_cap():
         spec_from_json_dict({"kind": "prime_shift", "bound": MAX_SIEVE_BOUND + 1})
 
 
+DEFAULT_SIEVE_BOUND = PrimeShift().sieve_bound
+# below 5000 the Fraction walk of the reference takes milliseconds; past it,
+# up to 2 s at the default bound, so only the named points go there
+SHIFT_REACH = 5000
+
+
+def _read_outcome(read):
+    try:
+        value = read()
+    except PadicMetricsError as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+@cache  # the named points at the default bound cost the reference ~2 s each
+def _ref_prime_shift_outcome(bound, x):
+    return _read_outcome(lambda: ref_prime_shift_value(bound, x))
+
+
+@st.composite
+def prime_shift_points(draw):
+    bound = draw(st.sampled_from((7, 12, 30, 1000, DEFAULT_SIEVE_BOUND)))
+    primes = _primes_to(_sieve(bound), bound)
+    last = primes[-1]
+    reach = min(2 * last, SHIFT_REACH)
+    b = primes[draw(st.integers(0, len(primes) - 1))]
+    shape = draw(st.sampled_from(("power", "square", "ratio", "named")))
+    if shape == "power":
+        x = F(b) ** draw(st.integers(-4, 4))
+    elif shape == "square":
+        x = F(b * b + draw(st.sampled_from((-1, 1))))
+        x = 1 / x if draw(st.booleans()) else x
+    elif shape == "ratio":
+        x = F(draw(st.integers(1, reach)), draw(st.integers(1, reach)))
+    else:
+        x = draw(st.sampled_from((
+            F(0), F(1), F(1, last), F(last), F(last - 1), F(1, last - 1), F(last + 1, last)
+        )))
+    if shape != "named":
+        assume(max(x, 1 / x) <= reach or not F(1, last) < x < last)
+    return bound, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(point=prime_shift_points())
+@example(point=(DEFAULT_SIEVE_BOUND, F(999_982)))
+@example(point=(DEFAULT_SIEVE_BOUND, F(1, 999_982)))
+# at bound 7 the first power 5, next to the last prime 7, is the neighbour
+@example(point=(7, F(9, 2)))
+@example(point=(7, F(2, 9)))
+def test_prime_shift_matches_the_walk_over_every_prime(point):
+    bound, x = point
+    assert _read_outcome(lambda: PrimeShift(bound)(x)) == _ref_prime_shift_outcome(bound, x)
+
+
+def test_prime_shift_walks_only_the_primes_up_to_the_root(monkeypatch):
+    # pi(isqrt(500001)) = pi(707) = 126; a walk over every prime up to x
+    # calls floor_power_index 41 538 times
+    calls = []
+
+    def counted(x, base):
+        calls.append(base)
+        return floor_power_index(x, base)
+
+    monkeypatch.setattr(functions, "floor_power_index", counted)
+    f = PrimeShift()
+    for x, value in (
+        (F(500_001), F(1_500_071, 3)),
+        (F(1, 500_001), F(750_022_999_691, 375_029_250_448_500_783)),
+    ):
+        calls.clear()
+        assert f(x) == value
+        assert len(calls) <= 126, x
+
+
 def test_sieve_cache_is_bounded():
-    # every distinct bound would otherwise keep its prime tuple for good
+    # every distinct bound would otherwise keep its flags for good
     cap = _sieve.cache_info().maxsize
     assert cap is not None
     for bound in range(20, 20 + cap + 2):
@@ -195,8 +276,17 @@ def test_sieve_matches_trial_division():
         )
 
     for bound in range(5, 301):
-        assert _sieve(bound) == trial_primes(bound), bound
-    primes = _sieve(10**6)
+        assert _primes_to(_sieve(bound), bound) == trial_primes(bound), bound
+    # the readers PrimeShift uses, at every n they may be asked about
+    for bound in (5, 6, 7, 8, 30, 300):
+        flags, primes = _sieve(bound), trial_primes(bound)
+        for n in range(2, bound + 1):
+            below = tuple(p for p in primes if p <= n)
+            assert _primes_to(flags, n) == below
+            assert _prime_at_most(flags, n) == below[-1]
+            if n < primes[-1]:
+                assert _next_prime(flags, n) == primes[len(below)]
+    primes = _primes_to(_sieve(10**6), 10**6)
     assert len(primes) == 78_498 and primes[-1] == 999_983
 
 

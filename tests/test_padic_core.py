@@ -155,6 +155,48 @@ def test_floats_and_bools_are_refused():
         as_fraction("1/0")
 
 
+def _fraction_of_text(text):
+    # as_fraction before its int reading: Fraction(str), a zero denominator
+    # reported as ValueError
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _outcome(read, text):
+    try:
+        value = read(text)
+    except ValueError as err:
+        return "ValueError", str(err)
+    return type(value), value
+
+
+@settings(max_examples=500)
+@given(text=st.text(alphabet="0123456789-/+_. e\u0663", max_size=12))
+@example(text="007/010")
+@example(text="-0")
+@example(text="1/0")
+@example(text="0/0")
+@example(text="--1")
+@example(text="1/-2")
+@example(text="-")
+@example(text="/")
+@example(text="1/")
+@example(text="/2")
+@example(text="")
+@example(text=" 3")
+@example(text="+3")
+@example(text="1_000")
+@example(text="1.5")
+@example(text="1e3")
+@example(text="\u0663")
+@example(text="5" * 5000)  # over the int-from-text digit limit
+@example(text="-1/" + "7" * 5000)
+def test_as_fraction_reads_text_as_fraction_does(text):
+    assert _outcome(as_fraction, text) == _outcome(_fraction_of_text, text)
+
+
 def test_distance_examples():
     assert padic_distance(Fraction(1, 2), Fraction(1, 3), 3) == 3
     assert padic_distance(Fraction(1, 3), Fraction(1, 4), 3) == 3
