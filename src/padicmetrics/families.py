@@ -42,7 +42,7 @@ from .errors import (
 )
 from .functions import FunctionSpec, StepFunction, Tabulated
 from .padic import RationalLike, as_fraction
-from .preserving import _amenable_images
+from .preserving import _amenable_images, _common, _fractions
 from .spaces import (
     DistanceMatrixCandidate,
     FiniteUltrametricSpace,
@@ -313,20 +313,21 @@ class PreservationReport:
 
 
 def _order_side(f: FunctionSpec, poset: FinitePoset) -> OrderWitness | None:
-    """First failing order-side condition; f is called once per value.
+    """First failing order-side condition; f is read once per value.
 
-    The pair scan compares the int ranks of the images (see ``_ranked``),
-    not the images themselves.
+    The images come as integer pairs (``FunctionSpec.ratio_at``), and the
+    pair scan compares them as integers over one common denominator; only
+    a witness's images become Fractions.
     """
     images, bad = _amenable_images(f, poset.ground)
     if bad is not None:
         return OrderWitness(bad.kind, bad.points, bad.images)
-    _, _, ([ranks],) = _ranked(([images],))
+    ys = _common(images)
     g = poset.ground
     for i, row in enumerate(poset.up):
         for j in _bits(row & ~(1 << i)):
-            if ranks[i] > ranks[j]:
-                return OrderWitness("pair", (g[i], g[j]), (images[i], images[j]))
+            if ys[i] > ys[j]:
+                return OrderWitness("pair", (g[i], g[j]), _fractions(images[i], images[j]))
     return None
 
 

@@ -13,8 +13,9 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import compress, pairwise
+from typing import Callable
 
 from .errors import (
     BelowFloorError,
@@ -22,7 +23,7 @@ from .errors import (
     NegativeInputError,
     TooLargeError,
 )
-from .padic import RationalLike, as_fraction, require_prime
+from .padic import RationalLike, _ratio, as_fraction, require_prime
 
 TAIL_CONSTANT = "constant"
 TAIL_LINEAR = "linear"
@@ -48,7 +49,11 @@ def floor_power_index(x: Fraction, base: int) -> int:
     search starts from the difference of the bit lengths of n and d and
     moves a step or two from there.
     """
-    n, d = x.numerator, x.denominator
+    return _floor_index(x.numerator, x.denominator, base)
+
+
+def _floor_index(n: int, d: int, base: int) -> int:
+    # floor_power_index of n/d, for any d > 0: the comparisons scale with n/d
     if n <= 0:
         raise ValueError("x must be positive")
     m = math.floor((n.bit_length() - d.bit_length()) / math.log2(base))
@@ -59,10 +64,83 @@ def floor_power_index(x: Fraction, base: int) -> int:
     return m
 
 
+def _power_pair(p: int, k: int) -> tuple[int, int]:
+    # p**k as (numerator, denominator)
+    return (p**k, 1) if k >= 0 else (1, p**-k)
+
+
+def _over_common(den: int, values: list[Fraction]) -> tuple[int, list[int]]:
+    # For points k/den: the factor s and the values over one denominator,
+    # L = lcm(den, the values' denominators), so k/den is k*s over L too
+    big = math.lcm(den, *(v.denominator for v in values))
+    return big // den, [v.numerator * (big // v.denominator) for v in values]
+
+
+def _ascending(ratios: list[tuple[int, int]]) -> bool:
+    # whether the (numerator, positive denominator) pairs ascend strictly
+    return all(n0 * d1 < n1 * d0 for (n0, d0), (n1, d1) in pairwise(ratios))
+
+
+def _segments(
+    xs: list[Fraction], ys: list[Fraction], den: int
+) -> tuple[int, list[int], list[tuple[int, ...]]]:
+    # A polyline through (xs, ys) scaled for points k/den: the factor s and
+    # the breakpoints X over L (see _over_common), and per segment (X0,
+    # base, rise, under) with f(x) = (base + (k*s - X0) * rise) / under
+    # from X0 to the next X
+    scale, big_xs = _over_common(den, xs)
+    segments = []
+    for (x0, (n0, d0)), (x1, (n1, d1)) in pairwise(zip(big_xs, map(_ratio, ys))):
+        width = x1 - x0
+        segments.append((x0, n0 * d1 * width, n1 * d0 - n0 * d1, d0 * d1 * width))
+    return scale, big_xs, segments
+
+
+def _read_ratio(f: Callable, k: int, den: int) -> tuple[int, int]:
+    # f(k/den) read the general way: the value coerced once by as_fraction,
+    # so a float or bool is refused, and split into two integers
+    return _ratio(as_fraction(f(Fraction(k, den))))
+
+
+def ratio_reader(f: Callable) -> Callable[[int, int], tuple[int, int]]:
+    """The reader (k, den) -> f(k/den) as an integer pair, for any f.
+
+    That is ``f.ratio_at``; a plain callable with no ``ratio_at`` is read
+    as f(Fraction(k, den)), coerced by ``as_fraction``.
+    """
+    read = getattr(f, "ratio_at", None)
+    return partial(_read_ratio, f) if read is None else read
+
+
 class FunctionSpec:
-    """Base class for exactly evaluable maps f: [0, oo) -> [0, oo)."""
+    """Base class for exactly evaluable maps f: [0, oo) -> [0, oo).
+
+    ``f(x)`` gives the value at x as a Fraction. ``f.ratio_at(k, den)``
+    gives the value at k/den, for integers k and den > 0, as a pair of
+    integers (num, d) with d > 0 and num/d = f(k/den). The pair need not
+    be in lowest terms; it is equal to f(Fraction(k, den)) as a rational,
+    and when that call raises, ratio_at raises the same error. The checks
+    read every image through ratio_at, once per point, and build a
+    Fraction only for an image that goes into a witness or into JSON.
+
+    The default reads f(Fraction(k, den)) and coerces the value with
+    ``as_fraction``, so a float or bool image raises TypeError. Canonical,
+    PiecewiseLinear, StepFunction, PowerMap, Reciprocal, PowerStep and
+    Tabulated compute the pair on integers, with no Fraction (Tabulated
+    builds one only for the message of a miss); at k < 0 they too take
+    the default, so the NegativeInputError is the one f raises. A subclass
+    that redefines ``_value`` or ``__call__`` without defining its own
+    ``ratio_at`` gets the default back, so every read goes through the
+    value it defines.
+    """
 
     kind: str = ""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "ratio_at" not in own and ("_value" in own or "__call__" in own):
+            cls.ratio_at = FunctionSpec.ratio_at
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_fraction(x)
@@ -73,6 +151,9 @@ class FunctionSpec:
     def _value(self, x: Fraction) -> Fraction:
         raise NotImplementedError
 
+    def ratio_at(self, k: int, den: int) -> tuple[int, int]:
+        return _read_ratio(self, k, den)
+
     def to_json_dict(self) -> dict:
         raise NotImplementedError
 
@@ -82,7 +163,10 @@ class Tabulated(FunctionSpec):
     """Finite lookup table; evaluation never extrapolates.
 
     The table must contain the key 0 and only nonnegative values. Points
-    outside the table raise DomainMissError.
+    outside the table raise DomainMissError. The checks run in one pass
+    each, on the integers of the entries: repeated keys first (a table
+    whose keys ascend has none, so only another table hashes its keys),
+    then the key 0, then the signs.
     """
 
     entries: tuple[tuple[Fraction, Fraction], ...]
@@ -91,17 +175,28 @@ class Tabulated(FunctionSpec):
 
     def __post_init__(self) -> None:
         keys = [k for k, _ in self.entries]
-        if len(set(keys)) != len(keys):
+        ratios = list(map(_ratio, keys))
+        if not _ascending(ratios) and len(set(keys)) != len(keys):
             raise ValueError("duplicate table keys")
-        if Fraction(0) not in keys:
+        if (0, 1) not in ratios:
             raise ValueError("table must contain the key 0")
-        if any(k < 0 for k in keys) or any(v < 0 for _, v in self.entries):
+        if any(n < 0 for n, _ in ratios) or any(v.numerator < 0 for _, v in self.entries):
             raise ValueError("table keys and values must be nonnegative")
 
     @classmethod
+    def from_pairs(cls, pairs) -> "Tabulated":
+        """The table of (key, value) pairs, coerced by as_fraction, in key order.
+
+        The entries are sorted only when their keys do not ascend already.
+        """
+        entries = _parse_pairs(pairs)
+        if not _ascending([_ratio(k) for k, _ in entries]):
+            entries.sort()
+        return cls(tuple(entries))
+
+    @classmethod
     def from_mapping(cls, mapping: dict) -> "Tabulated":
-        pairs = sorted((as_fraction(k), as_fraction(v)) for k, v in mapping.items())
-        return cls(tuple(pairs))
+        return cls.from_pairs(mapping.items())
 
     @cached_property
     def _lookup(self) -> dict[Fraction, Fraction]:
@@ -112,6 +207,21 @@ class Tabulated(FunctionSpec):
             return self._lookup[x]
         except KeyError:
             raise DomainMissError(f"{x} is not a tabulated point") from None
+
+    @cached_property
+    def _ratio_lookup(self) -> dict[tuple[int, int], Fraction]:
+        # the table keyed by (numerator, denominator) in lowest terms
+        return {_ratio(k): v for k, v in self.entries}
+
+    def ratio_at(self, k: int, den: int) -> tuple[int, int]:
+        if k < 0:
+            return _read_ratio(self, k, den)
+        g = math.gcd(k, den)
+        try:
+            value = self._ratio_lookup[k // g, den // g]
+        except KeyError:
+            raise DomainMissError(f"{Fraction(k, den)} is not a tabulated point") from None
+        return _ratio(as_fraction(value))
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,6 +293,29 @@ class PiecewiseLinear(FunctionSpec):
         x1, y1 = self.points[i + 1]
         return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
 
+    @cached_property
+    def _tables(self) -> Callable[[int], tuple[int, list[int], list[tuple[int, ...]]]]:
+        # _segments for one denominator at a time; the last few are kept
+        return lru_cache(maxsize=16)(partial(_segments, self._xs, self._ys))
+
+    @cached_property
+    def _ys(self) -> list[Fraction]:
+        # coerced, so that a float ordinate is refused as a float image is
+        return [as_fraction(y) for _, y in self.points]
+
+    def ratio_at(self, k: int, den: int) -> tuple[int, int]:
+        if k < 0:
+            return _read_ratio(self, k, den)
+        scale, xs, segments = self._tables(den)
+        at = k * scale
+        i = bisect.bisect_right(xs, at) - 1
+        if i == len(segments):  # at or past the last breakpoint
+            if at == xs[-1] or self.tail == TAIL_CONSTANT:
+                return _ratio(self._ys[-1])
+            i -= 1  # the linear tail continues the last segment
+        x0, base, rise, under = segments[i]
+        return base + (at - x0) * rise, under
+
     def to_json_dict(self) -> dict:
         tail = {"constant": str(self.points[-1][1])} if self.tail == TAIL_CONSTANT else TAIL_LINEAR
         return {
@@ -201,6 +334,11 @@ class Reciprocal(FunctionSpec):
     def _value(self, x: Fraction) -> Fraction:
         return Fraction(0) if x == 0 else 1 / x
 
+    def ratio_at(self, k: int, den: int) -> tuple[int, int]:
+        if k <= 0:
+            return (0, 1) if k == 0 else _read_ratio(self, k, den)
+        return den, k
+
     def to_json_dict(self) -> dict:
         return {"kind": self.kind}
 
@@ -215,6 +353,11 @@ class Canonical(FunctionSpec):
         # x = n/d gives n / (n + d), in lowest terms as gcd(n, n + d) = gcd(n, d)
         n = x.numerator
         return Fraction(n, n + x.denominator)
+
+    def ratio_at(self, k: int, den: int) -> tuple[int, int]:
+        if k < 0:
+            return _read_ratio(self, k, den)
+        return k, k + den
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind}
@@ -241,16 +384,25 @@ class PowerMap(FunctionSpec):
     def _value(self, x: Fraction) -> Fraction:
         if x == 0:
             return Fraction(0)
+        return Fraction(*self._interpolate(x.numerator, x.denominator))
+
+    def ratio_at(self, k: int, den: int) -> tuple[int, int]:
+        if k <= 0:
+            return (0, 1) if k == 0 else _read_ratio(self, k, den)
+        return self._interpolate(k, den)
+
+    def _interpolate(self, n: int, d: int) -> tuple[int, int]:
+        # the value at x = n/d > 0, for any d > 0
         p, q = self.p, self.q
-        m = floor_power_index(x, p)
+        m = _floor_index(n, d, p)
         # x = p**m * b / a with 1 <= b / a < p, and the line through
         # (p**m, q**m) and (p**(m+1), q**(m+1)) takes at x the value
         # q**m * (1 + (b / a - 1) * (q - 1) / (p - 1)), built from integers
         if m >= 0:
-            a, b, up, down = x.denominator * p**m, x.numerator, q**m, 1
+            a, b, up, down = d * p**m, n, q**m, 1
         else:
-            a, b, up, down = x.denominator, x.numerator * p**-m, 1, q**-m
-        return Fraction(up * ((p - 1) * a + (q - 1) * (b - a)), down * (p - 1) * a)
+            a, b, up, down = d, n * p**-m, 1, q**-m
+        return up * ((p - 1) * a + (q - 1) * (b - a)), down * (p - 1) * a
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "p": self.p, "q": self.q}
@@ -436,6 +588,11 @@ class PowerStep(FunctionSpec):
         m = floor_power_index(x, self.p)
         return self.inner(Fraction(self.p) ** m)
 
+    def ratio_at(self, k: int, den: int) -> tuple[int, int]:
+        if k <= 0:
+            return (0, 1) if k == 0 else _read_ratio(self, k, den)
+        return self.inner.ratio_at(*_power_pair(self.p, _floor_index(k, den, self.p)))
+
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "p": self.p, "inner": self.inner.to_json_dict()}
 
@@ -483,6 +640,23 @@ class StepFunction(FunctionSpec):
         i = bisect.bisect_right(self._thresholds, x) - 1
         return self.below if i < 0 else self.points[i][1]
 
+    @cached_property
+    def _tables(self) -> Callable[[int], tuple[int, list[int]]]:
+        # the thresholds scaled for one denominator (see _over_common); the
+        # last few are kept
+        return lru_cache(maxsize=16)(partial(_over_common, values=self._thresholds))
+
+    @cached_property
+    def _level_pairs(self) -> list[tuple[int, int]]:
+        # coerced, so that a float level is refused as a float image is
+        return [_ratio(as_fraction(v)) for v in self.levels()]
+
+    def ratio_at(self, k: int, den: int) -> tuple[int, int]:
+        if k <= 0:
+            return (0, 1) if k == 0 else _read_ratio(self, k, den)
+        scale, ts = self._tables(den)
+        return self._level_pairs[bisect.bisect_right(ts, k * scale)]
+
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -508,7 +682,7 @@ def spec_from_json_dict(data: dict) -> FunctionSpec:
         raise ValueError("function spec JSON must be an object with a 'kind'")
     kind = data["kind"]
     if kind == "tabulated":
-        return Tabulated(tuple(sorted(_parse_pairs(data["table"]))))
+        return Tabulated.from_pairs(data["table"])
     if kind == "piecewise_linear":
         if "tail" not in data:
             raise ValueError("piecewise_linear needs a 'tail' entry")

@@ -45,6 +45,11 @@ _LEAF_BITS = 512
 _ratio = attrgetter("numerator", "denominator")
 
 
+def _exceeds(a: tuple[int, int], b: tuple[int, int], factor: int = 1) -> bool:
+    # a > factor * b for (numerator, positive denominator) pairs
+    return a[0] * b[1] > factor * b[0] * a[1]
+
+
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce an int or canonical "a/b" string to an exact Fraction.
 

@@ -18,11 +18,11 @@ A failed check reports the failing exponent or pair nearest to zero: the
 least one by the key ``_near`` (|k|, k), or by (|m| + |n|, m, n) for a
 band pair, taken with ``min`` over the failing candidates; no window is
 enumerated in that order, and passing inputs never look at a pair (see
-``_band_witness`` for the cost of a band witness). Each image is coerced
-once by ``as_fraction`` (so a float or bool image is refused, as in the
-pair-sum checks) and split into numerator and positive denominator, and
-every comparison cross-multiplies those integers: no Fraction pair is
-compared.
+``_band_witness`` for the cost of a band witness). Each image is read
+once, as an integer pair by ``FunctionSpec.ratio_at`` at p**k = (p**k, 1)
+or (1, p**-k) (so a float or bool image is refused, as in the pair-sum
+checks), and every comparison cross-multiplies those integers: no
+Fraction pair is compared, and only a witness's images become Fractions.
 
 Every failed verdict carries a witness: the offending exponent pair plus a
 concrete rational triple whose pairwise p-adic distances are p**m and p**n
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadOrderError, NotPreservingError, SelfCheckError, TooLargeError
-from .functions import FunctionSpec, PowerMap, StepFunction
-from .padic import _ratio, as_fraction, padic_distance, require_prime
+from .functions import FunctionSpec, PowerMap, StepFunction, _power_pair, ratio_reader
+from .padic import _exceeds, padic_distance, require_prime
 
 
 # The widest window accepted, in exponents: -512..512 and its shifts.
@@ -191,64 +191,57 @@ def witness_triple(p: int, m: int, n: int) -> tuple[Fraction, Fraction, Fraction
     return (x, y, z)
 
 
-def _power_values(
+def _power_images(
     f: FunctionSpec, p: int, window: ExponentWindow
-) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    """The powers p**k of the window, and f read at each from lo to hi.
+) -> dict[int, tuple[int, int]]:
+    """f read at each power p**k of the window, from lo to hi, as a pair.
 
-    Each power is built from one int, Fraction(p**k) or Fraction(1, p**-k),
-    not by Fraction.__pow__; the values and the read order are the same.
+    The power is handed over as the integers (p**k, 1) or (1, p**-k), so a
+    spec read the default way gets Fraction(p**k) or Fraction(1, p**-k),
+    as it did before pairs. Each value is (numerator, positive
+    denominator), for cross-multiplication.
     """
-    powers = {
-        k: Fraction(p**k) if k >= 0 else Fraction(1, p**-k)
-        for k in range(window.lo, window.hi + 1)
-    }
-    return powers, {k: f(x) for k, x in powers.items()}
-
-
-def _exact(values: dict[int, Fraction]) -> dict[int, tuple[int, int]]:
-    # each image coerced once, so floats and bools are refused, and split
-    # into numerator and positive denominator for cross-multiplication
-    return {k: _ratio(as_fraction(v)) for k, v in values.items()}
+    read = ratio_reader(f)
+    return {k: read(*_power_pair(p, k)) for k in range(window.lo, window.hi + 1)}
 
 
 def _shared_gate(
-    f: FunctionSpec, p: int, window: ExponentWindow, values: dict[int, Fraction]
+    f: FunctionSpec, window: ExponentWindow, images: dict[int, tuple[int, int]]
 ) -> PreservationVerdict | None:
-    f0 = f(Fraction(0))
-    if f0 != 0:
+    f0 = ratio_reader(f)(0, 1)
+    if f0[0] != 0:
         return PreservationVerdict(
-            False, window, "origin", WindowWitness("origin", images=(f0,))
+            False, window, "origin", WindowWitness("origin", images=(Fraction(*f0),))
         )
-    zeros = [k for k, v in values.items() if v == 0]
+    zeros = [k for k, (v, _) in images.items() if v == 0]
     if zeros:
         k = min(zeros, key=_near)
         return PreservationVerdict(False, window, "vanishes", WindowWitness("vanishes", m=k))
     return None
 
 
-def _exceeds(a: tuple[int, int], b: tuple[int, int], factor: int = 1) -> bool:
-    # a > factor * b for (numerator, positive denominator) pairs
-    return a[0] * b[1] > factor * b[0] * a[1]
-
-
 def _pair_verdict(
-    kind: str, p: int, window: ExponentWindow, values: dict[int, Fraction], m: int, n: int
+    kind: str,
+    p: int,
+    window: ExponentWindow,
+    images: dict[int, tuple[int, int]],
+    m: int,
+    n: int,
 ) -> PreservationVerdict:
     # the failed verdict for m < n, with the images (f(p**n), f(p**n), f(p**m))
-    images = (values[n], values[n], values[m])
-    witness = WindowWitness(kind, m, n, witness_triple(p, n, m), images)
+    legs, base = Fraction(*images[n]), Fraction(*images[m])
+    witness = WindowWitness(kind, m, n, witness_triple(p, n, m), (legs, legs, base))
     return PreservationVerdict(False, window, kind, witness)
 
 
-def _band_breaks(exact: dict[int, tuple[int, int]], window: ExponentWindow) -> set[int]:
-    # The n at which the largest value before n exceeds 2 values[n]: exactly
-    # the n of the failing pairs m < n, since values[m] > 2 values[n] forces
+def _band_breaks(images: dict[int, tuple[int, int]], window: ExponentWindow) -> set[int]:
+    # The n at which the largest value before n exceeds 2 images[n]: exactly
+    # the n of the failing pairs m < n, since images[m] > 2 images[n] forces
     # the running maximum at n above it too.
     breaks = set()
-    top, top_den = exact[window.lo]
+    top, top_den = images[window.lo]
     for k in range(window.lo + 1, window.hi + 1):
-        v, den = exact[k]
+        v, den = images[k]
         # both values over the common denominator top_den * den
         top_over, v_over = top * den, v * top_den
         if top_over > 2 * v_over:
@@ -259,7 +252,7 @@ def _band_breaks(exact: dict[int, tuple[int, int]], window: ExponentWindow) -> s
 
 
 def _band_witness(
-    exact: dict[int, tuple[int, int]], window: ExponentWindow, breaks: set[int]
+    images: dict[int, tuple[int, int]], window: ExponentWindow, breaks: set[int]
 ) -> tuple[int, int]:
     """The least failing pair m < n by (|m| + |n|, m, n).
 
@@ -278,7 +271,7 @@ def _band_witness(
     """
 
     def least_m(n: int, ms: range) -> int | None:
-        bad = (m for m in ms if _exceeds(exact[m], exact[n], 2))
+        bad = (m for m in ms if _exceeds(images[m], images[n], 2))
         return min(bad, key=_near, default=None)
 
     first, *rest = sorted(breaks, key=_near)
@@ -316,15 +309,14 @@ def check_p_metric_preserving(
     f(p**m)) then break the plain triangle inequality.
     """
     require_prime(p)
-    values = _power_values(f, p, window)[1]
-    early = _shared_gate(f, p, window, values)
+    images = _power_images(f, p, window)
+    early = _shared_gate(f, window, images)
     if early is not None:
         return early
-    exact = _exact(values)
-    breaks = _band_breaks(exact, window)
+    breaks = _band_breaks(images, window)
     if not breaks:
         return PreservationVerdict(True, window)
-    return _pair_verdict("band", p, window, values, *_band_witness(exact, window, breaks))
+    return _pair_verdict("band", p, window, images, *_band_witness(images, window, breaks))
 
 
 def check_p_ultrametric_preserving(
@@ -339,19 +331,18 @@ def check_p_ultrametric_preserving(
 
 def _ultrametric_verdict(
     f: FunctionSpec, p: int, window: ExponentWindow
-) -> tuple[PreservationVerdict, dict[int, Fraction], dict[int, Fraction]]:
-    # the verdict plus the powers and the values it was decided on
+) -> tuple[PreservationVerdict, dict[int, tuple[int, int]]]:
+    # the verdict plus the images it was decided on
     require_prime(p)
-    powers, values = _power_values(f, p, window)
-    early = _shared_gate(f, p, window, values)
+    images = _power_images(f, p, window)
+    early = _shared_gate(f, window, images)
     if early is not None:
-        return early, powers, values
-    exact = _exact(values)
-    drops = [n for n in range(window.lo, window.hi) if _exceeds(exact[n], exact[n + 1])]
+        return early, images
+    drops = [n for n in range(window.lo, window.hi) if _exceeds(images[n], images[n + 1])]
     if drops:
         n = min(drops, key=_near)
-        return _pair_verdict("adjacent", p, window, values, n, n + 1), powers, values
-    return PreservationVerdict(True, window), powers, values
+        return _pair_verdict("adjacent", p, window, images, n, n + 1), images
+    return PreservationVerdict(True, window), images
 
 
 def extend_to_ultrametric_preserving(
@@ -363,13 +354,13 @@ def extend_to_ultrametric_preserving(
     output is increasing and amenable on all of the nonnegatives, not just
     near the powers. Requires the window check to pass first.
     """
-    verdict, powers, values = _ultrametric_verdict(f, p, window)
+    verdict, images = _ultrametric_verdict(f, p, window)
     if not verdict.passed:
         raise NotPreservingError(
             f"f is not {p}-adic ultrametric preserving on "
             f"[{window.lo}, {window.hi}]: {verdict.reason}"
         )
-    points = tuple(zip(powers.values(), values.values()))
+    points = tuple((Fraction(*_power_pair(p, k)), Fraction(*y)) for k, y in images.items())
     return StepFunction(below=points[0][1], points=points)
 
 

@@ -11,9 +11,12 @@ lexicographically least failing ordered triple is itself sorted.
 
 Every check evaluates f once per distinct point, in the order in which the
 points are first needed, so the first error a spec raises does not depend
-on how many routes read its value. The three triplet checks keep the images
-of their samples in one table, filled by the amenability gate and read by
-the direct routes and the scan.
+on how many routes read its value. Each image is read by
+``FunctionSpec.ratio_at`` as an integer pair (numerator, positive
+denominator), so the specs that compute on integers build no Fraction for
+it; only the images in a witness become Fractions. The three triplet checks
+keep the images of their samples in one table, filled by the amenability
+gate and read by the direct routes and the scan.
 
 The scan visits each sorted pair a <= b once. Its admissible c form a
 range of samples, b <= c <= a + b for triangles and c = b for strong
@@ -39,12 +42,16 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, pairwise
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError, TooLargeError
-from .functions import FunctionSpec, PiecewiseLinear, StepFunction
-from .padic import RationalLike, _ratio, as_fraction
+from .functions import FunctionSpec, PiecewiseLinear, StepFunction, ratio_reader
+from .padic import RationalLike, _exceeds, _ratio, as_fraction
+
+# An image f(x) as (numerator, positive denominator), not always in lowest
+# terms: what FunctionSpec.ratio_at returns
+Ratio = tuple[int, int]
 
 # The largest grid accepted, in points, as for exponent windows.
 MAX_GRID_POINTS = 1025
@@ -148,17 +155,20 @@ class _Memo(dict):
 
 def _amenable_images(
     f: FunctionSpec, xs: Sequence[Fraction]
-) -> tuple[list[Fraction], Witness | None]:
-    # The images of xs, evaluated by the amenability gate: f(0) = 0 and f
-    # strictly positive on the positive samples. A breach stops the gate at
-    # once, so no later sample is evaluated.
-    f0 = f(Fraction(0))
-    if f0 != 0:
-        return [], Witness("origin", (Fraction(0),), (f0,))
+) -> tuple[list[Ratio], Witness | None]:
+    # The images of xs as integer pairs, read by the amenability gate: f(0)
+    # = 0 and f strictly positive on the positive samples. Each x is read
+    # at its own numerator and denominator: one common denominator of all
+    # of them can be huge, as for the distances of a family. A breach
+    # stops the gate at once, so no later sample is evaluated.
+    read = ratio_reader(f)
+    f0 = read(0, 1)
+    if f0[0] != 0:
+        return [], Witness("origin", (Fraction(0),), (Fraction(*f0),))
     images = []
     for x in xs:
-        y = f0 if x == 0 else f(x)
-        if x > 0 and y == 0:
+        y = f0 if x == 0 else read(x.numerator, x.denominator)
+        if x > 0 and y[0] == 0:
             return [], Witness("vanishes", (x,), (Fraction(0),))
         images.append(y)
     return images, None
@@ -168,6 +178,24 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     # the common denominator, and the values over it: same order, same sums
     den = lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _common(images: Sequence[Ratio]) -> list[int]:
+    # The images over one common denominator: same order, same sums. Each
+    # pair is reduced first, which keeps that denominator, and with it
+    # every integer, as small as the images allow.
+    reduced = [(n // g, d // g) for n, d in images for g in (gcd(n, d),)]
+    den = lcm(*(d for _, d in reduced))
+    return [n * (den // d) for n, d in reduced]
+
+
+def _fractions(*images: Ratio) -> tuple[Fraction, ...]:
+    # a witness's images, built from their pairs
+    return tuple(Fraction(n, d) for n, d in images)
+
+
+def _least(a: Ratio, b: Ratio) -> Ratio:
+    return b if _exceeds(a, b) else a
 
 
 def _sparse_table(values: list[int], pick: Callable[[int, int], int]) -> list[list[int]]:
@@ -192,19 +220,22 @@ def _strong_band(ya: int, yb: int) -> tuple[int, int]:
 
 def _first_bad_triple(
     xs: Sequence[Fraction],
-    images: Sequence[Fraction],
+    images: Sequence[Ratio],
     reach: Callable[[int, int], int],
     band: Callable[[int, int], tuple[int, int]],
 ) -> Witness | None:
     """Least sorted triple of samples in the scanned family whose images are not.
 
-    xs ascends and is nonnegative; images[k] is f(xs[k]). A sorted triple
+    xs ascends and is nonnegative; images[k] is f(xs[k]) as an integer
+    pair (see ``Ratio``), and only a witness's images become Fractions.
+    A sorted triple
     a <= b <= c is in the scanned family exactly when c <= reach(a, b): a + b
     for triangles, max(a, b) for strong triplets. Its images are in the
     target family exactly when f(c) lies in band(f(a), f(b)): the interval
     [|f(a) - f(b)|, f(a) + f(b)] for triangles; for strong triplets
     [max, max] when f(a) != f(b) and [0, f(a)] when they are equal. Both
-    run on the integers that the samples and the images scale to.
+    run on the integers that the samples and the images scale to, each
+    over one common denominator (``_scaled``, ``_common``).
 
     Pairs are visited in lexicographic order. For a fixed a, reach(a, b)
     grows with b, so the end of the c range only moves up, and one pointer
@@ -217,7 +248,7 @@ def _first_bad_triple(
     failing one; a failed query whose walk finds none raises SelfCheckError.
     """
     n = len(xs)
-    xi, yi = _scaled(xs)[1], _scaled(images)[1]
+    xi, yi = _scaled(xs)[1], _common(images)
     lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
     for i in range(n):
         xa, ya = xi[i], yi[i]
@@ -233,9 +264,8 @@ def _first_bad_triple(
                 continue
             for c in range(j, end):
                 if not lo <= yi[c] <= hi:
-                    return Witness(
-                        "triple", (xs[i], xs[j], xs[c]), (images[i], images[j], images[c])
-                    )
+                    points = (xs[i], xs[j], xs[c])
+                    return Witness("triple", points, _fractions(images[i], images[j], images[c]))
             raise SelfCheckError(
                 f"the range query failed at ({xs[i]}, {xs[j]}) but no c up to "
                 f"{xs[end - 1]} breaks it"
@@ -277,10 +307,10 @@ def _refine(f: FunctionSpec, xs: list[Fraction]) -> list[Fraction]:
     return sorted(set(xs) | set(extra))
 
 
-def _monotone_witness(xs: Sequence[Fraction], images: Sequence[Fraction]) -> Witness | None:
+def _monotone_witness(xs: Sequence[Fraction], images: Sequence[Ratio]) -> Witness | None:
     for k in range(1, len(xs)):
-        if images[k - 1] > images[k]:
-            return Witness("pair", (xs[k - 1], xs[k]), (images[k - 1], images[k]))
+        if _exceeds(images[k - 1], images[k]):
+            return Witness("pair", (xs[k - 1], xs[k]), _fractions(images[k - 1], images[k]))
     return None
 
 
@@ -310,16 +340,16 @@ def check_ultrametric_preserving(
     return TripletVerdict(bad is None, digest, bad)
 
 
-def _halving_witness(xs: Sequence[Fraction], images: Sequence[Fraction]) -> Witness | None:
+def _halving_witness(xs: Sequence[Fraction], images: Sequence[Ratio]) -> Witness | None:
     # the least positive a, then the least later b, with f(a) > 2 f(b): a is
     # the first sample whose image exceeds twice the least later image
     pos = [(x, y) for x, y in zip(xs, images) if x > 0]
-    later_min = list(accumulate((y for _, y in reversed(pos)), min))[::-1]
+    later_min = list(accumulate((y for _, y in reversed(pos)), _least))[::-1]
     for i in range(len(pos) - 1):
         a, ya = pos[i]
-        if ya > 2 * later_min[i + 1]:
-            b, yb = next((b, yb) for b, yb in pos[i + 1 :] if ya > 2 * yb)
-            return Witness("pair", (a, b), (ya, yb))
+        if _exceeds(ya, later_min[i + 1], 2):
+            b, yb = next((b, yb) for b, yb in pos[i + 1 :] if _exceeds(ya, yb, 2))
+            return Witness("pair", (a, b), _fractions(ya, yb))
     return None
 
 
@@ -353,14 +383,13 @@ def _first_bad_sum(
 ) -> tuple[int, int] | None:
     """First pair (a, b) of integer keys whose images break the caller's test.
 
-    value memoises f by key and is read at a, then b, then a + b of each
-    pair. Each image is coerced and split once; breaks gets f(a), f(b) and
+    value memoises f by key, as integer pairs read by ``ratio_at``, and is
+    read at a, then b, then a + b of each pair. breaks gets f(a), f(b) and
     f(a + b) cross-multiplied onto one positive common denominator, which
-    keeps their signs, sums and order.
+    keeps their signs, sums and order. No Fraction is built.
     """
-    exact = _Memo(lambda k: _ratio(as_fraction(value[k])))
     for ka, kb in pairs:
-        (na, da), (nb, db), (nc, dc) = exact[ka], exact[kb], exact[ka + kb]
+        (na, da), (nb, db), (nc, dc) = value[ka], value[kb], value[ka + kb]
         if breaks(na * db * dc, nb * da * dc, nc * da * db):
             return ka, kb
     return None
@@ -378,16 +407,17 @@ def _euclid_verdict(
 ) -> TripletVerdict:
     # The scan and the witness of both Euclid routes. Keys are integers over
     # den: distinct holds every key ascending, for the digest, and pairs
-    # come in lexicographic order. f is memoised by key.
+    # come in lexicographic order. f is memoised by key, as integer pairs.
     digest = _digest(Fraction(k, den) for k in distinct)
-    value = _Memo(lambda k: f(Fraction(k, den)))
+    read = ratio_reader(f)
+    value = _Memo(lambda k: read(k, den))
     bad = _first_bad_sum(pairs, value, _not_triangle)
     if bad is None:
         return TripletVerdict(True, digest)
     ka, kb = bad
     kc = ka + kb
     points = (Fraction(ka, den), Fraction(kb, den), Fraction(kc, den))
-    images = (value[ka], value[kb], value[kc])
+    images = _fractions(value[ka], value[kb], value[kc])
     return TripletVerdict(False, digest, Witness("triple", points, images))
 
 
@@ -412,10 +442,10 @@ def check_euclid_preserving_sampled(
     a scan without a memo first reads it, so the first error a spec raises
     is unchanged. Each triple checks the signs of its images, as
     ``is_triangle_triplet`` does, before comparing each image with the sum
-    of the other two. The witness points are Fractions and the images are
-    as f returned them. For N pairs over P distinct points a, b and a + b,
-    the cost is one sort of N integer pairs, P evaluations of f and
-    Fraction constructions, and O(1) integer operations per pair.
+    of the other two. The witness points and images are Fractions. For N
+    pairs over P distinct points a, b and a + b, the cost is one sort of N
+    integer pairs, P reads of f by ``ratio_at`` (no Fraction for the specs
+    that compute on integers), and O(1) integer operations per pair.
     """
     parts = [_ratio(as_fraction(a)) + _ratio(as_fraction(b)) for a, b in pairs]
     den = lcm(*{d for _, da, _, db in parts for d in (da, db)})
@@ -497,31 +527,34 @@ def sufficient_conditions(
         nonincreasing secant slopes through the sampled points.
     subadditive_on_samples: f(a+b) <= f(a) + f(b) for all sampled pairs.
 
-    The subadditivity scan runs on integers, through ``_first_bad_sum``,
-    the pair-sum scan shared with ``check_euclid_preserving_sampled``. The
-    samples are scaled to integers over their one common denominator L, so
-    each pair sum a + b is one integer addition, and f is memoised by
-    integer key: it receives the sample itself, or Fraction(k, L) for a
-    pair sum k, once per distinct point. f is read where a scan without a
+    All three run on integers. The samples are scaled to integers over
+    their one common denominator L, so each pair sum a + b is one integer
+    addition, and f is memoised by integer key k, read as
+    ``f.ratio_at(k, L)`` once per distinct point. Band and secants put
+    their images over one common denominator (``_common``); the secant
+    slopes are compared by cross-multiplying rises and runs. The
+    subadditivity scan is ``_first_bad_sum``, the pair-sum scan shared with
+    ``check_euclid_preserving_sampled``. f is read where a scan without a
     memo first reads it: the positive samples ascending for band, then the
     secants, then the sorted pairs in lexicographic order, up to the first
     pair that fails. Band and secants read every sample but perhaps 0,
-    which the scan reads at its first pair, (0, 0), so the first error a
-    spec raises is unchanged. For n samples whose pairs reach P distinct
-    sums, the cost is P evaluations of f and Fraction constructions and
-    O(1) integer operations per pair.
+    which the secants read after the positives and the scan at its first
+    pair, (0, 0), so the first error a spec raises is unchanged. For n
+    samples whose pairs reach P distinct sums, the cost is P reads of f
+    (no Fraction for the specs that compute on integers) and O(1) integer
+    operations per pair.
     """
     xs = _canonical(samples)
     den, keys = _scaled(xs)
-    point = dict(zip(keys, xs))
-    value = _Memo(lambda k: f(point[k] if k in point else Fraction(k, den)))
+    read = ratio_reader(f)
+    value = _Memo(lambda k: read(k, den))
     positives = [k for k in keys if k > 0]
 
     band = False
     if positives:
-        values = [value[k] for k in positives]
-        low, high = min(values), max(values)
-        band = low > 0 and high <= 2 * low
+        ys = _common([value[k] for k in positives])
+        low = min(ys)
+        band = low > 0 and max(ys) <= 2 * low
 
     if isinstance(f, PiecewiseLinear):
         slopes = list(f.segment_slopes())
@@ -529,10 +562,11 @@ def sufficient_conditions(
             slopes.append(Fraction(0))
         concave = all(s0 >= s1 for s0, s1 in zip(slopes, slopes[1:]))
     else:
-        secants = [
-            (value[kb] - value[ka]) / (b - a) for (ka, a), (kb, b) in pairwise(point.items())
-        ]
-        concave = all(s0 >= s1 for s0, s1 in zip(secants, secants[1:]))
+        # every secant's (rise, run), both over a common denominator, which
+        # scales every slope by the same positive factor
+        ys = _common([value[k] for k in keys]) if len(keys) > 1 else []
+        secants = [(y1 - y0, k1 - k0) for (k0, y0), (k1, y1) in pairwise(zip(keys, ys))]
+        concave = all(r0 * w1 >= r1 * w0 for (r0, w0), (r1, w1) in pairwise(secants))
 
     pairs = combinations_with_replacement(keys, 2)
     subadditive = _first_bad_sum(pairs, value, lambda ya, yb, yc: yc > ya + yb) is None

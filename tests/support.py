@@ -54,6 +54,10 @@ it moved to integers: every prime up to max(x, 1/x) offers its two
 ``ref_exact_rank`` is Gauss-Jordan elimination over ``Fraction``s, the
 reference for the package's fraction-free integer rank.
 
+``ref_tabulated_entries`` is the parsing of a JSON table as it was before
+it skipped the sort of a table whose keys ascend: every table sorted,
+then the repeated keys, the key 0 and the signs checked on ``Fraction``s.
+
 ``adversarial_pool`` and ``mix_ints`` make distance values that are hard
 to rank: pairwise coprime denominators up to 2^61 - 1, twins less than
 2^-64 apart, and ints next to Fractions of the same value.
@@ -684,3 +688,16 @@ def ref_exact_rank(matrix) -> int:
         if rank == rows:
             break
     return rank
+
+
+def ref_tabulated_entries(table) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The entries of a JSON table, or the error, as the sorted parse gave them."""
+    entries = sorted((as_fraction(k), as_fraction(v)) for k, v in table)
+    keys = [k for k, _ in entries]
+    if len(set(keys)) != len(keys):
+        raise ValueError("duplicate table keys")
+    if Fraction(0) not in keys:
+        raise ValueError("table must contain the key 0")
+    if any(k < 0 for k in keys) or any(v < 0 for _, v in entries):
+        raise ValueError("table keys and values must be nonnegative")
+    return tuple(entries)

@@ -77,6 +77,7 @@ from support import (
     ref_power_map_value,
     ref_prime_shift_value,
     ref_sufficient_conditions,
+    ref_tabulated_entries,
     sorted_triple_scan,
 )
 
@@ -400,6 +401,36 @@ def test_json_roundtrip(f):
     assert spec_from_json_dict(data) == f
 
 
+_TABLE_TEXTS = ("0", "0/3", "1/2", "2/4", "1", "3/2", "7", "-1/2", "-3", "1/0", "x", 0.5, True, 2)
+
+
+@settings(max_examples=300)
+@given(
+    table=st.lists(
+        st.tuples(st.sampled_from(_TABLE_TEXTS), st.sampled_from(_TABLE_TEXTS)), max_size=8
+    ),
+    order=st.sampled_from(("sorted", "sorted", "as drawn", "reversed")),
+)
+def test_tabulated_json_gives_the_sorted_parse(table, order):
+    # sorted, unsorted and invalid tables: the entries, or the (error type,
+    # message), of the parse that sorted every table; repeated keys come
+    # first, then a missing key 0, then a negative key or value
+    def key(pair):
+        try:
+            return as_fraction(pair[0])
+        except (TypeError, ValueError):
+            return F(0)
+
+    if order != "as drawn":
+        table = sorted(table, key=key, reverse=order == "reversed")
+    want = _ratio_outcome(lambda: ref_tabulated_entries(table))
+    got = _ratio_outcome(lambda: spec_from_json_dict({"kind": "tabulated", "table": table}))
+    if got[0] == "value":
+        got = "value", got[1].entries
+        assert Tabulated.from_mapping(dict(table)).entries == got[1]
+    assert got == want
+
+
 def test_spec_json_rejects_garbage():
     with pytest.raises(ValueError):
         spec_from_json_dict({"points": []})
@@ -595,7 +626,7 @@ def test_sorted_scan_matches_ordered_brute_force(origin, table, drop, stray):
         assert _outcome(ref, f, samples) == want
     # the ultrametric verdicts report the direct route's witness, so compare
     # the scans' own witnesses too
-    images = [f(x) for x in xs]
+    images = [f.ratio_at(x.numerator, x.denominator) for x in xs]
     for reach, band, in_family, image_ok in (
         (operator.add, _triangle_band, is_triangle_triplet, is_triangle_triplet),
         (max, _strong_band, is_strong_triplet, is_strong_triplet),
@@ -740,6 +771,220 @@ def test_sampled_checks_call_f_once_per_point():
     read = pairs[: pairs.index((F(3, 4), F(23, 8))) + 1]
     assert not check_euclid_preserving_grid(f, F(1, 8), 8).passed
     assert f.calls == list(dict.fromkeys(x for a, b in read for x in (a, b, a + b)))
+
+
+# --------------------------------------------------------- integer images --
+
+
+def _ratio_outcome(read):
+    try:
+        return "value", read()
+    except (PadicMetricsError, TypeError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def _assert_ratio_at_matches_the_call(f, k, den):
+    # ratio_at(k, den) is f(k/den) as a rational with a positive denominator,
+    # or the same (error type, message)
+    got = _ratio_outcome(lambda: f.ratio_at(k, den))
+    want = _ratio_outcome(lambda: f(F(k, den)))
+    if got[0] == want[0] == "value":
+        num, d = got[1]
+        assert type(num) is int and type(d) is int and d > 0
+        assert F(num, d) == want[1]
+    else:
+        assert got == want
+
+
+@st.composite
+def ratio_keys(draw, points=()):
+    # (k, den) with den > 0: a point of interest over a multiple of its
+    # denominator, or one step off it, or any k, negative ones included
+    if points and draw(st.booleans()):
+        x = as_fraction(draw(st.sampled_from(points)))
+        scale = draw(st.integers(1, 4))
+        k = x.numerator * scale + draw(st.sampled_from((0, 0, -1, 1)))
+        return k, x.denominator * scale
+    return draw(st.integers(-3, 80)), draw(st.integers(1, 12))
+
+
+@given(key=ratio_keys((0, 1)))
+def test_canonical_ratio_at_matches_the_call(key):
+    _assert_ratio_at_matches_the_call(Canonical(), *key)
+
+
+@given(key=ratio_keys((0, 1)))
+def test_reciprocal_ratio_at_matches_the_call(key):
+    _assert_ratio_at_matches_the_call(Reciprocal(), *key)
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    q=st.sampled_from(PRIMES),
+    key=ratio_keys(tuple(F(p) ** m for p in PRIMES for m in range(-3, 4))),
+)
+def test_power_map_ratio_at_matches_the_call(p, q, key):
+    _assert_ratio_at_matches_the_call(PowerMap(p, q), *key)
+
+
+@given(f=st.one_of(piecewise_linear_specs(True), piecewise_linear_specs(False)), data=st.data())
+def test_piecewise_linear_ratio_at_matches_the_call(f, data):
+    key = data.draw(ratio_keys(tuple(x for x, _ in f.points)))
+    _assert_ratio_at_matches_the_call(f, *key)
+
+
+@given(f=step_specs(), data=st.data())
+def test_step_ratio_at_matches_the_call(f, data):
+    key = data.draw(ratio_keys((0, *(t for t, _ in f.points))))
+    _assert_ratio_at_matches_the_call(f, *key)
+
+
+def _prime_shift_edges(bound):
+    # the floor 1/p_last and the ceiling p_last, their neighbours, and powers
+    last = _primes_to(_sieve(bound), bound)[-1]
+    edges = (F(1, last), F(last), F(1, last - 1), F(last - 1), F(last + 1, last))
+    return (0, 1, *edges, *(F(b) ** e for b in (2, 3, 5) for e in (-2, -1, 2)))
+
+
+@given(bound=st.sampled_from((7, 12, 30, 1000)), data=st.data())
+def test_prime_shift_ratio_at_matches_the_call(bound, data):
+    key = data.draw(ratio_keys(_prime_shift_edges(bound)))
+    _assert_ratio_at_matches_the_call(PrimeShift(bound), *key)
+
+
+@given(
+    bound=st.sampled_from((7, 12, 30)),
+    p=st.sampled_from(PRIMES),
+    layers=st.integers(1, 2),
+    data=st.data(),
+)
+def test_power_step_ratio_at_matches_the_call(bound, p, layers, data):
+    # over PrimeShift, so that powers of p fall below its floor and beyond
+    # its ceiling, and over a polyline read at powers of p
+    inner = data.draw(st.sampled_from((PrimeShift(bound), level_swap_map())))
+    f = inner
+    for _ in range(layers):
+        f = PowerStep(f, p)
+    points = (*_prime_shift_edges(bound), *(F(p) ** m for m in range(-4, 5)))
+    _assert_ratio_at_matches_the_call(f, *data.draw(ratio_keys(points)))
+
+
+@given(
+    table=st.dictionaries(st.sampled_from(TABLE_KEYS), st.sampled_from(TABLE_VALUES)),
+    data=st.data(),
+)
+def test_tabulated_ratio_at_matches_the_call(table, data):
+    # keys in the table and next to it, so misses are read too
+    f = Tabulated.from_mapping({F(0): F(0), **table})
+    _assert_ratio_at_matches_the_call(f, *data.draw(ratio_keys((0, *TABLE_KEYS))))
+
+
+class _FloatHalves(FunctionSpec):
+    def _value(self, x):
+        return float(x) / 2
+
+
+@given(key=ratio_keys((0, F(1, 2), 1)))
+def test_custom_float_spec_ratio_at_raises_type_error(key):
+    k, den = key
+    f = _FloatHalves()
+    got = _ratio_outcome(lambda: f.ratio_at(k, den))
+    if k < 0:
+        assert got == _ratio_outcome(lambda: f(F(k, den)))
+    else:
+        image = float(F(k, den)) / 2
+        assert got == ("TypeError", f"exact rationals only: got the float {image!r}")
+
+
+def test_float_images_are_refused_by_every_sampled_check():
+    # at the first image read: f(0) for the gated checks and the pair scan,
+    # the least positive sample for sufficient_conditions
+    samples = [F(0), F(1, 2), F(1), F(2)]
+    for check, first in (
+        (check_metric_preserving_sampled, 0.0),
+        (check_ultrametric_preserving, 0.0),
+        (check_ultra_to_metric, 0.0),
+        (sufficient_conditions, 0.25),
+        (lambda f, xs: check_euclid_preserving_grid(f, F(1, 2), 2), 0.0),
+    ):
+        with pytest.raises(TypeError) as raised:
+            check(_FloatHalves(), samples)
+        assert str(raised.value) == f"exact rationals only: got the float {first!r}"
+
+
+def test_subclasses_that_redefine_a_read_get_the_default_ratio_at():
+    class Plain(Canonical):
+        pass
+
+    class Own(Canonical):
+        def _value(self, x):
+            return super()._value(x)
+
+        def ratio_at(self, k, den):
+            return k, k + den
+
+    class Called(PiecewiseLinear):
+        def __call__(self, x):
+            return super().__call__(x)
+
+    assert Plain.ratio_at is Canonical.ratio_at
+    assert Own.__dict__["ratio_at"] is not FunctionSpec.ratio_at
+    for cls in (_Counting, _CountingPolyline, _Drawn, Called):
+        assert cls.ratio_at is FunctionSpec.ratio_at
+    f = _CountingPolyline.from_pairs([(0, 0), (1, 1)])
+    assert f.ratio_at(3, 2) == (1, 1) and f.calls == [F(3, 2)]
+
+
+_TRIPLET_CHECKS = (
+    check_metric_preserving_sampled,
+    check_ultrametric_preserving,
+    check_ultra_to_metric,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.one_of(
+        sampled_specs,
+        st.builds(
+            lambda table: Tabulated.from_mapping({F(0): F(0), **table}),
+            st.dictionaries(
+                st.sampled_from(TABLE_KEYS), st.sampled_from(TABLE_VALUES), min_size=2
+            ),
+        ),
+    ),
+    data=st.data(),
+)
+def test_witness_images_are_fractions_of_f_at_the_witness_points(f, data):
+    # every witness image is a Fraction, built from the image pair, that
+    # equals f at its witness point: f(0) for an origin witness
+    if isinstance(f, Tabulated):
+        xs = [k for k, _ in f.entries]
+    else:
+        xs = data.draw(st.lists(st.sampled_from(TABLE_KEYS), min_size=2, max_size=8))
+    samples = [F(0), *xs]
+    witnesses = []
+    for check in _TRIPLET_CHECKS:
+        try:
+            witnesses.append(check(f, samples).witness)
+        except (PadicMetricsError, ValueError):
+            pass
+    for run in (
+        lambda: check_euclid_preserving_sampled(f, list(zip(samples, reversed(samples)))),
+        lambda: check_euclid_preserving_grid(f, F(1, 4), 3),
+    ):
+        try:
+            witnesses.append(run().witness)
+        except (PadicMetricsError, ValueError):
+            pass
+    for w in witnesses:
+        if w is None:
+            continue
+        assert all(type(y) is Fraction for y in w.images)
+        if w.kind == "vanishes":
+            assert w.images == (F(0),) and f(w.points[0]) == 0
+        else:
+            assert w.images == tuple(f(x) for x in w.points)
 
 
 # ------------------------------------------------------------ euclid grid --
