@@ -42,7 +42,7 @@ from .errors import (
 )
 from .functions import FunctionSpec, StepFunction, Tabulated
 from .padic import RationalLike, as_fraction
-from .preserving import _amenable_images, _common, _fractions
+from .preserving import _amenable_images, _fractions
 from .spaces import (
     DistanceMatrixCandidate,
     FiniteUltrametricSpace,
@@ -312,21 +312,37 @@ class PreservationReport:
         }
 
 
+def _pair_ranks(images: list[tuple[int, int]]) -> list[int]:
+    """Each (numerator, positive denominator) pair's rank among the values.
+
+    The ranks keep every order and equality of the values. No common
+    denominator is taken: over many coprime denominators it is huge. Two
+    distinct values n/d differ by at least 1 / (d d') > 2^-s, for s twice
+    the bit length of the largest denominator, so the int keys
+    floor(n 2^s / d) differ by more than 1 and keep their order: one sort,
+    on keys a few words wide.
+    """
+    s = 2 * max((d for _, d in images), default=1).bit_length()
+    keys = [(n << s) // d for n, d in images]
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return list(map(rank.__getitem__, keys))
+
+
 def _order_side(f: FunctionSpec, poset: FinitePoset) -> OrderWitness | None:
     """First failing order-side condition; f is read once per value.
 
     The images come as integer pairs (``FunctionSpec.ratio_at``), and the
-    pair scan compares them as integers over one common denominator; only
-    a witness's images become Fractions.
+    pair scan compares their int ranks (see ``_pair_ranks``); only a
+    witness's images become Fractions.
     """
     images, bad = _amenable_images(f, poset.ground)
     if bad is not None:
         return OrderWitness(bad.kind, bad.points, bad.images)
-    ys = _common(images)
+    ranks = _pair_ranks(images)
     g = poset.ground
     for i, row in enumerate(poset.up):
         for j in _bits(row & ~(1 << i)):
-            if ys[i] > ys[j]:
+            if ranks[i] > ranks[j]:
                 return OrderWitness("pair", (g[i], g[j]), _fractions(images[i], images[j]))
     return None
 

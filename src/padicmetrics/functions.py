@@ -23,7 +23,7 @@ from .errors import (
     NegativeInputError,
     TooLargeError,
 )
-from .padic import RationalLike, _ratio, as_fraction, require_prime
+from .padic import RationalLike, _common, _ratio, as_fraction, require_prime
 
 TAIL_CONSTANT = "constant"
 TAIL_LINEAR = "linear"
@@ -69,13 +69,6 @@ def _power_pair(p: int, k: int) -> tuple[int, int]:
     return (p**k, 1) if k >= 0 else (1, p**-k)
 
 
-def _over_common(den: int, values: list[Fraction]) -> tuple[int, list[int]]:
-    # For points k/den: the factor s and the values over one denominator,
-    # L = lcm(den, the values' denominators), so k/den is k*s over L too
-    big = math.lcm(den, *(v.denominator for v in values))
-    return big // den, [v.numerator * (big // v.denominator) for v in values]
-
-
 def _ascending(ratios: list[tuple[int, int]]) -> bool:
     # whether the (numerator, positive denominator) pairs ascend strictly
     return all(n0 * d1 < n1 * d0 for (n0, d0), (n1, d1) in pairwise(ratios))
@@ -85,10 +78,10 @@ def _segments(
     xs: list[Fraction], ys: list[Fraction], den: int
 ) -> tuple[int, list[int], list[tuple[int, ...]]]:
     # A polyline through (xs, ys) scaled for points k/den: the factor s and
-    # the breakpoints X over L (see _over_common), and per segment (X0,
-    # base, rise, under) with f(x) = (base + (k*s - X0) * rise) / under
-    # from X0 to the next X
-    scale, big_xs = _over_common(den, xs)
+    # the breakpoints X over one denominator L (see _common), and per
+    # segment (X0, base, rise, under) with f(x) = (base + (k*s - X0) * rise)
+    # / under from X0 to the next X
+    scale, big_xs = _common(map(_ratio, xs), den)
     segments = []
     for (x0, (n0, d0)), (x1, (n1, d1)) in pairwise(zip(big_xs, map(_ratio, ys))):
         width = x1 - x0
@@ -199,29 +192,25 @@ class Tabulated(FunctionSpec):
         return cls.from_pairs(mapping.items())
 
     @cached_property
-    def _lookup(self) -> dict[Fraction, Fraction]:
-        return dict(self.entries)
+    def _lookup(self) -> dict[tuple[int, int], Fraction]:
+        # the values keyed by (numerator, denominator) in lowest terms
+        return {_ratio(k): v for k, v in self.entries}
+
+    def _at(self, n: int, d: int) -> Fraction:
+        # the value at n/d, given in lowest terms
+        try:
+            return self._lookup[n, d]
+        except KeyError:
+            raise DomainMissError(f"{Fraction(n, d)} is not a tabulated point") from None
 
     def _value(self, x: Fraction) -> Fraction:
-        try:
-            return self._lookup[x]
-        except KeyError:
-            raise DomainMissError(f"{x} is not a tabulated point") from None
-
-    @cached_property
-    def _ratio_lookup(self) -> dict[tuple[int, int], Fraction]:
-        # the table keyed by (numerator, denominator) in lowest terms
-        return {_ratio(k): v for k, v in self.entries}
+        return self._at(*_ratio(x))
 
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k < 0:
             return _read_ratio(self, k, den)
         g = math.gcd(k, den)
-        try:
-            value = self._ratio_lookup[k // g, den // g]
-        except KeyError:
-            raise DomainMissError(f"{Fraction(k, den)} is not a tabulated point") from None
-        return _ratio(as_fraction(value))
+        return _ratio(as_fraction(self._at(k // g, den // g)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -642,9 +631,9 @@ class StepFunction(FunctionSpec):
 
     @cached_property
     def _tables(self) -> Callable[[int], tuple[int, list[int]]]:
-        # the thresholds scaled for one denominator (see _over_common); the
-        # last few are kept
-        return lru_cache(maxsize=16)(partial(_over_common, values=self._thresholds))
+        # the thresholds scaled for one denominator (see _common); the last
+        # few are kept
+        return lru_cache(maxsize=16)(partial(_common, list(map(_ratio, self._thresholds))))
 
     @cached_property
     def _level_pairs(self) -> list[tuple[int, int]]:

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import attrgetter
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import NotPrimeError, OrdOfZeroError, TooLargeError, TooShortError
 
@@ -48,6 +49,17 @@ _ratio = attrgetter("numerator", "denominator")
 def _exceeds(a: tuple[int, int], b: tuple[int, int], factor: int = 1) -> bool:
     # a > factor * b for (numerator, positive denominator) pairs
     return a[0] * b[1] > factor * b[0] * a[1]
+
+
+def _common(pairs: Iterable[tuple[int, int]], den: int = 1) -> tuple[int, list[int]]:
+    # (numerator, positive denominator) pairs over one denominator L, a
+    # multiple of den: the factor L // den, which takes a point k/den to
+    # k * (L // den) over L, and the numerators over L (same order, same
+    # sums). Each pair is reduced first, which keeps L, and with it every
+    # integer, as small as the values allow.
+    reduced = [(n // g, d // g) for n, d in pairs for g in (gcd(n, d),)]
+    big = lcm(den, *(d for _, d in reduced))
+    return big // den, [n * (big // d) for n, d in reduced]
 
 
 def as_fraction(x: RationalLike) -> Fraction:

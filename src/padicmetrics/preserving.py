@@ -42,12 +42,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, pairwise
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PiecewiseLinear, StepFunction, ratio_reader
-from .padic import RationalLike, _exceeds, _ratio, as_fraction
+from .padic import RationalLike, _common, _exceeds, _ratio, as_fraction
 
 # An image f(x) as (numerator, positive denominator), not always in lowest
 # terms: what FunctionSpec.ratio_at returns
@@ -174,21 +174,6 @@ def _amenable_images(
     return images, None
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    # the common denominator, and the values over it: same order, same sums
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
-def _common(images: Sequence[Ratio]) -> list[int]:
-    # The images over one common denominator: same order, same sums. Each
-    # pair is reduced first, which keeps that denominator, and with it
-    # every integer, as small as the images allow.
-    reduced = [(n // g, d // g) for n, d in images for g in (gcd(n, d),)]
-    den = lcm(*(d for _, d in reduced))
-    return [n * (den // d) for n, d in reduced]
-
-
 def _fractions(*images: Ratio) -> tuple[Fraction, ...]:
     # a witness's images, built from their pairs
     return tuple(Fraction(n, d) for n, d in images)
@@ -235,7 +220,7 @@ def _first_bad_triple(
     [|f(a) - f(b)|, f(a) + f(b)] for triangles; for strong triplets
     [max, max] when f(a) != f(b) and [0, f(a)] when they are equal. Both
     run on the integers that the samples and the images scale to, each
-    over one common denominator (``_scaled``, ``_common``).
+    over one common denominator (``_common``).
 
     Pairs are visited in lexicographic order. For a fixed a, reach(a, b)
     grows with b, so the end of the c range only moves up, and one pointer
@@ -248,7 +233,7 @@ def _first_bad_triple(
     failing one; a failed query whose walk finds none raises SelfCheckError.
     """
     n = len(xs)
-    xi, yi = _scaled(xs)[1], _common(images)
+    xi, yi = _common(map(_ratio, xs))[1], _common(images)[1]
     lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
     for i in range(n):
         xa, ya = xi[i], yi[i]
@@ -545,14 +530,14 @@ def sufficient_conditions(
     operations per pair.
     """
     xs = _canonical(samples)
-    den, keys = _scaled(xs)
+    den, keys = _common(map(_ratio, xs))
     read = ratio_reader(f)
     value = _Memo(lambda k: read(k, den))
     positives = [k for k in keys if k > 0]
 
     band = False
     if positives:
-        ys = _common([value[k] for k in positives])
+        ys = _common([value[k] for k in positives])[1]
         low = min(ys)
         band = low > 0 and max(ys) <= 2 * low
 
@@ -564,7 +549,7 @@ def sufficient_conditions(
     else:
         # every secant's (rise, run), both over a common denominator, which
         # scales every slope by the same positive factor
-        ys = _common([value[k] for k in keys]) if len(keys) > 1 else []
+        ys = _common([value[k] for k in keys])[1] if len(keys) > 1 else []
         secants = [(y1 - y0, k1 - k0) for (k0, y0), (k1, y1) in pairwise(zip(keys, ys))]
         concave = all(r0 * w1 >= r1 * w0 for (r0, w0), (r1, w1) in pairwise(secants))
 

@@ -38,7 +38,13 @@ from padicmetrics import (
     positive_extremes,
     validate_ultrametric,
 )
-from padicmetrics.families import SpaceWitness, _base_leg_bits, _close, _order_side
+from padicmetrics.families import (
+    SpaceWitness,
+    _base_leg_bits,
+    _close,
+    _order_side,
+    _pair_ranks,
+)
 from padicmetrics.fixtures import (
     four_point_family,
     four_point_space,
@@ -359,6 +365,29 @@ def test_order_side_calls_f_once_per_value():
 
     assert _order_side(f, family_poset(family)) is None
     assert calls == list(distance_values(family))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_pair_ranks_keep_the_order_of_the_values(data):
+    """Coprime denominators, twins under 2^-64 apart, unreduced and signed pairs.
+
+    The Farey neighbours a/d < c/d' with c d - a d' = 1 and d, d' near
+    2^61 are as close as two values with such denominators get.
+    """
+    rng = data.draw(st.randoms(use_true_random=False))
+    m = 2**61 - 1
+    neighbours = [F(1, m), F(1, m - 1), F(m - 2, m - 1), F(m - 1, m)]
+    pool = adversarial_pool(rng, data.draw(st.integers(0, 6))) + neighbours
+    values = [rng.choice((1, -1)) * v for v in pool + pool[: rng.randint(0, len(pool))]]
+    rng.shuffle(values)
+    pairs = []
+    for v in values:
+        g = rng.choice((1, 2, 3**40))
+        pairs.append((v.numerator * g, v.denominator * g))
+    ranks = _pair_ranks(pairs)
+    distinct = sorted(set(values))
+    assert ranks == [distinct.index(v) for v in values]
 
 
 def test_origin_and_vanishing_witnesses():
