@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     BadIntervalError,
@@ -40,9 +40,9 @@ from .errors import (
     TotallyOrderedError,
     ZeroDistanceError,
 )
-from .functions import FunctionSpec, StepFunction, Tabulated
-from .padic import RationalLike, as_fraction
-from .preserving import _amenable_images, _fractions
+from .functions import FunctionSpec, StepFunction, Tabulated, ratio_reader
+from .padic import RationalLike, _ranks, _ratio, as_fraction
+from .preserving import Ratio, _Memo, _amenable_images, _fractions
 from .spaces import (
     DistanceMatrixCandidate,
     FiniteUltrametricSpace,
@@ -247,23 +247,6 @@ def _ranked_poset(family: SpaceFamily) -> tuple[FinitePoset, list[list[list[int]
 
 
 @dataclass(frozen=True)
-class FamilyExtremes:
-    low: Fraction
-    high: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {"low": str(self.low), "high": str(self.high)}
-
-
-def positive_extremes(family: SpaceFamily) -> FamilyExtremes:
-    """Least and greatest positive distance value across the family."""
-    positives = [v for v in distance_values(family) if v > 0]
-    if not positives:
-        raise NoPositiveDistancesError("every space in the family is a single point")
-    return FamilyExtremes(positives[0], positives[-1])
-
-
-@dataclass(frozen=True)
 class SpaceWitness:
     """Which space's image fails, and how."""
 
@@ -312,33 +295,17 @@ class PreservationReport:
         }
 
 
-def _pair_ranks(images: list[tuple[int, int]]) -> list[int]:
-    """Each (numerator, positive denominator) pair's rank among the values.
-
-    The ranks keep every order and equality of the values. No common
-    denominator is taken: over many coprime denominators it is huge. Two
-    distinct values n/d differ by at least 1 / (d d') > 2^-s, for s twice
-    the bit length of the largest denominator, so the int keys
-    floor(n 2^s / d) differ by more than 1 and keep their order: one sort,
-    on keys a few words wide.
-    """
-    s = 2 * max((d for _, d in images), default=1).bit_length()
-    keys = [(n << s) // d for n, d in images]
-    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-    return list(map(rank.__getitem__, keys))
-
-
-def _order_side(f: FunctionSpec, poset: FinitePoset) -> OrderWitness | None:
+def _order_side(read: Callable[[int, int], Ratio], poset: FinitePoset) -> OrderWitness | None:
     """First failing order-side condition; f is read once per value.
 
-    The images come as integer pairs (``FunctionSpec.ratio_at``), and the
-    pair scan compares their int ranks (see ``_pair_ranks``); only a
-    witness's images become Fractions.
+    read(k, den) gives f(k/den) as an integer pair (``ratio_reader``), and
+    the pair scan compares the images' int ranks (see ``padic._ranks``);
+    only a witness's images become Fractions.
     """
-    images, bad = _amenable_images(f, poset.ground)
+    images, bad = _amenable_images(read, poset.ground)
     if bad is not None:
         return OrderWitness(bad.kind, bad.points, bad.images)
-    ranks = _pair_ranks(images)
+    ranks = _ranks(images)
     g = poset.ground
     for i, row in enumerate(poset.up):
         for j in _bits(row & ~(1 << i)):
@@ -348,18 +315,18 @@ def _order_side(f: FunctionSpec, poset: FinitePoset) -> OrderWitness | None:
 
 
 def _space_side(
-    f: FunctionSpec, family: SpaceFamily, poset: FinitePoset, ranked: list[list[list[int]]]
+    image: Callable[[int], Ratio], family: SpaceFamily, ranked: list[list[list[int]]]
 ) -> SpaceWitness | None:
-    """Transform and validate each space, on its ranks in the poset's ground.
+    """Transform and validate each space, on its ranks in the family's ground.
 
-    Each space gets the witness ``validate_ultrametric(apply_function(s,
-    f))`` would give, calling f on the same values in the same order,
-    without ranking its matrix again; rank r is ground[r], since 0 is the
-    least value.
+    Rank r stands for ground[r], since 0 is the least value, and image(r)
+    is f at ground[r] as an integer pair. Each space gets the witness
+    ``validate_ultrametric(apply_function(s, f))`` would give, without
+    ranking its matrix again.
     """
     for idx, (s, r) in enumerate(zip(family.spaces, ranked)):
         try:
-            out = _validate_image(s, r, poset.ground, 0, f)
+            out = _validate_image(s, r, image)
         except NonzeroDiagonalError:
             return SpaceWitness(idx, "nonzero_diagonal")
         except ZeroDistanceError:
@@ -371,15 +338,25 @@ def _space_side(
 
 def _report(
     f: FunctionSpec, family: SpaceFamily, poset: FinitePoset, ranked: list[list[list[int]]]
-) -> PreservationReport:
-    """Run both routes against the family's own poset and compare them."""
-    order_witness = _order_side(f, poset)
-    space_witness = _space_side(f, family, poset, ranked)
+) -> tuple[PreservationReport, _Memo]:
+    """Run both routes against the family's own poset and compare them.
+
+    f is read through ``ratio_at``, at most once per value, into one memo
+    keyed by (numerator, denominator): the order side's amenability gate
+    fills it in ascending ground order, and the space side reads it on
+    demand, in each space's order of first appearance. The memo comes back
+    with the report, so a caller reads no value twice either.
+    """
+    read = ratio_reader(f)
+    memo = _Memo(lambda key: read(*key))
+    keys = list(map(_ratio, poset.ground))
+    order_witness = _order_side(lambda k, den: memo[k, den], poset)
+    space_witness = _space_side(lambda r: memo[keys[r]], family, ranked)
     if (order_witness is None) != (space_witness is None):
         raise EquivalenceBreachError(
             f"order side says {order_witness}, space side says {space_witness}"
         )
-    return PreservationReport(order_witness is None, space_witness, order_witness)
+    return PreservationReport(order_witness is None, space_witness, order_witness), memo
 
 
 def check_family_preserving(f: FunctionSpec, family: SpaceFamily) -> PreservationReport:
@@ -392,7 +369,7 @@ def check_family_preserving(f: FunctionSpec, family: SpaceFamily) -> Preservatio
     equivalence is a theorem, not a heuristic. The family's matrices are
     ranked once, for the poset and for every space's image.
     """
-    return _report(f, family, *_ranked_poset(family))
+    return _report(f, family, *_ranked_poset(family))[0]
 
 
 def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
@@ -407,13 +384,14 @@ def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
     poset, ranked = _ranked_poset(family)
     if not poset.is_total():
         raise NotTotallyOrderedError("the family's distance order is not total")
-    report = _report(f, family, poset, ranked)
+    report, memo = _report(f, family, poset, ranked)
     if not report.passed:
         raise NotPreservingError(f"f does not preserve the family: {report.order_witness}")
-    positives = [v for v in poset.ground if v > 0]
+    positives = poset.ground[1:]  # ground[0] is 0, the least value
     if not positives:
         raise NoPositiveDistancesError("nothing to extend: no positive distances")
-    points = tuple(zip(positives, accumulate(map(f, positives), max)))
+    levels = accumulate((Fraction(*memo[_ratio(v)]) for v in positives), max)
+    points = tuple(zip(positives, levels))
     return StepFunction(below=points[0][1], points=points)
 
 
@@ -469,7 +447,7 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     phi = isotone_for_incomparables(poset, big, small, Fraction(1), Fraction(2))
     fn = Tabulated.from_mapping({**phi, Fraction(0): Fraction(0)})
 
-    report = _report(fn, family, poset, ranked)
+    report = _report(fn, family, poset, ranked)[0]
     # small < big, so this one pair certifies that fn decreases somewhere
     if not report.passed or not fn(small) > fn(big):
         raise SelfCheckError("counterexample failed its own audit")

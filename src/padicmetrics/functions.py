@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import compress, pairwise
-from typing import Callable
+from itertools import chain, compress, pairwise
+from typing import Callable, Iterable
 
 from .errors import (
     BelowFloorError,
@@ -87,6 +87,18 @@ def _segments(
         width = x1 - x0
         segments.append((x0, n0 * d1 * width, n1 * d0 - n0 * d1, d0 * d1 * width))
     return scale, big_xs, segments
+
+
+def _refuse_inexact(rows: Iterable[tuple]) -> None:
+    # A float or bool field raises the TypeError of as_fraction: a float is
+    # already rounded to binary. The types of the fields are gathered in one
+    # pass in C, and the rows are walked for the first such field only when
+    # there is one.
+    types = set(map(type, chain.from_iterable(rows)))
+    if any(issubclass(t, (float, bool)) for t in types):
+        for v in chain.from_iterable(rows):
+            if isinstance(v, (float, bool)):
+                as_fraction(v)
 
 
 def _read_ratio(f: Callable, k: int, den: int) -> tuple[int, int]:
@@ -167,6 +179,7 @@ class Tabulated(FunctionSpec):
     kind = "tabulated"
 
     def __post_init__(self) -> None:
+        _refuse_inexact(self.entries)
         keys = [k for k, _ in self.entries]
         ratios = list(map(_ratio, keys))
         if not _ascending(ratios) and len(set(keys)) != len(keys):
@@ -210,7 +223,7 @@ class Tabulated(FunctionSpec):
         if k < 0:
             return _read_ratio(self, k, den)
         g = math.gcd(k, den)
-        return _ratio(as_fraction(self._at(k // g, den // g)))
+        return _ratio(self._at(k // g, den // g))
 
     def to_json_dict(self) -> dict:
         return {
@@ -235,6 +248,7 @@ class PiecewiseLinear(FunctionSpec):
     kind = "piecewise_linear"
 
     def __post_init__(self) -> None:
+        _refuse_inexact(self.points)
         if not self.points:
             raise ValueError("need at least one breakpoint")
         if self.points[0][0] != 0:
@@ -285,12 +299,8 @@ class PiecewiseLinear(FunctionSpec):
     @cached_property
     def _tables(self) -> Callable[[int], tuple[int, list[int], list[tuple[int, ...]]]]:
         # _segments for one denominator at a time; the last few are kept
-        return lru_cache(maxsize=16)(partial(_segments, self._xs, self._ys))
-
-    @cached_property
-    def _ys(self) -> list[Fraction]:
-        # coerced, so that a float ordinate is refused as a float image is
-        return [as_fraction(y) for _, y in self.points]
+        ys = [y for _, y in self.points]
+        return lru_cache(maxsize=16)(partial(_segments, self._xs, ys))
 
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k < 0:
@@ -300,7 +310,7 @@ class PiecewiseLinear(FunctionSpec):
         i = bisect.bisect_right(xs, at) - 1
         if i == len(segments):  # at or past the last breakpoint
             if at == xs[-1] or self.tail == TAIL_CONSTANT:
-                return _ratio(self._ys[-1])
+                return _ratio(self.points[-1][1])
             i -= 1  # the linear tail continues the last segment
         x0, base, rise, under = segments[i]
         return base + (at - x0) * rise, under
@@ -600,6 +610,7 @@ class StepFunction(FunctionSpec):
     kind = "step"
 
     def __post_init__(self) -> None:
+        _refuse_inexact(((self.below,), *self.points))
         if self.below < 0:
             raise ValueError("step values must be nonnegative")
         ts = [t for t, _ in self.points]
@@ -637,8 +648,7 @@ class StepFunction(FunctionSpec):
 
     @cached_property
     def _level_pairs(self) -> list[tuple[int, int]]:
-        # coerced, so that a float level is refused as a float image is
-        return [_ratio(as_fraction(v)) for v in self.levels()]
+        return list(map(_ratio, self.levels()))
 
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k <= 0:

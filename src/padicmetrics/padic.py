@@ -62,6 +62,24 @@ def _common(pairs: Iterable[tuple[int, int]], den: int = 1) -> tuple[int, list[i
     return big // den, [n * (big // d) for n, d in reduced]
 
 
+def _ranks(pairs: list[tuple[int, int]]) -> list[int]:
+    """Each (numerator, positive denominator) pair's rank among the values.
+
+    The ranks are the positions 0, 1, ... of the distinct values in
+    ascending order, so they keep every order and equality of the values;
+    the pairs need not be reduced. No common denominator is taken: over
+    many coprime denominators it is huge. Two distinct values n/d differ
+    by at least 1 / (d d') > 2^-s, for s twice the bit length of the
+    largest denominator, so their multiples by 2^s differ by more than 1
+    and the int keys floor(n 2^s / d) keep their order: one sort, on keys
+    a few words wide.
+    """
+    s = 2 * max((d for _, d in pairs), default=1).bit_length()
+    keys = [(n << s) // d for n, d in pairs]
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return list(map(rank.__getitem__, keys))
+
+
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce an int or canonical "a/b" string to an exact Fraction.
 

@@ -154,14 +154,14 @@ class _Memo(dict):
 
 
 def _amenable_images(
-    f: FunctionSpec, xs: Sequence[Fraction]
+    read: Callable[[int, int], Ratio], xs: Sequence[Fraction]
 ) -> tuple[list[Ratio], Witness | None]:
     # The images of xs as integer pairs, read by the amenability gate: f(0)
-    # = 0 and f strictly positive on the positive samples. Each x is read
-    # at its own numerator and denominator: one common denominator of all
-    # of them can be huge, as for the distances of a family. A breach
-    # stops the gate at once, so no later sample is evaluated.
-    read = ratio_reader(f)
+    # = 0 and f strictly positive on the positive samples. read(k, den) is
+    # f(k/den) (``ratio_reader``), and each x is read at its own numerator
+    # and denominator: one common denominator of all of them can be huge,
+    # as for the distances of a family. A breach stops the gate at once,
+    # so no later sample is evaluated.
     f0 = read(0, 1)
     if f0[0] != 0:
         return [], Witness("origin", (Fraction(0),), (Fraction(*f0),))
@@ -271,7 +271,7 @@ def check_metric_preserving_sampled(
     if Fraction(0) not in xs:
         raise ValueError("the sample set must contain 0")
     digest = _digest(xs)
-    images, bad = _amenable_images(f, xs)
+    images, bad = _amenable_images(ratio_reader(f), xs)
     if bad is None:
         bad = _first_bad_triple(xs, images, operator.add, _triangle_band)
     return TripletVerdict(bad is None, digest, bad)
@@ -314,7 +314,7 @@ def check_ultrametric_preserving(
     """
     xs = _refine(f, _canonical(samples))
     digest = _digest(xs)
-    images, bad = _amenable_images(f, xs)
+    images, bad = _amenable_images(ratio_reader(f), xs)
     if bad is None:
         bad = _monotone_witness(xs, images)
         scan = _first_bad_triple(xs, images, max, _strong_band)
@@ -350,7 +350,7 @@ def check_ultra_to_metric(
     """
     xs = _canonical(samples)
     digest = _digest(xs)
-    images, bad = _amenable_images(f, xs)
+    images, bad = _amenable_images(ratio_reader(f), xs)
     if bad is None:
         bad = _halving_witness(xs, images)
         scan = _first_bad_triple(xs, images, max, _triangle_band)

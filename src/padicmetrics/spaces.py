@@ -14,14 +14,11 @@ two differ can hold a violation, so only those are scanned for one.
 Every O(n^2) loop of this layer runs on int ranks, not on Fractions
 (comparing or hashing a Fraction runs Python code; an int's runs in C). The
 distinct entries are keyed by (numerator, denominator), exact because
-ints and Fractions are kept in lowest terms, and sorted once by
-(floor(value * 2^64), value): the floor settles every pair at least
-2^-64 apart with int arithmetic and never contradicts the order, and the
-value breaks the remaining ties. Each entry then becomes its position
-minus the position of 0, so ranks keep every order, equality and sign of
-the entries. Unlike scaling to a common denominator, ranks stay small
-when the denominators are pairwise coprime. Messages, witnesses and the
-returned space still quote the original entries.
+ints and Fractions are kept in lowest terms, and ranked once by
+``padic._ranks``. Each entry then becomes its rank minus the rank of 0,
+so ranks keep every order, equality and sign of the entries, and stay
+small when the denominators are pairwise coprime. Messages, witnesses and
+the returned space still quote the original entries.
 
 The Gram rank works without ever leaving the rationals: instead of
 constructing coordinates (which would need square roots), the Gram matrix
@@ -38,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AsymmetricError,
@@ -49,7 +46,7 @@ from .errors import (
     ZeroDistanceError,
 )
 from .functions import FunctionSpec
-from .padic import RationalLike, _ratio, as_fraction
+from .padic import RationalLike, _ranks, _ratio, as_fraction
 
 MAX_SEARCH_POINTS = 10
 
@@ -148,13 +145,9 @@ def _ranked(
     matrix with every entry replaced by its position minus ``zero``: the
     rank of values[zero + r] is r. Ranks keep every order, equality and
     sign of the entries, so an O(n^2) loop over them compares ints only.
-
     Entries are told apart by (numerator, denominator), which is exact
-    because ints and Fractions are kept in lowest terms, and sorted once
-    by ((numerator << 64) // denominator, value). The first component is
-    a floor, so it never orders two values the wrong way round, and it
-    differs whenever they are 2^-64 or more apart; the value itself only
-    breaks the rare remaining ties.
+    because ints and Fractions are kept in lowest terms, and those pairs
+    are ranked once by ``_ranks``.
 
     Raises:
         TypeError: for an entry with no numerator, such as a float, which
@@ -181,10 +174,11 @@ def _ranked(
                     first[k] = v
         keyed.append(keys)
     first.setdefault((0, 1), Fraction(0))
-    order = sorted(first, key=lambda k: ((k[0] << 64) // k[1], first[k]))
-    zero = order.index((0, 1))
-    rank = {k: i - zero for i, k in enumerate(order)}
-    values = [first[k] for k in order]
+    pairs = list(first)
+    ranks = _ranks(pairs)
+    zero = ranks[pairs.index((0, 1))]
+    rank = {k: i - zero for k, i in zip(pairs, ranks)}
+    values = [first[k] for k in sorted(pairs, key=rank.__getitem__)]
     return values, zero, [[list(map(rank.__getitem__, row)) for row in m] for m in keyed]
 
 
@@ -288,38 +282,32 @@ def apply_function(s: FiniteUltrametricSpace, f: FunctionSpec) -> DistanceMatrix
     ``_ranked``), so no Fraction is hashed per entry.
     """
     values, zero, (r,) = _ranked((s.dist,))
-    return _apply_ranked(s, r, values, zero, f)[0]
-
-
-def _apply_ranked(
-    s: FiniteUltrametricSpace,
-    r: list[list[int]],
-    values: Sequence[RationalLike],
-    zero: int,
-    f: FunctionSpec,
-) -> tuple[DistanceMatrixCandidate, dict[int, RationalLike]]:
-    """``apply_function`` on the ranks r of s into ``values``, and f per rank."""
     image = {x: f(values[zero + x]) for x in dict.fromkeys(chain.from_iterable(r))}
     rows = tuple(tuple(map(image.__getitem__, row)) for row in r)
-    return DistanceMatrixCandidate(s.labels, rows), image
+    return DistanceMatrixCandidate(s.labels, rows)
 
 
 def _validate_image(
-    s: FiniteUltrametricSpace,
-    r: list[list[int]],
-    values: Sequence[RationalLike],
-    zero: int,
-    f: FunctionSpec,
+    s: FiniteUltrametricSpace, r: list[list[int]], image: Callable[[int], tuple[int, int]]
 ) -> FiniteUltrametricSpace | TriangleViolation:
     """``validate_ultrametric(apply_function(s, f))``, from the ranks r of s.
 
-    The image's ranks are the ones ``_ranked`` would give its matrix: only
-    its distinct values and 0 are ranked, and r is mapped through them, so
-    no image entry is read again.
+    image(x) is f at the value of rank x as an integer pair
+    (``FunctionSpec.ratio_at``), asked once per distinct rank, in
+    row-major order of first appearance, as ``apply_function`` calls f.
+    The image's ranks are the ones ``_ranked`` would give its matrix: its
+    distinct values and 0 are ranked by ``_ranks``, and r is mapped
+    through them, so no image entry is read again. Only the distinct
+    images become Fractions, for the messages, witness sides and returned
+    space.
     """
-    candidate, image = _apply_ranked(s, r, values, zero, f)
-    _, _, ([ranks],) = _ranked(([list(image.values())],))
-    rank = dict(zip(image, ranks))
+    pairs = {x: image(x) for x in dict.fromkeys(chain.from_iterable(r))}
+    ranks = _ranks([*pairs.values(), (0, 1)])
+    rank = {x: y - ranks[-1] for x, y in zip(pairs, ranks)}
+    value = {x: Fraction(n, d) for x, (n, d) in pairs.items()}
+    candidate = DistanceMatrixCandidate(
+        s.labels, tuple(tuple(map(value.__getitem__, row)) for row in r)
+    )
     return _validate_ranked(candidate, [list(map(rank.__getitem__, row)) for row in r])
 
 

@@ -6,7 +6,9 @@ doubles as an equivalence check between the order side and the
 transform-and-validate side.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 
 import pytest
@@ -19,14 +21,17 @@ from padicmetrics import (
     DistanceMatrixCandidate,
     FiniteUltrametricSpace,
     FinitePoset,
+    NonzeroDiagonalError,
     NoPositiveDistancesError,
     NotPreservingError,
     NotTotallyOrderedError,
+    PadicMetricsError,
     SpaceFamily,
     StepFunction,
     Tabulated,
     TotallyOrderedError,
     TriangleViolation,
+    ZeroDistanceError,
     apply_function,
     build_extension,
     check_family_preserving,
@@ -35,15 +40,15 @@ from padicmetrics import (
     distance_values,
     family_poset,
     isotone_for_incomparables,
-    positive_extremes,
     validate_ultrametric,
 )
 from padicmetrics.families import (
+    OrderWitness,
+    PreservationReport,
     SpaceWitness,
     _base_leg_bits,
     _close,
     _order_side,
-    _pair_ranks,
 )
 from padicmetrics.fixtures import (
     four_point_family,
@@ -53,6 +58,8 @@ from padicmetrics.fixtures import (
     level_swap_map,
     zigzag_map,
 )
+from padicmetrics.functions import ratio_reader
+from padicmetrics.padic import _ranks
 from padicmetrics.spaces import _ranked
 
 from support import (
@@ -323,13 +330,6 @@ def test_row_views_match_pairs_on_loaded_relations(data):
         FinitePoset.from_json_dict({**payload, "pairs": payload["pairs"] + [[stray, stray]]})
 
 
-def test_positive_extremes():
-    ext = positive_extremes(four_point_family())
-    assert (ext.low, ext.high) == (F(1), F(3))
-    with pytest.raises(NoPositiveDistancesError):
-        positive_extremes(_singleton_family())
-
-
 # ------------------------------------------------------------ preservation --
 
 
@@ -363,7 +363,7 @@ def test_order_side_calls_f_once_per_value():
         calls.append(x)
         return x
 
-    assert _order_side(f, family_poset(family)) is None
+    assert _order_side(ratio_reader(f), family_poset(family)) is None
     assert calls == list(distance_values(family))
 
 
@@ -385,7 +385,7 @@ def test_pair_ranks_keep_the_order_of_the_values(data):
     for v in values:
         g = rng.choice((1, 2, 3**40))
         pairs.append((v.numerator * g, v.denominator * g))
-    ranks = _pair_ranks(pairs)
+    ranks = _ranks(pairs)
     distinct = sorted(set(values))
     assert ranks == [distinct.index(v) for v in values]
 
@@ -431,6 +431,122 @@ def test_random_tabulations_agree_across_routes():
             if failing:
                 assert witness.kind == "pair" and witness.points == failing[0]
     assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@dataclass(frozen=True)
+class _ReadTable(Tabulated):
+    reads: list = field(default_factory=list, compare=False)
+
+    def ratio_at(self, k, den):
+        self.reads.append(F(k, den))
+        return super().ratio_at(k, den)
+
+
+def _ref_report(f, family, calls):
+    """check_family_preserving from definitions; calls gets each point f is called at.
+
+    The order side's gate over the ground in ascending order, then
+    ``validate_ultrametric(apply_function(s, f))`` for each space in turn,
+    then the first pair of the order whose images descend.
+    """
+
+    def g(x):
+        calls.append(F(x))
+        return f(x)
+
+    poset = family_poset(family)
+    ground = poset.ground
+    if g(0) != 0:
+        order = OrderWitness("origin", (F(0),), (g(0),))
+    else:
+        order = next(
+            (OrderWitness("vanishes", (x,), (F(0),)) for x in ground[1:] if g(x) == 0), None
+        )
+    space = None
+    for idx, s in enumerate(family.spaces):
+        try:
+            out = validate_ultrametric(apply_function(s, g))
+        except NonzeroDiagonalError:
+            space = SpaceWitness(idx, "nonzero_diagonal")
+        except ZeroDistanceError:
+            space = SpaceWitness(idx, "zero_distance")
+        else:
+            if isinstance(out, TriangleViolation):
+                space = SpaceWitness(idx, "strong_triangle", (out.i, out.j, out.k))
+        if space is not None:
+            break
+    if order is None:
+        pairs = poset.nonreflexive_pairs()
+        order = next(
+            (OrderWitness("pair", (a, b), (g(a), g(b))) for a, b in pairs if g(a) > g(b)), None
+        )
+    return PreservationReport(order is None, space, order)
+
+
+def _ref_extension(f, family, calls):
+    poset = family_poset(family)
+    if not poset.is_total():
+        raise NotTotallyOrderedError("the family's distance order is not total")
+    report = _ref_report(f, family, calls)
+    if not report.passed:
+        raise NotPreservingError(f"f does not preserve the family: {report.order_witness}")
+    positives = [v for v in poset.ground if v > 0]
+    if not positives:
+        raise NoPositiveDistancesError("nothing to extend: no positive distances")
+    points = tuple(zip(positives, accumulate(map(f, positives), max)))
+    return StepFunction(points[0][1], points)
+
+
+def _family_outcome(run, reads):
+    # the JSON or the error type and message, and the points in order of first read
+    try:
+        out = run().to_json_dict()
+    except PadicMetricsError as err:
+        out = type(err).__name__, str(err)
+    return out, list(dict.fromkeys(reads))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_family_checks_read_each_value_once_and_match_the_definitions(data):
+    """Tables that may miss a value, vanish at a positive value or move 0.
+
+    Both family checks read each value at most once, first in the
+    reference's order of first calls, and give its JSON or its error.
+    """
+    rng = data.draw(st.randoms(use_true_random=False))
+    if data.draw(st.booleans()):
+        family, pool = random_family(rng), SIX_VALUE_POOL
+    else:
+        pool = adversarial_pool(rng, data.draw(st.integers(1, 4)))
+        spaces = []
+        for k in range(data.draw(st.integers(1, 3))):
+            s = random_ultrametric(rng, rng.randint(1, 6), pool, prefix=f"s{k}_")
+            spaces.append(FiniteUltrametricSpace(s.labels, mix_ints(rng, s.dist)))
+        family = SpaceFamily(tuple(spaces))
+    ground = distance_values(family)
+    images = [data.draw(st.sampled_from(pool)) for _ in ground[1:]]
+    if data.draw(st.booleans()):
+        images.sort()  # isotone on the ground, so only a trap can fail
+    table = dict(zip(ground, [F(0), *images]))
+    trap = data.draw(st.sampled_from((None, None, "miss", "vanish", "move0")))
+    if trap == "move0":
+        table[ground[0]] = rng.choice(pool)
+    elif trap is not None and len(ground) > 1:
+        x = rng.choice(ground[1:])
+        if trap == "miss":
+            table.pop(x)
+        else:
+            table[x] = F(0)
+    plain = Tabulated.from_mapping(table)
+    for check, ref in (
+        (check_family_preserving, _ref_report),
+        (build_extension, _ref_extension),
+    ):
+        f, calls = _ReadTable(plain.entries), []
+        got = _family_outcome(lambda: check(f, family), f.reads)
+        assert got == _family_outcome(lambda: ref(plain, family, calls), calls)
+        assert len(f.reads) == len(set(f.reads))
 
 
 # -------------------------------------------------------------- extension --

@@ -27,16 +27,22 @@ from padicmetrics import (
     PowerStep,
     PrimeShift,
     Reciprocal,
+    SpaceFamily,
     StepFunction,
     Tabulated,
     TooLargeError,
     as_fraction,
+    build_extension,
     check_euclid_preserving_grid,
     check_euclid_preserving_sampled,
+    check_family_preserving,
     check_metric_preserving_sampled,
+    check_p_metric_preserving,
+    check_p_ultrametric_preserving,
     check_ultra_to_metric,
     check_ultrametric_preserving,
     default_samples,
+    extend_to_ultrametric_preserving,
     is_strong_triplet,
     is_triangle_triplet,
     pairs_from_grid,
@@ -45,7 +51,7 @@ from padicmetrics import (
     sufficient_conditions,
 )
 from padicmetrics import functions
-from padicmetrics.fixtures import identity_map, level_swap_map, zigzag_map
+from padicmetrics.fixtures import four_point_family, identity_map, level_swap_map, zigzag_map
 from padicmetrics.functions import (
     MAX_POWER_STEP_DEPTH,
     MAX_SIEVE_BOUND,
@@ -69,6 +75,7 @@ from support import (
     brute_check_ultra_to_metric,
     brute_check_ultrametric_preserving,
     brute_triple_scan,
+    comb_space,
     ref_check_euclid_preserving_sampled,
     ref_check_metric_preserving_sampled,
     ref_check_ultra_to_metric,
@@ -910,6 +917,76 @@ def test_float_images_are_refused_by_every_sampled_check():
         with pytest.raises(TypeError) as raised:
             check(_FloatHalves(), samples)
         assert str(raised.value) == f"exact rationals only: got the float {first!r}"
+
+
+@pytest.mark.parametrize(
+    "cls, args, bad",
+    [
+        (Tabulated, (((F(0), 0.0),),), 0.0),
+        (Tabulated, (((F(0), F(0)), (True, F(1))),), True),
+        (PiecewiseLinear, (((F(0), 0.0), (F(1), 0.5)),), 0.0),
+        (PiecewiseLinear, (((F(0), F(0)), (1.0, F(1))), "linear"), 1.0),
+        (StepFunction, (0.5, ((F(1), 1.5),)), 0.5),
+        (StepFunction, (True, ((F(1), F(1)),)), True),
+        (StepFunction, (F(1), ((F(1), F(3, 2)), (F(2), 2.5))), 2.5),
+    ],
+)
+def test_spec_constructors_refuse_float_and_bool_fields(cls, args, bad):
+    # with the TypeError of as_fraction, before any other check of the fields
+    with pytest.raises(TypeError) as raised:
+        cls(*args)
+    assert str(raised.value) == f"exact rationals only: got the {type(bad).__name__} {bad!r}"
+
+
+def _no_call(cls):
+    # cls with a __call__ that fails the test but its own ratio_at, so a
+    # check that evaluates f other than through ratio_at is caught
+    def refuse(self, x):
+        pytest.fail(f"a check called f({x!r}) instead of reading f.ratio_at")
+
+    return type(f"NoCall{cls.__name__}", (cls,), {"__call__": refuse, "ratio_at": cls.ratio_at})
+
+
+def _check_outcome(check, f):
+    # the JSON and whether it passed, or the error type and message
+    try:
+        out = check(f)
+    except PadicMetricsError as err:
+        return (type(err).__name__, str(err)), False
+    passed = getattr(out, "passed", getattr(out, "subadditive_on_samples", True))
+    return out.to_json_dict(), passed
+
+
+def test_no_check_calls_f_other_than_through_ratio_at():
+    samples = [F(k, 4) for k in range(13)]
+    chain = SpaceFamily((comb_space([F(1), F(2), F(3)]),))
+    checks = (
+        lambda f: check_metric_preserving_sampled(f, samples),
+        lambda f: check_ultrametric_preserving(f, samples),
+        lambda f: check_ultra_to_metric(f, samples),
+        lambda f: sufficient_conditions(f, samples),
+        lambda f: check_euclid_preserving_sampled(f, pairs_from_grid(F(1, 4), 3)),
+        lambda f: check_euclid_preserving_grid(f, F(1, 4), 3),
+        lambda f: check_p_metric_preserving(f, 2),
+        lambda f: check_p_ultrametric_preserving(f, 2),
+        lambda f: extend_to_ultrametric_preserving(f, 2),
+        lambda f: check_family_preserving(f, four_point_family()),
+        lambda f: build_extension(f, chain),
+    )
+    specs = (
+        (Canonical, ()),
+        (StepFunction, (F(1), ((F(1), F(2)), (F(3), F(3))))),
+        (StepFunction, (F(3), ((F(1), F(1)),))),
+        (PiecewiseLinear, (((F(0), F(0)), (F(1), F(1, 2)), (F(2), F(2))), "linear")),
+        (PiecewiseLinear, (((F(0), F(0)), (F(1), F(2)), (F(2), F(1))),)),
+    )
+    for check in checks:
+        verdicts = set()
+        for cls, args in specs:
+            guarded = _check_outcome(check, _no_call(cls)(*args))
+            assert guarded == _check_outcome(check, cls(*args))
+            verdicts.add(guarded[1])
+        assert verdicts == {True, False}
 
 
 def test_subclasses_that_redefine_a_read_get_the_default_ratio_at():
