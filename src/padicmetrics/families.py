@@ -118,19 +118,27 @@ def _base_leg_bits(ranked: list[list[list[int]]], size: int) -> list[int]:
       r among the points at distance t from a lies at distance t from
       another of them. Otherwise all of those points are within < t of r,
       hence within < t of each other.
+
+    Each row is read with counts and searches that run in C, with no
+    Python loop over its entries. Its distinct values xs, ascending, give
+    the (s, t) bits by one suffix OR. For the (t, t) bit of row a at x,
+    take r the first point at distance x from a, and count the points c
+    at distance x from r: every c with d(a, c) < x lies at exactly x from
+    r (the triangle a, r, c is isosceles with legs x), every c with
+    d(a, c) > x lies at d(a, c) != x from r, and r lies at 0 from itself.
+    So r's row holds x more often than a's row holds values below x
+    exactly when some other point of x's group is at x from r.
     """
     up = [0] * size
     up[0] = 1  # rank 0 is 0
     for m in ranked:
         for row in m:
-            at: dict[int, list[int]] = {}
-            for b, x in enumerate(row):
-                at.setdefault(x, []).append(b)
-            present = sum(1 << x for x in at)
-            for x, points in at.items():
-                up[x] |= present >> (x + 1) << (x + 1)
-                rep = m[points[0]]
-                if any(rep[c] == x for c in points[1:]):
+            srt = sorted(row)
+            above = 0
+            for x in sorted(set(srt), reverse=True):
+                up[x] |= above
+                above |= 1 << x
+                if m[row.index(x)].count(x) > bisect_left(srt, x):
                     up[x] |= 1 << x
     return up
 
@@ -146,10 +154,25 @@ def _close(up: list[int]) -> None:
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """Partial order on ascending ``ground``; bit j of ``up[i]``: ground[i] <= ground[j]."""
+    """Partial order on ascending ``ground``; bit j of ``up[i]``: ground[i] <= ground[j].
+
+    Direct construction and ``from_json_dict`` check the rows: a sorted,
+    duplicate-free ground, one row per value with no bit beyond it,
+    reflexivity, antisymmetry and transitivity. ``family_poset`` builds
+    its rows sorted, reflexive and closed, and proves them inside the
+    numeric order itself, so it skips those checks through ``_trusted``.
+    """
 
     ground: tuple[Fraction, ...]
     up: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, ground: tuple[Fraction, ...], up: tuple[int, ...]) -> "FinitePoset":
+        """The poset on rows already known to be a partial order, unchecked."""
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "ground", ground)
+        object.__setattr__(poset, "up", up)
+        return poset
 
     def __post_init__(self) -> None:
         ground, up, n = self.ground, self.up, len(self.ground)
@@ -222,7 +245,10 @@ def family_poset(family: SpaceFamily) -> FinitePoset:
     The structural guarantees (containment in the numeric order, which
     implies antisymmetry, and least element 0) hold for every family; they
     are re-derived here and a breach raises SelfCheckError rather than
-    returning nonsense.
+    returning nonsense. The rows are then a partial order on the sorted
+    ground by construction (reflexive, closed, and inside the numeric
+    order), so the poset is made through ``FinitePoset._trusted``, without
+    the checks of direct construction.
     """
     return _ranked_poset(family)[0]
 
@@ -243,7 +269,7 @@ def _ranked_poset(family: SpaceFamily) -> tuple[FinitePoset, list[list[list[int]
     for j, t in enumerate(ran):
         if not up[0] >> j & 1:
             raise SelfCheckError(f"0 is not below {t}")
-    return FinitePoset(ran, tuple(up)), ranked
+    return FinitePoset._trusted(ran, tuple(up)), ranked
 
 
 @dataclass(frozen=True)

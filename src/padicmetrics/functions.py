@@ -91,12 +91,15 @@ def _segments(
 
 def _refuse_inexact(rows: Iterable[tuple]) -> None:
     # A float or bool field raises the TypeError of as_fraction: a float is
-    # already rounded to binary. The types of the fields are gathered in one
-    # pass in C, and the rows are walked for the first such field only when
-    # there is one.
+    # already rounded to binary. A str field raises a TypeError too: the
+    # constructors take numbers, and spec_from_json_dict coerces its strings
+    # first. The types of the fields are gathered in one pass in C, and the
+    # rows are walked for the first such field only when there is one.
     types = set(map(type, chain.from_iterable(rows)))
-    if any(issubclass(t, (float, bool)) for t in types):
+    if any(issubclass(t, (float, bool, str)) for t in types):
         for v in chain.from_iterable(rows):
+            if isinstance(v, str):
+                raise TypeError(f"exact rationals only: got the str {v!r}")
             if isinstance(v, (float, bool)):
                 as_fraction(v)
 

@@ -54,7 +54,21 @@ MAX_SEARCH_POINTS = 10
 def _coerce_rows(
     rows: Sequence[Sequence[RationalLike]],
 ) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(as_fraction(v) for v in row) for row in rows)
+    # Every entry by as_fraction, in row-major order, so the first bad entry
+    # raises; a str is read once per call and its Fraction reused, which is
+    # most of a JSON matrix. Only str entries are memoised: a float or bool
+    # equal to one still reaches as_fraction and is refused.
+    read: dict[str, Fraction] = {}
+
+    def coerce(v: RationalLike) -> Fraction:
+        if type(v) is not str:
+            return as_fraction(v)
+        x = read.get(v)
+        if x is None:
+            x = read[v] = as_fraction(v)
+        return x
+
+    return tuple(tuple(map(coerce, row)) for row in rows)
 
 
 def _check_shape(labels: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]) -> None:
@@ -233,15 +247,21 @@ def validate_ultrametric(
     Raises:
         TypeError: for an entry that is no exact rational, such as a float.
     """
-    _, _, (r,) = _ranked((c.dist,))
-    return _validate_ranked(c, r)
+    d = c.dist
+    _, _, (r,) = _ranked((d,))
+    out = _validate_ranked(c.labels, r, lambda i, j: d[i][j])
+    return FiniteUltrametricSpace(c.labels, d) if out is None else out
 
 
 def _validate_ranked(
-    c: DistanceMatrixCandidate, r: list[list[int]]
-) -> FiniteUltrametricSpace | TriangleViolation:
-    n = c.n
-    d = c.dist
+    labels: tuple[str, ...], r: list[list[int]], entry: Callable[[int, int], Fraction]
+) -> TriangleViolation | None:
+    """``validate_ultrametric`` on the ranks r, with None for a valid space.
+
+    entry(i, j) is the entry d[i][j] the ranks stand for, read only for an
+    error message or the sides of the violation returned.
+    """
+    n = len(labels)
     # Each unordered pair once, (i, j) with j >= i in row-major order: the
     # first error is the one a pass over every ordered pair would raise,
     # since a pair (j, i) with j > i is reached only after (i, j) has
@@ -252,12 +272,12 @@ def _validate_ranked(
             if ri[j] != r[j][i]:
                 raise AsymmetricError(f"d[{i}][{j}] != d[{j}][{i}]")
             if ri[j] < 0:
-                raise NegativeEntryError(f"d[{i}][{j}] = {d[i][j]} < 0")
+                raise NegativeEntryError(f"d[{i}][{j}] = {entry(i, j)} < 0")
             if i == j and ri[j] != 0:
-                raise NonzeroDiagonalError(f"d[{i}][{i}] = {d[i][i]} != 0")
+                raise NonzeroDiagonalError(f"d[{i}][{i}] = {entry(i, i)} != 0")
             if i != j and ri[j] == 0:
                 raise ZeroDistanceError(
-                    f"distinct points {c.labels[i]!r}, {c.labels[j]!r} at distance 0"
+                    f"distinct points {labels[i]!r}, {labels[j]!r} at distance 0"
                 )
     u = _subdominant(r)
     for i in range(n):
@@ -268,8 +288,9 @@ def _validate_ranked(
             if ri[j] > u[i][j]:
                 for k in range(n):
                     if ri[j] > max(ri[k], r[k][j]):
-                        return TriangleViolation(i, j, k, (d[i][j], d[i][k], d[k][j]))
-    return FiniteUltrametricSpace(c.labels, c.dist)
+                        sides = (entry(i, j), entry(i, k), entry(k, j))
+                        return TriangleViolation(i, j, k, sides)
+    return None
 
 
 def apply_function(s: FiniteUltrametricSpace, f: FunctionSpec) -> DistanceMatrixCandidate:
@@ -289,26 +310,26 @@ def apply_function(s: FiniteUltrametricSpace, f: FunctionSpec) -> DistanceMatrix
 
 def _validate_image(
     s: FiniteUltrametricSpace, r: list[list[int]], image: Callable[[int], tuple[int, int]]
-) -> FiniteUltrametricSpace | TriangleViolation:
-    """``validate_ultrametric(apply_function(s, f))``, from the ranks r of s.
+) -> TriangleViolation | None:
+    """``validate_ultrametric(apply_function(s, f))``, from the ranks r of s,
+    with None where that returns a space.
 
     image(x) is f at the value of rank x as an integer pair
     (``FunctionSpec.ratio_at``), asked once per distinct rank, in
     row-major order of first appearance, as ``apply_function`` calls f.
     The image's ranks are the ones ``_ranked`` would give its matrix: its
     distinct values and 0 are ranked by ``_ranks``, and r is mapped
-    through them, so no image entry is read again. Only the distinct
-    images become Fractions, for the messages, witness sides and returned
-    space.
+    through them, so no image entry is read again. An image becomes a
+    Fraction only for an error message or a witness's sides.
     """
     pairs = {x: image(x) for x in dict.fromkeys(chain.from_iterable(r))}
     ranks = _ranks([*pairs.values(), (0, 1)])
     rank = {x: y - ranks[-1] for x, y in zip(pairs, ranks)}
-    value = {x: Fraction(n, d) for x, (n, d) in pairs.items()}
-    candidate = DistanceMatrixCandidate(
-        s.labels, tuple(tuple(map(value.__getitem__, row)) for row in r)
+    return _validate_ranked(
+        s.labels,
+        [list(map(rank.__getitem__, row)) for row in r],
+        lambda i, j: Fraction(*pairs[r[i][j]]),
     )
-    return _validate_ranked(candidate, [list(map(rank.__getitem__, row)) for row in r])
 
 
 def isometry_search(
@@ -318,13 +339,22 @@ def isometry_search(
 
     Backtracking over partial assignments in index order; the first
     complete assignment found is the lexicographically least one. Sizes
-    are capped because the search is factorial.
+    are capped because the search is factorial, and checked before any
+    entry is read. Both matrices are ranked together once (see
+    ``_ranked``), so equal distances get equal int ranks and the search
+    compares ints only: point i may go to cand when, for every j < i
+    already sent to assigned[j], b's distance from assigned[j] to cand
+    equals a's from j to i.
     """
     if a.n != b.n:
         raise SizeMismatchError(f"cannot match {a.n} points with {b.n}")
     if a.n > MAX_SEARCH_POINTS:
         raise TooLargeError(f"search is capped at {MAX_SEARCH_POINTS} points")
     n = a.n
+    _, _, (ra, rb) = _ranked((a.dist, b.dist))
+    # want[i]: a's distances from the points j < i to i; to[c]: b's to c
+    want = [[ra[j][i] for j in range(i)] for i in range(n)]
+    to = list(zip(*rb))
     assigned: list[int] = []
     used = [False] * n
 
@@ -335,7 +365,7 @@ def isometry_search(
         for cand in range(n):
             if used[cand]:
                 continue
-            if any(b.dist[assigned[j]][cand] != a.dist[j][i] for j in range(i)):
+            if list(map(to[cand].__getitem__, assigned)) != want[i]:
                 continue
             assigned.append(cand)
             used[cand] = True

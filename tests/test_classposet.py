@@ -161,6 +161,19 @@ def test_poset_invariants_on_random_families():
             assert a <= b  # the order never escapes the numeric one
 
 
+def _star_space(n, t, prefix):
+    """n points pairwise at distance t: every triple of distinct points is equilateral."""
+    return FiniteUltrametricSpace(
+        tuple(f"{prefix}{i}" for i in range(n)),
+        tuple(tuple(F(0) if i == j else t for j in range(n)) for i in range(n)),
+    )
+
+
+def _leg_pairs_by_counts(family):
+    ground, _, ranked = _ranked(s.dist for s in family.spaces)
+    return ground, _decode(ground, _base_leg_bits(ranked, len(ground)))
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_row_wise_pairs_match_cubic_scan(data):
@@ -169,11 +182,42 @@ def test_row_wise_pairs_match_cubic_scan(data):
     values = data.draw(st.sampled_from((SIX_VALUE_POOL, SIX_VALUE_POOL[:2], (F(1),))))
     family = random_family(rng, max_spaces=3, max_points=7, values=values)
     pairs = brute_base_leg_pairs(family)
-    ground, _, ranked = _ranked(s.dist for s in family.spaces)
+    ground, by_counts = _leg_pairs_by_counts(family)
     assert tuple(ground) == distance_values(family)
-    assert _decode(ground, _base_leg_bits(ranked, len(ground))) == pairs
+    assert by_counts == pairs
     want = brute_transitive_closure(ground, pairs) | {(t, t) for t in ground}
     assert family_poset(family).pairs == want
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 30])
+def test_comb_rows_realize_no_equal_base_and_legs(size):
+    # a comb has no equilateral triple, so (t, t) stays unset for t > 0
+    family = SpaceFamily((comb_space([F(k, 3) for k in range(1, size + 1)]),))
+    ground, pairs = _leg_pairs_by_counts(family)
+    assert pairs == brute_base_leg_pairs(family)
+    assert {(t, t) for t in ground} & pairs == {(F(0), F(0))}
+
+
+def test_star_rows_realize_every_equal_base_and_legs():
+    # three or more points pairwise at t realize (t, t); two realize only (0, t)
+    stars = [_star_space(n, t, f"s{k}_") for k, (n, t) in
+             enumerate(((3, F(1, 3)), (4, F(2)), (7, F(5, 2)), (2, F(9))))]
+    family = SpaceFamily(tuple(stars))
+    ground, pairs = _leg_pairs_by_counts(family)
+    assert pairs == brute_base_leg_pairs(family)
+    assert {t for t, u in pairs if t == u} == {F(0), F(1, 3), F(2), F(5, 2)}
+
+
+def test_one_and_two_point_rows():
+    one = _singleton_family().spaces[0]
+    two = must_validate(DistanceMatrixCandidate.from_rows(["a", "b"], [[0, "1/2"], ["1/2", 0]]))
+    for spaces, want in (
+        ((one,), {(F(0), F(0))}),
+        ((two,), {(F(0), F(0)), (F(0), F(1, 2))}),
+        ((one, two, one), {(F(0), F(0)), (F(0), F(1, 2))}),
+    ):
+        family = SpaceFamily(spaces)
+        assert _leg_pairs_by_counts(family)[1] == want == brute_base_leg_pairs(family)
 
 
 @settings(max_examples=300)
@@ -268,6 +312,16 @@ def test_poset_constructor_accepts_exactly_the_transitive_relations(data):
     except ValueError:
         accepted = False
     assert accepted == brute_is_transitive(pairs)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_family_poset_passes_the_checks_it_skips(data):
+    """The trusted poset of a family equals the one direct construction checks."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    values = data.draw(st.sampled_from((SIX_VALUE_POOL, SIX_VALUE_POOL[:2], (F(1),))))
+    p = family_poset(random_family(rng, max_spaces=3, max_points=7, values=values))
+    assert FinitePoset(p.ground, p.up) == p
 
 
 def test_poset_json_roundtrip():

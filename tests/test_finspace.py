@@ -36,6 +36,7 @@ from padicmetrics import (
 )
 from padicmetrics import fixtures
 from padicmetrics.fixtures import four_point_space, legs_three_space, level_swap_map
+from padicmetrics.padic import as_fraction
 from padicmetrics.spaces import _integer_rank, _ranked
 
 from support import (
@@ -235,6 +236,33 @@ def test_float_entries_are_refused():
         apply_function(space, level_swap_map())
 
 
+def test_json_matrix_reads_each_string_once_with_the_same_result():
+    rows = [["0", "1/2", "2/4"], ["2/4", "0", "1"], ["1/2", "1", "0"]]
+    cand = DistanceMatrixCandidate.from_json_dict({"points": ["a", "b", "c"], "d": rows})
+    assert cand.dist == tuple(tuple(as_fraction(v) for v in row) for row in rows)
+    assert cand.dist[0][1] == cand.dist[0][2] == F(1, 2)
+    assert all(type(v) is F for row in cand.dist for v in row)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (1.0, r"^exact rationals only: got the float 1\.0$"),
+        (True, r"^exact rationals only: got the bool True$"),
+    ],
+)
+def test_json_matrix_refuses_a_float_or_bool_after_an_equal_string(bad, error):
+    # "1", 1 or F(1) is read before the entry equal to it, which is still refused
+    for one in ("1", 1, F(1)):
+        with pytest.raises(TypeError, match=error):
+            DistanceMatrixCandidate.from_rows(["a", "b"], [[0, one], [bad, 0]])
+    # the first bad entry in row-major order raises, as before
+    with pytest.raises(TypeError, match=error):
+        DistanceMatrixCandidate.from_rows(["a", "b"], [["0", bad], ["x", "0"]])
+    with pytest.raises(ValueError):
+        DistanceMatrixCandidate.from_rows(["a", "b"], [["0", "x"], [bad, "0"]])
+
+
 def test_large_dendrogram_validates_with_full_dimension():
     s = random_ultrametric(Random(120), 120, SIX_VALUE_POOL + (F(5), F(7, 3)))
     assert validate_ultrametric(s.candidate()) == s
@@ -357,6 +385,42 @@ def test_isometry_failure_and_guards():
     )
     with pytest.raises(TooLargeError):
         isometry_search(big, big)
+
+
+def _brute_isometry(a, b):
+    """Least permutation, in lexicographic order, carrying a's distances onto b's."""
+    n = a.n
+    return next(
+        (p for p in permutations(range(n))
+         if all(b.dist[p[i]][p[j]] == a.dist[i][j] for i in range(n) for j in range(n))),
+        None,
+    )
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_isometry_search_matches_the_permutation_scan(data):
+    """Ints among equal Fractions, twins under 2^-64 apart, relabelled or drawn afresh."""
+    rng, pool, a = _adversarial_space(data, max_points=6)
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(a.n)))
+        rows = [[a.dist[perm[i]][perm[j]] for j in range(a.n)] for i in range(a.n)]
+        b = FiniteUltrametricSpace(tuple(f"y{i}" for i in range(a.n)), tuple(map(tuple, rows)))
+    else:
+        b = random_ultrametric(rng, a.n, pool, prefix="y")
+    a = FiniteUltrametricSpace(a.labels, mix_ints(rng, a.dist))
+    b = FiniteUltrametricSpace(b.labels, mix_ints(rng, b.dist))
+    assert isometry_search(a, b) == _brute_isometry(a, b)
+
+
+def test_isometry_search_tells_twins_apart():
+    t = F(1, 3)
+    twin = t + F(1, 2**70)
+    a = must_validate(_candidate([[0, t, 1], [t, 0, 1], [1, 1, 0]]))
+    b = must_validate(_candidate([[0, 1, 1], [1, 0, twin], [1, twin, 0]]))
+    c = must_validate(_candidate([[0, F(1), 1], [1, 0, F(t)], [F(1), t, 0]]))
+    assert isometry_search(a, b) is None
+    assert isometry_search(a, c) == (1, 2, 0) == _brute_isometry(a, c)
 
 
 # -------------------------------------------------------------- embeddings --

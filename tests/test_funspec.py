@@ -929,10 +929,16 @@ def test_float_images_are_refused_by_every_sampled_check():
         (StepFunction, (0.5, ((F(1), 1.5),)), 0.5),
         (StepFunction, (True, ((F(1), F(1)),)), True),
         (StepFunction, (F(1), ((F(1), F(3, 2)), (F(2), 2.5))), 2.5),
+        (Tabulated, (((F(0), "1"),),), "1"),
+        (Tabulated, (((F(0), F(0)), ("1/2", F(1))),), "1/2"),
+        (PiecewiseLinear, (((F(0), F(0)), (F(1), "1")),), "1"),
+        (StepFunction, ("1/2", ((F(1), F(1)),)), "1/2"),
+        (StepFunction, (F(1), ((F(1), F(1)), (F(2), 2.5), ("3", F(3)))), 2.5),
     ],
 )
 def test_spec_constructors_refuse_float_and_bool_fields(cls, args, bad):
-    # with the TypeError of as_fraction, before any other check of the fields
+    # with the TypeError of as_fraction, before any other check of the
+    # fields; a str field is refused the same way, the first in reading order
     with pytest.raises(TypeError) as raised:
         cls(*args)
     assert str(raised.value) == f"exact rationals only: got the {type(bad).__name__} {bad!r}"
