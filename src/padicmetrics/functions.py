@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, pairwise
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 from .errors import (
     BelowFloorError,
@@ -41,19 +41,14 @@ def _power_at_most(base: int, m: int, n: int, d: int) -> bool:
     return base**m * d <= n if m >= 0 else d <= n * base**-m
 
 
-def floor_power_index(x: Fraction, base: int) -> int:
-    """Largest integer m with base**m <= x, for x > 0, computed exactly.
-
-    The comparison is integer-only: with x = n/d in lowest terms, base**m <= x
-    is base**m * d <= n for m >= 0 and d <= n * base**-m for m < 0. The
-    search starts from the difference of the bit lengths of n and d and
-    moves a step or two from there.
-    """
-    return _floor_index(x.numerator, x.denominator, base)
-
-
 def _floor_index(n: int, d: int, base: int) -> int:
-    # floor_power_index of n/d, for any d > 0: the comparisons scale with n/d
+    """Largest integer m with base**m <= n/d, for n > 0 and d > 0, computed exactly.
+
+    The comparison is integer-only: base**m <= n/d is base**m * d <= n for
+    m >= 0 and d <= n * base**-m for m < 0, so n/d need not be in lowest
+    terms. The search starts from the difference of the bit lengths of n
+    and d and moves a step or two from there.
+    """
     if n <= 0:
         raise ValueError("x must be positive")
     m = math.floor((n.bit_length() - d.bit_length()) / math.log2(base))
@@ -110,6 +105,11 @@ def _read_ratio(f: Callable, k: int, den: int) -> tuple[int, int]:
     return _ratio(as_fraction(f(Fraction(k, den))))
 
 
+def _refuse_negative(k: int, den: int) -> NoReturn:
+    # the error of every spec at a point k/den < 0
+    raise NegativeInputError(f"function domain is x >= 0, got {Fraction(k, den)}")
+
+
 def ratio_reader(f: Callable) -> Callable[[int, int], tuple[int, int]]:
     """The reader (k, den) -> f(k/den) as an integer pair, for any f.
 
@@ -123,23 +123,20 @@ def ratio_reader(f: Callable) -> Callable[[int, int], tuple[int, int]]:
 class FunctionSpec:
     """Base class for exactly evaluable maps f: [0, oo) -> [0, oo).
 
-    ``f(x)`` gives the value at x as a Fraction. ``f.ratio_at(k, den)``
-    gives the value at k/den, for integers k and den > 0, as a pair of
-    integers (num, d) with d > 0 and num/d = f(k/den). The pair need not
-    be in lowest terms; it is equal to f(Fraction(k, den)) as a rational,
-    and when that call raises, ratio_at raises the same error. The checks
-    read every image through ratio_at, once per point, and build a
-    Fraction only for an image that goes into a witness or into JSON.
+    One definition, in ``ratio_at``; custom specs define ``_value``.
+    ``f.ratio_at(k, den)`` gives f(k/den), for integers k and den > 0, as
+    a pair of integers (num, d) with d > 0, not necessarily in lowest
+    terms, and raises NegativeInputError at k < 0. ``f(x)`` is that pair
+    as a Fraction, with x coerced by ``as_fraction``. The checks read every
+    image through ratio_at, once per point, and build a Fraction only for
+    an image that goes into a witness or into JSON.
 
-    The default reads f(Fraction(k, den)) and coerces the value with
-    ``as_fraction``, so a float or bool image raises TypeError. Canonical,
-    PiecewiseLinear, StepFunction, PowerMap, Reciprocal, PowerStep and
-    Tabulated compute the pair on integers, with no Fraction (Tabulated
-    builds one only for the message of a miss); at k < 0 they too take
-    the default, so the NegativeInputError is the one f raises. A subclass
-    that redefines ``_value`` or ``__call__`` without defining its own
-    ``ratio_at`` gets the default back, so every read goes through the
-    value it defines.
+    The default ratio_at reads ``_value(Fraction(k, den))``, a custom
+    spec's value at a nonnegative Fraction, and coerces it with
+    ``as_fraction``, so a float or bool image raises TypeError. A subclass
+    that redefines ``_value`` without its own ``ratio_at`` gets this
+    default back, so the value it defines is never passed over. A
+    redefined ``__call__`` is read by no check.
     """
 
     kind: str = ""
@@ -147,20 +144,20 @@ class FunctionSpec:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         own = vars(cls)
-        if "ratio_at" not in own and ("_value" in own or "__call__" in own):
+        if "_value" in own and "ratio_at" not in own:
             cls.ratio_at = FunctionSpec.ratio_at
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_fraction(x)
-        if x < 0:
-            raise NegativeInputError(f"function domain is x >= 0, got {x}")
-        return self._value(x)
+        return Fraction(*self.ratio_at(x.numerator, x.denominator))
 
     def _value(self, x: Fraction) -> Fraction:
         raise NotImplementedError
 
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
-        return _read_ratio(self, k, den)
+        if k < 0:
+            _refuse_negative(k, den)
+        return _ratio(as_fraction(self._value(Fraction(k, den))))
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -208,25 +205,18 @@ class Tabulated(FunctionSpec):
         return cls.from_pairs(mapping.items())
 
     @cached_property
-    def _lookup(self) -> dict[tuple[int, int], Fraction]:
-        # the values keyed by (numerator, denominator) in lowest terms
-        return {_ratio(k): v for k, v in self.entries}
-
-    def _at(self, n: int, d: int) -> Fraction:
-        # the value at n/d, given in lowest terms
-        try:
-            return self._lookup[n, d]
-        except KeyError:
-            raise DomainMissError(f"{Fraction(n, d)} is not a tabulated point") from None
-
-    def _value(self, x: Fraction) -> Fraction:
-        return self._at(*_ratio(x))
+    def _lookup(self) -> dict[tuple[int, int], tuple[int, int]]:
+        # the value pairs keyed by (numerator, denominator) in lowest terms
+        return {_ratio(k): _ratio(v) for k, v in self.entries}
 
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k < 0:
-            return _read_ratio(self, k, den)
+            _refuse_negative(k, den)
         g = math.gcd(k, den)
-        return _ratio(self._at(k // g, den // g))
+        try:
+            return self._lookup[k // g, den // g]
+        except KeyError:
+            raise DomainMissError(f"{Fraction(k, den)} is not a tabulated point") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -278,36 +268,22 @@ class PiecewiseLinear(FunctionSpec):
         (x0, y0), (x1, y1) = self.points[-2], self.points[-1]
         return (y1 - y0) / (x1 - x0)
 
-    @cached_property
-    def _xs(self) -> list[Fraction]:
-        return [x for x, _ in self.points]
-
     def segment_slopes(self) -> tuple[Fraction, ...]:
         return tuple(
             (y1 - y0) / (x1 - x0)
             for (x0, y0), (x1, y1) in zip(self.points, self.points[1:])
         )
 
-    def _value(self, x: Fraction) -> Fraction:
-        last_x, last_y = self.points[-1]
-        if x >= last_x:
-            if x == last_x or self.tail == TAIL_CONSTANT:
-                return last_y
-            return last_y + (x - last_x) * self._final_slope()
-        i = bisect.bisect_right(self._xs, x) - 1
-        x0, y0 = self.points[i]
-        x1, y1 = self.points[i + 1]
-        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-
     @cached_property
     def _tables(self) -> Callable[[int], tuple[int, list[int], list[tuple[int, ...]]]]:
         # _segments for one denominator at a time; the last few are kept
+        xs = [x for x, _ in self.points]
         ys = [y for _, y in self.points]
-        return lru_cache(maxsize=16)(partial(_segments, self._xs, ys))
+        return lru_cache(maxsize=16)(partial(_segments, xs, ys))
 
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k < 0:
-            return _read_ratio(self, k, den)
+            _refuse_negative(k, den)
         scale, xs, segments = self._tables(den)
         at = k * scale
         i = bisect.bisect_right(xs, at) - 1
@@ -333,12 +309,9 @@ class Reciprocal(FunctionSpec):
 
     kind = "reciprocal"
 
-    def _value(self, x: Fraction) -> Fraction:
-        return Fraction(0) if x == 0 else 1 / x
-
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k <= 0:
-            return (0, 1) if k == 0 else _read_ratio(self, k, den)
+            return (0, 1) if k == 0 else _refuse_negative(k, den)
         return den, k
 
     def to_json_dict(self) -> dict:
@@ -351,14 +324,9 @@ class Canonical(FunctionSpec):
 
     kind = "canonical"
 
-    def _value(self, x: Fraction) -> Fraction:
-        # x = n/d gives n / (n + d), in lowest terms as gcd(n, n + d) = gcd(n, d)
-        n = x.numerator
-        return Fraction(n, n + x.denominator)
-
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k < 0:
-            return _read_ratio(self, k, den)
+            _refuse_negative(k, den)
         return k, k + den
 
     def to_json_dict(self) -> dict:
@@ -383,27 +351,18 @@ class PowerMap(FunctionSpec):
         require_prime(self.p)
         require_prime(self.q)
 
-    def _value(self, x: Fraction) -> Fraction:
-        if x == 0:
-            return Fraction(0)
-        return Fraction(*self._interpolate(x.numerator, x.denominator))
-
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k <= 0:
-            return (0, 1) if k == 0 else _read_ratio(self, k, den)
-        return self._interpolate(k, den)
-
-    def _interpolate(self, n: int, d: int) -> tuple[int, int]:
-        # the value at x = n/d > 0, for any d > 0
+            return (0, 1) if k == 0 else _refuse_negative(k, den)
         p, q = self.p, self.q
-        m = _floor_index(n, d, p)
+        m = _floor_index(k, den, p)
         # x = p**m * b / a with 1 <= b / a < p, and the line through
         # (p**m, q**m) and (p**(m+1), q**(m+1)) takes at x the value
         # q**m * (1 + (b / a - 1) * (q - 1) / (p - 1)), built from integers
         if m >= 0:
-            a, b, up, down = d * p**m, n, q**m, 1
+            a, b, up, down = den * p**m, k, q**m, 1
         else:
-            a, b, up, down = d, n * p**-m, 1, q**-m
+            a, b, up, down = den, k * p**-m, 1, q**-m
         return up * ((p - 1) * a + (q - 1) * (b - a)), down * (p - 1) * a
 
     def to_json_dict(self) -> dict:
@@ -418,8 +377,6 @@ def _sieve(bound: int) -> bytes:
     ``rfind`` (``_next_prime``, ``_prime_at_most``) and ``_primes_to``, so no
     int is made for a prime that is not asked for.
     """
-    if bound < 5:
-        raise ValueError("sieve bound must be at least 5")
     flags = bytearray([1]) * ((bound + 1) // 2)
     flags[0] = 0
     for i in range(1, (math.isqrt(bound) + 1) // 2):
@@ -460,8 +417,8 @@ class PrimeShift(FunctionSpec):
 
     Cost: besides the sieve (built once per bound and cached), an
     evaluation makes O(pi(sqrt(L))) integer steps, L = floor(max(x, 1/x)):
-    one ``floor_power_index`` per prime up to isqrt(L), and a few searches
-    of the sieve for the primes next to isqrt(L) and L.
+    one p-power search (``_floor_index``) per prime up to isqrt(L), and a
+    few searches of the sieve for the primes next to isqrt(L) and L.
 
     Why that finds the same neighbours as a walk over every prime up to L.
     Write y = max(x, 1/x) >= 1. Every defined point other than 1 is p**k
@@ -469,7 +426,7 @@ class PrimeShift(FunctionSpec):
     y, and for x < 1 they are 1/P for the powers P nearest y on the other
     side; the primes that can contribute are those up to L, as before.
     For p <= isqrt(L), the two powers of p around y come from
-    ``floor_power_index``. A prime p in (isqrt(L), L] has p <= y < p**2,
+    ``_floor_index``. A prime p in (isqrt(L), L] has p <= y < p**2,
     so its powers next to y are p and p**2 (for x itself, m = 1 when
     x > 1, and m = -2, or -1 at x = 1/p, when x < 1). Among those primes
     the largest p at or below y is the largest prime <= L, and the
@@ -478,12 +435,13 @@ class PrimeShift(FunctionSpec):
     the smallest prime > L. All prime powers are distinct rationals, so
     the nearest point below and above x, an exact hit, and with them the
     value and every error, are those of the full walk. Points and images
-    stay integers, compared by cross-multiplying; a Fraction is built
-    only for the returned value.
+    stay integers, compared by cross-multiplying, and x = k/den need not
+    be in lowest terms; a Fraction is built only for an error message.
 
     Raises:
         TooLargeError: if sieve_bound exceeds MAX_SIEVE_BOUND; nothing is
             allocated before the check.
+        ValueError: if sieve_bound is below 5.
     """
 
     sieve_bound: int = 1_000_000
@@ -495,29 +453,31 @@ class PrimeShift(FunctionSpec):
             raise TooLargeError(
                 f"sieve bound {self.sieve_bound} is over the {MAX_SIEVE_BOUND} accepted"
             )
+        if self.sieve_bound < 5:
+            raise ValueError("sieve bound must be at least 5")
 
-    def _value(self, x: Fraction) -> Fraction:
-        if x == 0:
-            return Fraction(0)
+    def ratio_at(self, k: int, den: int) -> tuple[int, int]:
+        if k <= 0:
+            return (0, 1) if k == 0 else _refuse_negative(k, den)
         flags = _sieve(self.sieve_bound)
         last = 2 * flags.rfind(1) + 1
-        n, d = x.numerator, x.denominator
-        if n * last <= d:
-            raise BelowFloorError(f"{x} is at or below the evaluation floor 1/{last}")
-        if n >= last * d:
-            raise TooLargeError(f"{x} is at or beyond the certified ceiling {last}")
+        if k * last <= den:
+            raise BelowFloorError(
+                f"{Fraction(k, den)} is at or below the evaluation floor 1/{last}"
+            )
+        if k >= last * den:
+            raise TooLargeError(f"{Fraction(k, den)} is at or beyond the certified ceiling {last}")
 
         # y = big / small = max(x, 1/x); every candidate is an integer power
         # P with its image Q, P <= y in lows and P > y in highs. 1 is p**0
         # for every prime and always maps to itself. cap < last, so every
         # prime up to cap has a next prime in the sieve.
-        big, small = (n, d) if n >= d else (d, n)
+        big, small = (k, den) if k >= den else (den, k)
         cap = big // small
         after_root = _next_prime(flags, math.isqrt(cap))
-        y = x if n >= d else Fraction(d, n)
         lows, highs = [(1, 1)], []
         for p, q in pairwise(_primes_to(flags, after_root)):
-            m = floor_power_index(y, p)
+            m = _floor_index(big, small, p)
             power, image = p**m, q**m
             lows.append((power, image))
             highs.append((power * p, image * q))
@@ -533,21 +493,19 @@ class PrimeShift(FunctionSpec):
 
         lo, lo_img = max(lows)
         if lo * small == big:
-            return Fraction(lo_img) if n >= d else Fraction(1, lo_img)
+            return (lo_img, 1) if k >= den else (1, lo_img)
         if not highs or min(highs)[0] >= last:
             # the point past y is x's upper neighbour, or for x < 1 its lower one
-            if n >= d:
-                raise TooLargeError(f"cannot certify the upper neighbour of {x}")
-            raise BelowFloorError(f"cannot certify the lower neighbour of {x}")
+            if k >= den:
+                raise TooLargeError(f"cannot certify the upper neighbour of {Fraction(k, den)}")
+            raise BelowFloorError(f"cannot certify the lower neighbour of {Fraction(k, den)}")
         hi, hi_img = min(highs)
-        if n >= d:  # lo < x < hi, all integers
-            return Fraction(
-                lo_img * d * (hi - lo) + (n - lo * d) * (hi_img - lo_img), d * (hi - lo)
-            )
+        if k >= den:  # lo < x < hi, all integers
+            return lo_img * den * (hi - lo) + (k - lo * den) * (hi_img - lo_img), den * (hi - lo)
         # 1/hi < x < 1/lo, with images 1/hi_img and 1/lo_img
-        return Fraction(
-            d * lo_img * (hi - lo) + (n * hi - d) * (hi_img - lo_img) * lo,
-            d * hi_img * lo_img * (hi - lo),
+        return (
+            den * lo_img * (hi - lo) + (k * hi - den) * (hi_img - lo_img) * lo,
+            den * hi_img * lo_img * (hi - lo),
         )
 
     def to_json_dict(self) -> dict:
@@ -563,6 +521,7 @@ class PowerStep(FunctionSpec):
     everything in between.
 
     Raises:
+        TypeError: if ``inner`` is not a FunctionSpec.
         TooLargeError: if power_step layers, this one included, nest more
             than MAX_POWER_STEP_DEPTH deep; nothing is evaluated before the
             check.
@@ -574,6 +533,8 @@ class PowerStep(FunctionSpec):
     kind = "power_step"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.inner, FunctionSpec):
+            raise TypeError(f"power_step needs a function spec inside, got {self.inner!r}")
         require_prime(self.p)
         depth, inner = 1, self.inner
         while isinstance(inner, PowerStep):
@@ -584,15 +545,9 @@ class PowerStep(FunctionSpec):
                 f"{MAX_POWER_STEP_DEPTH} accepted"
             )
 
-    def _value(self, x: Fraction) -> Fraction:
-        if x == 0:
-            return Fraction(0)
-        m = floor_power_index(x, self.p)
-        return self.inner(Fraction(self.p) ** m)
-
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k <= 0:
-            return (0, 1) if k == 0 else _read_ratio(self, k, den)
+            return (0, 1) if k == 0 else _refuse_negative(k, den)
         return self.inner.ratio_at(*_power_pair(self.p, _floor_index(k, den, self.p)))
 
     def to_json_dict(self) -> dict:
@@ -629,25 +584,15 @@ class StepFunction(FunctionSpec):
         pts = tuple((as_fraction(t), as_fraction(v)) for t, v in pairs)
         return cls(as_fraction(below), pts)
 
-    @cached_property
-    def _thresholds(self) -> list[Fraction]:
-        return [t for t, _ in self.points]
-
     def levels(self) -> tuple[Fraction, ...]:
         """All values taken on the positives, in threshold order."""
         return (self.below, *(v for _, v in self.points))
-
-    def _value(self, x: Fraction) -> Fraction:
-        if x == 0:
-            return Fraction(0)
-        i = bisect.bisect_right(self._thresholds, x) - 1
-        return self.below if i < 0 else self.points[i][1]
 
     @cached_property
     def _tables(self) -> Callable[[int], tuple[int, list[int]]]:
         # the thresholds scaled for one denominator (see _common); the last
         # few are kept
-        return lru_cache(maxsize=16)(partial(_common, list(map(_ratio, self._thresholds))))
+        return lru_cache(maxsize=16)(partial(_common, [_ratio(t) for t, _ in self.points]))
 
     @cached_property
     def _level_pairs(self) -> list[tuple[int, int]]:
@@ -655,7 +600,7 @@ class StepFunction(FunctionSpec):
 
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k <= 0:
-            return (0, 1) if k == 0 else _read_ratio(self, k, den)
+            return (0, 1) if k == 0 else _refuse_negative(k, den)
         scale, ts = self._tables(den)
         return self._level_pairs[bisect.bisect_right(ts, k * scale)]
 

@@ -51,6 +51,11 @@ they were before both moved to integers.
 it moved to integers: every prime up to max(x, 1/x) offers its two
 ``Fraction`` powers around x, and the nearest offers are kept.
 
+``ref_spec_value`` is f(x) for every built-in spec in ``Fraction``
+arithmetic, the value each spec computed apart from its integer
+``ratio_at`` before that became its one definition; it uses the two
+references above for ``PowerMap`` and ``PrimeShift``.
+
 ``ref_exact_rank`` is Gauss-Jordan elimination over ``Fraction``s, the
 reference for the package's fraction-free integer rank.
 
@@ -75,8 +80,10 @@ from random import Random
 from padicmetrics import (
     AsymmetricError,
     BelowFloorError,
+    Canonical,
     DigitWindow,
     DistanceMatrixCandidate,
+    DomainMissError,
     EquivalenceBreachError,
     FiniteUltrametricSpace,
     NegativeEntryError,
@@ -84,9 +91,14 @@ from padicmetrics import (
     NonzeroDiagonalError,
     NotPreservingError,
     PiecewiseLinear,
+    PowerMap,
+    PowerStep,
+    PrimeShift,
+    Reciprocal,
     SpaceFamily,
     StepFunction,
     SufficientConditions,
+    Tabulated,
     TooLargeError,
     TriangleViolation,
     TripletVerdict,
@@ -100,7 +112,7 @@ from padicmetrics import (
     validate_ultrametric,
     valuation,
 )
-from padicmetrics.functions import _primes_to, _sieve, floor_power_index
+from padicmetrics.functions import _primes_to, _sieve
 from padicmetrics.padic_preserving import (
     PreservationVerdict,
     WindowWitness,
@@ -642,7 +654,7 @@ def ref_prime_shift_value(bound: int, x: Fraction) -> Fraction:
     for p, q in pairwise(primes):
         if p > limit:
             break
-        m = floor_power_index(x, p)
+        m = ref_floor_power_index(x, p)
         for n in (m, m + 1):
             exact = offer(Fraction(p) ** n, Fraction(q) ** n)
             if exact is not None:
@@ -665,6 +677,44 @@ def ref_prime_shift_value(bound: int, x: Fraction) -> Fraction:
     if hi is None or hi >= last:
         raise TooLargeError(f"cannot certify the upper neighbour of {x}")
     return lo_img + (x - lo) * (hi_img - lo_img) / (hi - lo)
+
+
+def ref_spec_value(f, x: Fraction) -> Fraction:
+    """f(x) for a built-in spec f and a Fraction x, in Fraction arithmetic."""
+    if x < 0:
+        raise NegativeInputError(f"function domain is x >= 0, got {x}")
+    if isinstance(f, Tabulated):
+        table = dict(f.entries)
+        if x not in table:
+            raise DomainMissError(f"{x} is not a tabulated point")
+        return table[x]
+    if isinstance(f, PiecewiseLinear):
+        last_x, last_y = f.points[-1]
+        if x >= last_x:
+            if x == last_x or f.tail == "constant":
+                return last_y
+            return last_y + (x - last_x) * f._final_slope()
+        i = bisect_right([a for a, _ in f.points], x) - 1
+        (x0, y0), (x1, y1) = f.points[i], f.points[i + 1]
+        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+    if isinstance(f, Reciprocal):
+        return Fraction(0) if x == 0 else 1 / x
+    if isinstance(f, Canonical):
+        return x / (1 + x)
+    if isinstance(f, PowerMap):
+        return ref_power_map_value(f.p, f.q, x)
+    if isinstance(f, PrimeShift):
+        return ref_prime_shift_value(f.sieve_bound, x)
+    if isinstance(f, PowerStep):
+        if x == 0:
+            return Fraction(0)
+        return ref_spec_value(f.inner, Fraction(f.p) ** ref_floor_power_index(x, f.p))
+    if isinstance(f, StepFunction):
+        if x == 0:
+            return Fraction(0)
+        i = bisect_right([t for t, _ in f.points], x) - 1
+        return f.below if i < 0 else f.points[i][1]
+    raise TypeError(f"no reference value for {f!r}")
 
 
 def ref_exact_rank(matrix) -> int:

@@ -248,6 +248,17 @@ def test_running_out_of_memory_is_too_large(capsys, monkeypatch):
     }
 
 
+def test_prime_shift_bound_below_5_is_invalid_input(capsys):
+    for argv in (
+        ("fn", "prime-shift", "--bound", "3"),
+        ("fn", "prime-shift", "--bound=-7", "--x", "0"),
+        ("fn", "eval", "--spec", '{"kind": "prime_shift", "bound": 4}', "--x", "2"),
+    ):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2, argv
+        assert payload == {"error": "invalid_input", "detail": "sieve bound must be at least 5"}
+
+
 def test_size_caps_are_refused(capsys):
     # each cap holds at its limit and refuses one over it; nothing is sieved
     code, payload = run_json(capsys, "fn", "prime-shift", "--bound", "10000000")

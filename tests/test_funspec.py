@@ -55,11 +55,11 @@ from padicmetrics.fixtures import four_point_family, identity_map, level_swap_ma
 from padicmetrics.functions import (
     MAX_POWER_STEP_DEPTH,
     MAX_SIEVE_BOUND,
+    _floor_index,
     _next_prime,
     _prime_at_most,
     _primes_to,
     _sieve,
-    floor_power_index,
 )
 from padicmetrics.padic_preserving import MAX_EXPONENT
 from padicmetrics.preserving import (
@@ -83,6 +83,7 @@ from support import (
     ref_floor_power_index,
     ref_power_map_value,
     ref_prime_shift_value,
+    ref_spec_value,
     ref_sufficient_conditions,
     ref_tabulated_entries,
     sorted_triple_scan,
@@ -192,6 +193,16 @@ def test_prime_shift_sieve_bound_cap():
         spec_from_json_dict({"kind": "prime_shift", "bound": MAX_SIEVE_BOUND + 1})
 
 
+def test_prime_shift_refuses_a_sieve_bound_below_5():
+    # when constructed, so no such spec is serialized or evaluated at 0
+    assert PrimeShift(5)(2) == 3
+    for bound in (4, 3, 0, -7):
+        with pytest.raises(ValueError, match="^sieve bound must be at least 5$"):
+            PrimeShift(bound)
+        with pytest.raises(ValueError, match="^sieve bound must be at least 5$"):
+            spec_from_json_dict({"kind": "prime_shift", "bound": bound})
+
+
 DEFAULT_SIEVE_BOUND = PrimeShift().sieve_bound
 # below 5000 the Fraction walk of the reference takes milliseconds; past it,
 # up to 2 s at the default bound, so only the named points go there
@@ -249,14 +260,15 @@ def test_prime_shift_matches_the_walk_over_every_prime(point):
 
 def test_prime_shift_walks_only_the_primes_up_to_the_root(monkeypatch):
     # pi(isqrt(500001)) = pi(707) = 126; a walk over every prime up to x
-    # calls floor_power_index 41 538 times
+    # makes 41 538 p-power searches
     calls = []
+    search = functions._floor_index
 
-    def counted(x, base):
+    def counted(n, d, base):
         calls.append(base)
-        return floor_power_index(x, base)
+        return search(n, d, base)
 
-    monkeypatch.setattr(functions, "floor_power_index", counted)
+    monkeypatch.setattr(functions, "_floor_index", counted)
     f = PrimeShift()
     for x, value in (
         (F(500_001), F(1_500_071, 3)),
@@ -326,6 +338,13 @@ def test_power_step_agrees_on_powers_and_flattens_between():
     assert f(3) == f(2) == F(1, 2)
 
 
+def test_power_step_refuses_an_inner_that_is_not_a_spec():
+    # a plain callable has no ratio_at or to_json_dict to read
+    for inner in (lambda x: x, Fraction, "canonical", {"kind": "canonical"}):
+        with pytest.raises(TypeError, match="power_step needs a function spec inside"):
+            PowerStep(inner, 2)
+
+
 def test_power_step_nesting_is_capped():
     f = Canonical()
     for _ in range(MAX_POWER_STEP_DEPTH):
@@ -364,8 +383,9 @@ def power_map_points(draw):
 def test_integer_power_path_matches_the_fraction_path(point):
     p, q, x = point
     if x > 0:
-        assert floor_power_index(x, p) == ref_floor_power_index(x, p)
-        assert floor_power_index(x, q) == ref_floor_power_index(x, q)
+        n, d = x.numerator, x.denominator
+        assert _floor_index(n, d, p) == ref_floor_power_index(x, p)
+        assert _floor_index(3 * n, 3 * d, q) == ref_floor_power_index(x, q)
     value = PowerMap(p, q)(x)
     assert type(value) is Fraction
     assert str(value) == str(ref_power_map_value(p, q, x))
@@ -373,9 +393,10 @@ def test_integer_power_path_matches_the_fraction_path(point):
 
 def test_floor_power_index_refuses_nonpositive_input():
     for x in (F(0), F(-3, 2)):
-        for search in (floor_power_index, ref_floor_power_index):
-            with pytest.raises(ValueError):
-                search(x, 3)
+        with pytest.raises(ValueError):
+            _floor_index(x.numerator, x.denominator, 3)
+        with pytest.raises(ValueError):
+            ref_floor_power_index(x, 3)
 
 
 def test_negative_inputs_rejected():
@@ -723,9 +744,9 @@ class _Counting(FunctionSpec):
 class _CountingPolyline(PiecewiseLinear):
     calls: list = field(default_factory=list, compare=False)
 
-    def _value(self, x):
-        self.calls.append(x)
-        return super()._value(x)
+    def ratio_at(self, k, den):
+        self.calls.append(F(k, den))
+        return super().ratio_at(k, den)
 
 
 def test_sampled_checks_call_f_once_per_point():
@@ -791,16 +812,20 @@ def _ratio_outcome(read):
 
 
 def _assert_ratio_at_matches_the_call(f, k, den):
-    # ratio_at(k, den) is f(k/den) as a rational with a positive denominator,
-    # or the same (error type, message)
+    # ratio_at(k, den) is the Fraction reference's f(k/den) as a rational
+    # with a positive denominator, and the call f(k/den) is it as a
+    # Fraction; or both raise the reference's (error type, message)
+    want = _ratio_outcome(lambda: ref_spec_value(f, F(k, den)))
     got = _ratio_outcome(lambda: f.ratio_at(k, den))
-    want = _ratio_outcome(lambda: f(F(k, den)))
-    if got[0] == want[0] == "value":
+    called = _ratio_outcome(lambda: f(F(k, den)))
+    if want[0] == "value":
+        assert got[0] == called[0] == "value", (got, called, want)
         num, d = got[1]
         assert type(num) is int and type(d) is int and d > 0
         assert F(num, d) == want[1]
+        assert type(called[1]) is Fraction and called[1] == want[1]
     else:
-        assert got == want
+        assert got == called == want
 
 
 @st.composite
@@ -985,6 +1010,12 @@ def test_no_check_calls_f_other_than_through_ratio_at():
         (StepFunction, (F(3), ((F(1), F(1)),))),
         (PiecewiseLinear, (((F(0), F(0)), (F(1), F(1, 2)), (F(2), F(2))), "linear")),
         (PiecewiseLinear, (((F(0), F(0)), (F(1), F(2)), (F(2), F(1))),)),
+        (Tabulated, (tuple((x, min(x, F(1))) for x in samples),)),
+        (Reciprocal, ()),
+        (PowerMap, (2, 3)),
+        # the inner spec is guarded too, so a layer that calls it is caught
+        (PowerStep, (_no_call(Canonical)(), 2)),
+        (PrimeShift, (30,)),
     )
     for check in checks:
         verdicts = set()
@@ -1001,21 +1032,22 @@ def test_subclasses_that_redefine_a_read_get_the_default_ratio_at():
 
     class Own(Canonical):
         def _value(self, x):
-            return super()._value(x)
+            return x
 
         def ratio_at(self, k, den):
             return k, k + den
 
-    class Called(PiecewiseLinear):
-        def __call__(self, x):
-            return super().__call__(x)
+    class Halved(PiecewiseLinear):
+        def _value(self, x):
+            return x / 2
 
     assert Plain.ratio_at is Canonical.ratio_at
     assert Own.__dict__["ratio_at"] is not FunctionSpec.ratio_at
-    for cls in (_Counting, _CountingPolyline, _Drawn, Called):
+    for cls in (_Counting, _Drawn, Halved):
         assert cls.ratio_at is FunctionSpec.ratio_at
-    f = _CountingPolyline.from_pairs([(0, 0), (1, 1)])
-    assert f.ratio_at(3, 2) == (1, 1) and f.calls == [F(3, 2)]
+    # the polyline's own pair is passed over for the value Halved defines
+    f = Halved.from_pairs([(0, 0), (1, 1)])
+    assert f.ratio_at(3, 2) == (3, 4) and f(F(3, 2)) == F(3, 4)
 
 
 _TRIPLET_CHECKS = (

@@ -32,7 +32,6 @@ from padicmetrics import (
     parse_window,
     witness_triple,
 )
-from padicmetrics.functions import floor_power_index
 from padicmetrics.fixtures import identity_map, zigzag_map
 from padicmetrics.padic_preserving import (
     DEFAULT_WINDOW,
@@ -43,6 +42,7 @@ from support import (
     brute_check_p_metric_preserving,
     ref_check_p_ultrametric_preserving,
     ref_extend_to_ultrametric_preserving,
+    ref_floor_power_index,
 )
 
 F = Fraction
@@ -185,7 +185,7 @@ class IntegerLevels(FunctionSpec):
     def _value(self, x):
         if x == 0:
             return 0
-        return self.levels[floor_power_index(x, self.p) % len(self.levels)]
+        return self.levels[ref_floor_power_index(x, self.p) % len(self.levels)]
 
 
 @st.composite
@@ -378,7 +378,7 @@ def test_power_step_agreement(k, p, num, den):
     # exact agreement on every power of p, hence on every p-adic distance
     assert psi(F(p) ** k) == f(F(p) ** k)
     x = F(num, den)
-    assert psi(x) == f(F(p) ** floor_power_index(x, p))
+    assert psi(x) == f(F(p) ** ref_floor_power_index(x, p))
     assert psi(0) == 0
 
 
