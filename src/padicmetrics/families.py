@@ -328,7 +328,7 @@ def _order_side(read: Callable[[int, int], Ratio], poset: FinitePoset) -> OrderW
     the pair scan compares the images' int ranks (see ``padic._ranks``);
     only a witness's images become Fractions.
     """
-    images, bad = _amenable_images(read, poset.ground)
+    images, bad = _amenable_images(read, map(_ratio, poset.ground))
     if bad is not None:
         return OrderWitness(bad.kind, bad.points, bad.images)
     ranks = _ranks(images)

@@ -439,6 +439,7 @@ class PrimeShift(FunctionSpec):
     be in lowest terms; a Fraction is built only for an error message.
 
     Raises:
+        TypeError: if sieve_bound is not an int, or is a bool.
         TooLargeError: if sieve_bound exceeds MAX_SIEVE_BOUND; nothing is
             allocated before the check.
         ValueError: if sieve_bound is below 5.
@@ -449,6 +450,8 @@ class PrimeShift(FunctionSpec):
     kind = "prime_shift"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.sieve_bound, int) or isinstance(self.sieve_bound, bool):
+            raise TypeError(f"sieve bound must be an int, got {self.sieve_bound!r}")
         if self.sieve_bound > MAX_SIEVE_BOUND:
             raise TooLargeError(
                 f"sieve bound {self.sieve_bound} is over the {MAX_SIEVE_BOUND} accepted"

@@ -9,14 +9,19 @@ the checks below reduce to finite scans with exact arithmetic. Sorted triples
 are enough: both families are closed under permuting the entries, so the
 lexicographically least failing ordered triple is itself sorted.
 
+Every check holds its samples as ascending integer keys k over one common
+denominator L (``_sample_keys``), for k / L: scaling by L > 0 keeps order
+and equality, so a sample becomes a Fraction only in a witness or a message.
+
 Every check evaluates f once per distinct point, in the order in which the
 points are first needed, so the first error a spec raises does not depend
 on how many routes read its value. Each image is read by
 ``FunctionSpec.ratio_at`` as an integer pair (numerator, positive
 denominator), so the specs that compute on integers build no Fraction for
 it; only the images in a witness become Fractions. The three triplet checks
-keep the images of their samples in one table, filled by the amenability
-gate and read by the direct routes and the scan.
+run through one routine (``_triplet_verdict``), which keeps the images of
+their samples in one table, filled by the amenability gate and read by the
+scan and the direct route.
 
 The scan visits each sorted pair a <= b once. Its admissible c form a
 range of samples, b <= c <= a + b for triangles and c = b for strong
@@ -24,13 +29,13 @@ triplets, and the images allowed for c form one interval: a triangle image
 needs |f(a) - f(b)| <= f(c) <= f(a) + f(b); a strong image needs
 f(c) = max(f(a), f(b)) when f(a) != f(b), and f(c) <= f(a) when they are
 equal, because the two largest entries of a strong triplet are equal. With
-samples and images scaled to integers, sparse tables of range minima and
+samples and images as integers, sparse tables of range minima and
 maxima answer that in O(1) per pair, so a scan of n samples costs O(n^2).
 Only a pair whose query fails has its range walked, upwards, to its least
 bad c. Pairs go in lexicographic order and every earlier pair has no bad c
 at all, so the witness is the least failing sorted triple.
 
-Every verdict carries a short hash of the canonicalized sample set, so a
+Every verdict carries a short hash of the distinct sorted samples, so a
 recorded verdict can be tied back to the inputs that produced it. A passing
 sampled verdict certifies the sampled triples only, nothing beyond them.
 """
@@ -42,7 +47,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, pairwise
-from math import lcm
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError, TooLargeError
@@ -53,7 +58,7 @@ from .padic import RationalLike, _common, _exceeds, _ratio, as_fraction
 # terms: what FunctionSpec.ratio_at returns
 Ratio = tuple[int, int]
 
-# The largest grid accepted, in points, as for exponent windows.
+# The most points accepted in a grid or a sample set, as for exponent windows.
 MAX_GRID_POINTS = 1025
 
 
@@ -110,20 +115,36 @@ class SufficientConditions:
         }
 
 
-def _digest(canon: Iterable[Fraction]) -> str:
-    # the hash of a sample set that is already sorted and free of repeats
-    return hashlib.sha256(",".join(map(str, canon)).encode()).hexdigest()[:16]
+def _digest(den: int, keys: Iterable[int]) -> str:
+    # the hash of ascending distinct keys over den, each written as
+    # str(Fraction(k, den)) writes it: in lowest terms, without "/1"
+    text = ",".join(f"{k // g}/{den // g}" if g != den else str(k // g)
+                    for k in keys for g in (gcd(k, den),))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def samples_digest(samples: Iterable[Fraction]) -> str:
-    return _digest(sorted(set(samples)))
+def samples_digest(samples: Iterable[RationalLike]) -> str:
+    """The samples_hash of the sampled checks on these samples, which it refuses as they do."""
+    return _digest(*_sample_keys(samples))
 
 
-def _canonical(samples: Iterable[RationalLike]) -> list[Fraction]:
-    out = sorted({as_fraction(x) for x in samples})
-    if any(x < 0 for x in out):
+def _sample_keys(
+    samples: Iterable[RationalLike], extra: Iterable[Fraction] = ()
+) -> tuple[int, list[int]]:
+    """L and the distinct samples and extra points k / L as ascending keys k.
+
+    Samples are coerced by ``as_fraction`` in the order given; L is the
+    common denominator of ``padic._common``. A negative sample raises
+    NegativeInputError, and more than MAX_GRID_POINTS distinct samples,
+    counted without the extra points, raise TooLargeError.
+    """
+    points = {_ratio(as_fraction(x)) for x in samples}
+    if any(n < 0 for n, _ in points):
         raise NegativeInputError("samples must be nonnegative")
-    return out
+    if len(points) > MAX_GRID_POINTS:
+        raise TooLargeError(f"{len(points)} distinct samples, over the {MAX_GRID_POINTS} accepted")
+    den, keys = _common(points.union(map(_ratio, extra)))
+    return den, sorted(keys)
 
 
 def is_triangle_triplet(a: RationalLike, b: RationalLike, c: RationalLike) -> bool:
@@ -154,22 +175,20 @@ class _Memo(dict):
 
 
 def _amenable_images(
-    read: Callable[[int, int], Ratio], xs: Sequence[Fraction]
+    read: Callable[[int, int], Ratio], points: Iterable[tuple[int, int]]
 ) -> tuple[list[Ratio], Witness | None]:
-    # The images of xs as integer pairs, read by the amenability gate: f(0)
-    # = 0 and f strictly positive on the positive samples. read(k, den) is
-    # f(k/den) (``ratio_reader``), and each x is read at its own numerator
-    # and denominator: one common denominator of all of them can be huge,
-    # as for the distances of a family. A breach stops the gate at once,
-    # so no later sample is evaluated.
+    # The images of the nonnegative points k/den as integer pairs, read by
+    # ``ratio_reader`` in the amenability gate (f(0) = 0, f > 0 on positive
+    # points), which stops at its first breach. A family's distances come
+    # each over its own denominator: a common one of them all can be huge.
     f0 = read(0, 1)
     if f0[0] != 0:
         return [], Witness("origin", (Fraction(0),), (Fraction(*f0),))
     images = []
-    for x in xs:
-        y = f0 if x == 0 else read(x.numerator, x.denominator)
-        if x > 0 and y[0] == 0:
-            return [], Witness("vanishes", (x,), (Fraction(0),))
+    for k, den in points:
+        y = f0 if k == 0 else read(k, den)
+        if k > 0 and y[0] == 0:
+            return [], Witness("vanishes", (Fraction(k, den),), (Fraction(0),))
         images.append(y)
     return images, None
 
@@ -177,6 +196,11 @@ def _amenable_images(
 def _fractions(*images: Ratio) -> tuple[Fraction, ...]:
     # a witness's images, built from their pairs
     return tuple(Fraction(n, d) for n, d in images)
+
+
+def _points(den: int, *keys: int) -> tuple[Fraction, ...]:
+    # a witness's points, built from their keys over den
+    return tuple(Fraction(k, den) for k in keys)
 
 
 def _least(a: Ratio, b: Ratio) -> Ratio:
@@ -204,23 +228,19 @@ def _strong_band(ya: int, yb: int) -> tuple[int, int]:
 
 
 def _first_bad_triple(
-    xs: Sequence[Fraction],
+    den: int,
+    keys: Sequence[int],
     images: Sequence[Ratio],
     reach: Callable[[int, int], int],
     band: Callable[[int, int], tuple[int, int]],
 ) -> Witness | None:
     """Least sorted triple of samples in the scanned family whose images are not.
 
-    xs ascends and is nonnegative; images[k] is f(xs[k]) as an integer
-    pair (see ``Ratio``), and only a witness's images become Fractions.
-    A sorted triple
-    a <= b <= c is in the scanned family exactly when c <= reach(a, b): a + b
-    for triangles, max(a, b) for strong triplets. Its images are in the
-    target family exactly when f(c) lies in band(f(a), f(b)): the interval
-    [|f(a) - f(b)|, f(a) + f(b)] for triangles; for strong triplets
-    [max, max] when f(a) != f(b) and [0, f(a)] when they are equal. Both
-    run on the integers that the samples and the images scale to, each
-    over one common denominator (``_common``).
+    keys ascend, are nonnegative and stand for the samples k / den; images
+    holds their images as integer pairs, put over one common denominator for
+    band. A sorted triple a <= b <= c is in the scanned family exactly when
+    c <= reach(a, b), and its images are in the target family exactly when
+    f(c) lies in band(f(a), f(b)), as the module docstring sets out.
 
     Pairs are visited in lexicographic order. For a fixed a, reach(a, b)
     grows with b, so the end of the c range only moves up, and one pointer
@@ -232,15 +252,15 @@ def _first_bad_triple(
     earlier pair has no bad c, so that triple is the lexicographically least
     failing one; a failed query whose walk finds none raises SelfCheckError.
     """
-    n = len(xs)
-    xi, yi = _common(map(_ratio, xs))[1], _common(images)[1]
+    n = len(keys)
+    yi = _common(images)[1]
     lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
     for i in range(n):
-        xa, ya = xi[i], yi[i]
+        xa, ya = keys[i], yi[i]
         end = i
         for j in range(i, n):
-            top = reach(xa, xi[j])
-            while end < n and xi[end] <= top:
+            top = reach(xa, keys[j])
+            while end < n and keys[end] <= top:
                 end += 1
             lo, hi = band(ya, yi[j])
             k = (end - j).bit_length() - 1
@@ -249,13 +269,56 @@ def _first_bad_triple(
                 continue
             for c in range(j, end):
                 if not lo <= yi[c] <= hi:
-                    points = (xs[i], xs[j], xs[c])
+                    points = _points(den, keys[i], keys[j], keys[c])
                     return Witness("triple", points, _fractions(images[i], images[j], images[c]))
             raise SelfCheckError(
-                f"the range query failed at ({xs[i]}, {xs[j]}) but no c up to "
-                f"{xs[end - 1]} breaks it"
+                f"the range query failed at ({Fraction(keys[i], den)}, {Fraction(keys[j], den)}) "
+                f"but no c up to {Fraction(keys[end - 1], den)} breaks it"
             )
     return None
+
+
+def _monotone_witness(den: int, keys: Sequence[int], images: Sequence[Ratio]) -> Witness | None:
+    for k in range(1, len(keys)):
+        if _exceeds(images[k - 1], images[k]):
+            points = _points(den, keys[k - 1], keys[k])
+            return Witness("pair", points, _fractions(images[k - 1], images[k]))
+    return None
+
+
+def _halving_witness(den: int, keys: Sequence[int], images: Sequence[Ratio]) -> Witness | None:
+    # the least positive a, then the least later b, with f(a) > 2 f(b): a is
+    # the first sample whose image exceeds twice the least later image
+    pos = [(x, y) for x, y in zip(keys, images) if x > 0]
+    later_min = list(accumulate((y for _, y in reversed(pos)), _least))[::-1]
+    for i in range(len(pos) - 1):
+        a, ya = pos[i]
+        if _exceeds(ya, later_min[i + 1], 2):
+            b, yb = next((b, yb) for b, yb in pos[i + 1 :] if _exceeds(ya, yb, 2))
+            return Witness("pair", _points(den, a, b), _fractions(ya, yb))
+    return None
+
+
+def _triplet_verdict(
+    f: FunctionSpec,
+    den: int,
+    keys: Sequence[int],
+    reach: Callable[[int, int], int],
+    band: Callable[[int, int], tuple[int, int]],
+    direct: tuple[str, Callable[..., Witness | None]] | None = None,
+) -> TripletVerdict:
+    # The gate reads f once per key, ascending; then the scan runs, then the
+    # named direct route, if any, whose witness the verdict reports. The
+    # routes are provably equivalent: a disagreement is a bug, and raises.
+    images, bad = _amenable_images(ratio_reader(f), [(k, den) for k in keys])
+    if bad is None:
+        bad = _first_bad_triple(den, keys, images, reach, band)
+        if direct is not None:
+            name, route = direct
+            scan, bad = bad, route(den, keys, images)
+            if (bad is None) != (scan is None):
+                raise EquivalenceBreachError(f"{name} and triplet scan disagree: {bad} vs {scan}")
+    return TripletVerdict(bad is None, _digest(den, keys), bad)
 
 
 def check_metric_preserving_sampled(
@@ -267,36 +330,20 @@ def check_metric_preserving_sampled(
     witness: first an amenability breach if any, then the least triple
     (a, b, c) in the triangle family whose image is not.
     """
-    xs = _canonical(samples)
-    if Fraction(0) not in xs:
+    den, keys = _sample_keys(samples)
+    if keys[:1] != [0]:
         raise ValueError("the sample set must contain 0")
-    digest = _digest(xs)
-    images, bad = _amenable_images(ratio_reader(f), xs)
-    if bad is None:
-        bad = _first_bad_triple(xs, images, operator.add, _triangle_band)
-    return TripletVerdict(bad is None, digest, bad)
+    return _triplet_verdict(f, den, keys, operator.add, _triangle_band)
 
 
-def _refine(f: FunctionSpec, xs: list[Fraction]) -> list[Fraction]:
-    # For shapes with finitely many kinks, fold the kink abscissas into the
-    # sample set so the pairwise monotonicity inspection is exact rather
-    # than grid-dependent.
-    extra: list[Fraction] = []
+def _kinks(f: FunctionSpec) -> list[Fraction]:
+    # The kink abscissas of a polyline or step shape: with them among the
+    # samples, the pairwise monotonicity inspection is exact.
     if isinstance(f, PiecewiseLinear):
-        extra = [x for x, _ in f.points]
-    elif isinstance(f, StepFunction) and f.points:
-        first = f.points[0][0]
-        extra = [t for t, _ in f.points] + [first / 2]
-    if not extra:
-        return xs
-    return sorted(set(xs) | set(extra))
-
-
-def _monotone_witness(xs: Sequence[Fraction], images: Sequence[Ratio]) -> Witness | None:
-    for k in range(1, len(xs)):
-        if _exceeds(images[k - 1], images[k]):
-            return Witness("pair", (xs[k - 1], xs[k]), _fractions(images[k - 1], images[k]))
-    return None
+        return [x for x, _ in f.points]
+    if isinstance(f, StepFunction) and f.points:
+        return [t for t, _ in f.points] + [f.points[0][0] / 2]
+    return []
 
 
 def check_ultrametric_preserving(
@@ -312,30 +359,9 @@ def check_ultrametric_preserving(
     provably equivalent on the same point set; a disagreement raises
     EquivalenceBreachError because it can only come from a bug.
     """
-    xs = _refine(f, _canonical(samples))
-    digest = _digest(xs)
-    images, bad = _amenable_images(ratio_reader(f), xs)
-    if bad is None:
-        bad = _monotone_witness(xs, images)
-        scan = _first_bad_triple(xs, images, max, _strong_band)
-        if (bad is None) != (scan is None):
-            raise EquivalenceBreachError(
-                f"monotonicity inspection and triplet scan disagree: {bad} vs {scan}"
-            )
-    return TripletVerdict(bad is None, digest, bad)
-
-
-def _halving_witness(xs: Sequence[Fraction], images: Sequence[Ratio]) -> Witness | None:
-    # the least positive a, then the least later b, with f(a) > 2 f(b): a is
-    # the first sample whose image exceeds twice the least later image
-    pos = [(x, y) for x, y in zip(xs, images) if x > 0]
-    later_min = list(accumulate((y for _, y in reversed(pos)), _least))[::-1]
-    for i in range(len(pos) - 1):
-        a, ya = pos[i]
-        if _exceeds(ya, later_min[i + 1], 2):
-            b, yb = next((b, yb) for b, yb in pos[i + 1 :] if _exceeds(ya, yb, 2))
-            return Witness("pair", (a, b), _fractions(ya, yb))
-    return None
+    den, keys = _sample_keys(samples, _kinks(f))
+    direct = ("monotonicity inspection", _monotone_witness)
+    return _triplet_verdict(f, den, keys, max, _strong_band, direct)
 
 
 def check_ultra_to_metric(
@@ -348,17 +374,9 @@ def check_ultra_to_metric(
     Cross-check: every sampled strong triplet must map into the triangle
     family. Both run; disagreement raises EquivalenceBreachError.
     """
-    xs = _canonical(samples)
-    digest = _digest(xs)
-    images, bad = _amenable_images(ratio_reader(f), xs)
-    if bad is None:
-        bad = _halving_witness(xs, images)
-        scan = _first_bad_triple(xs, images, max, _triangle_band)
-        if (bad is None) != (scan is None):
-            raise EquivalenceBreachError(
-                f"pair inspection and triplet scan disagree: {bad} vs {scan}"
-            )
-    return TripletVerdict(bad is None, digest, bad)
+    den, keys = _sample_keys(samples)
+    direct = ("pair inspection", _halving_witness)
+    return _triplet_verdict(f, den, keys, max, _triangle_band, direct)
 
 
 def _first_bad_sum(
@@ -393,17 +411,16 @@ def _euclid_verdict(
     # The scan and the witness of both Euclid routes. Keys are integers over
     # den: distinct holds every key ascending, for the digest, and pairs
     # come in lexicographic order. f is memoised by key, as integer pairs.
-    digest = _digest(Fraction(k, den) for k in distinct)
+    digest = _digest(den, distinct)
     read = ratio_reader(f)
     value = _Memo(lambda k: read(k, den))
     bad = _first_bad_sum(pairs, value, _not_triangle)
     if bad is None:
         return TripletVerdict(True, digest)
     ka, kb = bad
-    kc = ka + kb
-    points = (Fraction(ka, den), Fraction(kb, den), Fraction(kc, den))
-    images = _fractions(value[ka], value[kb], value[kc])
-    return TripletVerdict(False, digest, Witness("triple", points, images))
+    triple = (ka, kb, ka + kb)
+    images = _fractions(*map(value.__getitem__, triple))
+    return TripletVerdict(False, digest, Witness("triple", _points(den, *triple), images))
 
 
 def check_euclid_preserving_sampled(
@@ -417,28 +434,24 @@ def check_euclid_preserving_sampled(
     ``check_euclid_preserving_grid`` gives the same verdict without a pair
     list.
 
-    The check runs on integers. Every entry is coerced once, in the order
-    given, so floats and bools are refused as by ``as_fraction``; then all
-    entries are scaled to integers over their one common denominator L.
-    Scaling by L > 0 keeps order, so the sorted distinct integer pairs come
-    in the order of the sorted Fraction pairs, and the sorted distinct
-    integers give the digest. The pairs go through ``_first_bad_sum``, the
-    pair-sum scan shared with ``sufficient_conditions``, which reads f where
-    a scan without a memo first reads it, so the first error a spec raises
-    is unchanged. Each triple checks the signs of its images, as
-    ``is_triangle_triplet`` does, before comparing each image with the sum
-    of the other two. The witness points and images are Fractions. For N
-    pairs over P distinct points a, b and a + b, the cost is one sort of N
-    integer pairs, P reads of f by ``ratio_at`` (no Fraction for the specs
-    that compute on integers), and O(1) integer operations per pair.
+    The check runs on integers: the entries, coerced once in the order
+    given, are read as samples (``_sample_keys``, so more than
+    MAX_GRID_POINTS distinct entries are refused), and each is scaled to
+    its key over their L, which keeps order. The sorted distinct pairs of
+    keys go through ``_first_bad_sum``, the pair-sum scan shared with
+    ``sufficient_conditions``, in the order of the sorted Fraction pairs.
+    For N pairs over P distinct points a, b and a + b, the cost is one sort
+    of N integer pairs, P reads of f and O(1) integer operations per pair.
     """
-    parts = [_ratio(as_fraction(a)) + _ratio(as_fraction(b)) for a, b in pairs]
-    den = lcm(*{d for _, da, _, db in parts for d in (da, db)})
-    keys = sorted({(na * (den // da), nb * (den // db)) for na, da, nb, db in parts})
-    distinct = sorted({k for pair in keys for k in pair})
-    if distinct and distinct[0] < 0:
+    entries = [as_fraction(x) for a, b in pairs for x in (a, b)]
+    ratios = list(map(_ratio, entries))
+    firsts = dict(zip(ratios, entries))  # each distinct entry once
+    if any(n < 0 for n, _ in firsts):
         raise NegativeInputError("pair entries must be nonnegative")
-    return _euclid_verdict(f, den, distinct, keys)
+    den, distinct = _sample_keys(firsts.values())
+    key = dict(zip(firsts, _common(firsts, den)[1]))
+    flat = list(map(key.__getitem__, ratios))
+    return _euclid_verdict(f, den, distinct, sorted(set(zip(flat[::2], flat[1::2]))))
 
 
 def check_euclid_preserving_grid(
@@ -512,25 +525,18 @@ def sufficient_conditions(
         nonincreasing secant slopes through the sampled points.
     subadditive_on_samples: f(a+b) <= f(a) + f(b) for all sampled pairs.
 
-    All three run on integers. The samples are scaled to integers over
-    their one common denominator L, so each pair sum a + b is one integer
-    addition, and f is memoised by integer key k, read as
-    ``f.ratio_at(k, L)`` once per distinct point. Band and secants put
+    All three run on the samples' integer keys over one L
+    (``_sample_keys``), so a pair sum a + b is one integer addition, and f
+    is memoised by key, read once per distinct point. Band and secants put
     their images over one common denominator (``_common``); the secant
     slopes are compared by cross-multiplying rises and runs. The
-    subadditivity scan is ``_first_bad_sum``, the pair-sum scan shared with
-    ``check_euclid_preserving_sampled``. f is read where a scan without a
-    memo first reads it: the positive samples ascending for band, then the
-    secants, then the sorted pairs in lexicographic order, up to the first
-    pair that fails. Band and secants read every sample but perhaps 0,
-    which the secants read after the positives and the scan at its first
-    pair, (0, 0), so the first error a spec raises is unchanged. For n
-    samples whose pairs reach P distinct sums, the cost is P reads of f
-    (no Fraction for the specs that compute on integers) and O(1) integer
-    operations per pair.
+    subadditivity scan is ``_first_bad_sum``. f is read where a scan
+    without a memo first reads it: the positive samples ascending for band,
+    then the secants, then the sorted pairs in lexicographic order, up to
+    the first pair that fails. For n samples whose pairs reach P distinct
+    sums, the cost is P reads of f and O(1) integer operations per pair.
     """
-    xs = _canonical(samples)
-    den, keys = _common(map(_ratio, xs))
+    den, keys = _sample_keys(samples)
     read = ratio_reader(f)
     value = _Memo(lambda k: read(k, den))
     positives = [k for k in keys if k > 0]

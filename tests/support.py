@@ -24,6 +24,10 @@ a ``Fraction``. The ``ref_*`` functions are the five public sampled checks
 in that form: the three triplet checks scan with it, and all five call f
 afresh wherever they read a value (``amenability_witness``,
 ``monotone_witness`` and ``halving_witness`` are the direct routes).
+Both generations read their samples as ``Fraction`` sets: ``ref_canonical``
+sorts the distinct samples, ``ref_refine`` adds a spec's kink abscissas,
+and ``ref_samples_digest`` hashes the sorted Fractions as printed, as the
+package did before it held its samples as integer keys.
 
 ``brute_window_pairs`` and ``brute_check_p_metric_preserving`` are the
 p-adic band check as it was before its O(w) sweep: every exponent pair
@@ -70,6 +74,7 @@ to rank: pairwise coprime denominators up to 2^61 - 1, twins less than
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -108,7 +113,6 @@ from padicmetrics import (
     is_strong_triplet,
     is_triangle_triplet,
     require_prime,
-    samples_digest,
     validate_ultrametric,
     valuation,
 )
@@ -118,7 +122,6 @@ from padicmetrics.padic_preserving import (
     WindowWitness,
     witness_triple,
 )
-from padicmetrics.preserving import _canonical, _refine
 
 # a spread of scales, including non-integers, for random distances
 SIX_VALUE_POOL = tuple(
@@ -309,6 +312,30 @@ def brute_structural_check(candidate: DistanceMatrixCandidate) -> None:
                 )
 
 
+def ref_canonical(samples) -> list[Fraction]:
+    """The distinct samples, coerced and sorted as Fractions; negatives refused."""
+    out = sorted({as_fraction(x) for x in samples})
+    if any(x < 0 for x in out):
+        raise NegativeInputError("samples must be nonnegative")
+    return out
+
+
+def ref_refine(f, xs) -> list[Fraction]:
+    """xs with the kink abscissas of a polyline or step spec added, sorted."""
+    extra: list[Fraction] = []
+    if isinstance(f, PiecewiseLinear):
+        extra = [x for x, _ in f.points]
+    elif isinstance(f, StepFunction) and f.points:
+        extra = [t for t, _ in f.points] + [f.points[0][0] / 2]
+    return sorted(set(xs) | set(extra))
+
+
+def ref_samples_digest(xs) -> str:
+    """The first 16 hex digits of the sha256 of the sorted distinct xs, as printed."""
+    text = ",".join(map(str, sorted(set(xs))))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def amenability_witness(f, samples) -> Witness | None:
     """f(0) = 0 and f strictly positive on the positive samples, or a breach."""
     f0 = f(Fraction(0))
@@ -356,10 +383,10 @@ def brute_triple_scan(f, xs, in_family, image_ok) -> Witness | None:
 
 
 def brute_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
-    xs = _canonical(samples)
+    xs = ref_canonical(samples)
     if Fraction(0) not in xs:
         raise ValueError("the sample set must contain 0")
-    digest = samples_digest(xs)
+    digest = ref_samples_digest(xs)
     amen = amenability_witness(f, xs)
     if amen is not None:
         return TripletVerdict(False, digest, amen)
@@ -368,8 +395,8 @@ def brute_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
 
 
 def brute_check_ultrametric_preserving(f, samples) -> TripletVerdict:
-    xs = _refine(f, _canonical(samples))
-    digest = samples_digest(xs)
+    xs = ref_refine(f, ref_canonical(samples))
+    digest = ref_samples_digest(xs)
     amen = amenability_witness(f, xs)
     direct = amen or monotone_witness(f, xs)
     scan = amen or brute_triple_scan(f, xs, is_strong_triplet, is_strong_triplet)
@@ -379,8 +406,8 @@ def brute_check_ultrametric_preserving(f, samples) -> TripletVerdict:
 
 
 def brute_check_ultra_to_metric(f, samples) -> TripletVerdict:
-    xs = _canonical(samples)
-    digest = samples_digest(xs)
+    xs = ref_canonical(samples)
+    digest = ref_samples_digest(xs)
     amen = amenability_witness(f, xs)
     direct = amen or halving_witness(f, xs)
     scan = amen or brute_triple_scan(f, xs, is_strong_triplet, is_triangle_triplet)
@@ -515,10 +542,10 @@ def sorted_triple_scan(f, xs, reach, image_ok) -> Witness | None:
 
 
 def ref_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
-    xs = _canonical(samples)
+    xs = ref_canonical(samples)
     if Fraction(0) not in xs:
         raise ValueError("the sample set must contain 0")
-    digest = samples_digest(xs)
+    digest = ref_samples_digest(xs)
     bad = amenability_witness(f, xs) or sorted_triple_scan(
         f, xs, operator.add, is_triangle_triplet
     )
@@ -526,8 +553,8 @@ def ref_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
 
 
 def ref_check_ultrametric_preserving(f, samples) -> TripletVerdict:
-    xs = _refine(f, _canonical(samples))
-    digest = samples_digest(xs)
+    xs = ref_refine(f, ref_canonical(samples))
+    digest = ref_samples_digest(xs)
     amen = amenability_witness(f, xs)
     direct = amen or monotone_witness(f, xs)
     scan = amen or sorted_triple_scan(f, xs, max, is_strong_triplet)
@@ -539,8 +566,8 @@ def ref_check_ultrametric_preserving(f, samples) -> TripletVerdict:
 
 
 def ref_check_ultra_to_metric(f, samples) -> TripletVerdict:
-    xs = _canonical(samples)
-    digest = samples_digest(xs)
+    xs = ref_canonical(samples)
+    digest = ref_samples_digest(xs)
     amen = amenability_witness(f, xs)
     direct = amen or halving_witness(f, xs)
     scan = amen or sorted_triple_scan(f, xs, max, is_triangle_triplet)
@@ -555,7 +582,7 @@ def ref_check_euclid_preserving_sampled(f, pairs) -> TripletVerdict:
     canon = sorted({(as_fraction(a), as_fraction(b)) for a, b in pairs})
     if any(a < 0 or b < 0 for a, b in canon):
         raise NegativeInputError("pair entries must be nonnegative")
-    digest = samples_digest([x for pair in canon for x in pair])
+    digest = ref_samples_digest([x for pair in canon for x in pair])
     for a, b in canon:
         fa, fb, fc = f(a), f(b), f(a + b)
         if not is_triangle_triplet(fa, fb, fc):
@@ -566,7 +593,7 @@ def ref_check_euclid_preserving_sampled(f, pairs) -> TripletVerdict:
 
 
 def ref_sufficient_conditions(f, samples) -> SufficientConditions:
-    xs = _canonical(samples)
+    xs = ref_canonical(samples)
     positives = [x for x in xs if x > 0]
     band = False
     if positives:

@@ -64,13 +64,14 @@ from padicmetrics.functions import (
 from padicmetrics.padic_preserving import MAX_EXPONENT
 from padicmetrics.preserving import (
     MAX_GRID_POINTS,
-    _digest,
     _first_bad_triple,
     _grid,
+    _sample_keys,
     _strong_band,
     _triangle_band,
 )
 from support import (
+    COPRIME_DENOMINATORS,
     brute_check_metric_preserving_sampled,
     brute_check_ultra_to_metric,
     brute_check_ultrametric_preserving,
@@ -83,6 +84,7 @@ from support import (
     ref_floor_power_index,
     ref_power_map_value,
     ref_prime_shift_value,
+    ref_samples_digest,
     ref_spec_value,
     ref_sufficient_conditions,
     ref_tabulated_entries,
@@ -201,6 +203,14 @@ def test_prime_shift_refuses_a_sieve_bound_below_5():
             PrimeShift(bound)
         with pytest.raises(ValueError, match="^sieve bound must be at least 5$"):
             spec_from_json_dict({"kind": "prime_shift", "bound": bound})
+
+
+@pytest.mark.parametrize("bound", [1e6, F(10**6), True, "1000000"])
+def test_prime_shift_refuses_a_sieve_bound_that_is_not_an_int(bound):
+    # when constructed: a float bound used to build, serialize as a float
+    # and fail only inside the sieve at the first evaluation
+    with pytest.raises(TypeError, match="^sieve bound must be an int, got "):
+        PrimeShift(bound)
 
 
 DEFAULT_SIEVE_BOUND = PrimeShift().sieve_bound
@@ -654,7 +664,8 @@ def test_sorted_scan_matches_ordered_brute_force(origin, table, drop, stray):
         assert _outcome(ref, f, samples) == want
     # the ultrametric verdicts report the direct route's witness, so compare
     # the scans' own witnesses too
-    images = [f.ratio_at(x.numerator, x.denominator) for x in xs]
+    den, keys = _sample_keys(xs)
+    images = [f.ratio_at(k, den) for k in keys]
     for reach, band, in_family, image_ok in (
         (operator.add, _triangle_band, is_triangle_triplet, is_triangle_triplet),
         (max, _strong_band, is_strong_triplet, is_strong_triplet),
@@ -662,7 +673,7 @@ def test_sorted_scan_matches_ordered_brute_force(origin, table, drop, stray):
     ):
         want = brute_triple_scan(f, xs, in_family, image_ok)
         assert sorted_triple_scan(f, xs, reach, image_ok) == want
-        assert _first_bad_triple(xs, images, reach, band) == want
+        assert _first_bad_triple(den, keys, images, reach, band) == want
 
 
 slopes = st.fractions(min_value=F(0), max_value=F(3), max_denominator=4)
@@ -709,6 +720,11 @@ sampled_specs = st.one_of(
         st.one_of(
             st.fractions(min_value=F(0), max_value=F(12), max_denominator=8),
             st.sampled_from((F(1, 40), F(1, 9), F(31), F(40))),
+            # pairwise coprime denominators up to 2^61 - 1, so that the
+            # common denominator of the samples is huge
+            st.sampled_from(COPRIME_DENOMINATORS).flatmap(
+                lambda d: st.builds(F, st.integers(0, 12 * d), st.just(d))
+            ),
         ),
         min_size=3,
         max_size=12,
@@ -1351,4 +1367,58 @@ def test_samples_digest_is_order_insensitive():
 @given(xs=st.lists(small_fractions, max_size=12), data=st.data())
 def test_digest_of_a_canonical_list_matches_samples_digest(xs, data):
     noisy = data.draw(st.permutations(xs + xs[: len(xs) // 2]))
-    assert _digest(sorted(set(xs))) == samples_digest(noisy)
+    assert samples_digest(noisy) == ref_samples_digest(xs)
+
+
+@pytest.mark.parametrize(
+    "samples", [["0", "1/3", "1/2"], [0, "1/2"], [F(0), 2, "4/2", "1/3", F(1, 3)]]
+)
+def test_samples_digest_is_the_samples_hash_of_every_check(samples):
+    # the samples are read as the checks read them: coerced first, so strs
+    # and ints hash as the Fractions they stand for
+    f = Canonical()
+    want = samples_digest(samples)
+    for check in (
+        check_metric_preserving_sampled,
+        check_ultrametric_preserving,
+        check_ultra_to_metric,
+    ):
+        assert check(f, samples).samples_hash == want
+    pairs = list(zip(samples, samples))
+    assert check_euclid_preserving_sampled(f, pairs).samples_hash == want
+    assert samples_digest(["0", "1/3", "1/2"]) == "ee6d3d19e8b8368c"
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (0.5, TypeError, "^exact rationals only: got the float 0.5$"),
+        (True, TypeError, "^exact rationals only: got the bool True$"),
+        ("-1/2", NegativeInputError, "^samples must be nonnegative$"),
+    ],
+)
+def test_samples_digest_refuses_what_the_checks_refuse(bad, error, message):
+    for read in (samples_digest, lambda xs: check_ultra_to_metric(Canonical(), xs)):
+        with pytest.raises(error, match=message):
+            read([0, bad])
+
+
+def test_sampled_checks_refuse_more_samples_than_the_cap_before_reading_f():
+    # distinct samples are counted, before the ultrametric check adds kinks
+    at_cap = [F(k, 1024) for k in range(MAX_GRID_POINTS)]
+    over = [*at_cap, F(2)]
+    f = _Counting(Canonical())
+    for check, arg in (
+        (check_metric_preserving_sampled, over),
+        (check_ultrametric_preserving, over),
+        (check_ultra_to_metric, over),
+        (sufficient_conditions, over),
+        (check_euclid_preserving_sampled, list(zip(over, reversed(over)))),
+    ):
+        with pytest.raises(TooLargeError, match="^1026 distinct samples, over the 1025 accepted$"):
+            check(f, arg)
+    assert f.calls == []
+    assert samples_digest(at_cap + at_cap) == ref_samples_digest(at_cap)
+    with pytest.raises(TooLargeError):
+        samples_digest(over)
+    assert len(_sample_keys(at_cap, [F(3), F(5)])[1]) == MAX_GRID_POINTS + 2
