@@ -40,8 +40,8 @@ from .errors import (
     TotallyOrderedError,
     ZeroDistanceError,
 )
-from .functions import FunctionSpec, StepFunction, Tabulated, ratio_reader
-from .padic import RationalLike, _ranks, _ratio, as_fraction
+from .functions import FunctionSpec, StepFunction, Tabulated
+from .padic import RationalLike, _Record, _ranks, _ratio, as_fraction
 from .preserving import Ratio, _Memo, _amenable_images, _fractions
 from .spaces import (
     DistanceMatrixCandidate,
@@ -56,7 +56,7 @@ Pair = tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
-class SpaceFamily:
+class SpaceFamily(_Record):
     """Nonempty, explicitly listed family of validated spaces."""
 
     spaces: tuple[FiniteUltrametricSpace, ...]
@@ -77,9 +77,6 @@ class SpaceFamily:
                 )
             spaces.append(out)
         return cls(tuple(spaces))
-
-    def to_json_dict(self) -> dict:
-        return {"spaces": [s.to_json_dict() for s in self.spaces]}
 
 
 def distance_values(family: SpaceFamily) -> tuple[Fraction, ...]:
@@ -273,7 +270,7 @@ def _ranked_poset(family: SpaceFamily) -> tuple[FinitePoset, list[list[list[int]
 
 
 @dataclass(frozen=True)
-class SpaceWitness:
+class SpaceWitness(_Record):
     """Which space's image fails, and how."""
 
     space: int
@@ -288,43 +285,25 @@ class SpaceWitness:
 
 
 @dataclass(frozen=True)
-class OrderWitness:
+class OrderWitness(_Record):
     """Which of the three order-side conditions fails, and where."""
 
     kind: str
     points: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "points": [str(v) for v in self.points],
-            "values": [str(v) for v in self.values],
-        }
-
 
 @dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(_Record):
     passed: bool
     space_witness: SpaceWitness | None = None
     order_witness: OrderWitness | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "space_witness": None
-            if self.space_witness is None
-            else self.space_witness.to_json_dict(),
-            "order_witness": None
-            if self.order_witness is None
-            else self.order_witness.to_json_dict(),
-        }
 
 
 def _order_side(read: Callable[[int, int], Ratio], poset: FinitePoset) -> OrderWitness | None:
     """First failing order-side condition; f is read once per value.
 
-    read(k, den) gives f(k/den) as an integer pair (``ratio_reader``), and
+    read(k, den) gives f(k/den) as an integer pair (``ratio_at``), and
     the pair scan compares the images' int ranks (see ``padic._ranks``);
     only a witness's images become Fractions.
     """
@@ -373,7 +352,7 @@ def _report(
     demand, in each space's order of first appearance. The memo comes back
     with the report, so a caller reads no value twice either.
     """
-    read = ratio_reader(f)
+    read = f.ratio_at
     memo = _Memo(lambda key: read(*key))
     keys = list(map(_ratio, poset.ground))
     order_witness = _order_side(lambda k, den: memo[k, den], poset)

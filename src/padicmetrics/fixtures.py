@@ -22,7 +22,7 @@ from .families import (
     family_poset,
 )
 from .functions import PiecewiseLinear, PowerMap, PrimeShift, Reciprocal
-from .padic import cauchy_profile, digit_window, padic_abs, padic_distance, valuation
+from .padic import _Record, cauchy_profile, digit_window, padic_abs, padic_distance, valuation
 from .padic_preserving import (
     ExponentWindow,
     check_p_metric_preserving,
@@ -147,13 +147,10 @@ def identity_map() -> PiecewiseLinear:
 
 
 @dataclass(frozen=True)
-class FixtureResult:
+class FixtureResult(_Record):
     name: str
     passed: bool
     detail: str
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 Check = Callable[[], tuple[bool, str]]

@@ -3,7 +3,8 @@
 Every variant maps a nonnegative Fraction to a nonnegative Fraction with no
 rounding anywhere. Specs are small frozen dataclasses, are callable, and
 round-trip through JSON dicts via their ``to_json_dict`` method and
-:func:`spec_from_json_dict`. Rationals serialize as canonical "a/b" strings
+:func:`spec_from_json_dict`. A spec's JSON is its ``kind`` and its fields,
+as ``padic._Record`` writes them: rationals as canonical "a/b" strings
 (denominator omitted when 1).
 """
 
@@ -23,7 +24,7 @@ from .errors import (
     NegativeInputError,
     TooLargeError,
 )
-from .padic import RationalLike, _common, _ratio, as_fraction, require_prime
+from .padic import RationalLike, _Record, _common, _ratio, as_fraction, require_prime
 
 TAIL_CONSTANT = "constant"
 TAIL_LINEAR = "linear"
@@ -99,28 +100,12 @@ def _refuse_inexact(rows: Iterable[tuple]) -> None:
                 as_fraction(v)
 
 
-def _read_ratio(f: Callable, k: int, den: int) -> tuple[int, int]:
-    # f(k/den) read the general way: the value coerced once by as_fraction,
-    # so a float or bool is refused, and split into two integers
-    return _ratio(as_fraction(f(Fraction(k, den))))
-
-
 def _refuse_negative(k: int, den: int) -> NoReturn:
     # the error of every spec at a point k/den < 0
     raise NegativeInputError(f"function domain is x >= 0, got {Fraction(k, den)}")
 
 
-def ratio_reader(f: Callable) -> Callable[[int, int], tuple[int, int]]:
-    """The reader (k, den) -> f(k/den) as an integer pair, for any f.
-
-    That is ``f.ratio_at``; a plain callable with no ``ratio_at`` is read
-    as f(Fraction(k, den)), coerced by ``as_fraction``.
-    """
-    read = getattr(f, "ratio_at", None)
-    return partial(_read_ratio, f) if read is None else read
-
-
-class FunctionSpec:
+class FunctionSpec(_Record):
     """Base class for exactly evaluable maps f: [0, oo) -> [0, oo).
 
     One definition, in ``ratio_at``; custom specs define ``_value``.
@@ -137,6 +122,10 @@ class FunctionSpec:
     that redefines ``_value`` without its own ``ratio_at`` gets this
     default back, so the value it defines is never passed over. A
     redefined ``__call__`` is read by no check.
+
+    ``to_json_dict`` writes the ``kind`` and then the dataclass fields, as
+    ``padic._Record`` writes them; a spec that is not a dataclass gets a
+    TypeError.
     """
 
     kind: str = ""
@@ -160,7 +149,7 @@ class FunctionSpec:
         return _ratio(as_fraction(self._value(Fraction(k, den))))
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **super().to_json_dict()}
 
 
 @dataclass(frozen=True)
@@ -266,11 +255,11 @@ class PiecewiseLinear(FunctionSpec):
 
     def _final_slope(self) -> Fraction:
         (x0, y0), (x1, y1) = self.points[-2], self.points[-1]
-        return (y1 - y0) / (x1 - x0)
+        return Fraction(y1 - y0, x1 - x0)
 
     def segment_slopes(self) -> tuple[Fraction, ...]:
         return tuple(
-            (y1 - y0) / (x1 - x0)
+            Fraction(y1 - y0, x1 - x0)
             for (x0, y0), (x1, y1) in zip(self.points, self.points[1:])
         )
 
@@ -314,9 +303,6 @@ class Reciprocal(FunctionSpec):
             return (0, 1) if k == 0 else _refuse_negative(k, den)
         return den, k
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
 class Canonical(FunctionSpec):
@@ -328,9 +314,6 @@ class Canonical(FunctionSpec):
         if k < 0:
             _refuse_negative(k, den)
         return k, k + den
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -364,9 +347,6 @@ class PowerMap(FunctionSpec):
         else:
             a, b, up, down = den, k * p**-m, 1, q**-m
         return up * ((p - 1) * a + (q - 1) * (b - a)), down * (p - 1) * a
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "q": self.q}
 
 
 @lru_cache(maxsize=4)  # an entry holds a byte per odd number to its bound: 0.5 MB at 10**6
@@ -553,9 +533,6 @@ class PowerStep(FunctionSpec):
             return (0, 1) if k == 0 else _refuse_negative(k, den)
         return self.inner.ratio_at(*_power_pair(self.p, _floor_index(k, den, self.p)))
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "inner": self.inner.to_json_dict()}
-
 
 @dataclass(frozen=True)
 class StepFunction(FunctionSpec):
@@ -606,13 +583,6 @@ class StepFunction(FunctionSpec):
             return (0, 1) if k == 0 else _refuse_negative(k, den)
         scale, ts = self._tables(den)
         return self._level_pairs[bisect.bisect_right(ts, k * scale)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "below": str(self.below),
-            "points": [[str(t), str(v)] for t, v in self.points],
-        }
 
 
 def _parse_pairs(raw) -> list[tuple[Fraction, Fraction]]:

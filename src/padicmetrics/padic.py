@@ -12,13 +12,17 @@ per digit.
 Primality of the modulus is certified deterministically for p < 2**64 via
 Miller-Rabin with a fixed witness set, once per modulus and process (the
 last 64 moduli are cached); larger moduli are rejected.
+
+This module owns both ends of the JSON format: :func:`as_fraction` is the
+one reader of a rational, and :class:`_Record`, the base of every verdict,
+witness and function spec, is the one writer of a result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Sequence, Union
@@ -115,6 +119,47 @@ def as_fraction(x: RationalLike) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
+
+
+@cache
+def _layout(cls: type) -> tuple[tuple[str, bool], ...]:
+    # each dataclass field's name, and whether its annotation names Fraction
+    return tuple((f.name, "Fraction" in str(f.type)) for f in fields(cls))
+
+
+def _json_value(v: object, rational: bool) -> object:
+    # dispatch on the exact type: a bool is no int here, and isinstance
+    # with Fraction, an ABC subclass, is several times slower
+    t = type(v)
+    if t is tuple:
+        return [_json_value(x, rational) for x in v]
+    if t is Fraction or (rational and t is int):
+        return str(v)
+    if isinstance(v, _Record):
+        return v.to_json_dict()
+    return v
+
+
+class _Record:
+    """The one JSON writer of the package's verdicts, witnesses and specs.
+
+    ``to_json_dict`` writes each dataclass field under its own name: a
+    Fraction as its canonical "a/b" string (denominator omitted when 1),
+    which ``as_fraction`` reads back; a tuple as a list; a nested record by
+    its own ``to_json_dict``; a bool, int, str or None as is. An int in a
+    field whose annotation names Fraction is a rational held as an int, and
+    is written as a string too. The field layout is read once per class.
+    A subclass whose JSON is more than its fields writes its own.
+
+    Raises:
+        TypeError: for a subclass that is not a dataclass.
+    """
+
+    def to_json_dict(self) -> dict:
+        return {
+            name: _json_value(getattr(self, name), rational)
+            for name, rational in _layout(type(self))
+        }
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -234,7 +279,7 @@ def padic_distance(x: RationalLike, y: RationalLike, p: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DigitWindow:
+class DigitWindow(_Record):
     """Base-p digits of a rational on a contiguous exponent window.
 
     ``digits[i]`` is the coefficient of p**(low + i). The window always
@@ -254,9 +299,6 @@ class DigitWindow:
         base = Fraction(self.p)
         return sum((d * base ** (self.low + i) for i, d in enumerate(self.digits)),
                    Fraction(0))
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "low": self.low, "digits": list(self.digits)}
 
 
 def digit_window(x: RationalLike, p: int, high: int) -> DigitWindow:

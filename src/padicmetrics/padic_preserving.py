@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadOrderError, NotPreservingError, SelfCheckError, TooLargeError
-from .functions import FunctionSpec, PowerMap, StepFunction, _power_pair, ratio_reader
-from .padic import _exceeds, padic_distance, require_prime
+from .functions import FunctionSpec, PowerMap, StepFunction, _power_pair
+from .padic import _Record, _exceeds, padic_distance, require_prime
 
 
 # The widest window accepted, in exponents: -512..512 and its shifts.
@@ -64,7 +64,7 @@ def _check_exponents(*exponents: int) -> None:
 
 
 @dataclass(frozen=True)
-class ExponentWindow:
+class ExponentWindow(_Record):
     """Inclusive exponent range standing in for "all integers".
 
     Raises:
@@ -88,9 +88,6 @@ class ExponentWindow:
             )
         _check_exponents(self.lo, self.hi)
 
-    def to_json_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi}
-
 
 DEFAULT_WINDOW = ExponentWindow(-16, 16)
 
@@ -109,7 +106,7 @@ def parse_window(text: str) -> ExponentWindow:
 
 
 @dataclass(frozen=True)
-class WindowWitness:
+class WindowWitness(_Record):
     """Evidence for a failed window check.
 
     kind "band" or "adjacent" carries the exponent pair (m < n), a rational
@@ -138,19 +135,11 @@ class WindowWitness:
 
 
 @dataclass(frozen=True)
-class PreservationVerdict:
+class PreservationVerdict(_Record):
     passed: bool
     window: ExponentWindow
     reason: str | None = None
     witness: WindowWitness | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "window": self.window.to_json_dict(),
-            "reason": self.reason,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-        }
 
 
 def witness_triple(p: int, m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -201,14 +190,14 @@ def _power_images(
     as it did before pairs. Each value is (numerator, positive
     denominator), for cross-multiplication.
     """
-    read = ratio_reader(f)
+    read = f.ratio_at
     return {k: read(*_power_pair(p, k)) for k in range(window.lo, window.hi + 1)}
 
 
 def _shared_gate(
     f: FunctionSpec, window: ExponentWindow, images: dict[int, tuple[int, int]]
 ) -> PreservationVerdict | None:
-    f0 = ratio_reader(f)(0, 1)
+    f0 = f.ratio_at(0, 1)
     if f0[0] != 0:
         return PreservationVerdict(
             False, window, "origin", WindowWitness("origin", images=(Fraction(*f0),))

@@ -51,8 +51,8 @@ from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError, TooLargeError
-from .functions import FunctionSpec, PiecewiseLinear, StepFunction, ratio_reader
-from .padic import RationalLike, _common, _exceeds, _ratio, as_fraction
+from .functions import FunctionSpec, PiecewiseLinear, StepFunction
+from .padic import RationalLike, _Record, _common, _exceeds, _ratio, as_fraction
 
 # An image f(x) as (numerator, positive denominator), not always in lowest
 # terms: what FunctionSpec.ratio_at returns
@@ -63,7 +63,7 @@ MAX_GRID_POINTS = 1025
 
 
 @dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """A concrete configuration that violates the checked property.
 
     kind is one of:
@@ -77,42 +77,21 @@ class Witness:
     points: tuple[Fraction, ...]
     images: tuple[Fraction, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "points": [str(x) for x in self.points],
-            "images": [str(x) for x in self.images],
-        }
-
 
 @dataclass(frozen=True)
-class TripletVerdict:
+class TripletVerdict(_Record):
     passed: bool
     samples_hash: str
     witness: Witness | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "samples_hash": self.samples_hash,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
-class SufficientConditions:
+class SufficientConditions(_Record):
     """Simple sufficient conditions for metric preservation."""
 
     band: bool
     concave: bool
     subadditive_on_samples: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "band": self.band,
-            "concave": self.concave,
-            "subadditive_on_samples": self.subadditive_on_samples,
-        }
 
 
 def _digest(den: int, keys: Iterable[int]) -> str:
@@ -178,7 +157,7 @@ def _amenable_images(
     read: Callable[[int, int], Ratio], points: Iterable[tuple[int, int]]
 ) -> tuple[list[Ratio], Witness | None]:
     # The images of the nonnegative points k/den as integer pairs, read by
-    # ``ratio_reader`` in the amenability gate (f(0) = 0, f > 0 on positive
+    # ``ratio_at`` in the amenability gate (f(0) = 0, f > 0 on positive
     # points), which stops at its first breach. A family's distances come
     # each over its own denominator: a common one of them all can be huge.
     f0 = read(0, 1)
@@ -310,7 +289,7 @@ def _triplet_verdict(
     # The gate reads f once per key, ascending; then the scan runs, then the
     # named direct route, if any, whose witness the verdict reports. The
     # routes are provably equivalent: a disagreement is a bug, and raises.
-    images, bad = _amenable_images(ratio_reader(f), [(k, den) for k in keys])
+    images, bad = _amenable_images(f.ratio_at, [(k, den) for k in keys])
     if bad is None:
         bad = _first_bad_triple(den, keys, images, reach, band)
         if direct is not None:
@@ -342,7 +321,7 @@ def _kinks(f: FunctionSpec) -> list[Fraction]:
     if isinstance(f, PiecewiseLinear):
         return [x for x, _ in f.points]
     if isinstance(f, StepFunction) and f.points:
-        return [t for t, _ in f.points] + [f.points[0][0] / 2]
+        return [t for t, _ in f.points] + [Fraction(f.points[0][0], 2)]
     return []
 
 
@@ -412,7 +391,7 @@ def _euclid_verdict(
     # den: distinct holds every key ascending, for the digest, and pairs
     # come in lexicographic order. f is memoised by key, as integer pairs.
     digest = _digest(den, distinct)
-    read = ratio_reader(f)
+    read = f.ratio_at
     value = _Memo(lambda k: read(k, den))
     bad = _first_bad_sum(pairs, value, _not_triangle)
     if bad is None:
@@ -537,7 +516,7 @@ def sufficient_conditions(
     sums, the cost is P reads of f and O(1) integer operations per pair.
     """
     den, keys = _sample_keys(samples)
-    read = ratio_reader(f)
+    read = f.ratio_at
     value = _Memo(lambda k: read(k, den))
     positives = [k for k in keys if k > 0]
 
@@ -573,15 +552,15 @@ def default_samples(f: FunctionSpec) -> tuple[Fraction, ...]:
     if isinstance(f, PiecewiseLinear):
         xs = [x for x, _ in f.points]
         base.update(xs)
-        base.update((a + b) / 2 for a, b in zip(xs, xs[1:]))
+        base.update(Fraction(a + b, 2) for a, b in zip(xs, xs[1:]))
         base.update(a + b for a in xs for b in xs if a + b <= max(8, xs[-1]))
         base.add(xs[-1] + 1)
     elif isinstance(f, StepFunction):
         ts = [t for t, _ in f.points]
         base.update(ts)
-        base.update((a + b) / 2 for a, b in zip(ts, ts[1:]))
+        base.update(Fraction(a + b, 2) for a, b in zip(ts, ts[1:]))
         if ts:
-            base.add(ts[0] / 2)
+            base.add(Fraction(ts[0], 2))
             base.add(2 * ts[-1])
         else:
             base.update((Fraction(1, 2), Fraction(1), Fraction(2)))

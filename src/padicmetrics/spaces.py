@@ -46,7 +46,7 @@ from .errors import (
     ZeroDistanceError,
 )
 from .functions import FunctionSpec
-from .padic import RationalLike, _ranks, _ratio, as_fraction
+from .padic import RationalLike, _Record, _ranks, _ratio, as_fraction
 
 MAX_SEARCH_POINTS = 10
 
@@ -111,7 +111,7 @@ class DistanceMatrixCandidate:
 
 
 @dataclass(frozen=True)
-class FiniteUltrametricSpace:
+class FiniteUltrametricSpace(_Record):
     """Validated space; construct through validate_ultrametric."""
 
     labels: tuple[str, ...]
@@ -132,21 +132,13 @@ class FiniteUltrametricSpace:
 
 
 @dataclass(frozen=True)
-class TriangleViolation:
+class TriangleViolation(_Record):
     """Least (i, j, k) with d[i][j] > max(d[i][k], d[k][j])."""
 
     i: int
     j: int
     k: int
     sides: tuple[Fraction, Fraction, Fraction]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "k": self.k,
-            "sides": [str(v) for v in self.sides],
-        }
 
 
 def _ranked(

@@ -20,6 +20,7 @@ from padicmetrics import (
     BadIntervalError,
     DistanceMatrixCandidate,
     FiniteUltrametricSpace,
+    FunctionSpec,
     FinitePoset,
     NonzeroDiagonalError,
     NoPositiveDistancesError,
@@ -58,7 +59,6 @@ from padicmetrics.fixtures import (
     level_swap_map,
     zigzag_map,
 )
-from padicmetrics.functions import ratio_reader
 from padicmetrics.padic import _ranks
 from padicmetrics.spaces import _ranked
 
@@ -413,11 +413,12 @@ def test_order_side_calls_f_once_per_value():
     family = SpaceFamily((comb_space(range(1, 31)),))
     calls = []
 
-    def f(x):
-        calls.append(x)
-        return x
+    class Counting(FunctionSpec):
+        def _value(self, x):
+            calls.append(x)
+            return x
 
-    assert _order_side(ratio_reader(f), family_poset(family)) is None
+    assert _order_side(Counting().ratio_at, family_poset(family)) is None
     assert calls == list(distance_values(family))
 
 

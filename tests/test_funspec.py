@@ -985,6 +985,49 @@ def test_spec_constructors_refuse_float_and_bool_fields(cls, args, bad):
     assert str(raised.value) == f"exact rationals only: got the {type(bad).__name__} {bad!r}"
 
 
+# Int fields are exact, so every slope and midpoint built from them must be
+# a Fraction: a true division of two ints is a rounded float.
+
+
+def test_int_polyline_refuses_a_tail_whose_slope_rounds_to_zero():
+    # the slope -1/10**400 is -0.0 as a float, and the tail would go negative
+    with pytest.raises(ValueError, match="decreasing linear tail"):
+        PiecewiseLinear(((0, 1), (10**400, 0)), "linear")
+    with pytest.raises(ValueError, match="decreasing linear tail"):
+        PiecewiseLinear.from_pairs(((0, 1), (10**400, 0)), "linear")
+
+
+def test_int_polyline_concavity_compares_exact_slopes():
+    # the slopes 10**17 and 10**17 + 1 are one float
+    f = PiecewiseLinear(((0, 0), (1, 10**17), (2, 2 * 10**17 + 1)))
+    assert f.segment_slopes() == (10**17, 10**17 + 1)
+    assert not sufficient_conditions(f, [0, 1, 2]).concave
+
+
+def test_int_step_kinks_refine_the_ultrametric_check():
+    # the kink 1/2 below the first threshold is a Fraction, not 0.5
+    verdict = check_ultrametric_preserving(StepFunction(2, ((1, 1),)), [0, 1, 2])
+    assert verdict.to_json_dict()["witness"] == {
+        "kind": "pair",
+        "points": ["1/2", "1"],
+        "images": ["2", "1"],
+    }
+
+
+@pytest.mark.parametrize(
+    "f",
+    [PiecewiseLinear(((0, 0), (1, 2), (3, 3))), StepFunction(1, ((1, 2), (3, 3)))],
+    ids=("piecewise_linear", "step"),
+)
+def test_default_samples_of_int_fields_are_exact(f):
+    xs = default_samples(f)
+    assert not any(isinstance(x, float) for x in xs)
+    assert F(1, 2) in xs and F(2) in xs
+    twin = spec_from_json_dict(f.to_json_dict())
+    assert xs == default_samples(twin)
+    assert check_metric_preserving_sampled(f, xs) == check_metric_preserving_sampled(twin, xs)
+
+
 def _no_call(cls):
     # cls with a __call__ that fails the test but its own ratio_at, so a
     # check that evaluates f other than through ratio_at is caught

@@ -409,11 +409,12 @@ def test_extension_calls_f_once_per_power():
     window = ExponentWindow(-4, 4)
     calls = []
 
-    def f(x):
-        calls.append(x)
-        return PowerMap(2, 3)(x)
+    class Counting(FunctionSpec):
+        def _value(self, x):
+            calls.append(x)
+            return PowerMap(2, 3)(x)
 
-    g = extend_to_ultrametric_preserving(f, 2, window)
+    g = extend_to_ultrametric_preserving(Counting(), 2, window)
     assert calls == [F(2) ** k for k in range(-4, 5)] + [0]
     assert g == extend_to_ultrametric_preserving(PowerMap(2, 3), 2, window)
 
