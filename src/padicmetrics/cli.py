@@ -47,7 +47,7 @@ from .families import (
 )
 from .fixtures import run_all
 from .functions import FunctionSpec, PowerMap, PowerStep, PrimeShift, spec_from_json_dict
-from .padic import as_fraction, digit_window, padic_abs, padic_distance, valuation
+from .padic import _text, as_fraction, digit_window, padic_abs, padic_distance, valuation
 from .padic_preserving import (
     DEFAULT_WINDOW,
     check_p_metric_preserving,
@@ -141,7 +141,7 @@ def _samples(args, spec: FunctionSpec) -> tuple[Fraction, ...]:
 
 
 def _cmd_padic_abs(args) -> Result:
-    return 0, {"value": str(padic_abs(as_fraction(args.x), args.p).as_fraction())}
+    return 0, {"value": _text(padic_abs(as_fraction(args.x), args.p).as_fraction())}
 
 
 def _cmd_padic_ord(args) -> Result:
@@ -149,7 +149,7 @@ def _cmd_padic_ord(args) -> Result:
 
 
 def _cmd_padic_dist(args) -> Result:
-    return 0, {"value": str(padic_distance(as_fraction(args.x), as_fraction(args.y), args.p))}
+    return 0, {"value": _text(padic_distance(as_fraction(args.x), as_fraction(args.y), args.p))}
 
 
 def _cmd_padic_digits(args) -> Result:
@@ -161,7 +161,7 @@ def _cmd_padic_digits(args) -> Result:
 
 def _cmd_fn_eval(args) -> Result:
     spec = _load_spec(args.spec)
-    return 0, {"value": str(spec(as_fraction(args.x)))}
+    return 0, {"value": _text(spec(as_fraction(args.x)))}
 
 
 def _cmd_fn_triplet(args) -> Result:
@@ -184,7 +184,7 @@ def _cmd_fn_classify(args) -> Result:
     samples = _samples(args, spec)
     payload = {
         "kind": spec.kind,
-        "samples": [str(s) for s in samples],
+        "samples": list(map(_text, samples)),
         "metric": check_metric_preserving_sampled(spec, samples).to_json_dict(),
         "ultrametric": check_ultrametric_preserving(spec, samples).to_json_dict(),
         "ultra_to_metric": check_ultra_to_metric(spec, samples).to_json_dict(),
@@ -206,7 +206,7 @@ def _cmd_fn_sufficient(args) -> Result:
     spec = _load_spec(args.spec)
     samples = _samples(args, spec)
     payload = sufficient_conditions(spec, samples).to_json_dict()
-    payload["samples"] = [str(s) for s in samples]
+    payload["samples"] = list(map(_text, samples))
     return 0, payload
 
 
@@ -223,7 +223,7 @@ def _cmd_fn_padic_ultra_check(args) -> Result:
 def _value_or_spec(f: FunctionSpec, x: str | None) -> Result:
     # fn psi, prime-swap and prime-shift: the value at --x, or else the spec
     if x is not None:
-        return 0, {"value": str(f(as_fraction(x)))}
+        return 0, {"value": _text(f(as_fraction(x)))}
     return 0, f.to_json_dict()
 
 
@@ -252,8 +252,8 @@ def _cmd_fn_witness(args) -> Result:
         padic_distance(x, y, args.p),
     )
     return 0, {
-        "triple": [str(x), str(y), str(z)],
-        "distances": [str(d) for d in dists],
+        "triple": list(map(_text, (x, y, z))),
+        "distances": list(map(_text, dists)),
     }
 
 
@@ -285,7 +285,7 @@ def _cmd_space_apply(args) -> Result:
 
 def _cmd_space_range(args) -> Result:
     space = _require_space(args.file)
-    return 0, {"range": [str(v) for v in distance_values(SpaceFamily((space,)))]}
+    return 0, {"range": list(map(_text, distance_values(SpaceFamily((space,)))))}
 
 
 def _cmd_space_isometry(args) -> Result:
@@ -312,7 +312,7 @@ def _cmd_space_embed_dim(args) -> Result:
 
 def _cmd_class_ran(args) -> Result:
     family = _load_family(args.file)
-    return 0, {"values": [str(v) for v in distance_values(family)]}
+    return 0, {"values": list(map(_text, distance_values(family)))}
 
 
 def _cmd_class_poset(args) -> Result:

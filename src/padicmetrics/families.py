@@ -41,7 +41,7 @@ from .errors import (
     ZeroDistanceError,
 )
 from .functions import FunctionSpec, StepFunction, Tabulated
-from .padic import RationalLike, _Record, _ranks, _ratio, as_fraction
+from .padic import RationalLike, _Record, _ranks, _ratio, _text, as_fraction
 from .preserving import Ratio, _Memo, _amenable_images, _fractions
 from .spaces import (
     DistanceMatrixCandidate,
@@ -219,8 +219,8 @@ class FinitePoset:
 
     def to_json_dict(self) -> dict:
         return {
-            "ground": [str(v) for v in self.ground],
-            "pairs": [[str(a), str(b)] for a, b in self.nonreflexive_pairs()],
+            "ground": list(map(_text, self.ground)),
+            "pairs": [[_text(a), _text(b)] for a, b in self.nonreflexive_pairs()],
         }
 
     @classmethod

@@ -24,7 +24,17 @@ from .errors import (
     NegativeInputError,
     TooLargeError,
 )
-from .padic import RationalLike, _Record, _common, _ratio, as_fraction, require_prime
+from .padic import (
+    RationalLike,
+    _Record,
+    _common,
+    _exceeds,
+    _power_pair,
+    _ratio,
+    _text,
+    as_fraction,
+    require_prime,
+)
 
 TAIL_CONSTANT = "constant"
 TAIL_LINEAR = "linear"
@@ -58,11 +68,6 @@ def _floor_index(n: int, d: int, base: int) -> int:
     while _power_at_most(base, m + 1, n, d):
         m += 1
     return m
-
-
-def _power_pair(p: int, k: int) -> tuple[int, int]:
-    # p**k as (numerator, denominator)
-    return (p**k, 1) if k >= 0 else (1, p**-k)
 
 
 def _ascending(ratios: list[tuple[int, int]]) -> bool:
@@ -169,9 +174,8 @@ class Tabulated(FunctionSpec):
 
     def __post_init__(self) -> None:
         _refuse_inexact(self.entries)
-        keys = [k for k, _ in self.entries]
-        ratios = list(map(_ratio, keys))
-        if not _ascending(ratios) and len(set(keys)) != len(keys):
+        ratios = [_ratio(k) for k, _ in self.entries]
+        if not _ascending(ratios) and len(set(ratios)) != len(ratios):
             raise ValueError("duplicate table keys")
         if (0, 1) not in ratios:
             raise ValueError("table must contain the key 0")
@@ -210,7 +214,7 @@ class Tabulated(FunctionSpec):
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "table": [[str(k), str(v)] for k, v in sorted(self.entries)],
+            "table": [[_text(k), _text(v)] for k, v in sorted(self.entries)],
         }
 
 
@@ -221,7 +225,8 @@ class PiecewiseLinear(FunctionSpec):
     Breakpoint abscissas must start at 0 and increase strictly; ordinates
     must be nonnegative. Past the last breakpoint the value either stays at
     the last ordinate or continues along the final segment, whose slope must
-    then be nonnegative so outputs never go negative.
+    then be nonnegative so outputs never go negative. The checks compare
+    the (numerator, denominator) pairs of the fields, never two Fractions.
     """
 
     points: tuple[tuple[Fraction, Fraction], ...]
@@ -233,29 +238,27 @@ class PiecewiseLinear(FunctionSpec):
         _refuse_inexact(self.points)
         if not self.points:
             raise ValueError("need at least one breakpoint")
-        if self.points[0][0] != 0:
+        xs = [_ratio(x) for x, _ in self.points]
+        if xs[0][0] != 0:
             raise ValueError("breakpoints must start at x = 0")
-        xs = [x for x, _ in self.points]
-        if any(a >= b for a, b in zip(xs, xs[1:])):
+        if not _ascending(xs):
             raise ValueError("breakpoint abscissas must increase strictly")
-        if any(y < 0 for _, y in self.points):
+        ys = [_ratio(y) for _, y in self.points]
+        if any(n < 0 for n, _ in ys):
             raise ValueError("ordinates must be nonnegative")
         if self.tail not in (TAIL_CONSTANT, TAIL_LINEAR):
             raise ValueError(f"unknown tail mode {self.tail!r}")
         if self.tail == TAIL_LINEAR:
             if len(self.points) < 2:
                 raise ValueError("a linear tail needs at least two breakpoints")
-            if self._final_slope() < 0:
+            # the abscissas ascend, so the final slope has the sign of its rise
+            if _exceeds(ys[-2], ys[-1]):
                 raise ValueError("a decreasing linear tail would go negative")
 
     @classmethod
     def from_pairs(cls, pairs, tail: str = TAIL_CONSTANT) -> "PiecewiseLinear":
         pts = tuple((as_fraction(x), as_fraction(y)) for x, y in pairs)
         return cls(pts, tail)
-
-    def _final_slope(self) -> Fraction:
-        (x0, y0), (x1, y1) = self.points[-2], self.points[-1]
-        return Fraction(y1 - y0, x1 - x0)
 
     def segment_slopes(self) -> tuple[Fraction, ...]:
         return tuple(
@@ -284,11 +287,11 @@ class PiecewiseLinear(FunctionSpec):
         return base + (at - x0) * rise, under
 
     def to_json_dict(self) -> dict:
-        tail = {"constant": str(self.points[-1][1])} if self.tail == TAIL_CONSTANT else TAIL_LINEAR
+        last = self.points[-1][1]
         return {
             "kind": self.kind,
-            "points": [[str(x), str(y)] for x, y in self.points],
-            "tail": tail,
+            "points": [[_text(x), _text(y)] for x, y in self.points],
+            "tail": {"constant": _text(last)} if self.tail == TAIL_CONSTANT else TAIL_LINEAR,
         }
 
 
@@ -540,6 +543,8 @@ class StepFunction(FunctionSpec):
     value v_i on [t_i, t_{i+1}) and v_last from t_last on.
 
     With no thresholds the function is constant ``below`` on the positives.
+    The checks compare the (numerator, denominator) pairs of the fields,
+    never two Fractions.
     """
 
     below: Fraction
@@ -549,14 +554,14 @@ class StepFunction(FunctionSpec):
 
     def __post_init__(self) -> None:
         _refuse_inexact(((self.below,), *self.points))
-        if self.below < 0:
+        if self.below.numerator < 0:
             raise ValueError("step values must be nonnegative")
-        ts = [t for t, _ in self.points]
-        if any(t <= 0 for t in ts):
+        ts = [_ratio(t) for t, _ in self.points]
+        if any(n <= 0 for n, _ in ts):
             raise ValueError("thresholds must be positive")
-        if any(a >= b for a, b in zip(ts, ts[1:])):
+        if not _ascending(ts):
             raise ValueError("thresholds must increase strictly")
-        if any(v < 0 for _, v in self.points):
+        if any(v.numerator < 0 for _, v in self.points):
             raise ValueError("step values must be nonnegative")
 
     @classmethod

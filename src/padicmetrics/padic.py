@@ -2,20 +2,24 @@
 
 Rationals come in and go out as ``fractions.Fraction``, which Python keeps
 in lowest terms with a positive denominator, so equality and ordering are
-exact and structural throughout. The p-adic absolute value of a nonzero
-rational is always an integer power of p; :class:`PAdicAbs` keeps that
-exponent symbolic so extreme valuations never materialize as huge integers
-unless explicitly converted. Digit windows are computed on integers: one
-modular inverse of the scaled denominator per window, then one ``divmod``
-per digit.
+exact and structural throughout. Valuations, absolute values, distances
+and digit windows are computed on the integers of each rational, and a
+Fraction is built once, for the result. The p-adic absolute value of a
+nonzero rational is always an integer power of p; :class:`PAdicAbs` keeps
+that exponent symbolic so extreme valuations never materialize as huge
+integers unless explicitly converted. A distance is read off one integer
+difference: for x = a/b and y = c/d, |x - y|_p = p**(v_p(b) + v_p(d) -
+v_p(ad - cb)). Digit windows take one modular inverse of the scaled
+denominator per window, then one ``divmod`` per digit.
 
 Primality of the modulus is certified deterministically for p < 2**64 via
 Miller-Rabin with a fixed witness set, once per modulus and process (the
 last 64 moduli are cached); larger moduli are rejected.
 
 This module owns both ends of the JSON format: :func:`as_fraction` is the
-one reader of a rational, and :class:`_Record`, the base of every verdict,
-witness and function spec, is the one writer of a result.
+one reader of a rational, :func:`_text` the one writer of a rational, and
+:class:`_Record`, the base of every verdict, witness and function spec,
+the one writer of a result.
 """
 
 from __future__ import annotations
@@ -94,31 +98,61 @@ def as_fraction(x: RationalLike) -> Fraction:
     exponents, whitespace, ``+``, ``_`` and non-ASCII digits. Both give
     the same Fraction or the same error.
 
+    A Fraction, int or str is told by its exact type first: isinstance
+    with Fraction, an ABC, is several times slower. A subclass of any of
+    them, a float or a bool takes the isinstance checks, and gets what an
+    exact type would: a Fraction subclass is returned as is.
+
     Raises:
         TypeError: for a bool, or for a float, which is already rounded to
             binary (0.1 would become 3602879701896397/36028797018963968).
         ValueError: for a string that is no rational, or whose
             denominator is zero ("1/0").
     """
-    if isinstance(x, Fraction):
+    t = type(x)
+    if t is Fraction:
         return x
-    if isinstance(x, (float, bool)):
-        raise TypeError(f"exact rationals only: got the {type(x).__name__} {x!r}")
+    if t is int:
+        return Fraction(x)
+    if t is not str:
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, (float, bool)):
+            raise TypeError(f"exact rationals only: got the {t.__name__} {x!r}")
     if isinstance(x, str) and x.isascii():
         num, slash, den = x.partition("/")
         negative = num.startswith("-")
         digits = num[1:] if negative else num
         # for ASCII text, isdigit() holds exactly for nonempty runs of 0-9
         if digits.isdigit() and (not slash or den.isdigit()):
-            n = int(digits)
-            d = int(den) if slash else 1
+            n = -int(digits) if negative else int(digits)
+            if not slash:
+                return Fraction(n)
+            d = int(den)
             if d == 0:
                 raise ValueError(f"zero denominator in {x!r}")
-            return Fraction(-n if negative else n, d)
+            return Fraction(n, d)
     try:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def _text(v: Fraction | int) -> str:
+    """A rational as its canonical "a/b" text, denominator omitted when 1.
+
+    This is ``str(v)``, except for an integer with more digits than Python
+    writes with ``str`` (4300 by default): that one is written through
+    ``decimal``, which has no such limit. Reading keeps the limit.
+    """
+    try:
+        return str(v)
+    except ValueError:
+        import decimal
+
+        n, d = _ratio(v)
+        text = str(decimal.Decimal(n))
+        return text if d == 1 else f"{text}/{decimal.Decimal(d)}"
 
 
 @cache
@@ -134,7 +168,7 @@ def _json_value(v: object, rational: bool) -> object:
     if t is tuple:
         return [_json_value(x, rational) for x in v]
     if t is Fraction or (rational and t is int):
-        return str(v)
+        return _text(v)
     if isinstance(v, _Record):
         return v.to_json_dict()
     return v
@@ -144,8 +178,8 @@ class _Record:
     """The one JSON writer of the package's verdicts, witnesses and specs.
 
     ``to_json_dict`` writes each dataclass field under its own name: a
-    Fraction as its canonical "a/b" string (denominator omitted when 1),
-    which ``as_fraction`` reads back; a tuple as a list; a nested record by
+    Fraction as its canonical "a/b" string by ``_text``, which
+    ``as_fraction`` reads back; a tuple as a list; a nested record by
     its own ``to_json_dict``; a bool, int, str or None as is. An int in a
     field whose annotation names Fraction is a rational held as an int, and
     is written as a string too. The field layout is read once per class.
@@ -216,6 +250,11 @@ def _multiplicity(n: int, p: int) -> int:
     return count
 
 
+def _power_pair(p: int, k: int) -> tuple[int, int]:
+    # p**k as (numerator, denominator)
+    return (p**k, 1) if k >= 0 else (1, p**-k)
+
+
 def _order(x: Fraction, p: int) -> int:
     # x != 0 and p already certified by the public caller
     return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
@@ -256,7 +295,7 @@ class PAdicAbs:
     def as_fraction(self) -> Fraction:
         if self.exponent is None:
             return Fraction(0)
-        return Fraction(self.p) ** self.exponent
+        return Fraction(*_power_pair(self.p, self.exponent))
 
 
 def padic_abs(x: RationalLike, p: int) -> PAdicAbs:
@@ -274,8 +313,20 @@ def padic_abs(x: RationalLike, p: int) -> PAdicAbs:
 
 
 def padic_distance(x: RationalLike, y: RationalLike, p: int) -> Fraction:
-    """The exact p-adic distance |x - y|_p as a Fraction."""
-    return padic_abs(as_fraction(x) - as_fraction(y), p).as_fraction()
+    """The exact p-adic distance |x - y|_p as a Fraction.
+
+    For x = a/b and y = c/d it is p**(v_p(b) + v_p(d) - v_p(ad - cb)), or
+    0 when ad = cb: x - y = (ad - cb) / (bd), reduced or not. Both points
+    are coerced before p is checked.
+    """
+    a, b = _ratio(as_fraction(x))
+    c, d = _ratio(as_fraction(y))
+    require_prime(p)
+    diff = a * d - c * b
+    if diff == 0:
+        return Fraction(0)
+    e = _multiplicity(b, p) + _multiplicity(d, p) - _multiplicity(diff, p)
+    return Fraction(*_power_pair(p, e))
 
 
 @dataclass(frozen=True)

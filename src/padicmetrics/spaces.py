@@ -46,7 +46,7 @@ from .errors import (
     ZeroDistanceError,
 )
 from .functions import FunctionSpec
-from .padic import RationalLike, _Record, _ranks, _ratio, as_fraction
+from .padic import RationalLike, _Record, _ranks, _ratio, _text, as_fraction
 
 MAX_SEARCH_POINTS = 10
 
@@ -106,7 +106,7 @@ class DistanceMatrixCandidate:
     def to_json_dict(self) -> dict:
         return {
             "points": list(self.labels),
-            "d": [[str(v) for v in row] for row in self.dist],
+            "d": [list(map(_text, row)) for row in self.dist],
         }
 
 
@@ -151,41 +151,46 @@ def _ranked(
     matrix with every entry replaced by its position minus ``zero``: the
     rank of values[zero + r] is r. Ranks keep every order, equality and
     sign of the entries, so an O(n^2) loop over them compares ints only.
-    Entries are told apart by (numerator, denominator), which is exact
-    because ints and Fractions are kept in lowest terms, and those pairs
-    are ranked once by ``_ranks``.
+
+    Each distinct entry object is read once: the objects are collected by
+    ``id`` in row-major order of first appearance (a matrix often holds
+    one object many times, such as a symmetric pair or a shared level),
+    and only they are read. Their values are told apart by (numerator,
+    denominator), which is exact because ints and Fractions are kept in
+    lowest terms, and those pairs are ranked once by ``_ranks``. Every
+    object stays referenced until the rows are remapped, so no ``id`` is
+    reused meanwhile.
 
     Raises:
         TypeError: for an entry with no numerator, such as a float, which
-            is already rounded to binary.
+            is already rounded to binary; the first such entry in row-major
+            order is named.
     """
-    first: dict[tuple[int, int], RationalLike] = {}
-    keyed = []
+    matrices = list(matrices)
+    seen: dict[int, RationalLike] = {}
     for m in matrices:
-        try:
-            keys = [list(map(_ratio, row)) for row in m]
-        except AttributeError:
-            bad = next(
-                v
-                for row in m
-                for v in row
-                if not (hasattr(v, "numerator") and hasattr(v, "denominator"))
-            )
-            raise TypeError(
-                f"exact rationals only: got the {type(bad).__name__} {bad!r}"
-            ) from None
-        for row_keys, row in zip(keys, m):
-            for k, v in zip(row_keys, row):
-                if k not in first:
-                    first[k] = v
-        keyed.append(keys)
+        for row in m:
+            seen.update(zip(map(id, row), row))
+    objects = list(seen.values())
+    try:
+        keys = list(map(_ratio, objects))
+    except AttributeError:
+        bad = next(
+            v for v in objects if not (hasattr(v, "numerator") and hasattr(v, "denominator"))
+        )
+        raise TypeError(f"exact rationals only: got the {type(bad).__name__} {bad!r}") from None
+    # the first object of each value in row-major order stands for it
+    first = dict(zip(reversed(keys), reversed(objects)))
     first.setdefault((0, 1), Fraction(0))
     pairs = list(first)
     ranks = _ranks(pairs)
     zero = ranks[pairs.index((0, 1))]
     rank = {k: i - zero for k, i in zip(pairs, ranks)}
     values = [first[k] for k in sorted(pairs, key=rank.__getitem__)]
-    return values, zero, [[list(map(rank.__getitem__, row)) for row in m] for m in keyed]
+    by_id = dict(zip(seen, map(rank.__getitem__, keys)))
+    return values, zero, [
+        [list(map(by_id.__getitem__, map(id, row))) for row in m] for m in matrices
+    ]
 
 
 def _subdominant(r: list[list[int]]) -> list[list[int]]:

@@ -67,6 +67,18 @@ reference for the package's fraction-free integer rank.
 it skipped the sort of a table whose keys ascend: every table sorted,
 then the repeated keys, the key 0 and the signs checked on ``Fraction``s.
 
+``ref_as_fraction``, ``ref_padic_distance`` and ``ref_witness_triple``
+are the reader of a rational, the p-adic distance and the witness triple
+as they were before they moved to integers: every type told by
+isinstance, the distance as the p-adic order of the Fraction x - y (p
+divided out one factor at a time), and the triple as Fraction powers of p
+re-measured with that distance. ``ref_step_check`` and
+``ref_polyline_check`` are the field checks of ``StepFunction`` and
+``PiecewiseLinear`` as they were before they compared integer pairs: the
+same ValueErrors in the same order, from Fraction comparisons.
+``ref_ranked`` is ``spaces._ranked`` as it was before it read each
+distinct entry object once: every entry read and looked up by its pair.
+
 ``adversarial_pool`` and ``mix_ints`` make distance values that are hard
 to rank: pairwise coprime denominators up to 2^61 - 1, twins less than
 2^-64 apart, and ints next to Fractions of the same value.
@@ -84,6 +96,7 @@ from random import Random
 
 from padicmetrics import (
     AsymmetricError,
+    BadOrderError,
     BelowFloorError,
     Canonical,
     DigitWindow,
@@ -100,6 +113,7 @@ from padicmetrics import (
     PowerStep,
     PrimeShift,
     Reciprocal,
+    SelfCheckError,
     SpaceFamily,
     StepFunction,
     SufficientConditions,
@@ -117,9 +131,11 @@ from padicmetrics import (
     valuation,
 )
 from padicmetrics.functions import _primes_to, _sieve
+from padicmetrics.padic import _ranks
 from padicmetrics.padic_preserving import (
     PreservationVerdict,
     WindowWitness,
+    _check_exponents,
     witness_triple,
 )
 
@@ -720,7 +736,7 @@ def ref_spec_value(f, x: Fraction) -> Fraction:
         if x >= last_x:
             if x == last_x or f.tail == "constant":
                 return last_y
-            return last_y + (x - last_x) * f._final_slope()
+            return last_y + (x - last_x) * f.segment_slopes()[-1]
         i = bisect_right([a for a, _ in f.points], x) - 1
         (x0, y0), (x1, y1) = f.points[i], f.points[i + 1]
         return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
@@ -778,3 +794,127 @@ def ref_tabulated_entries(table) -> tuple[tuple[Fraction, Fraction], ...]:
     if any(k < 0 for k in keys) or any(v < 0 for _, v in entries):
         raise ValueError("table keys and values must be nonnegative")
     return tuple(entries)
+
+
+def ref_as_fraction(x) -> Fraction:
+    """``as_fraction`` with every type told by isinstance, ints by Fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"exact rationals only: got the {type(x).__name__} {x!r}")
+    if isinstance(x, str) and x.isascii():
+        num, slash, den = x.partition("/")
+        negative = num.startswith("-")
+        digits = num[1:] if negative else num
+        if digits.isdigit() and (not slash or den.isdigit()):
+            n = int(digits)
+            d = int(den) if slash else 1
+            if d == 0:
+                raise ValueError(f"zero denominator in {x!r}")
+            return Fraction(-n if negative else n, d)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def ref_padic_distance(x, y, p: int) -> Fraction:
+    """|x - y|_p from the Fraction x - y, p divided out one factor at a time."""
+    diff = as_fraction(x) - as_fraction(y)
+    require_prime(p)
+    if diff == 0:
+        return Fraction(0)
+    order, num, den = 0, diff.numerator, diff.denominator
+    while num % p == 0:
+        num //= p
+        order += 1
+    while den % p == 0:
+        den //= p
+        order -= 1
+    return Fraction(p) ** -order
+
+
+def ref_witness_triple(p: int, m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The witness triple as Fraction powers of p, re-measured as Fractions."""
+    require_prime(p)
+    if n >= m:
+        raise BadOrderError(f"need n < m, got m={m}, n={n}")
+    _check_exponents(m, n)
+    k = m - n
+    if p == 2:
+        base = (1, -1, 0) if k == 1 else (2 ** (k - 1), -(2 ** (k - 1)), 1)
+    else:
+        base = (p**k, -(p**k), 1)
+    scale = Fraction(p) ** (-m)
+    x, y, z = (scale * b for b in base)
+    legs, short = Fraction(p) ** m, Fraction(p) ** n
+    if not (
+        ref_padic_distance(x, z, p) == legs
+        and ref_padic_distance(z, y, p) == legs
+        and ref_padic_distance(x, y, p) == short
+    ):
+        raise SelfCheckError(f"witness triple for p={p}, m={m}, n={n} does not verify")
+    return (x, y, z)
+
+
+def ref_step_check(below, points) -> None:
+    """The ValueError ``StepFunction`` raises for these fields, or None."""
+    if below < 0:
+        raise ValueError("step values must be nonnegative")
+    ts = [t for t, _ in points]
+    if any(t <= 0 for t in ts):
+        raise ValueError("thresholds must be positive")
+    if any(a >= b for a, b in zip(ts, ts[1:])):
+        raise ValueError("thresholds must increase strictly")
+    if any(v < 0 for _, v in points):
+        raise ValueError("step values must be nonnegative")
+
+
+def ref_polyline_check(points, tail) -> None:
+    """The ValueError ``PiecewiseLinear`` raises for these fields, or None."""
+    if not points:
+        raise ValueError("need at least one breakpoint")
+    if points[0][0] != 0:
+        raise ValueError("breakpoints must start at x = 0")
+    xs = [x for x, _ in points]
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ValueError("breakpoint abscissas must increase strictly")
+    if any(y < 0 for _, y in points):
+        raise ValueError("ordinates must be nonnegative")
+    if tail not in ("constant", "linear"):
+        raise ValueError(f"unknown tail mode {tail!r}")
+    if tail == "linear":
+        if len(points) < 2:
+            raise ValueError("a linear tail needs at least two breakpoints")
+        (x0, y0), (x1, y1) = points[-2], points[-1]
+        if Fraction(y1 - y0, x1 - x0) < 0:
+            raise ValueError("a decreasing linear tail would go negative")
+
+
+def ref_ranked(matrices):
+    """``spaces._ranked`` reading every entry and keying it by its pair."""
+    first: dict = {}
+    keyed = []
+    for m in matrices:
+        try:
+            keys = [[(v.numerator, v.denominator) for v in row] for row in m]
+        except AttributeError:
+            bad = next(
+                v
+                for row in m
+                for v in row
+                if not (hasattr(v, "numerator") and hasattr(v, "denominator"))
+            )
+            raise TypeError(f"exact rationals only: got the {type(bad).__name__} {bad!r}") from None
+        for row_keys, row in zip(keys, m):
+            for k, v in zip(row_keys, row):
+                if k not in first:
+                    first[k] = v
+        keyed.append(keys)
+    first.setdefault((0, 1), Fraction(0))
+    pairs = list(first)
+    ranks = _ranks(pairs)
+    zero = ranks[pairs.index((0, 1))]
+    rank = {k: i - zero for k, i in zip(pairs, ranks)}
+    values = [first[k] for k in sorted(pairs, key=rank.__getitem__)]
+    return values, zero, [[list(map(rank.__getitem__, row)) for row in m] for m in keyed]

@@ -7,12 +7,21 @@ import re
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import padicmetrics
-from padicmetrics import SelfCheckError, cli
+from padicmetrics import (
+    Canonical,
+    ExponentWindow,
+    SelfCheckError,
+    cli,
+    extend_to_ultrametric_preserving,
+    witness_triple,
+)
 from padicmetrics.cli import main
 from padicmetrics.fixtures import four_point_space, legs_three_space
 
@@ -197,6 +206,42 @@ def test_witness_verb(capsys):
     code, payload = run_json(capsys, "fn", "witness", "--p", "3", "--m", "0", "--n=-1")
     assert code == 0
     assert payload == {"triple": ["3", "-3", "1"], "distances": ["1", "1", "1/3"]}
+
+
+def _read_long(text):
+    # an "a/b" of any length: decimal reads digits past the int-from-str limit
+    num, _, den = text.partition("/")
+    return F(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def test_witness_with_digits_past_the_str_limit(capsys):
+    code, payload = run_json(capsys, "fn", "witness", "--p", str(MERSENNE_61), "--m", "300",
+                             "--n", "0")
+    assert code == 0
+    triple = witness_triple(MERSENNE_61, 300, 0)
+    # 1/p**300 has a denominator of over 5500 digits, past the default 4300
+    assert triple[2] == F(1, MERSENNE_61**300) and MERSENNE_61**300 > 10**4300
+    assert list(map(_read_long, payload["triple"])) == list(triple)
+    dists = [F(MERSENNE_61) ** 300, F(MERSENNE_61) ** 300, F(1)]
+    assert list(map(_read_long, payload["distances"])) == dists
+
+
+def test_extend_with_digits_past_the_str_limit(capsys):
+    code, payload = run_json(capsys, "fn", "extend", "--spec", '{"kind":"canonical"}',
+                             "--p", str(MERSENNE_61), "--window=0:300")
+    assert code == 0
+    g = extend_to_ultrametric_preserving(Canonical(), MERSENNE_61, ExponentWindow(0, 300))
+    assert _read_long(payload["below"]) == g.below
+    assert [tuple(map(_read_long, pair)) for pair in payload["points"]] == list(g.points)
+
+
+def test_dist_with_a_decimal_x_and_p_4_is_not_prime(capsys):
+    code, payload = run_json(capsys, "padic", "dist", "--p", "4", "--x", "1.5", "--y", "1")
+    assert code == 2
+    assert payload == {"detail": "p must be a prime below 2**64, got 4", "error": "not_prime"}
 
 
 def test_fn_eval_inline_and_file(capsys, tmp_path):

@@ -49,6 +49,7 @@ from support import (
     must_validate,
     random_ultrametric,
     ref_exact_rank,
+    ref_ranked,
 )
 
 F = Fraction
@@ -196,6 +197,30 @@ def test_apply_function_calls_f_in_first_seen_order_on_adversarial_rationals(dat
     assert calls == first_seen
     assert list(map(type, calls)) == list(map(type, first_seen))
     assert image.dist == tuple(tuple(2 * v for v in row) for row in s.dist)
+
+
+def _ranked_outcome(rank, matrices):
+    try:
+        values, zero, ranked = rank(matrices)
+    except TypeError as err:
+        return str(err)
+    return list(map(id, values)), zero, ranked
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_ranked_matches_the_entry_by_entry_reading(data):
+    # shared objects (the generator reuses its pool), one fresh object per
+    # entry, ints next to equal Fractions, and now and then floats
+    rng, _, s = _adversarial_space(data)
+    shared = mix_ints(rng, s.dist)
+    fresh = tuple(tuple(F(v.numerator, v.denominator) for v in row) for row in s.dist)
+    matrices = [[list(row) for row in m] for m in (shared, fresh)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        m = data.draw(st.sampled_from(matrices))
+        row = data.draw(st.sampled_from(m))
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from((0.5, 0.25)))
+    assert _ranked_outcome(_ranked, matrices) == _ranked_outcome(ref_ranked, matrices)
 
 
 def test_twins_closer_than_2_to_the_minus_64_rank_apart():

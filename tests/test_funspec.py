@@ -82,10 +82,12 @@ from support import (
     ref_check_ultra_to_metric,
     ref_check_ultrametric_preserving,
     ref_floor_power_index,
+    ref_polyline_check,
     ref_power_map_value,
     ref_prime_shift_value,
     ref_samples_digest,
     ref_spec_value,
+    ref_step_check,
     ref_sufficient_conditions,
     ref_tabulated_entries,
     sorted_triple_scan,
@@ -983,6 +985,45 @@ def test_spec_constructors_refuse_float_and_bool_fields(cls, args, bad):
     with pytest.raises(TypeError) as raised:
         cls(*args)
     assert str(raised.value) == f"exact rationals only: got the {type(bad).__name__} {bad!r}"
+
+
+# Field values for the constructor checks: ints and Fractions, equal values
+# of both types, negatives, and twins 2**-70 apart.
+_field_values = st.sampled_from(
+    (0, F(0), 1, F(1), -1, F(-1, 3), F(1, 3), F(1, 3) + F(1, 2**70), 2, F(5, 2), 10**20)
+)
+_field_points = st.lists(st.tuples(_field_values, _field_values), max_size=5).map(tuple)
+
+
+def _field_error(build, *args):
+    try:
+        build(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=500)
+@given(below=_field_values, points=_field_points)
+@example(below=-1, points=((0, -1), (0, 1)))
+@example(below=0, points=((F(1, 3) + F(1, 2**70), 1), (F(1, 3), -1)))
+@example(below=0, points=((1, 2), (1, -1)))
+def test_step_checks_give_the_fraction_comparisons_errors(below, points):
+    # the same ValueError, or none, as Fraction comparisons of the fields
+    assert _field_error(StepFunction, below, points) == _field_error(
+        ref_step_check, below, points
+    )
+
+
+@settings(max_examples=500)
+@given(points=_field_points, tail=st.sampled_from(("constant", "linear", "cubic")))
+@example(points=((F(0), 1), (10**20, 0)), tail="linear")
+@example(points=((0, -1), (0, 1)), tail="cubic")
+@example(points=((0, 1), (F(1, 3), F(1, 3) + F(1, 2**70)), (1, F(1, 3))), tail="linear")
+def test_polyline_checks_give_the_fraction_comparisons_errors(points, tail):
+    assert _field_error(PiecewiseLinear, points, tail) == _field_error(
+        ref_polyline_check, points, tail
+    )
 
 
 # Int fields are exact, so every slope and midpoint built from them must be

@@ -29,7 +29,7 @@ from padicmetrics import (
     valuation,
 )
 from padicmetrics.padic import MAX_DIGITS
-from support import ref_digit_window
+from support import ref_as_fraction, ref_digit_window, ref_padic_distance
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -195,6 +195,83 @@ def _outcome(read, text):
 @example(text="-1/" + "7" * 5000)
 def test_as_fraction_reads_text_as_fraction_does(text):
     assert _outcome(as_fraction, text) == _outcome(_fraction_of_text, text)
+
+
+class _Text(str):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
+def _read_outcome(read, x):
+    try:
+        value = read(x)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    return type(value), value, value is x
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        "-0", "-7", "0/5", "1/0", "+1", " 1", "1_0", "\u0663", "-12/8", "3", "1/", "1.5",
+        _Text("3/4"), _Text("-0"), _Text("1/0"), _Ratio(3, 4), True, False, 1.5, 7, -7,
+        Fraction(6, 4), None,
+    ],
+    ids=repr,
+)
+def test_as_fraction_reads_every_type_as_the_isinstance_chain(x):
+    assert _read_outcome(as_fraction, x) == _read_outcome(ref_as_fraction, x)
+
+
+_DISTANCE_PRIMES = (2, 3, 257, 2**61 - 1)
+
+
+@st.composite
+def _distance_cases(draw):
+    # (x, y, p): rationals scaled by powers of p, often equal or near-equal
+    p = draw(st.sampled_from(_DISTANCE_PRIMES))
+
+    def point():
+        x = Fraction(draw(st.integers(-(10**12), 10**12)), draw(st.integers(1, 10**6)))
+        return x * Fraction(p) ** draw(st.integers(-5, 5))
+
+    x = point()
+    y = draw(st.sampled_from(("same", "near", "other")))
+    if y == "same":
+        y = Fraction(x.numerator, x.denominator)
+    elif y == "near":
+        y = x + Fraction(p) ** draw(st.integers(-8, 8)) * draw(st.integers(-3, 3))
+    else:
+        y = point()
+    return x, y, p
+
+
+@settings(max_examples=400)
+@given(case=_distance_cases())
+@example(case=(Fraction(5), Fraction(5), 7))
+@example(case=(Fraction(-1, 3), Fraction(-1, 3), 2**61 - 1))
+@example(case=(Fraction(-25, 18), Fraction(-7, 2), 3))
+@example(case=(Fraction(-1, 257**3), Fraction(1, 257**3), 257))
+@example(case=(Fraction(2**100), Fraction(-(2**100)), 2))
+@example(case=(Fraction(0), Fraction(-(3**40), 2), 3))
+def test_padic_distance_matches_the_fraction_difference(case):
+    x, y, p = case
+    got = padic_distance(x, y, p)
+    assert type(got) is Fraction
+    assert got == ref_padic_distance(x, y, p)
+    assert padic_abs(x - y, p).as_fraction() == got
+
+
+def test_distance_coerces_its_points_before_checking_p():
+    with pytest.raises(TypeError, match="got the float 1.5"):
+        padic_distance(1.5, 1, 4)
+    with pytest.raises(ValueError, match="zero denominator"):
+        padic_distance(1, "1/0", 4)
+    with pytest.raises(NotPrimeError):
+        padic_distance("3/2", 1, 4)
 
 
 def test_distance_examples():

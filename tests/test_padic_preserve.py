@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicmetrics import (
@@ -43,6 +43,7 @@ from support import (
     ref_check_p_ultrametric_preserving,
     ref_extend_to_ultrametric_preserving,
     ref_floor_power_index,
+    ref_witness_triple,
 )
 
 F = Fraction
@@ -117,6 +118,26 @@ def test_witness_triple_realizes_the_claimed_distances():
                 assert padic_distance(x, z, p) == F(p) ** m
                 assert padic_distance(z, y, p) == F(p) ** m
                 assert padic_distance(x, y, p) == F(p) ** n
+
+
+@st.composite
+def _witness_exponents(draw):
+    # (p, m, n) with n < m, anywhere in the exponent caps
+    n = draw(st.integers(-MAX_EXPONENT, MAX_EXPONENT - 1))
+    m = draw(st.one_of(st.integers(n + 1, min(n + 4, MAX_EXPONENT)),
+                       st.integers(n + 1, MAX_EXPONENT)))
+    return draw(st.sampled_from((2, 3))), m, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_witness_exponents())
+@example(case=(2, 1, 0))
+@example(case=(2, MAX_EXPONENT, -MAX_EXPONENT))
+@example(case=(3, MAX_EXPONENT, -MAX_EXPONENT))
+@example(case=(2, -MAX_EXPONENT + 1, -MAX_EXPONENT))
+@example(case=(2**61 - 1, 7, -300))
+def test_witness_triple_matches_the_fraction_powers(case):
+    assert witness_triple(*case) == ref_witness_triple(*case)
 
 
 def test_witness_triple_rejects_bad_order():
