@@ -107,7 +107,7 @@ def _refuse_inexact(rows: Iterable[tuple]) -> None:
 
 def _refuse_negative(k: int, den: int) -> NoReturn:
     # the error of every spec at a point k/den < 0
-    raise NegativeInputError(f"function domain is x >= 0, got {Fraction(k, den)}")
+    raise NegativeInputError(f"function domain is x >= 0, got {_text(Fraction(k, den))}")
 
 
 class FunctionSpec(_Record):
@@ -209,7 +209,8 @@ class Tabulated(FunctionSpec):
         try:
             return self._lookup[k // g, den // g]
         except KeyError:
-            raise DomainMissError(f"{Fraction(k, den)} is not a tabulated point") from None
+            x = _text(Fraction(k, den))
+            raise DomainMissError(f"{x} is not a tabulated point") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -449,10 +450,11 @@ class PrimeShift(FunctionSpec):
         last = 2 * flags.rfind(1) + 1
         if k * last <= den:
             raise BelowFloorError(
-                f"{Fraction(k, den)} is at or below the evaluation floor 1/{last}"
+                f"{_text(Fraction(k, den))} is at or below the evaluation floor 1/{last}"
             )
         if k >= last * den:
-            raise TooLargeError(f"{Fraction(k, den)} is at or beyond the certified ceiling {last}")
+            x = _text(Fraction(k, den))
+            raise TooLargeError(f"{x} is at or beyond the certified ceiling {last}")
 
         # y = big / small = max(x, 1/x); every candidate is an integer power
         # P with its image Q, P <= y in lows and P > y in highs. 1 is p**0
@@ -482,9 +484,10 @@ class PrimeShift(FunctionSpec):
             return (lo_img, 1) if k >= den else (1, lo_img)
         if not highs or min(highs)[0] >= last:
             # the point past y is x's upper neighbour, or for x < 1 its lower one
+            x = _text(Fraction(k, den))
             if k >= den:
-                raise TooLargeError(f"cannot certify the upper neighbour of {Fraction(k, den)}")
-            raise BelowFloorError(f"cannot certify the lower neighbour of {Fraction(k, den)}")
+                raise TooLargeError(f"cannot certify the upper neighbour of {x}")
+            raise BelowFloorError(f"cannot certify the lower neighbour of {x}")
         hi, hi_img = min(highs)
         if k >= den:  # lo < x < hi, all integers
             return lo_img * den * (hi - lo) + (k - lo * den) * (hi_img - lo_img), den * (hi - lo)

@@ -23,17 +23,19 @@ run through one routine (``_triplet_verdict``), which keeps the images of
 their samples in one table, filled by the amenability gate and read by the
 scan and the direct route.
 
-The scan visits each sorted pair a <= b once. Its admissible c form a
-range of samples, b <= c <= a + b for triangles and c = b for strong
-triplets, and the images allowed for c form one interval: a triangle image
-needs |f(a) - f(b)| <= f(c) <= f(a) + f(b); a strong image needs
+The scan visits each sorted pair a <= b once. The images allowed for c
+form one interval, the pair's band: a triangle image needs
+|f(a) - f(b)| <= f(c) <= f(a) + f(b); a strong image needs
 f(c) = max(f(a), f(b)) when f(a) != f(b), and f(c) <= f(a) when they are
-equal, because the two largest entries of a strong triplet are equal. With
-samples and images as integers, sparse tables of range minima and
-maxima answer that in O(1) per pair, so a scan of n samples costs O(n^2).
-Only a pair whose query fails has its range walked, upwards, to its least
-bad c. Pairs go in lexicographic order and every earlier pair has no bad c
-at all, so the witness is the least failing sorted triple.
+equal, because the two largest entries of a strong triplet are equal. The
+scan computes the band inline from the pair's two integer images. On
+strong samples the pair's one c is b itself, so f(b) is tested against the
+band with no range query. On triangle samples the admissible c form the
+range b <= c <= a + b, and sparse tables of range minima and maxima bound
+its images in O(1) per pair; only a pair whose query fails has its range
+walked, upwards, to its least bad c. Either way a scan of n samples costs
+O(n^2). Pairs go in lexicographic order and every earlier pair has no bad
+c at all, so the witness is the least failing sorted triple.
 
 Every verdict carries a short hash of the distinct sorted samples, so a
 recorded verdict can be tied back to the inputs that produced it. A passing
@@ -43,7 +45,6 @@ sampled verdict certifies the sampled triples only, nothing beyond them.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, pairwise
@@ -52,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PiecewiseLinear, StepFunction
-from .padic import RationalLike, _Record, _common, _exceeds, _ratio, as_fraction
+from .padic import RationalLike, _Record, _common, _exceeds, _ratio, _text, as_fraction
 
 # An image f(x) as (numerator, positive denominator), not always in lowest
 # terms: what FunctionSpec.ratio_at returns
@@ -197,62 +198,76 @@ def _sparse_table(values: list[int], pick: Callable[[int, int], int]) -> list[li
     return rows
 
 
-def _triangle_band(ya: int, yb: int) -> tuple[int, int]:
-    return abs(ya - yb), ya + yb
-
-
-def _strong_band(ya: int, yb: int) -> tuple[int, int]:
-    top = max(ya, yb)
-    return (top, top) if ya != yb else (0, top)
+def _triple(den: int, keys: Sequence[int], images: Sequence[Ratio], *at: int) -> Witness:
+    # the witness of the samples at indices at, with their images
+    points = _points(den, *(keys[i] for i in at))
+    return Witness("triple", points, _fractions(*(images[i] for i in at)))
 
 
 def _first_bad_triple(
     den: int,
     keys: Sequence[int],
     images: Sequence[Ratio],
-    reach: Callable[[int, int], int],
-    band: Callable[[int, int], tuple[int, int]],
+    strong_samples: bool,
+    strong_images: bool,
 ) -> Witness | None:
     """Least sorted triple of samples in the scanned family whose images are not.
 
-    keys ascend, are nonnegative and stand for the samples k / den; images
-    holds their images as integer pairs, put over one common denominator for
-    band. A sorted triple a <= b <= c is in the scanned family exactly when
-    c <= reach(a, b), and its images are in the target family exactly when
-    f(c) lies in band(f(a), f(b)), as the module docstring sets out.
+    keys ascend, are distinct and nonnegative and stand for the samples
+    k / den; images holds their images as integer pairs, put over one
+    common denominator for the bands. The scanned triples are the strong
+    triplets when strong_samples is true, else the triangle triplets, and
+    their images must be strong triplets when strong_images is true, else
+    triangle triplets. For a sorted pair a <= b, f(c) must lie in the band
+    of (f(a), f(b)) set out in the module docstring, computed inline.
 
-    Pairs are visited in lexicographic order. For a fixed a, reach(a, b)
-    grows with b, so the end of the c range only moves up, and one pointer
+    Pairs are visited in lexicographic order. On strong samples a <= b <= c
+    <= max(a, b) forces c = b, so each pair has the one triple (a, b, b),
+    and f(b) is tested against the band of the pair: no table is built and
+    no range is queried. On triangle samples, for a fixed a the end of the
+    range b <= c <= a + b grows with b and only moves up, so one pointer
     finds every end in O(n). Two sparse tables, of range minima and maxima,
     bound the images over the range in O(1) (Bender and Farach-Colton, "The
     LCA problem revisited", 2000), so n samples cost O(n log n) to set up
-    and O(n^2) to scan. Only a pair whose range strays from its interval
-    has the range walked, from c = b upwards, to its first bad c. Every
-    earlier pair has no bad c, so that triple is the lexicographically least
+    and O(n^2) to scan. Only a pair whose range strays from its band has
+    the range walked, from c = b upwards, to its first bad c. Every earlier
+    pair has no bad c, so that triple is the lexicographically least
     failing one; a failed query whose walk finds none raises SelfCheckError.
     """
     n = len(keys)
     yi = _common(images)[1]
-    lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
+    if not strong_samples:
+        lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
     for i in range(n):
         xa, ya = keys[i], yi[i]
         end = i
         for j in range(i, n):
-            top = reach(xa, keys[j])
+            yb = yi[j]
+            if strong_images:
+                hi = ya if ya > yb else yb
+                lo = hi if ya != yb else 0
+            else:
+                lo = ya - yb if ya > yb else yb - ya
+                hi = ya + yb
+            if strong_samples:
+                if lo <= yb <= hi:
+                    continue
+                return _triple(den, keys, images, i, j, j)
+            top = xa + keys[j]
             while end < n and keys[end] <= top:
                 end += 1
-            lo, hi = band(ya, yi[j])
             k = (end - j).bit_length() - 1
             right = end - (1 << k)
-            if lo <= min(lows[k][j], lows[k][right]) and max(highs[k][j], highs[k][right]) <= hi:
+            row, high = lows[k], highs[k]
+            if lo <= row[j] and lo <= row[right] and high[j] <= hi and high[right] <= hi:
                 continue
             for c in range(j, end):
                 if not lo <= yi[c] <= hi:
-                    points = _points(den, keys[i], keys[j], keys[c])
-                    return Witness("triple", points, _fractions(images[i], images[j], images[c]))
+                    return _triple(den, keys, images, i, j, c)
             raise SelfCheckError(
-                f"the range query failed at ({Fraction(keys[i], den)}, {Fraction(keys[j], den)}) "
-                f"but no c up to {Fraction(keys[end - 1], den)} breaks it"
+                f"the range query failed at ({_text(Fraction(keys[i], den))}, "
+                f"{_text(Fraction(keys[j], den))}) "
+                f"but no c up to {_text(Fraction(keys[end - 1], den))} breaks it"
             )
     return None
 
@@ -282,8 +297,8 @@ def _triplet_verdict(
     f: FunctionSpec,
     den: int,
     keys: Sequence[int],
-    reach: Callable[[int, int], int],
-    band: Callable[[int, int], tuple[int, int]],
+    strong_samples: bool,
+    strong_images: bool,
     direct: tuple[str, Callable[..., Witness | None]] | None = None,
 ) -> TripletVerdict:
     # The gate reads f once per key, ascending; then the scan runs, then the
@@ -291,7 +306,7 @@ def _triplet_verdict(
     # routes are provably equivalent: a disagreement is a bug, and raises.
     images, bad = _amenable_images(f.ratio_at, [(k, den) for k in keys])
     if bad is None:
-        bad = _first_bad_triple(den, keys, images, reach, band)
+        bad = _first_bad_triple(den, keys, images, strong_samples, strong_images)
         if direct is not None:
             name, route = direct
             scan, bad = bad, route(den, keys, images)
@@ -312,7 +327,7 @@ def check_metric_preserving_sampled(
     den, keys = _sample_keys(samples)
     if keys[:1] != [0]:
         raise ValueError("the sample set must contain 0")
-    return _triplet_verdict(f, den, keys, operator.add, _triangle_band)
+    return _triplet_verdict(f, den, keys, strong_samples=False, strong_images=False)
 
 
 def _kinks(f: FunctionSpec) -> list[Fraction]:
@@ -340,7 +355,9 @@ def check_ultrametric_preserving(
     """
     den, keys = _sample_keys(samples, _kinks(f))
     direct = ("monotonicity inspection", _monotone_witness)
-    return _triplet_verdict(f, den, keys, max, _strong_band, direct)
+    return _triplet_verdict(
+        f, den, keys, strong_samples=True, strong_images=True, direct=direct
+    )
 
 
 def check_ultra_to_metric(
@@ -355,7 +372,9 @@ def check_ultra_to_metric(
     """
     den, keys = _sample_keys(samples)
     direct = ("pair inspection", _halving_witness)
-    return _triplet_verdict(f, den, keys, max, _triangle_band, direct)
+    return _triplet_verdict(
+        f, den, keys, strong_samples=True, strong_images=False, direct=direct
+    )
 
 
 def _first_bad_sum(
@@ -413,24 +432,31 @@ def check_euclid_preserving_sampled(
     ``check_euclid_preserving_grid`` gives the same verdict without a pair
     list.
 
-    The check runs on integers: the entries, coerced once in the order
-    given, are read as samples (``_sample_keys``, so more than
-    MAX_GRID_POINTS distinct entries are refused), and each is scaled to
-    its key over their L, which keeps order. The sorted distinct pairs of
-    keys go through ``_first_bad_sum``, the pair-sum scan shared with
-    ``sufficient_conditions``, in the order of the sorted Fraction pairs.
-    For N pairs over P distinct points a, b and a + b, the cost is one sort
-    of N integer pairs, P reads of f and O(1) integer operations per pair.
+    The check runs on integers. Each distinct entry object is coerced
+    once, the objects collected by ``id`` in the order of first appearance
+    (a grid's pairs hold each point many times), so the first entry that
+    cannot be read, in the order given, raises. The values are read as
+    samples (``_sample_keys``, so more than MAX_GRID_POINTS distinct values
+    are refused), and each is scaled to its key over their L, which keeps
+    order. The sorted distinct pairs of keys go through ``_first_bad_sum``,
+    the pair-sum scan shared with ``sufficient_conditions``, in the order of
+    the sorted Fraction pairs. For N pairs over P distinct points a, b and
+    a + b, the cost is one sort of N integer pairs, P reads of f and O(1)
+    integer operations per pair.
     """
-    entries = [as_fraction(x) for a, b in pairs for x in (a, b)]
+    flat = [x for a, b in pairs for x in (a, b)]
+    # every object stays referenced in flat, so no id is reused meanwhile
+    objects = list(dict(zip(map(id, flat), flat)).values())
+    entries = list(map(as_fraction, objects))
     ratios = list(map(_ratio, entries))
-    firsts = dict(zip(ratios, entries))  # each distinct entry once
+    firsts = dict(zip(ratios, entries))  # each distinct value once
     if any(n < 0 for n, _ in firsts):
         raise NegativeInputError("pair entries must be nonnegative")
     den, distinct = _sample_keys(firsts.values())
     key = dict(zip(firsts, _common(firsts, den)[1]))
-    flat = list(map(key.__getitem__, ratios))
-    return _euclid_verdict(f, den, distinct, sorted(set(zip(flat[::2], flat[1::2]))))
+    by_id = dict(zip(map(id, objects), map(key.__getitem__, ratios)))
+    keys = list(map(by_id.__getitem__, map(id, flat)))
+    return _euclid_verdict(f, den, distinct, sorted(set(zip(keys[::2], keys[1::2]))))
 
 
 def check_euclid_preserving_grid(
@@ -472,7 +498,7 @@ def _grid(step: RationalLike, stop: RationalLike) -> tuple[Fraction, int]:
     count = stop // step + 1
     if count > MAX_GRID_POINTS:
         raise TooLargeError(
-            f"grid 0..{stop} by {step} holds {count} points, "
+            f"grid 0..{_text(stop)} by {_text(step)} holds {_text(count)} points, "
             f"more than the {MAX_GRID_POINTS} accepted"
         )
     return step, count

@@ -29,6 +29,11 @@ sorts the distinct samples, ``ref_refine`` adds a spec's kink abscissas,
 and ``ref_samples_digest`` hashes the sorted Fractions as printed, as the
 package did before it held its samples as integer keys.
 
+``ref_first_bad_triple`` is the range-query engine as it was before its
+strong-sample scan tested the one c = b of each pair: every pair's range
+queried, with the family given as a ``reach`` and a ``band`` callable
+(``ref_triangle_band``, ``ref_strong_band``).
+
 ``brute_window_pairs`` and ``brute_check_p_metric_preserving`` are the
 p-adic band check as it was before its O(w) sweep: every exponent pair
 built, sorted by (|m| + |n|, m, n) and compared one at a time.
@@ -131,13 +136,14 @@ from padicmetrics import (
     valuation,
 )
 from padicmetrics.functions import _primes_to, _sieve
-from padicmetrics.padic import _ranks
+from padicmetrics.padic import _common, _ranks
 from padicmetrics.padic_preserving import (
     PreservationVerdict,
     WindowWitness,
     _check_exponents,
     witness_triple,
 )
+from padicmetrics.preserving import _sparse_table
 
 # a spread of scales, including non-integers, for random distances
 SIX_VALUE_POOL = tuple(
@@ -554,6 +560,52 @@ def sorted_triple_scan(f, xs, reach, image_ok) -> Witness | None:
                 fa, fb, fc = values[a], values[b], values[c]
                 if not image_ok(fa, fb, fc):
                     return Witness("triple", (a, b, c), (fa, fb, fc))
+    return None
+
+
+def ref_triangle_band(ya: int, yb: int) -> tuple[int, int]:
+    return abs(ya - yb), ya + yb
+
+
+def ref_strong_band(ya: int, yb: int) -> tuple[int, int]:
+    top = max(ya, yb)
+    return (top, top) if ya != yb else (0, top)
+
+
+def ref_first_bad_triple(den, keys, images, reach, band) -> Witness | None:
+    """The range-query scan with the family given as callables.
+
+    A sorted triple a <= b <= c of the samples k / den is scanned exactly
+    when c <= reach(a, b) (``operator.add`` or ``max``), and its images
+    pass exactly when f(c) lies in band(f(a), f(b)). Every pair queries
+    two sparse tables over its range and walks the range only when the
+    query fails, as the package did before its strong-sample scan tested
+    the one c = b of each pair.
+    """
+    n = len(keys)
+    yi = _common(images)[1]
+    lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
+    for i in range(n):
+        xa, ya = keys[i], yi[i]
+        end = i
+        for j in range(i, n):
+            top = reach(xa, keys[j])
+            while end < n and keys[end] <= top:
+                end += 1
+            lo, hi = band(ya, yi[j])
+            k = (end - j).bit_length() - 1
+            right = end - (1 << k)
+            if lo <= min(lows[k][j], lows[k][right]) and max(highs[k][j], highs[k][right]) <= hi:
+                continue
+            for c in range(j, end):
+                if not lo <= yi[c] <= hi:
+                    points = tuple(Fraction(x, den) for x in (keys[i], keys[j], keys[c]))
+                    fs = tuple(Fraction(*images[x]) for x in (i, j, c))
+                    return Witness("triple", points, fs)
+            raise SelfCheckError(
+                f"the range query failed at ({Fraction(keys[i], den)}, {Fraction(keys[j], den)}) "
+                f"but no c up to {Fraction(keys[end - 1], den)} breaks it"
+            )
     return None
 
 

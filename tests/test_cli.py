@@ -229,6 +229,33 @@ def test_witness_with_digits_past_the_str_limit(capsys):
     assert list(map(_read_long, payload["distances"])) == dists
 
 
+def test_ceiling_error_on_a_point_past_the_str_limit(capsys):
+    # p**250 has over 4700 digits: the detail quotes it through decimal, so
+    # the call reports too_large, as it does for a window of smaller powers
+    spec = '{"kind":"prime_shift"}'
+    for window, quoted in (("250:300", MERSENNE_61**250), ("20:30", MERSENNE_61**20)):
+        code, payload = run_json(capsys, "fn", "padic-check", "--spec", spec,
+                                 "--p", str(MERSENNE_61), f"--window={window}")
+        point, _, rest = payload["detail"].partition(" ")
+        assert code == 2 and payload["error"] == "too_large"
+        assert _read_long(point) == quoted
+        assert rest == "is at or beyond the certified ceiling 999983"
+    assert MERSENNE_61**250 > 10**4300
+
+
+def test_grid_cap_error_on_a_count_past_the_str_limit(capsys):
+    # step and stop each read within the limit, but the point count has
+    # 6001 digits
+    big = "1" + "0" * 3000
+    code, payload = run_json(capsys, "fn", "euclid", "--spec", '{"kind":"canonical"}',
+                             "--step", f"1/{big}", "--stop", big)
+    assert code == 2 and payload["error"] == "too_large"
+    count = "1" + "0" * 5999 + "1"
+    assert payload["detail"] == (
+        f"grid 0..{big} by 1/{big} holds {count} points, more than the 1025 accepted"
+    )
+
+
 def test_extend_with_digits_past_the_str_limit(capsys):
     code, payload = run_json(capsys, "fn", "extend", "--spec", '{"kind":"canonical"}',
                              "--p", str(MERSENNE_61), "--window=0:300")

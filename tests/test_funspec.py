@@ -67,8 +67,6 @@ from padicmetrics.preserving import (
     _first_bad_triple,
     _grid,
     _sample_keys,
-    _strong_band,
-    _triangle_band,
 )
 from support import (
     COPRIME_DENOMINATORS,
@@ -81,6 +79,7 @@ from support import (
     ref_check_metric_preserving_sampled,
     ref_check_ultra_to_metric,
     ref_check_ultrametric_preserving,
+    ref_first_bad_triple,
     ref_floor_power_index,
     ref_polyline_check,
     ref_power_map_value,
@@ -88,8 +87,10 @@ from support import (
     ref_samples_digest,
     ref_spec_value,
     ref_step_check,
+    ref_strong_band,
     ref_sufficient_conditions,
     ref_tabulated_entries,
+    ref_triangle_band,
     sorted_triple_scan,
 )
 
@@ -184,6 +185,42 @@ def test_prime_shift_certification_window():
         f(F(1, 997))
     with pytest.raises(TooLargeError):
         f(997)
+
+
+# a point with more digits than int-to-str writes (4300 by default), and
+# its decimal text, built without that conversion
+HUGE = 10**4400
+HUGE_TEXT = "1" + "0" * 4400
+
+
+@pytest.mark.parametrize(
+    "f, x, error, message",
+    [
+        (Tabulated.from_mapping({0: 0, 1: 1}), F(1, 3), DomainMissError,
+         "1/3 is not a tabulated point"),
+        (PrimeShift(12), F(-1, 2), NegativeInputError, "function domain is x >= 0, got -1/2"),
+        (PrimeShift(12), F(1, 11), BelowFloorError,
+         "1/11 is at or below the evaluation floor 1/11"),
+        (PrimeShift(12), F(11), TooLargeError, "11 is at or beyond the certified ceiling 11"),
+        (PrimeShift(12), F(21, 2), TooLargeError, "cannot certify the upper neighbour of 21/2"),
+        (PrimeShift(12), F(2, 21), BelowFloorError, "cannot certify the lower neighbour of 2/21"),
+        (Tabulated.from_mapping({0: 0, 1: 1}), F(HUGE), DomainMissError,
+         f"{HUGE_TEXT} is not a tabulated point"),
+        (PrimeShift(12), F(-1, HUGE), NegativeInputError,
+         f"function domain is x >= 0, got -1/{HUGE_TEXT}"),
+        (PrimeShift(12), F(1, HUGE), BelowFloorError,
+         f"1/{HUGE_TEXT} is at or below the evaluation floor 1/11"),
+        (PrimeShift(12), F(HUGE), TooLargeError,
+         f"{HUGE_TEXT} is at or beyond the certified ceiling 11"),
+    ],
+)
+def test_spec_errors_quote_the_point_at_any_size(f, x, error, message):
+    # the messages of small points are those str writes; a point past the
+    # str limit is written through decimal, so the error raised is the one
+    # reported and not a ValueError of its formatting
+    with pytest.raises(error) as info:
+        f(x)
+    assert str(info.value) == message
 
 
 def test_prime_shift_sieve_bound_cap():
@@ -668,14 +705,55 @@ def test_sorted_scan_matches_ordered_brute_force(origin, table, drop, stray):
     # the scans' own witnesses too
     den, keys = _sample_keys(xs)
     images = [f.ratio_at(k, den) for k in keys]
-    for reach, band, in_family, image_ok in (
-        (operator.add, _triangle_band, is_triangle_triplet, is_triangle_triplet),
-        (max, _strong_band, is_strong_triplet, is_strong_triplet),
-        (max, _triangle_band, is_strong_triplet, is_triangle_triplet),
+    for strong_samples, strong_images, reach, in_family, image_ok in (
+        (False, False, operator.add, is_triangle_triplet, is_triangle_triplet),
+        (True, True, max, is_strong_triplet, is_strong_triplet),
+        (True, False, max, is_strong_triplet, is_triangle_triplet),
     ):
         want = brute_triple_scan(f, xs, in_family, image_ok)
         assert sorted_triple_scan(f, xs, reach, image_ok) == want
-        assert _first_bad_triple(den, keys, images, reach, band) == want
+        assert _first_bad_triple(den, keys, images, strong_samples, strong_images) == want
+
+
+# (strong samples, strong images) of each scan, with the reference's
+# reach and band and the Fraction scan's image test
+SCAN_FAMILIES = (
+    (False, False, operator.add, ref_triangle_band, is_triangle_triplet),
+    (True, True, max, ref_strong_band, is_strong_triplet),
+    (True, False, max, ref_triangle_band, is_triangle_triplet),
+    (False, True, operator.add, ref_strong_band, is_strong_triplet),
+)
+
+
+@st.composite
+def scan_inputs(draw):
+    # up to 40 distinct keys over den, with integer or rational images that
+    # tie often; a flat image row passes every family, so one image redrawn
+    # at one of the first two or the last two keys puts the failure, if
+    # any, in the first or the last rows of the scan
+    den = draw(st.sampled_from((1, 2, 3, 8)))
+    keys = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=40)))
+    ratios = st.tuples(st.integers(0, 12), st.sampled_from((1, 1, 2, 3)))
+    if draw(st.booleans()):
+        images = draw(st.lists(ratios, min_size=len(keys), max_size=len(keys)))
+    else:
+        images = [draw(ratios)] * len(keys)
+        images[draw(st.sampled_from((0, 1, -2, -1))) % len(keys)] = draw(ratios)
+    return den, keys, images
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan=scan_inputs())
+def test_scan_families_match_the_callable_engine(scan):
+    # the inline bands give the witness of the callable engine and of the
+    # Fraction scan on every family, passing or failing
+    den, keys, images = scan
+    xs = [F(k, den) for k in keys]
+    fs = dict(zip(xs, (F(*y) for y in images)))
+    for strong_samples, strong_images, reach, band, image_ok in SCAN_FAMILIES:
+        want = sorted_triple_scan(fs.__getitem__, xs, reach, image_ok)
+        assert ref_first_bad_triple(den, keys, images, reach, band) == want
+        assert _first_bad_triple(den, keys, images, strong_samples, strong_images) == want
 
 
 slopes = st.fractions(min_value=F(0), max_value=F(3), max_denominator=4)
@@ -1502,6 +1580,8 @@ def test_sampled_checks_refuse_more_samples_than_the_cap_before_reading_f():
         with pytest.raises(TooLargeError, match="^1026 distinct samples, over the 1025 accepted$"):
             check(f, arg)
     assert f.calls == []
+    # the pair route counts distinct values, not distinct entry objects
+    assert check_euclid_preserving_sampled(Canonical(), [(x, str(x)) for x in at_cap]).passed
     assert samples_digest(at_cap + at_cap) == ref_samples_digest(at_cap)
     with pytest.raises(TooLargeError):
         samples_digest(over)
