@@ -93,4 +93,9 @@ class SelfCheckError(PadicMetricsError):
 
 
 class EquivalenceBreachError(PadicMetricsError):
-    """Two procedures that must agree returned different verdicts."""
+    """Two procedures that must agree returned different verdicts.
+
+    Raised by the family check (``families.check_family_preserving`` and
+    ``build_extension``), the one check that runs two routes and compares
+    them on every call: the order side and the transform-and-validate side.
+    """

@@ -71,9 +71,10 @@ class SpaceFamily(_Record):
         for idx, raw in enumerate(data["spaces"]):
             out = validate_ultrametric(DistanceMatrixCandidate.from_json_dict(raw))
             if isinstance(out, TriangleViolation):
+                sides = ", ".join(map(_text, out.sides))
                 raise ValueError(
                     f"space {idx} is not ultrametric: indices "
-                    f"({out.i}, {out.j}, {out.k}) with sides {out.sides}"
+                    f"({out.i}, {out.j}, {out.k}) with sides ({sides})"
                 )
             spaces.append(out)
         return cls(tuple(spaces))
@@ -391,7 +392,9 @@ def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
         raise NotTotallyOrderedError("the family's distance order is not total")
     report, memo = _report(f, family, poset, ranked)
     if not report.passed:
-        raise NotPreservingError(f"f does not preserve the family: {report.order_witness}")
+        raise NotPreservingError(
+            f"f does not preserve the family: {report.order_witness.to_json_dict()}"
+        )
     positives = poset.ground[1:]  # ground[0] is 0, the least value
     if not positives:
         raise NoPositiveDistancesError("nothing to extend: no positive distances")

@@ -19,23 +19,25 @@ on how many routes read its value. Each image is read by
 ``FunctionSpec.ratio_at`` as an integer pair (numerator, positive
 denominator), so the specs that compute on integers build no Fraction for
 it; only the images in a witness become Fractions. The three triplet checks
-run through one routine (``_triplet_verdict``), which keeps the images of
-their samples in one table, filled by the amenability gate and read by the
-scan and the direct route.
+run through one routine (``_triplet_verdict``): the amenability gate reads
+the images of their samples once, ascending, and one route decides.
 
-The scan visits each sorted pair a <= b once. The images allowed for c
-form one interval, the pair's band: a triangle image needs
-|f(a) - f(b)| <= f(c) <= f(a) + f(b); a strong image needs
-f(c) = max(f(a), f(b)) when f(a) != f(b), and f(c) <= f(a) when they are
-equal, because the two largest entries of a strong triplet are equal. The
-scan computes the band inline from the pair's two integer images. On
-strong samples the pair's one c is b itself, so f(b) is tested against the
-band with no range query. On triangle samples the admissible c form the
+On distinct sorted samples a strong triplet is (a, b, b), so the two
+ultrametric checks need no triple scan: f preserves the strong triplets
+exactly when it is nondecreasing on the samples (``_monotone_witness``),
+and carries them to triangle triplets exactly when f(a) <= 2 f(b) for
+every sampled 0 < a < b (``_halving_witness``). Both are O(n) sweeps. The
+pairwise scans they replace are kept in the tests as the oracle.
+
+The metric check scans the triangle triplets (``_first_bad_triple``). It
+visits each sorted pair a <= b once; the images allowed for c form one
+interval, the pair's band |f(a) - f(b)| <= f(c) <= f(a) + f(b), computed
+inline from the pair's two integer images. The admissible c form the
 range b <= c <= a + b, and sparse tables of range minima and maxima bound
 its images in O(1) per pair; only a pair whose query fails has its range
-walked, upwards, to its least bad c. Either way a scan of n samples costs
-O(n^2). Pairs go in lexicographic order and every earlier pair has no bad
-c at all, so the witness is the least failing sorted triple.
+walked, upwards, to its least bad c, so n samples cost O(n^2). Pairs go
+in lexicographic order and every earlier pair has no bad c at all, so the
+witness is the least failing sorted triple.
 
 Every verdict carries a short hash of the distinct sorted samples, so a
 recorded verdict can be tied back to the inputs that produced it. A passing
@@ -51,7 +53,7 @@ from itertools import accumulate, combinations_with_replacement, pairwise
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .errors import EquivalenceBreachError, NegativeInputError, SelfCheckError, TooLargeError
+from .errors import NegativeInputError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PiecewiseLinear, StepFunction
 from .padic import RationalLike, _Record, _common, _exceeds, _ratio, _text, as_fraction
 
@@ -129,10 +131,7 @@ def _sample_keys(
 
 def is_triangle_triplet(a: RationalLike, b: RationalLike, c: RationalLike) -> bool:
     """True when each of a, b, c is at most the sum of the other two."""
-    a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
-    if a < 0 or b < 0 or c < 0:
-        raise NegativeInputError("triplet entries must be nonnegative")
-    return a <= b + c and b <= a + c and c <= a + b
+    return not _not_triangle(*map(as_fraction, (a, b, c)))
 
 
 def is_strong_triplet(a: RationalLike, b: RationalLike, c: RationalLike) -> bool:
@@ -198,61 +197,35 @@ def _sparse_table(values: list[int], pick: Callable[[int, int], int]) -> list[li
     return rows
 
 
-def _triple(den: int, keys: Sequence[int], images: Sequence[Ratio], *at: int) -> Witness:
-    # the witness of the samples at indices at, with their images
-    points = _points(den, *(keys[i] for i in at))
-    return Witness("triple", points, _fractions(*(images[i] for i in at)))
-
-
-def _first_bad_triple(
-    den: int,
-    keys: Sequence[int],
-    images: Sequence[Ratio],
-    strong_samples: bool,
-    strong_images: bool,
-) -> Witness | None:
-    """Least sorted triple of samples in the scanned family whose images are not.
+def _first_bad_triple(den: int, keys: Sequence[int], images: Sequence[Ratio]) -> Witness | None:
+    """Least sorted triangle triple of samples whose images are no triangle triplet.
 
     keys ascend, are distinct and nonnegative and stand for the samples
     k / den; images holds their images as integer pairs, put over one
-    common denominator for the bands. The scanned triples are the strong
-    triplets when strong_samples is true, else the triangle triplets, and
-    their images must be strong triplets when strong_images is true, else
-    triangle triplets. For a sorted pair a <= b, f(c) must lie in the band
-    of (f(a), f(b)) set out in the module docstring, computed inline.
+    common denominator for the bands. For a sorted pair a <= b, the
+    admissible c form the range b <= c <= a + b, and f(c) must lie in the
+    pair's band |f(a) - f(b)| <= f(c) <= f(a) + f(b), computed inline.
 
-    Pairs are visited in lexicographic order. On strong samples a <= b <= c
-    <= max(a, b) forces c = b, so each pair has the one triple (a, b, b),
-    and f(b) is tested against the band of the pair: no table is built and
-    no range is queried. On triangle samples, for a fixed a the end of the
-    range b <= c <= a + b grows with b and only moves up, so one pointer
-    finds every end in O(n). Two sparse tables, of range minima and maxima,
-    bound the images over the range in O(1) (Bender and Farach-Colton, "The
-    LCA problem revisited", 2000), so n samples cost O(n log n) to set up
-    and O(n^2) to scan. Only a pair whose range strays from its band has
-    the range walked, from c = b upwards, to its first bad c. Every earlier
+    Pairs are visited in lexicographic order. For a fixed a the end of the
+    range grows with b and only moves up, so one pointer finds every end
+    in O(n). Two sparse tables, of range minima and maxima, bound the
+    images over the range in O(1) (Bender and Farach-Colton, "The LCA
+    problem revisited", 2000), so n samples cost O(n log n) to set up and
+    O(n^2) to scan. Only a pair whose range strays from its band has the
+    range walked, from c = b upwards, to its first bad c. Every earlier
     pair has no bad c, so that triple is the lexicographically least
     failing one; a failed query whose walk finds none raises SelfCheckError.
     """
     n = len(keys)
     yi = _common(images)[1]
-    if not strong_samples:
-        lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
+    lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
     for i in range(n):
         xa, ya = keys[i], yi[i]
         end = i
         for j in range(i, n):
             yb = yi[j]
-            if strong_images:
-                hi = ya if ya > yb else yb
-                lo = hi if ya != yb else 0
-            else:
-                lo = ya - yb if ya > yb else yb - ya
-                hi = ya + yb
-            if strong_samples:
-                if lo <= yb <= hi:
-                    continue
-                return _triple(den, keys, images, i, j, j)
+            lo = ya - yb if ya > yb else yb - ya
+            hi = ya + yb
             top = xa + keys[j]
             while end < n and keys[end] <= top:
                 end += 1
@@ -263,7 +236,8 @@ def _first_bad_triple(
                 continue
             for c in range(j, end):
                 if not lo <= yi[c] <= hi:
-                    return _triple(den, keys, images, i, j, c)
+                    points = _points(den, keys[i], keys[j], keys[c])
+                    return Witness("triple", points, _fractions(images[i], images[j], images[c]))
             raise SelfCheckError(
                 f"the range query failed at ({_text(Fraction(keys[i], den))}, "
                 f"{_text(Fraction(keys[j], den))}) "
@@ -297,21 +271,14 @@ def _triplet_verdict(
     f: FunctionSpec,
     den: int,
     keys: Sequence[int],
-    strong_samples: bool,
-    strong_images: bool,
-    direct: tuple[str, Callable[..., Witness | None]] | None = None,
+    route: Callable[[int, Sequence[int], Sequence[Ratio]], Witness | None],
 ) -> TripletVerdict:
-    # The gate reads f once per key, ascending; then the scan runs, then the
-    # named direct route, if any, whose witness the verdict reports. The
-    # routes are provably equivalent: a disagreement is a bug, and raises.
+    # The gate reads f once per key, ascending; on amenable images the one
+    # deciding route (_first_bad_triple, _monotone_witness or
+    # _halving_witness) runs, and its witness is the verdict's.
     images, bad = _amenable_images(f.ratio_at, [(k, den) for k in keys])
     if bad is None:
-        bad = _first_bad_triple(den, keys, images, strong_samples, strong_images)
-        if direct is not None:
-            name, route = direct
-            scan, bad = bad, route(den, keys, images)
-            if (bad is None) != (scan is None):
-                raise EquivalenceBreachError(f"{name} and triplet scan disagree: {bad} vs {scan}")
+        bad = route(den, keys, images)
     return TripletVerdict(bad is None, _digest(den, keys), bad)
 
 
@@ -327,7 +294,7 @@ def check_metric_preserving_sampled(
     den, keys = _sample_keys(samples)
     if keys[:1] != [0]:
         raise ValueError("the sample set must contain 0")
-    return _triplet_verdict(f, den, keys, strong_samples=False, strong_images=False)
+    return _triplet_verdict(f, den, keys, _first_bad_triple)
 
 
 def _kinks(f: FunctionSpec) -> list[Fraction]:
@@ -343,21 +310,20 @@ def _kinks(f: FunctionSpec) -> list[Fraction]:
 def check_ultrametric_preserving(
     f: FunctionSpec, samples: Iterable[RationalLike]
 ) -> TripletVerdict:
-    """Decide ultrametric preservation on a sample set, two ways.
+    """Decide ultrametric preservation on a sample set.
 
-    Procedure one checks that f is amenable and nondecreasing; for
-    piecewise-linear and step shapes the sample set is refined with the
-    kink abscissas first, which makes the pairwise inspection exact.
-    Procedure two scans every strong triplet drawn from the (refined)
-    samples and requires a strong triplet image. The two procedures are
-    provably equivalent on the same point set; a disagreement raises
-    EquivalenceBreachError because it can only come from a bug.
+    f preserves ultrametrics exactly when it is amenable and nondecreasing
+    (Pongsriiam and Termwuttipong, "Remarks on ultrametrics and
+    metric-preserving functions", 2014). On distinct sorted samples a
+    strong triplet is (a, b, b), whose image is strong exactly when
+    f(a) <= f(b), so the check is the amenability gate and one O(n) sweep
+    over neighbouring samples, failing with the first pair on which f
+    decreases. For piecewise-linear and step shapes the sample set is
+    refined with the kink abscissas first, which makes the pairwise
+    inspection exact.
     """
     den, keys = _sample_keys(samples, _kinks(f))
-    direct = ("monotonicity inspection", _monotone_witness)
-    return _triplet_verdict(
-        f, den, keys, strong_samples=True, strong_images=True, direct=direct
-    )
+    return _triplet_verdict(f, den, keys, _monotone_witness)
 
 
 def check_ultra_to_metric(
@@ -365,16 +331,14 @@ def check_ultra_to_metric(
 ) -> TripletVerdict:
     """Decide whether f carries ultrametrics into plain metrics, sampled.
 
-    Direct form: f(0) = 0 and 0 < f(a) <= 2 f(b) for all sampled 0 < a < b,
-    decided by one sweep against the suffix minima of the images.
-    Cross-check: every sampled strong triplet must map into the triangle
-    family. Both run; disagreement raises EquivalenceBreachError.
+    f(0) = 0 and 0 < f(a) <= 2 f(b) for all sampled 0 < a < b: the image
+    (f(a), f(b), f(b)) of each sampled strong triplet (a, b, b) is then a
+    triangle triplet. Decided by one O(n) sweep against the suffix minima
+    of the images, failing with the least pair 0 < a < b, by a and then b,
+    with f(a) > 2 f(b).
     """
     den, keys = _sample_keys(samples)
-    direct = ("pair inspection", _halving_witness)
-    return _triplet_verdict(
-        f, den, keys, strong_samples=True, strong_images=False, direct=direct
-    )
+    return _triplet_verdict(f, den, keys, _halving_witness)
 
 
 def _first_bad_sum(
@@ -397,7 +361,8 @@ def _first_bad_sum(
 
 
 def _not_triangle(ya: int, yb: int, yc: int) -> bool:
-    # as is_triangle_triplet decides it, negative entries refused first
+    # the one triangle test, on ints over one denominator or on Fractions
+    # (is_triangle_triplet), negative entries refused first
     if ya < 0 or yb < 0 or yc < 0:
         raise NegativeInputError("triplet entries must be nonnegative")
     return ya > yb + yc or yb > ya + yc or yc > ya + yb

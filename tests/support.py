@@ -32,7 +32,10 @@ package did before it held its samples as integer keys.
 ``ref_first_bad_triple`` is the range-query engine as it was before its
 strong-sample scan tested the one c = b of each pair: every pair's range
 queried, with the family given as a ``reach`` and a ``band`` callable
-(``ref_triangle_band``, ``ref_strong_band``).
+(``ref_triangle_band``, ``ref_strong_band``). The package keeps only its
+triangle family; with ``max`` reach it, ``sorted_triple_scan`` and the
+``brute_check_*`` / ``ref_check_*`` ultrametric checks are the pairwise
+oracle of the O(n) sweeps that decide the two strong-sample checks.
 
 ``brute_window_pairs`` and ``brute_check_p_metric_preserving`` are the
 p-adic band check as it was before its O(w) sweep: every exponent pair
@@ -579,8 +582,10 @@ def ref_first_bad_triple(den, keys, images, reach, band) -> Witness | None:
     when c <= reach(a, b) (``operator.add`` or ``max``), and its images
     pass exactly when f(c) lies in band(f(a), f(b)). Every pair queries
     two sparse tables over its range and walks the range only when the
-    query fails, as the package did before its strong-sample scan tested
-    the one c = b of each pair.
+    query fails. With ``operator.add`` it is the oracle of the package's
+    triangle scan (``preserving._first_bad_triple``); with ``max`` it is
+    the pairwise strong-sample scan that the ultrametric checks' O(n)
+    sweeps (``_monotone_witness``, ``_halving_witness``) replace.
     """
     n = len(keys)
     yi = _common(images)[1]

@@ -19,6 +19,7 @@ from padicmetrics import (
     ComparableError,
     BadIntervalError,
     DistanceMatrixCandidate,
+    EquivalenceBreachError,
     FiniteUltrametricSpace,
     FunctionSpec,
     FinitePoset,
@@ -43,6 +44,7 @@ from padicmetrics import (
     isotone_for_incomparables,
     validate_ultrametric,
 )
+from padicmetrics import families
 from padicmetrics.families import (
     OrderWitness,
     PreservationReport,
@@ -409,6 +411,16 @@ def test_zigzag_breaks_the_four_point_family():
     assert report.space_witness.kind == "strong_triangle"
 
 
+def test_routes_that_disagree_raise_a_breach(monkeypatch):
+    # a space side that misses the zigzag's strong-triangle break leaves
+    # the order side alone with its witness: the check raises, as the one
+    # place that compares two routes, instead of returning either verdict
+    monkeypatch.setattr(families, "_space_side", lambda image, family, ranked: None)
+    with pytest.raises(EquivalenceBreachError, match="order side says .* space side says None"):
+        check_family_preserving(zigzag_map(), four_point_family())
+    assert check_family_preserving(identity_map(), four_point_family()).passed
+
+
 def test_order_side_calls_f_once_per_value():
     family = SpaceFamily((comb_space(range(1, 31)),))
     calls = []
@@ -544,7 +556,9 @@ def _ref_extension(f, family, calls):
         raise NotTotallyOrderedError("the family's distance order is not total")
     report = _ref_report(f, family, calls)
     if not report.passed:
-        raise NotPreservingError(f"f does not preserve the family: {report.order_witness}")
+        raise NotPreservingError(
+            f"f does not preserve the family: {report.order_witness.to_json_dict()}"
+        )
     positives = [v for v in poset.ground if v > 0]
     if not positives:
         raise NoPositiveDistancesError("nothing to extend: no positive distances")

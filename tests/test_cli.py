@@ -16,9 +16,11 @@ import pytest
 import padicmetrics
 from padicmetrics import (
     Canonical,
+    EquivalenceBreachError,
     ExponentWindow,
     SelfCheckError,
     cli,
+    families,
     extend_to_ultrametric_preserving,
     witness_triple,
 )
@@ -418,6 +420,38 @@ def test_space_isometry_self_check(capsys, space_file, monkeypatch):
     monkeypatch.setattr(cli, "is_isometry", lambda a, b, mapping: False)
     with pytest.raises(SelfCheckError):
         main(["space", "isometry", "--file", space_file, "--to", space_file])
+
+
+def test_class_check_breach_stays_loud(capsys, family_file, monkeypatch):
+    # two routes of the family check that disagree are an internal defect:
+    # main raises it rather than printing an error and exiting 2
+    monkeypatch.setattr(families, "_space_side", lambda image, family, ranked: None)
+    with pytest.raises(EquivalenceBreachError):
+        main(["class", "check", "--file", family_file, "--spec", ZIGZAG])
+    assert capsys.readouterr().out == ""
+
+
+def test_family_error_details_quote_values_as_text(capsys, chain_file, tmp_path):
+    # a broken space's sides and a failing extension's witness are written
+    # as the JSON writes rationals, with no Python repr in the detail
+    broken = tmp_path / "broken.json"
+    rows = [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]]
+    broken.write_text(json.dumps({"spaces": [{"points": ["a", "b", "c"], "d": rows}]}))
+    code, payload = run_json(capsys, "class", "ran", "--file", str(broken))
+    assert code == 2
+    assert payload == {
+        "error": "invalid_input",
+        "detail": "space 0 is not ultrametric: indices (0, 2, 1) with sides (3, 1, 1)",
+    }
+    code, payload = run_json(
+        capsys, "class", "extend", "--file", chain_file, "--spec", '{"kind":"reciprocal"}'
+    )
+    assert code == 2
+    assert payload == {
+        "error": "not_preserving",
+        "detail": "f does not preserve the family: "
+        "{'kind': 'pair', 'points': ['1', '2'], 'values': ['1', '1/2']}",
+    }
 
 
 def test_space_embed_dim(capsys, space_file):

@@ -66,10 +66,13 @@ from padicmetrics.preserving import (
     MAX_GRID_POINTS,
     _first_bad_triple,
     _grid,
+    _halving_witness,
+    _monotone_witness,
     _sample_keys,
 )
 from support import (
     COPRIME_DENOMINATORS,
+    amenability_witness,
     brute_check_metric_preserving_sampled,
     brute_check_ultra_to_metric,
     brute_check_ultrametric_preserving,
@@ -669,6 +672,15 @@ def _outcome(check, f, samples):
         return type(err).__name__, str(err)
 
 
+# the sweep that decides each strong-sample family, with the callable
+# engine's band and the Fraction scans' image test: strong images for
+# check_ultrametric_preserving, triangle images for check_ultra_to_metric
+STRONG_SWEEPS = (
+    (_monotone_witness, ref_strong_band, is_strong_triplet),
+    (_halving_witness, ref_triangle_band, is_triangle_triplet),
+)
+
+
 @settings(max_examples=300)
 @given(
     origin=st.sampled_from((F(0), F(0), F(0), F(1))),
@@ -701,28 +713,20 @@ def test_sorted_scan_matches_ordered_brute_force(origin, table, drop, stray):
         want = _outcome(brute, f, samples)
         assert _outcome(check, f, samples) == want
         assert _outcome(ref, f, samples) == want
-    # the ultrametric verdicts report the direct route's witness, so compare
-    # the scans' own witnesses too
+    # the ultrametric verdicts report the sweep's witness, so compare the
+    # scans' own witnesses too: on amenable images the sweep finds a pair
+    # exactly when the strong-sample scans find a triple
     den, keys = _sample_keys(xs)
     images = [f.ratio_at(k, den) for k in keys]
-    for strong_samples, strong_images, reach, in_family, image_ok in (
-        (False, False, operator.add, is_triangle_triplet, is_triangle_triplet),
-        (True, True, max, is_strong_triplet, is_strong_triplet),
-        (True, False, max, is_strong_triplet, is_triangle_triplet),
-    ):
-        want = brute_triple_scan(f, xs, in_family, image_ok)
-        assert sorted_triple_scan(f, xs, reach, image_ok) == want
-        assert _first_bad_triple(den, keys, images, strong_samples, strong_images) == want
-
-
-# (strong samples, strong images) of each scan, with the reference's
-# reach and band and the Fraction scan's image test
-SCAN_FAMILIES = (
-    (False, False, operator.add, ref_triangle_band, is_triangle_triplet),
-    (True, True, max, ref_strong_band, is_strong_triplet),
-    (True, False, max, ref_triangle_band, is_triangle_triplet),
-    (False, True, operator.add, ref_strong_band, is_strong_triplet),
-)
+    want = brute_triple_scan(f, xs, is_triangle_triplet, is_triangle_triplet)
+    assert sorted_triple_scan(f, xs, operator.add, is_triangle_triplet) == want
+    assert _first_bad_triple(den, keys, images) == want
+    amenable = amenability_witness(f, xs) is None
+    for sweep, _, image_ok in STRONG_SWEEPS:
+        want = brute_triple_scan(f, xs, is_strong_triplet, image_ok)
+        assert sorted_triple_scan(f, xs, max, image_ok) == want
+        if amenable:
+            assert (sweep(den, keys, images) is None) == (want is None)
 
 
 @st.composite
@@ -745,15 +749,26 @@ def scan_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(scan=scan_inputs())
 def test_scan_families_match_the_callable_engine(scan):
-    # the inline bands give the witness of the callable engine and of the
-    # Fraction scan on every family, passing or failing
+    # the triangle scan's inline band gives the witness of the callable
+    # engine and of the Fraction scan, passing or failing; on strong
+    # samples, where the engine is the oracle, the sweep that decides the
+    # check finds a pair exactly when the oracle finds a triple, on every
+    # drawn input that passes the amenability gate; the engine's fourth
+    # family, triangle samples with strong images, has no check of its own
     den, keys, images = scan
     xs = [F(k, den) for k in keys]
     fs = dict(zip(xs, (F(*y) for y in images)))
-    for strong_samples, strong_images, reach, band, image_ok in SCAN_FAMILIES:
-        want = sorted_triple_scan(fs.__getitem__, xs, reach, image_ok)
-        assert ref_first_bad_triple(den, keys, images, reach, band) == want
-        assert _first_bad_triple(den, keys, images, strong_samples, strong_images) == want
+    want = sorted_triple_scan(fs.__getitem__, xs, operator.add, is_triangle_triplet)
+    assert ref_first_bad_triple(den, keys, images, operator.add, ref_triangle_band) == want
+    assert _first_bad_triple(den, keys, images) == want
+    want = sorted_triple_scan(fs.__getitem__, xs, operator.add, is_strong_triplet)
+    assert ref_first_bad_triple(den, keys, images, operator.add, ref_strong_band) == want
+    amenable = all((k == 0) == (n == 0) for k, (n, _) in zip(keys, images))
+    for sweep, band, image_ok in STRONG_SWEEPS:
+        want = sorted_triple_scan(fs.__getitem__, xs, max, image_ok)
+        assert ref_first_bad_triple(den, keys, images, max, band) == want
+        if amenable:
+            assert (sweep(den, keys, images) is None) == (want is None)
 
 
 slopes = st.fractions(min_value=F(0), max_value=F(3), max_denominator=4)
