@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from typing import Callable, Iterator
@@ -53,17 +54,47 @@ from .spaces import (
 )
 
 Pair = tuple[Fraction, Fraction]
+# each space's matrix on int ranks, row by row
+Ranked = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @dataclass(frozen=True)
 class SpaceFamily(_Record):
-    """Nonempty, explicitly listed family of validated spaces."""
+    """Nonempty, explicitly listed family of validated spaces.
+
+    ``_order`` builds the family's distance order the first time a family
+    verb asks, and keeps it on the instance: ``family_poset``,
+    ``check_family_preserving``, ``build_extension``,
+    ``counterexample_function`` and ``compare_families`` all read that one
+    build. A build that raises keeps nothing, and raises again on the next
+    call. The cached rank matrices are tuples, so no reader can change
+    them.
+
+    The cache rests on the family never changing. ``spaces`` is stored as
+    a tuple, each member must be a frozen ``FiniteUltrametricSpace``, and
+    a space's rows are tuples when its candidate comes from
+    ``DistanceMatrixCandidate.from_rows`` or ``from_json_dict``. A space
+    on mutable rows must not have them changed once a family holding it
+    has been used.
+
+    Raises:
+        ValueError: for an empty family.
+        TypeError: for a member that is not a ``FiniteUltrametricSpace``,
+            named by its index and type.
+    """
 
     spaces: tuple[FiniteUltrametricSpace, ...]
 
     def __post_init__(self) -> None:
-        if not self.spaces:
+        spaces = tuple(self.spaces)
+        if not spaces:
             raise ValueError("a family needs at least one space")
+        for idx, s in enumerate(spaces):
+            if not isinstance(s, FiniteUltrametricSpace):
+                raise TypeError(
+                    f"space {idx} is a {type(s).__name__}, not a FiniteUltrametricSpace"
+                )
+        object.__setattr__(self, "spaces", spaces)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SpaceFamily":
@@ -78,6 +109,28 @@ class SpaceFamily(_Record):
                 )
             spaces.append(out)
         return cls(tuple(spaces))
+
+    @cached_property
+    def _order(self) -> tuple[FinitePoset, Ranked]:
+        """``family_poset``'s order, with the family's matrices on the ranks
+        of its ground: rank r stands for ground[r], since 0 is the least value.
+        """
+        ground, _, ranked = _ranked(s.dist for s in self.spaces)
+        ran = tuple(ground)
+        frozen = tuple(tuple(map(tuple, m)) for m in ranked)
+        up = [row | 1 << i for i, row in enumerate(_base_leg_bits(frozen, len(ran)))]
+        _close(up)
+        for i, row in enumerate(up):
+            below = row & ((1 << i) - 1)
+            if below:
+                j = below.bit_length() - 1
+                raise SelfCheckError(
+                    f"distance order escapes numeric order on {ran[i]}, {ran[j]}"
+                )
+        for j, t in enumerate(ran):
+            if not up[0] >> j & 1:
+                raise SelfCheckError(f"0 is not below {t}")
+        return FinitePoset._trusted(ran, tuple(up)), frozen
 
 
 def distance_values(family: SpaceFamily) -> tuple[Fraction, ...]:
@@ -97,7 +150,7 @@ def _bits(row: int) -> Iterator[int]:
         row &= row - 1
 
 
-def _base_leg_bits(ranked: list[list[list[int]]], size: int) -> list[int]:
+def _base_leg_bits(ranked: Ranked, size: int) -> list[int]:
     """All pairs (base, leg) realized by point triples, repetition allowed.
 
     ``ranked`` holds the family's matrices on the ranks of ``_ranked``, so
@@ -242,32 +295,13 @@ def family_poset(family: SpaceFamily) -> FinitePoset:
 
     The structural guarantees (containment in the numeric order, which
     implies antisymmetry, and least element 0) hold for every family; they
-    are re-derived here and a breach raises SelfCheckError rather than
-    returning nonsense. The rows are then a partial order on the sorted
-    ground by construction (reflexive, closed, and inside the numeric
-    order), so the poset is made through ``FinitePoset._trusted``, without
-    the checks of direct construction.
+    are re-derived when the family's order is first built, and a breach
+    raises SelfCheckError rather than returning nonsense. The rows are
+    then a partial order on the sorted ground by construction (reflexive,
+    closed, and inside the numeric order), so the poset is made through
+    ``FinitePoset._trusted``, without the checks of direct construction.
     """
-    return _ranked_poset(family)[0]
-
-
-def _ranked_poset(family: SpaceFamily) -> tuple[FinitePoset, list[list[list[int]]]]:
-    """``family_poset`` with the family's matrices on the ranks of its ground."""
-    ground, _, ranked = _ranked(s.dist for s in family.spaces)
-    ran = tuple(ground)
-    up = [row | 1 << i for i, row in enumerate(_base_leg_bits(ranked, len(ran)))]
-    _close(up)
-    for i, row in enumerate(up):
-        below = row & ((1 << i) - 1)
-        if below:
-            j = below.bit_length() - 1
-            raise SelfCheckError(
-                f"distance order escapes numeric order on {ran[i]}, {ran[j]}"
-            )
-    for j, t in enumerate(ran):
-        if not up[0] >> j & 1:
-            raise SelfCheckError(f"0 is not below {t}")
-    return FinitePoset._trusted(ran, tuple(up)), ranked
+    return family._order[0]
 
 
 @dataclass(frozen=True)
@@ -321,7 +355,7 @@ def _order_side(read: Callable[[int, int], Ratio], poset: FinitePoset) -> OrderW
 
 
 def _space_side(
-    image: Callable[[int], Ratio], family: SpaceFamily, ranked: list[list[list[int]]]
+    image: Callable[[int], Ratio], family: SpaceFamily, ranked: Ranked
 ) -> SpaceWitness | None:
     """Transform and validate each space, on its ranks in the family's ground.
 
@@ -343,7 +377,7 @@ def _space_side(
 
 
 def _report(
-    f: FunctionSpec, family: SpaceFamily, poset: FinitePoset, ranked: list[list[list[int]]]
+    f: FunctionSpec, family: SpaceFamily, poset: FinitePoset, ranked: Ranked
 ) -> tuple[PreservationReport, _Memo]:
     """Run both routes against the family's own poset and compare them.
 
@@ -373,9 +407,9 @@ def check_family_preserving(f: FunctionSpec, family: SpaceFamily) -> Preservatio
     the family's distance order). Their verdicts are compared on every
     call; disagreement raises EquivalenceBreachError because the
     equivalence is a theorem, not a heuristic. The family's matrices are
-    ranked once, for the poset and for every space's image.
+    ranked once per family, for the poset and for every space's image.
     """
-    return _report(f, family, *_ranked_poset(family))[0]
+    return _report(f, family, *family._order)[0]
 
 
 def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
@@ -387,7 +421,7 @@ def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
     staying at f(high) forever after. It agrees with f on every value the
     family realizes.
     """
-    poset, ranked = _ranked_poset(family)
+    poset, ranked = family._order
     if not poset.is_total():
         raise NotTotallyOrderedError("the family's distance order is not total")
     report, memo = _report(f, family, poset, ranked)
@@ -441,7 +475,7 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     decreasing somewhere on its values, so no increasing function can
     agree with it; both facts are re-verified before returning.
     """
-    poset, ranked = _ranked_poset(family)
+    poset, ranked = family._order
     if poset.is_total():
         raise TotallyOrderedError("the family's distance order is already total")
     ran, up = poset.ground, poset.up

@@ -6,6 +6,7 @@ doubles as an equivalence check between the order side and the
 transform-and-validate side.
 """
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -28,6 +29,7 @@ from padicmetrics import (
     NotPreservingError,
     NotTotallyOrderedError,
     PadicMetricsError,
+    SelfCheckError,
     SpaceFamily,
     StepFunction,
     Tabulated,
@@ -113,6 +115,15 @@ def test_family_json_rejects_broken_spaces():
         )
     with pytest.raises(ValueError):
         SpaceFamily(())
+
+
+def test_family_holds_a_tuple_of_validated_spaces():
+    space = four_point_space()
+    family = SpaceFamily([space])
+    assert type(family.spaces) is tuple and family == SpaceFamily((space,))
+    assert hash(family) == hash(SpaceFamily((space,)))
+    with pytest.raises(TypeError, match="space 1 is a DistanceMatrixCandidate"):
+        SpaceFamily((space, space.candidate()))
 
 
 def test_distance_values_include_zero():
@@ -707,3 +718,84 @@ def test_compare_families():
     assert compare_families(four, chain) == {"same_range": True, "same_order": False}
     small = SpaceFamily((comb_space([1, 2]),))
     assert compare_families(four, small) == {"same_range": False, "same_order": False}
+
+
+# ------------------------------------------------------------------ cache --
+
+
+def _family_verbs(f: FunctionSpec, other: SpaceFamily) -> dict:
+    return {
+        "poset": family_poset,
+        "check": lambda fam: check_family_preserving(f, fam),
+        "extension": lambda fam: build_extension(f, fam),
+        "counterexample": counterexample_function,
+        "compare": lambda fam: compare_families(fam, other),
+    }
+
+
+def _verb_outcome(verb, family):
+    # the JSON of the result, or the class of the error raised
+    try:
+        out = verb(family)
+    except PadicMetricsError as err:
+        return type(err)
+    return out if isinstance(out, dict) else out.to_json_dict()
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_family_verbs_in_any_order_match_a_fresh_family(data):
+    """The order one instance keeps serves every verb as a first build would."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    family, other = random_family(rng), random_family(rng)
+    ground = distance_values(family)
+    images = sorted(data.draw(st.sampled_from(SIX_VALUE_POOL)) for _ in ground[1:])
+    if data.draw(st.booleans()):
+        rng.shuffle(images)
+    f = Tabulated.from_mapping(dict(zip(ground, [F(0), *images])))
+    verbs = _family_verbs(f, other)
+    for name in data.draw(st.permutations(sorted(verbs))):
+        fresh = SpaceFamily(tuple(family.spaces))
+        assert fresh == family and vars(fresh).keys() == {"spaces"}
+        assert _verb_outcome(verbs[name], family) == _verb_outcome(verbs[name], fresh)
+
+
+@pytest.mark.parametrize("make", [four_point_family, _chain_family])
+def test_family_verbs_rank_a_family_once(make, monkeypatch):
+    calls = []
+
+    def counted(matrices):
+        calls.append(1)
+        return _ranked(matrices)
+
+    monkeypatch.setattr(families, "_ranked", counted)
+    family = make()
+    for verb in _family_verbs(identity_map(), family).values():
+        _verb_outcome(verb, family)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [four_point_family, _chain_family])
+def test_family_verbs_leave_the_cached_ranks_as_built(make):
+    family = make()
+    poset, ranked = family._order
+    before = deepcopy(ranked)
+    for verb in _family_verbs(identity_map(), family).values():
+        _verb_outcome(verb, family)
+    assert family._order[0] is poset and family._order[1] == before
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        (((F(1),),), SelfCheckError),  # a nonzero diagonal: 0 is not below 1
+        (((0, 0.5), (0.5, 0)), TypeError),  # a float entry
+    ],
+)
+def test_a_failed_build_is_not_kept(rows, error):
+    labels = tuple("ab"[: len(rows)])
+    family = SpaceFamily((FiniteUltrametricSpace(labels, rows),))
+    for verb in [*_family_verbs(identity_map(), family).values()] * 2:
+        with pytest.raises(error):
+            verb(family)
+    assert "_order" not in vars(family)
