@@ -16,7 +16,9 @@ process, so an in-process caller pays for the verb's own work only.
 Sharing it is safe: each ``parse_args`` fills a new ``Namespace``; usage,
 errors and ``--help`` go to ``sys.stdout``/``sys.stderr`` as they are at
 call time; and the help formatter, which reads ``COLUMNS``, is made anew
-on every call. Handlers are bound when the tree is built.
+on every call. Handlers are bound when the tree is built. The fixtures
+module is imported by ``examples reproduce`` alone, so no other verb pays
+for loading it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .families import (
     distance_values,
     family_poset,
 )
-from .fixtures import run_all
 from .functions import FunctionSpec, PowerMap, PowerStep, PrimeShift, spec_from_json_dict
 from .padic import _text, as_fraction, digit_window, padic_abs, padic_distance, valuation
 from .padic_preserving import (
@@ -344,6 +345,8 @@ def _cmd_class_compare(args) -> Result:
 
 
 def _cmd_examples_reproduce(args) -> Result:
+    from .fixtures import run_all  # the one verb that needs the fixtures
+
     results = run_all()
     failed = [r for r in results if not r.passed]
     payload = {

@@ -64,6 +64,18 @@ class ZeroDistanceError(PadicMetricsError):
     """Distinct points of a candidate are at distance zero."""
 
 
+class NotUltrametricError(PadicMetricsError):
+    """A space's distances break the strong triangle inequality.
+
+    ``violation`` is the least breach, the ``TriangleViolation`` that
+    ``validate_ultrametric`` returns for the same matrix.
+    """
+
+    def __init__(self, message: str, violation) -> None:
+        super().__init__(message)
+        self.violation = violation
+
+
 class SizeMismatchError(PadicMetricsError):
     """Two spaces must have the same number of points."""
 

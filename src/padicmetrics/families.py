@@ -37,6 +37,7 @@ from .errors import (
     NoPositiveDistancesError,
     NotPreservingError,
     NotTotallyOrderedError,
+    NotUltrametricError,
     SelfCheckError,
     TotallyOrderedError,
     ZeroDistanceError,
@@ -45,12 +46,10 @@ from .functions import FunctionSpec, StepFunction, Tabulated
 from .padic import RationalLike, _Record, _ranks, _ratio, _text, as_fraction
 from .preserving import Ratio, _Memo, _amenable_images, _fractions
 from .spaces import (
-    DistanceMatrixCandidate,
     FiniteUltrametricSpace,
     TriangleViolation,
     _ranked,
     _validate_image,
-    validate_ultrametric,
 )
 
 Pair = tuple[Fraction, Fraction]
@@ -72,10 +71,9 @@ class SpaceFamily(_Record):
 
     The cache rests on the family never changing. ``spaces`` is stored as
     a tuple, each member must be a frozen ``FiniteUltrametricSpace``, and
-    a space's rows are tuples when its candidate comes from
-    ``DistanceMatrixCandidate.from_rows`` or ``from_json_dict``. A space
-    on mutable rows must not have them changed once a family holding it
-    has been used.
+    a space's rows are tuples when it comes from ``from_rows`` or
+    ``from_json_dict``. A space on mutable rows must not have them changed
+    once a family holding it has been used.
 
     Raises:
         ValueError: for an empty family.
@@ -100,14 +98,10 @@ class SpaceFamily(_Record):
     def from_json_dict(cls, data: dict) -> "SpaceFamily":
         spaces = []
         for idx, raw in enumerate(data["spaces"]):
-            out = validate_ultrametric(DistanceMatrixCandidate.from_json_dict(raw))
-            if isinstance(out, TriangleViolation):
-                sides = ", ".join(map(_text, out.sides))
-                raise ValueError(
-                    f"space {idx} is not ultrametric: indices "
-                    f"({out.i}, {out.j}, {out.k}) with sides ({sides})"
-                )
-            spaces.append(out)
+            try:
+                spaces.append(FiniteUltrametricSpace.from_json_dict(raw))
+            except NotUltrametricError as err:
+                raise ValueError(f"space {idx} is {err}") from None
         return cls(tuple(spaces))
 
     @cached_property

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import NotPreservingError, SelfCheckError
+from .errors import NotPreservingError
 from .families import (
     SpaceFamily,
     check_family_preserving,
@@ -37,7 +37,6 @@ from .preserving import (
     is_triangle_triplet,
 )
 from .spaces import (
-    DistanceMatrixCandidate,
     FiniteUltrametricSpace,
     apply_function,
     embedding_dimension,
@@ -50,16 +49,9 @@ from .spaces import (
 F = Fraction
 
 
-def _fixture_space(candidate: DistanceMatrixCandidate) -> FiniteUltrametricSpace:
-    space = validate_ultrametric(candidate)
-    if not isinstance(space, FiniteUltrametricSpace):
-        raise SelfCheckError(f"the fixture space is not ultrametric: {space}")
-    return space
-
-
 def four_point_space() -> FiniteUltrametricSpace:
     """Points x1..x4 with d(x1,x3) = 1, d(x2,x4) = 2, everything else 3."""
-    return _fixture_space(DistanceMatrixCandidate.from_rows(
+    return FiniteUltrametricSpace.from_rows(
         ("x1", "x2", "x3", "x4"),
         (
             (0, 3, 1, 3),
@@ -67,7 +59,7 @@ def four_point_space() -> FiniteUltrametricSpace:
             (1, 3, 0, 3),
             (3, 2, 3, 0),
         ),
-    ))
+    )
 
 
 def four_point_family() -> SpaceFamily:
@@ -76,7 +68,7 @@ def four_point_family() -> SpaceFamily:
 
 def legs_three_space() -> FiniteUltrametricSpace:
     """Points y1..y4 with d(y1,y2) = 2, d(y3,y4) = 1, everything else 3."""
-    return _fixture_space(DistanceMatrixCandidate.from_rows(
+    return FiniteUltrametricSpace.from_rows(
         ("y1", "y2", "y3", "y4"),
         (
             (0, 2, 3, 3),
@@ -84,7 +76,7 @@ def legs_three_space() -> FiniteUltrametricSpace:
             (3, 3, 0, 1),
             (3, 3, 1, 0),
         ),
-    ))
+    )
 
 
 def level_swap_map() -> PiecewiseLinear:

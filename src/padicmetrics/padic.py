@@ -18,8 +18,9 @@ last 64 moduli are cached); larger moduli are rejected.
 
 This module owns both ends of the JSON format: :func:`as_fraction` is the
 one reader of a rational, :func:`_text` the one writer of a rational, and
-:class:`_Record`, the base of every verdict, witness and function spec,
-the one writer of a result.
+:class:`_Record`, the base of every verdict, witness, space and function
+spec, the one writer of a result. It writes a tuple element by element,
+each element as a field of its own would be written.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Sequence, Union
@@ -162,38 +162,11 @@ def _layout(cls: type) -> tuple[tuple[str, bool], ...]:
     return tuple((f.name, "Fraction" in str(f.type)) for f in fields(cls))
 
 
-# exact element types of a tuple written in one pass as text, by rational
-_TEXTED = {False: frozenset({Fraction}), True: frozenset({Fraction, int})}
-_INTS = frozenset({int})
-_TUPLES = frozenset({tuple})
-
-
-def _texts(xs: Sequence[Fraction | int]) -> list[str]:
-    # _text of each, in one pass unless an integer is past str's digit limit
-    try:
-        return list(map(str, xs))
-    except ValueError:
-        return list(map(_text, xs))
-
-
 def _json_value(v: object, rational: bool) -> object:
     # dispatch on the exact type: a bool is no int here, and isinstance
-    # with Fraction, an ABC subclass, is several times slower. A tuple of
-    # Fractions (and ints, in a rational field), a tuple of such tuples
-    # of one length, and a tuple of plain ints are written in one pass
-    # over their entries; any other tuple goes element by element.
+    # with Fraction, an ABC subclass, is several times slower
     t = type(v)
     if t is tuple:
-        kinds = set(map(type, v))
-        if kinds <= _TEXTED[rational]:
-            return _texts(v)
-        if kinds <= _INTS:
-            return list(v)
-        if kinds == _TUPLES and v[0] and set(map(len, v)) == {len(v[0])}:
-            flat = tuple(chain.from_iterable(v))
-            if set(map(type, flat)) <= _TEXTED[rational]:
-                rows = [iter(_texts(flat))] * len(v[0])
-                return list(map(list, zip(*rows)))
         return [_json_value(x, rational) for x in v]
     if t is Fraction or (rational and t is int):
         return _text(v)

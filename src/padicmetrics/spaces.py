@@ -1,10 +1,12 @@
 """Finite ultrametric spaces as exact rational distance matrices.
 
 A candidate matrix is a plain carrier: it only knows its shape and labels.
-Validation separates the two failure channels deliberately: malformed
-input (asymmetry, nonzero diagonal, negative or vanishing off-diagonal
-entries) raises, while a strong-triangle failure is a legitimate negative
-answer and is returned as a witness the caller can re-check.
+A space is a candidate validated on construction. Validation separates the
+two failure channels deliberately: malformed input (asymmetry, nonzero
+diagonal, negative or vanishing off-diagonal entries) raises, while a
+strong-triangle failure is a legitimate negative answer, which
+``validate_ultrametric`` returns as a witness the caller can re-check (the
+space's constructor raises it in a ``NotUltrametricError``).
 
 The strong-triangle test is quadratic: a matrix is an ultrametric exactly
 when it equals its subdominant ultrametric, the minimax path distance over
@@ -41,6 +43,7 @@ from .errors import (
     AsymmetricError,
     NegativeEntryError,
     NonzeroDiagonalError,
+    NotUltrametricError,
     SizeMismatchError,
     TooLargeError,
     ZeroDistanceError,
@@ -82,7 +85,7 @@ def _check_shape(labels: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
-class DistanceMatrixCandidate:
+class DistanceMatrixCandidate(_Record):
     """Labeled square matrix, not yet known to be a distance at all."""
 
     labels: tuple[str, ...]
@@ -92,11 +95,11 @@ class DistanceMatrixCandidate:
         _check_shape(self.labels, self.dist)
 
     @classmethod
-    def from_rows(cls, labels, rows) -> "DistanceMatrixCandidate":
+    def from_rows(cls, labels, rows):
         return cls(tuple(labels), _coerce_rows(rows))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "DistanceMatrixCandidate":
+    def from_json_dict(cls, data: dict):
         return cls.from_rows(data["points"], data["d"])
 
     @property
@@ -111,24 +114,24 @@ class DistanceMatrixCandidate:
 
 
 @dataclass(frozen=True)
-class FiniteUltrametricSpace(_Record):
-    """Validated space; construct through validate_ultrametric."""
-
-    labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+class FiniteUltrametricSpace(DistanceMatrixCandidate):
+    """A candidate validated on construction, as ``validate_ultrametric``
+    validates it; a strong-triangle breach raises ``NotUltrametricError``,
+    with the least breach as its ``violation``."""
 
     def __post_init__(self) -> None:
-        _check_shape(self.labels, self.dist)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
+        super().__post_init__()
+        d = self.dist
+        _, _, (r,) = _ranked((d,))
+        v = _validate_ranked(self.labels, r, lambda i, j: d[i][j])
+        if v is not None:
+            sides = ", ".join(map(_text, v.sides))
+            raise NotUltrametricError(
+                f"not ultrametric: indices ({v.i}, {v.j}, {v.k}) with sides ({sides})", v
+            )
 
     def candidate(self) -> DistanceMatrixCandidate:
         return DistanceMatrixCandidate(self.labels, self.dist)
-
-    def to_json_dict(self) -> dict:
-        return self.candidate().to_json_dict()
 
 
 @dataclass(frozen=True)
@@ -240,14 +243,16 @@ def validate_ultrametric(
     which order, equate and sign exactly as the entries do, so each
     Fraction is read once to be ranked and never compared in a loop.
     Messages, witness sides and the returned space quote the entries.
+    The space's constructor runs the one validation and raises the breach
+    in a ``NotUltrametricError``, which is caught here.
 
     Raises:
         TypeError: for an entry that is no exact rational, such as a float.
     """
-    d = c.dist
-    _, _, (r,) = _ranked((d,))
-    out = _validate_ranked(c.labels, r, lambda i, j: d[i][j])
-    return FiniteUltrametricSpace(c.labels, d) if out is None else out
+    try:
+        return FiniteUltrametricSpace(c.labels, c.dist)
+    except NotUltrametricError as err:
+        return err.violation
 
 
 def _validate_ranked(

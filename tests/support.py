@@ -1,105 +1,77 @@
-"""Shared generators and independent oracles for the test suite.
+"""Shared generators, oracles and faster references for the test suite.
 
-The space generators here are construction-time oracles: they build
-matrices that are ultrametric by how they are assembled (random
-dendrograms, combs), not by running the package validator, so validator
-tests get an independent source of known-good inputs.
+Each claim the package makes is checked against one oracle written from
+its definition. Where that oracle cannot reach the sizes a test draws,
+one faster reference is checked against the oracle on small inputs and
+stands in for it on larger ones. Per claim:
 
-The ``brute_check_*`` functions are brute-force references for the three
-sampled triplet checks: they scan every ordered triple of samples, with no
-use of sorting, so the package's sorted scan can be compared against them.
-``brute_is_transitive`` is the reference for the poset constructor's
-closure-based transitivity check.
-
-``brute_validate_ultrametric``, ``brute_base_leg_pairs`` and
-``brute_transitive_closure`` are the cubic loops the package used before
-its quadratic routes (spanning-tree validation, row-wise base-leg pairs,
-bitset closure); they stay here as differential references.
-``brute_structural_check`` is the validator's structural pass over every
-ordered pair, before it visited each unordered pair once.
-
-``sorted_triple_scan`` is the sorted scan the sampled checks used before
-their range-query engine: every c of every sorted pair's range visited as
-a ``Fraction``. The ``ref_*`` functions are the five public sampled checks
-in that form: the three triplet checks scan with it, and all five call f
-afresh wherever they read a value (``amenability_witness``,
-``monotone_witness`` and ``halving_witness`` are the direct routes).
-Both generations read their samples as ``Fraction`` sets: ``ref_canonical``
-sorts the distinct samples, ``ref_refine`` adds a spec's kink abscissas,
-and ``ref_samples_digest`` hashes the sorted Fractions as printed, as the
-package did before it held its samples as integer keys.
-
-``ref_first_bad_triple`` is the range-query engine as it was before its
-strong-sample scan tested the one c = b of each pair: every pair's range
-queried, with the family given as a ``reach`` and a ``band`` callable
-(``ref_triangle_band``, ``ref_strong_band``). The package keeps only its
-triangle family; with ``max`` reach it, ``sorted_triple_scan`` and the
-``brute_check_*`` / ``ref_check_*`` ultrametric checks are the pairwise
-oracle of the O(n) sweeps that decide the two strong-sample checks.
-
-``brute_window_pairs`` and ``brute_check_p_metric_preserving`` are the
-p-adic band check as it was before its O(w) sweep: every exponent pair
-built, sorted by (|m| + |n|, m, n) and compared one at a time.
-``ref_check_p_ultrametric_preserving`` and
-``ref_extend_to_ultrametric_preserving`` are the adjacent walk and the
-step extension as they were before the window checks cross-multiplied
-integers. All three read f at Fraction powers built one at a time and
-compare the images as Fractions. ``ref_window_exponents`` is the window
-sorted by (|k|, k), and ``ref_window_gate`` the origin and vanishing
-checks over it. Each of these references walks a fully sorted order and
-stops at the first failure, so it is an independent check of the
-package's rule, which takes the least failing exponent or pair by that
-same key with ``min`` and never sorts the window.
-
-``ref_digit_window`` is the digit expansion as a loop over Fractions,
-one subtraction of digit * p**k per digit, as it was before the package
-read the digits off one residue mod p**count.
-
-``ref_floor_power_index`` and ``ref_power_map_value`` are the p-power
-search and the ``PowerMap`` interpolation in ``Fraction`` arithmetic, as
-they were before both moved to integers.
-
-``ref_prime_shift_value`` is ``PrimeShift`` evaluation as it was before
-it moved to integers: every prime up to max(x, 1/x) offers its two
-``Fraction`` powers around x, and the nearest offers are kept.
-
-``ref_spec_value`` is f(x) for every built-in spec in ``Fraction``
-arithmetic, the value each spec computed apart from its integer
-``ratio_at`` before that became its one definition; it uses the two
-references above for ``PowerMap`` and ``PrimeShift``.
-
-``ref_exact_rank`` is Gauss-Jordan elimination over ``Fraction``s, the
-reference for the package's fraction-free integer rank.
-
-``ref_tabulated_entries`` is the parsing of a JSON table as it was before
-it skipped the sort of a table whose keys ascend: every table sorted,
-then the repeated keys, the key 0 and the signs checked on ``Fraction``s.
-
-``ref_as_fraction``, ``ref_padic_distance`` and ``ref_witness_triple``
-are the reader of a rational, the p-adic distance and the witness triple
-as they were before they moved to integers: every type told by
-isinstance, the distance as the p-adic order of the Fraction x - y (p
-divided out one factor at a time), and the triple as Fraction powers of p
-re-measured with that distance. ``ref_step_check`` and
-``ref_polyline_check`` are the field checks of ``StepFunction`` and
-``PiecewiseLinear`` as they were before they compared integer pairs: the
-same ValueErrors in the same order, from Fraction comparisons.
-``ref_ranked`` is ``spaces._ranked`` as it was before it read each
-distinct entry object once: every entry read and looked up by its pair.
+- *Ultrametric spaces.* ``random_ultrametric`` (random dendrograms) and
+  ``comb_space`` build matrices that are ultrametric by how they are
+  assembled; ``isosceles_check`` is the characterization by isosceles
+  triangles. Validation: the oracle ``brute_validate_ultrametric`` scans
+  all n^3 triples for the least breach, and ``brute_structural_check``
+  runs the structural checks over every ordered pair. ``must_validate``
+  asserts that a candidate validates.
+- *Ranking of distance values.* ``ref_ranked`` reads every entry and keys
+  it by its (numerator, denominator) pair.
+- *Gram rank.* ``ref_exact_rank``: Gauss-Jordan elimination over
+  Fractions.
+- *Family distance orders.* ``brute_base_leg_pairs`` collects (d(a, c),
+  d(a, b)) over every point triple with d(a, b) = d(b, c);
+  ``brute_transitive_closure`` is Warshall's sweep on a boolean matrix;
+  ``brute_is_transitive`` tests transitivity pair by pair.
+  ``random_family`` draws families of random dendrograms.
+- *Sampled triplet checks.* ``ref_check_metric_preserving_sampled``,
+  ``ref_check_ultrametric_preserving`` and ``ref_check_ultra_to_metric``
+  are the three checks from definitions, each given the triple scan it
+  runs. The oracle scan is ``brute_triple_scan``, over every ordered
+  triple; the faster reference is ``sorted_triple_scan``, over the sorted
+  triples of the family only, for the strategies of up to 40 keys.
+  ``amenability_witness``, ``monotone_witness`` and ``halving_witness``
+  are the direct routes, which call f afresh at every read.
+  ``ref_canonical`` sorts the distinct samples as Fractions,
+  ``ref_refine`` adds a spec's kink abscissas, and ``ref_samples_digest``
+  hashes the sorted Fractions as printed.
+- *Euclid pair check and sufficient conditions.*
+  ``ref_check_euclid_preserving_sampled`` and
+  ``ref_sufficient_conditions``, on Fractions with f called at every read.
+- *p-adic window checks.* ``brute_check_p_metric_preserving`` builds every
+  exponent pair (``brute_window_pairs``), sorts them by (|m| + |n|, m, n)
+  and compares them one at a time. ``ref_check_p_ultrametric_preserving``
+  and ``ref_extend_to_ultrametric_preserving`` walk the adjacent pairs in
+  (|n|, n) order. All three read f at Fraction powers (``ref_power_values``),
+  compare the images as Fractions, and share the origin and vanishing
+  gate ``ref_window_gate`` over ``ref_window_exponents``. Each walks a
+  fully sorted order and stops at the first failure.
+- *Digit windows.* ``ref_digit_window`` subtracts digit * p**k one digit
+  at a time, on Fractions.
+- *Spec values.* ``ref_spec_value`` is f(x) for every built-in spec in
+  Fraction arithmetic; ``ref_floor_power_index``, ``ref_power_map_value``
+  and ``ref_prime_shift_value`` (every prime up to max(x, 1/x) offers its
+  two powers around x) serve it.
+- *Spec fields and tables.* ``ref_step_check`` and ``ref_polyline_check``
+  raise the ValueError a spec's fields call for, from Fraction
+  comparisons; ``ref_tabulated_entries`` sorts a JSON table and checks it
+  on Fractions.
+- *Rationals and p-adic distances.* ``ref_as_fraction`` tells every type
+  by isinstance; ``ref_padic_distance`` takes the p-adic order of the
+  Fraction x - y, one factor of p at a time; ``ref_witness_triple``
+  builds the witness triple from Fraction powers of p and re-measures it
+  with that distance.
 
 ``adversarial_pool`` and ``mix_ints`` make distance values that are hard
-to rank: pairwise coprime denominators up to 2^61 - 1, twins less than
-2^-64 apart, and ints next to Fractions of the same value.
+to rank: pairwise coprime denominators up to 2^61 - 1
+(``COPRIME_DENOMINATORS``), twins less than 2^-64 apart, and ints next
+to Fractions of the same value.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import pairwise
+from itertools import pairwise, takewhile
 from random import Random
 
 from padicmetrics import (
@@ -139,14 +111,13 @@ from padicmetrics import (
     valuation,
 )
 from padicmetrics.functions import _primes_to, _sieve
-from padicmetrics.padic import _common, _ranks
+from padicmetrics.padic import _ranks
 from padicmetrics.padic_preserving import (
     PreservationVerdict,
     WindowWitness,
     _check_exponents,
     witness_triple,
 )
-from padicmetrics.preserving import _sparse_table
 
 # a spread of scales, including non-integers, for random distances
 SIX_VALUE_POOL = tuple(
@@ -394,7 +365,10 @@ def halving_witness(f, xs) -> Witness | None:
 
 
 def brute_triple_scan(f, xs, in_family, image_ok) -> Witness | None:
-    """First ordered triple of xs in in_family whose images fail image_ok."""
+    """First ordered triple of xs in in_family whose images fail image_ok.
+
+    Every ordered triple is visited, with no use of sorting.
+    """
     values = {x: f(x) for x in xs}
     for a in xs:
         for b in xs:
@@ -405,40 +379,6 @@ def brute_triple_scan(f, xs, in_family, image_ok) -> Witness | None:
                 if not image_ok(fa, fb, fc):
                     return Witness("triple", (a, b, c), (fa, fb, fc))
     return None
-
-
-def brute_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
-    xs = ref_canonical(samples)
-    if Fraction(0) not in xs:
-        raise ValueError("the sample set must contain 0")
-    digest = ref_samples_digest(xs)
-    amen = amenability_witness(f, xs)
-    if amen is not None:
-        return TripletVerdict(False, digest, amen)
-    bad = brute_triple_scan(f, xs, is_triangle_triplet, is_triangle_triplet)
-    return TripletVerdict(bad is None, digest, bad)
-
-
-def brute_check_ultrametric_preserving(f, samples) -> TripletVerdict:
-    xs = ref_refine(f, ref_canonical(samples))
-    digest = ref_samples_digest(xs)
-    amen = amenability_witness(f, xs)
-    direct = amen or monotone_witness(f, xs)
-    scan = amen or brute_triple_scan(f, xs, is_strong_triplet, is_strong_triplet)
-    if (direct is None) != (scan is None):
-        raise EquivalenceBreachError(f"routes disagree: {direct} vs {scan}")
-    return TripletVerdict(direct is None, digest, direct)
-
-
-def brute_check_ultra_to_metric(f, samples) -> TripletVerdict:
-    xs = ref_canonical(samples)
-    digest = ref_samples_digest(xs)
-    amen = amenability_witness(f, xs)
-    direct = amen or halving_witness(f, xs)
-    scan = amen or brute_triple_scan(f, xs, is_strong_triplet, is_triangle_triplet)
-    if (direct is None) != (scan is None):
-        raise EquivalenceBreachError(f"routes disagree: {direct} vs {scan}")
-    return TripletVerdict(direct is None, digest, direct)
 
 
 def brute_window_pairs(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -550,103 +490,58 @@ def ref_digit_window(x, p: int, high: int) -> DigitWindow:
     return DigitWindow(p, low, tuple(digits))
 
 
-def sorted_triple_scan(f, xs, reach, image_ok) -> Witness | None:
-    """First sorted triple of xs with c <= reach(a, b) whose images fail image_ok.
+def sorted_triple_scan(f, xs, in_family, image_ok) -> Witness | None:
+    """``brute_triple_scan`` on the sorted triples a <= b <= c of xs only.
 
-    xs ascending and nonnegative; for each sorted pair every c in
-    [b, reach(a, b)] is visited, as Fractions, with no range query.
+    xs ascending and nonnegative. For a sorted pair (a, b), the c >= b
+    with (a, b, c) in the triangle or the strong family form a run from b
+    on (c <= a + b, or c = b), so c is walked up from b while the triple
+    stays in the family. Each visited triple is tested as Fractions.
     """
     values = {x: f(x) for x in xs}
     for i, a in enumerate(xs):
         for j, b in enumerate(xs[i:], i):
-            for c in xs[j : bisect_right(xs, reach(a, b), j)]:
+            for c in takewhile(lambda c: in_family(a, b, c), xs[j:]):
                 fa, fb, fc = values[a], values[b], values[c]
                 if not image_ok(fa, fb, fc):
                     return Witness("triple", (a, b, c), (fa, fb, fc))
     return None
 
 
-def ref_triangle_band(ya: int, yb: int) -> tuple[int, int]:
-    return abs(ya - yb), ya + yb
-
-
-def ref_strong_band(ya: int, yb: int) -> tuple[int, int]:
-    top = max(ya, yb)
-    return (top, top) if ya != yb else (0, top)
-
-
-def ref_first_bad_triple(den, keys, images, reach, band) -> Witness | None:
-    """The range-query scan with the family given as callables.
-
-    A sorted triple a <= b <= c of the samples k / den is scanned exactly
-    when c <= reach(a, b) (``operator.add`` or ``max``), and its images
-    pass exactly when f(c) lies in band(f(a), f(b)). Every pair queries
-    two sparse tables over its range and walks the range only when the
-    query fails. With ``operator.add`` it is the oracle of the package's
-    triangle scan (``preserving._first_bad_triple``); with ``max`` it is
-    the pairwise strong-sample scan that the ultrametric checks' O(n)
-    sweeps (``_monotone_witness``, ``_halving_witness``) replace.
-    """
-    n = len(keys)
-    yi = _common(images)[1]
-    lows, highs = _sparse_table(yi, min), _sparse_table(yi, max)
-    for i in range(n):
-        xa, ya = keys[i], yi[i]
-        end = i
-        for j in range(i, n):
-            top = reach(xa, keys[j])
-            while end < n and keys[end] <= top:
-                end += 1
-            lo, hi = band(ya, yi[j])
-            k = (end - j).bit_length() - 1
-            right = end - (1 << k)
-            if lo <= min(lows[k][j], lows[k][right]) and max(highs[k][j], highs[k][right]) <= hi:
-                continue
-            for c in range(j, end):
-                if not lo <= yi[c] <= hi:
-                    points = tuple(Fraction(x, den) for x in (keys[i], keys[j], keys[c]))
-                    fs = tuple(Fraction(*images[x]) for x in (i, j, c))
-                    return Witness("triple", points, fs)
-            raise SelfCheckError(
-                f"the range query failed at ({Fraction(keys[i], den)}, {Fraction(keys[j], den)}) "
-                f"but no c up to {Fraction(keys[end - 1], den)} breaks it"
-            )
-    return None
-
-
-def ref_check_metric_preserving_sampled(f, samples) -> TripletVerdict:
+def ref_check_metric_preserving_sampled(f, samples, scan=sorted_triple_scan) -> TripletVerdict:
+    """``check_metric_preserving_sampled`` with its triples found by scan."""
     xs = ref_canonical(samples)
     if Fraction(0) not in xs:
         raise ValueError("the sample set must contain 0")
     digest = ref_samples_digest(xs)
-    bad = amenability_witness(f, xs) or sorted_triple_scan(
-        f, xs, operator.add, is_triangle_triplet
-    )
+    bad = amenability_witness(f, xs) or scan(f, xs, is_triangle_triplet, is_triangle_triplet)
     return TripletVerdict(bad is None, digest, bad)
 
 
-def ref_check_ultrametric_preserving(f, samples) -> TripletVerdict:
+def ref_check_ultrametric_preserving(f, samples, scan=sorted_triple_scan) -> TripletVerdict:
+    """``check_ultrametric_preserving``, its pair witness checked against scan."""
     xs = ref_refine(f, ref_canonical(samples))
     digest = ref_samples_digest(xs)
     amen = amenability_witness(f, xs)
     direct = amen or monotone_witness(f, xs)
-    scan = amen or sorted_triple_scan(f, xs, max, is_strong_triplet)
-    if (direct is None) != (scan is None):
+    triple = amen or scan(f, xs, is_strong_triplet, is_strong_triplet)
+    if (direct is None) != (triple is None):
         raise EquivalenceBreachError(
-            f"monotonicity inspection and triplet scan disagree: {direct} vs {scan}"
+            f"monotonicity inspection and triplet scan disagree: {direct} vs {triple}"
         )
     return TripletVerdict(direct is None, digest, direct)
 
 
-def ref_check_ultra_to_metric(f, samples) -> TripletVerdict:
+def ref_check_ultra_to_metric(f, samples, scan=sorted_triple_scan) -> TripletVerdict:
+    """``check_ultra_to_metric``, its pair witness checked against scan."""
     xs = ref_canonical(samples)
     digest = ref_samples_digest(xs)
     amen = amenability_witness(f, xs)
     direct = amen or halving_witness(f, xs)
-    scan = amen or sorted_triple_scan(f, xs, max, is_triangle_triplet)
-    if (direct is None) != (scan is None):
+    triple = amen or scan(f, xs, is_strong_triplet, is_triangle_triplet)
+    if (direct is None) != (triple is None):
         raise EquivalenceBreachError(
-            f"pair inspection and triplet scan disagree: {direct} vs {scan}"
+            f"pair inspection and triplet scan disagree: {direct} vs {triple}"
         )
     return TripletVerdict(direct is None, digest, direct)
 

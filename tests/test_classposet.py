@@ -788,14 +788,29 @@ def test_family_verbs_leave_the_cached_ranks_as_built(make):
 @pytest.mark.parametrize(
     "rows, error",
     [
-        (((F(1),),), SelfCheckError),  # a nonzero diagonal: 0 is not below 1
-        (((0, 0.5), (0.5, 0)), TypeError),  # a float entry
+        (((0,),), SelfCheckError),  # one point, a failed self-check
+        (((0, 1), (1, 0)), TypeError),  # two points, a failed read
     ],
 )
-def test_a_failed_build_is_not_kept(rows, error):
+def test_a_failed_build_is_not_kept(rows, error, monkeypatch):
+    # while a helper of the build raises, every verb builds again and
+    # raises again, and nothing is kept; once it no longer raises, the
+    # next build is kept
     labels = tuple("ab"[: len(rows)])
     family = SpaceFamily((FiniteUltrametricSpace(labels, rows),))
-    for verb in [*_family_verbs(identity_map(), family).values()] * 2:
+    builds = []
+
+    def failing(ranked, size):
+        builds.append(size)
+        raise error("the family order could not be built")
+
+    monkeypatch.setattr(families, "_base_leg_bits", failing)
+    verbs = [*_family_verbs(identity_map(), family).values()] * 2
+    for verb in verbs:
         with pytest.raises(error):
             verb(family)
     assert "_order" not in vars(family)
+    assert len(builds) == len(verbs)
+    monkeypatch.undo()
+    family_poset(family)
+    assert "_order" in vars(family)

@@ -638,6 +638,20 @@ def test_examples_reproduce_names_the_known_failure(capsys):
 CONSOLE_ARGS = ("padic", "abs", "--p", "3", "--x", "25/18")
 
 
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    # the child imports the package from where this session found it, which
+    # pytest's pythonpath setting may have put on sys.path without the env
+    src = str(Path(padicmetrics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def test_console_script_is_wired():
     # run the entry point the way the generated wrapper does, so the wiring
     # in pyproject.toml is checked from a checkout without an install
@@ -646,24 +660,20 @@ def test_console_script_is_wired():
     with pyproject.open("rb") as fh:
         entry = tomllib.load(fh)["project"]["scripts"]["padicmetrics"]
     module, attr = entry.split(":")
-    # the child imports the package from where this session found it, which
-    # pytest's pythonpath setting may have put on sys.path without the env
-    src = str(Path(padicmetrics.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            f"import sys; from {module} import {attr}; sys.exit({attr}())",
-            *CONSOLE_ARGS,
-        ],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+    proc = _run_python(
+        "-c", f"import sys; from {module} import {attr}; sys.exit({attr}())", *CONSOLE_ARGS
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"value": "9"}
+
+
+def test_importing_the_cli_leaves_the_fixtures_unloaded():
+    # only examples reproduce needs the fixtures, so no other verb loads them
+    proc = _run_python(
+        "-c", "import sys, padicmetrics.cli; print('padicmetrics.fixtures' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.skipif(

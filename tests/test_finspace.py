@@ -19,8 +19,9 @@ from padicmetrics import (
     FiniteUltrametricSpace,
     NegativeEntryError,
     NonzeroDiagonalError,
+    NotUltrametricError,
+    PadicMetricsError,
     Reciprocal,
-    SelfCheckError,
     SizeMismatchError,
     SpaceFamily,
     TooLargeError,
@@ -34,7 +35,7 @@ from padicmetrics import (
     isometry_search,
     validate_ultrametric,
 )
-from padicmetrics import fixtures
+from padicmetrics import spaces
 from padicmetrics.fixtures import four_point_space, legs_three_space, level_swap_map
 from padicmetrics.padic import as_fraction
 from padicmetrics.spaces import _integer_rank, _ranked
@@ -157,7 +158,52 @@ def test_validation_matches_cubic_scan_on_adversarial_rationals(data):
         i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         rows[i][j] = rows[j][i] = data.draw(st.sampled_from(pool))
     cand = DistanceMatrixCandidate(s.labels, mix_ints(rng, rows))
-    assert validate_ultrametric(cand) == brute_validate_ultrametric(cand)
+    want = brute_validate_ultrametric(cand)
+    assert validate_ultrametric(cand) == want
+    # the constructor builds the same space, or raises the same breach
+    try:
+        built = FiniteUltrametricSpace(cand.labels, cand.dist)
+    except NotUltrametricError as err:
+        built = err.violation
+    assert built == want
+
+
+FOUND_MATRIX = (("a", "b", "c"), ((0, 2, 1), (2, 0, 1), (1, 1, 0)))
+
+
+def test_a_matrix_that_breaks_the_strong_triangle_builds_no_space():
+    with pytest.raises(NotUltrametricError, match=r"\(0, 1, 2\) with sides \(2, 1, 1\)$") as err:
+        FiniteUltrametricSpace(*FOUND_MATRIX)
+    assert isinstance(err.value, PadicMetricsError)
+    assert err.value.violation == TriangleViolation(0, 1, 2, (2, 1, 1))
+    assert err.value.violation == validate_ultrametric(DistanceMatrixCandidate(*FOUND_MATRIX))
+    labels, rows = FOUND_MATRIX
+    for build in (
+        lambda: FiniteUltrametricSpace.from_rows(labels, rows),
+        lambda: FiniteUltrametricSpace.from_json_dict({"points": labels, "d": rows}),
+    ):
+        with pytest.raises(NotUltrametricError):
+            build()
+
+
+def test_validate_ultrametric_validates_once_per_call(monkeypatch):
+    candidates = (
+        DistanceMatrixCandidate(*FOUND_MATRIX),
+        four_point_space().candidate(),
+        four_point_space(),
+    )
+    calls = []
+    validate = spaces._validate_ranked
+
+    def counted(labels, r, entry):
+        calls.append(labels)
+        return validate(labels, r, entry)
+
+    monkeypatch.setattr(spaces, "_validate_ranked", counted)
+    for cand in candidates:
+        calls.clear()
+        validate_ultrametric(cand)
+        assert calls == [cand.labels]
 
 
 @settings(max_examples=300)
@@ -256,9 +302,9 @@ def test_float_entries_are_refused():
     cand = DistanceMatrixCandidate(("a", "b"), ((0, 0.5), (0.5, 0)))
     with pytest.raises(TypeError, match=r"^exact rationals only: got the float 0\.5$"):
         validate_ultrametric(cand)
-    space = FiniteUltrametricSpace(("a", "b"), ((F(0), F(1)), (F(1), 0.0)))
-    with pytest.raises(TypeError, match="got the float 0.0"):
-        apply_function(space, level_swap_map())
+    # the space's constructor validates, so no space holds a float
+    with pytest.raises(TypeError, match=r"^exact rationals only: got the float 0\.0$"):
+        FiniteUltrametricSpace(("a", "b"), ((F(0), F(1)), (F(1), 0.0)))
 
 
 def test_json_matrix_reads_each_string_once_with_the_same_result():
@@ -302,13 +348,14 @@ def test_fixture_spaces_validate():
 
 
 def test_fixture_spaces_self_check(monkeypatch):
-    # a fixture space that fails validation is an internal defect, raised
-    # even under python -O
+    # a fixture space that fails validation raises its breach when it is
+    # built, even under python -O
     violation = TriangleViolation(0, 1, 2, (F(3), F(1), F(1)))
-    monkeypatch.setattr(fixtures, "validate_ultrametric", lambda candidate: violation)
+    monkeypatch.setattr(spaces, "_validate_ranked", lambda labels, r, entry: violation)
     for build in (four_point_space, legs_three_space):
-        with pytest.raises(SelfCheckError):
+        with pytest.raises(NotUltrametricError) as err:
             build()
+        assert err.value.violation is violation
 
 
 def test_random_spaces_validate_and_are_isosceles():

@@ -5,7 +5,6 @@ exercised on randomized inputs: any disagreement between the routes
 raises inside the library, so a quiet pass here certifies both.
 """
 
-import operator
 import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,16 +72,12 @@ from padicmetrics.preserving import (
 from support import (
     COPRIME_DENOMINATORS,
     amenability_witness,
-    brute_check_metric_preserving_sampled,
-    brute_check_ultra_to_metric,
-    brute_check_ultrametric_preserving,
     brute_triple_scan,
     comb_space,
     ref_check_euclid_preserving_sampled,
     ref_check_metric_preserving_sampled,
     ref_check_ultra_to_metric,
     ref_check_ultrametric_preserving,
-    ref_first_bad_triple,
     ref_floor_power_index,
     ref_polyline_check,
     ref_power_map_value,
@@ -90,10 +85,8 @@ from support import (
     ref_samples_digest,
     ref_spec_value,
     ref_step_check,
-    ref_strong_band,
     ref_sufficient_conditions,
     ref_tabulated_entries,
-    ref_triangle_band,
     sorted_triple_scan,
 )
 
@@ -665,19 +658,19 @@ TABLE_KEYS = (F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(3), F(4), F(6))
 TABLE_VALUES = (F(0), F(1, 2), F(1), F(3, 2), F(2), F(3))
 
 
-def _outcome(check, f, samples):
+def _outcome(check, f, samples, *scan):
     try:
-        return check(f, samples).to_json_dict()
+        return check(f, samples, *scan).to_json_dict()
     except (PadicMetricsError, ValueError) as err:
         return type(err).__name__, str(err)
 
 
-# the sweep that decides each strong-sample family, with the callable
-# engine's band and the Fraction scans' image test: strong images for
-# check_ultrametric_preserving, triangle images for check_ultra_to_metric
+# the sweep that decides each strong-sample family, with the Fraction
+# scans' image test: strong images for check_ultrametric_preserving,
+# triangle images for check_ultra_to_metric
 STRONG_SWEEPS = (
-    (_monotone_witness, ref_strong_band, is_strong_triplet),
-    (_halving_witness, ref_triangle_band, is_triangle_triplet),
+    (_monotone_witness, is_strong_triplet),
+    (_halving_witness, is_triangle_triplet),
 )
 
 
@@ -692,39 +685,33 @@ STRONG_SWEEPS = (
 )
 def test_sorted_scan_matches_ordered_brute_force(origin, table, drop, stray):
     # random tabulations, amenable or not, passing or failing: every check
-    # gives the brute-force verdict, samples hash and witness, or the same
-    # error for a sample set without 0 or with an untabulated point
+    # gives the verdict, samples hash and witness of its definition over
+    # the ordered brute-force scan, or the same error for a sample set
+    # without 0 or with an untabulated point, and so does its definition
+    # over the sorted scan
     f = Tabulated.from_mapping({F(0): origin, **table})
     xs = [k for k, _ in f.entries if k not in drop]
     samples = xs if stray is None else [*xs, stray]
-    for check, brute, ref in (
-        (
-            check_metric_preserving_sampled,
-            brute_check_metric_preserving_sampled,
-            ref_check_metric_preserving_sampled,
-        ),
-        (
-            check_ultrametric_preserving,
-            brute_check_ultrametric_preserving,
-            ref_check_ultrametric_preserving,
-        ),
-        (check_ultra_to_metric, brute_check_ultra_to_metric, ref_check_ultra_to_metric),
+    for check, ref in (
+        (check_metric_preserving_sampled, ref_check_metric_preserving_sampled),
+        (check_ultrametric_preserving, ref_check_ultrametric_preserving),
+        (check_ultra_to_metric, ref_check_ultra_to_metric),
     ):
-        want = _outcome(brute, f, samples)
+        want = _outcome(ref, f, samples, brute_triple_scan)
         assert _outcome(check, f, samples) == want
-        assert _outcome(ref, f, samples) == want
+        assert _outcome(ref, f, samples, sorted_triple_scan) == want
     # the ultrametric verdicts report the sweep's witness, so compare the
     # scans' own witnesses too: on amenable images the sweep finds a pair
     # exactly when the strong-sample scans find a triple
     den, keys = _sample_keys(xs)
     images = [f.ratio_at(k, den) for k in keys]
     want = brute_triple_scan(f, xs, is_triangle_triplet, is_triangle_triplet)
-    assert sorted_triple_scan(f, xs, operator.add, is_triangle_triplet) == want
+    assert sorted_triple_scan(f, xs, is_triangle_triplet, is_triangle_triplet) == want
     assert _first_bad_triple(den, keys, images) == want
     amenable = amenability_witness(f, xs) is None
-    for sweep, _, image_ok in STRONG_SWEEPS:
+    for sweep, image_ok in STRONG_SWEEPS:
         want = brute_triple_scan(f, xs, is_strong_triplet, image_ok)
-        assert sorted_triple_scan(f, xs, max, image_ok) == want
+        assert sorted_triple_scan(f, xs, is_strong_triplet, image_ok) == want
         if amenable:
             assert (sweep(den, keys, images) is None) == (want is None)
 
@@ -748,26 +735,19 @@ def scan_inputs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(scan=scan_inputs())
-def test_scan_families_match_the_callable_engine(scan):
-    # the triangle scan's inline band gives the witness of the callable
-    # engine and of the Fraction scan, passing or failing; on strong
-    # samples, where the engine is the oracle, the sweep that decides the
-    # check finds a pair exactly when the oracle finds a triple, on every
-    # drawn input that passes the amenability gate; the engine's fourth
-    # family, triangle samples with strong images, has no check of its own
+def test_scan_families_match_the_sorted_scan(scan):
+    # the triangle scan gives the witness of the sorted Fraction scan,
+    # passing or failing; on strong samples the sweep that decides each
+    # check finds a pair exactly when the sorted scan finds a triple, on
+    # every drawn input that passes the amenability gate
     den, keys, images = scan
     xs = [F(k, den) for k in keys]
     fs = dict(zip(xs, (F(*y) for y in images)))
-    want = sorted_triple_scan(fs.__getitem__, xs, operator.add, is_triangle_triplet)
-    assert ref_first_bad_triple(den, keys, images, operator.add, ref_triangle_band) == want
+    want = sorted_triple_scan(fs.__getitem__, xs, is_triangle_triplet, is_triangle_triplet)
     assert _first_bad_triple(den, keys, images) == want
-    want = sorted_triple_scan(fs.__getitem__, xs, operator.add, is_strong_triplet)
-    assert ref_first_bad_triple(den, keys, images, operator.add, ref_strong_band) == want
-    amenable = all((k == 0) == (n == 0) for k, (n, _) in zip(keys, images))
-    for sweep, band, image_ok in STRONG_SWEEPS:
-        want = sorted_triple_scan(fs.__getitem__, xs, max, image_ok)
-        assert ref_first_bad_triple(den, keys, images, max, band) == want
-        if amenable:
+    if all((k == 0) == (n == 0) for k, (n, _) in zip(keys, images)):
+        for sweep, image_ok in STRONG_SWEEPS:
+            want = sorted_triple_scan(fs.__getitem__, xs, is_strong_triplet, image_ok)
             assert (sweep(den, keys, images) is None) == (want is None)
 
 
@@ -827,8 +807,9 @@ sampled_specs = st.one_of(
     origin=st.sampled_from((True, True, True, False)),
 )
 def test_sampled_checks_match_the_sorted_scan(f, xs, origin):
-    # every public sampled check gives the verdict, witness and error of the
-    # sorted Fraction scan with f called afresh at every read
+    # every public sampled check gives the verdict, witness and error of its
+    # definition, with f called afresh at every read and the triplet checks
+    # over the sorted Fraction scan
     samples = [F(0), *xs] if origin else xs
     pairs = list(zip(samples, reversed(samples)))
     for check, ref, arg in (

@@ -36,7 +36,7 @@ from padicmetrics import (
 )
 from padicmetrics.families import OrderWitness, PreservationReport
 from padicmetrics.fixtures import FixtureResult
-from padicmetrics.padic import _Record, _json_value, _text
+from padicmetrics.padic import _json_value
 from padicmetrics.padic_preserving import WindowWitness
 
 # a valid space and a strong-triangle failure, both built from int entries
@@ -208,47 +208,57 @@ class _Half(F):
     """A Fraction subclass: written as is, like any object of no known type."""
 
 
-def _one_by_one(v, rational):
-    # the writer with no one-pass paths: every tuple element by element
-    t = type(v)
-    if t is tuple:
-        return [_one_by_one(x, rational) for x in v]
-    if t is F or (rational and t is int):
-        return _text(v)
-    if isinstance(v, _Record):
-        return v.to_json_dict()
-    return v
-
-
 HUGE = 10**5000  # past the 4300 digits str writes by default
+HUGE_TEXT = "1" + "0" * 5000
+TRIPLE = Witness("triple", (1, 2, 3), (1, 2, 3))
+TRIPLE_JSON = {"kind": "triple", "points": ["1", "2", "3"], "images": ["1", "2", "3"]}
+# each tuple, and what it is written as in a plain field and in a field
+# whose annotation names Fraction, where an int is a rational
 ODD_TUPLES = {
-    "empty": (),
-    "fractions": (F(1, 2), F(-3), F(7, 9)),
-    "ints": (0, -4, 12),
-    "mixed": (F(1, 2), 3, F(4)),
-    "huge_int": (1, HUGE),
-    "huge_fraction": (F(HUGE, 7), F(1, 3)),
-    "bools": (True, 1, False),
-    "subclass": (F(1, 2), _Half(1, 2)),
-    "strings_and_none": ("a", None, F(1)),
-    "rows": ((F(1), F(1, 2)), (2, F(3, 4))),
-    "huge_rows": ((F(1), HUGE), (2, F(3, 4))),
-    "uneven_rows": ((F(1), F(1, 2)), (F(3),)),
-    "empty_rows": ((), ()),
-    "int_rows": ((1, 2), (3, 4)),
-    "rows_and_records": ((F(1), 2), Witness("triple", (1, 2, 3), (1, 2, 3))),
-    "nested_rows": (((F(1),), (F(2),)), ((F(3),), (F(4),))),
+    "empty": ((), [], []),
+    "fractions": ((F(1, 2), F(-3), F(7, 9)), ["1/2", "-3", "7/9"], ["1/2", "-3", "7/9"]),
+    "ints": ((0, -4, 12), [0, -4, 12], ["0", "-4", "12"]),
+    "mixed": ((F(1, 2), 3, F(4)), ["1/2", 3, "4"], ["1/2", "3", "4"]),
+    "huge_int": ((1, HUGE), [1, HUGE], ["1", HUGE_TEXT]),
+    "huge_fraction": (
+        (F(HUGE, 7), F(1, 3)), [HUGE_TEXT + "/7", "1/3"], [HUGE_TEXT + "/7", "1/3"]
+    ),
+    "bools": ((True, 1, False), [True, 1, False], [True, "1", False]),
+    "subclass": ((F(1, 2), _Half(1, 2)), ["1/2", _Half(1, 2)], ["1/2", _Half(1, 2)]),
+    "strings_and_none": (("a", None, F(1)), ["a", None, "1"], ["a", None, "1"]),
+    "rows": (
+        ((F(1), F(1, 2)), (2, F(3, 4))),
+        [["1", "1/2"], [2, "3/4"]],
+        [["1", "1/2"], ["2", "3/4"]],
+    ),
+    "huge_rows": (
+        ((F(1), HUGE), (2, F(3, 4))),
+        [["1", HUGE], [2, "3/4"]],
+        [["1", HUGE_TEXT], ["2", "3/4"]],
+    ),
+    "uneven_rows": (((F(1), F(1, 2)), (F(3),)), [["1", "1/2"], ["3"]], [["1", "1/2"], ["3"]]),
+    "empty_rows": (((), ()), [[], []], [[], []]),
+    "int_rows": (((1, 2), (3, 4)), [[1, 2], [3, 4]], [["1", "2"], ["3", "4"]]),
+    "rows_and_records": (
+        ((F(1), 2), TRIPLE), [["1", 2], TRIPLE_JSON], [["1", "2"], TRIPLE_JSON]
+    ),
+    "nested_rows": (
+        (((F(1),), (F(2),)), ((F(3),), (F(4),))),
+        [[["1"], ["2"]], [["3"], ["4"]]],
+        [[["1"], ["2"]], [["3"], ["4"]]],
+    ),
 }
 
 
 @pytest.mark.parametrize("rational", [False, True])
-@pytest.mark.parametrize("value", ODD_TUPLES.values(), ids=list(ODD_TUPLES))
-def test_one_pass_tuples_write_what_element_by_element_writes(value, rational):
-    # bools stay bools, a subclass stays itself, and past the digit limit
-    # an integer is still written through decimal
+@pytest.mark.parametrize("case", ODD_TUPLES.values(), ids=list(ODD_TUPLES))
+def test_one_pass_tuples_write_what_element_by_element_writes(case, rational):
+    # every tuple is written element by element: bools stay bools, a
+    # subclass stays itself, and past the digit limit an integer is still
+    # written through decimal
     def typed(x):
         return [typed(y) for y in x] if type(x) is list else (type(x), x)
 
+    value, plain, as_rational = case
     got = _json_value(value, rational)
-    assert type(got) is list
-    assert typed(got) == typed(_one_by_one(value, rational))
+    assert typed(got) == typed(as_rational if rational else plain)
