@@ -29,6 +29,10 @@ integer matrix is ranked exactly by fraction-free (Bareiss) elimination,
 which divides exactly at every step and so never leaves the integers.
 For a valid ultrametric space on n points that rank is always n - 1
 (Lemin, 1985), which is the embedding dimension.
+
+Two finite ultrametric spaces are isometric exactly when their trees of
+closed balls, labelled by diameter, are isomorphic (Johnson, 1967), which
+canonical forms of rooted trees decide (Aho, Hopcroft and Ullman, 1974).
 """
 
 from __future__ import annotations
@@ -334,19 +338,40 @@ def _validate_image(
     )
 
 
+def _ball_tree(r: list[list[int]], points: list[int]) -> int | tuple:
+    """A point, or (diameter rank t, the trees of the classes of d < t); in
+    an ultrametric t is the largest distance from one point to the rest."""
+    if len(points) == 1:
+        return points[0]
+    t = max(r[points[0]][y] for y in points)
+    children = []
+    while points:
+        rx = r[points[0]]
+        children.append(_ball_tree(r, [y for y in points if rx[y] < t]))
+        points = [y for y in points if rx[y] >= t]
+    return t, children
+
+
+def _form(tree: int | tuple, mark: list[int]) -> tuple:
+    """Canonical form of a ball tree whose points carry marks."""
+    if type(tree) is int:
+        return (mark[tree],)
+    return tree[0], sorted([_form(c, mark) for c in tree[1]])
+
+
 def isometry_search(
     a: FiniteUltrametricSpace, b: FiniteUltrametricSpace
 ) -> tuple[int, ...] | None:
     """Least distance-preserving bijection from a's points to b's, if any.
 
-    Backtracking over partial assignments in index order; the first
-    complete assignment found is the lexicographically least one. Sizes
-    are capped because the search is factorial, and checked before any
-    entry is read. Both matrices are ranked together once (see
-    ``_ranked``), so equal distances get equal int ranks and the search
-    compares ints only: point i may go to cand when, for every j < i
-    already sent to assigned[j], b's distance from assigned[j] to cand
-    equals a's from j to i.
+    Each space's ball tree is built once, on ranks shared by both matrices
+    (see ``_ranked``). Some isometry maps a's marked points onto b's of the
+    same marks exactly when the marked forms are equal. So point i, marked
+    i, goes to the least unmarked c of b whose form, c marked i, equals
+    a's: an isometry extending the choices survives, and one sending i
+    lower would have passed first, so the map is the least; at i = 0 the
+    test decides isometry. Sizes are checked before any entry is read; the
+    cap only keeps the exit codes of ``space isometry``.
     """
     if a.n != b.n:
         raise SizeMismatchError(f"cannot match {a.n} points with {b.n}")
@@ -354,30 +379,20 @@ def isometry_search(
         raise TooLargeError(f"search is capped at {MAX_SEARCH_POINTS} points")
     n = a.n
     _, _, (ra, rb) = _ranked((a.dist, b.dist))
-    # want[i]: a's distances from the points j < i to i; to[c]: b's to c
-    want = [[ra[j][i] for j in range(i)] for i in range(n)]
-    to = list(zip(*rb))
-    assigned: list[int] = []
-    used = [False] * n
-
-    def extend() -> bool:
-        if len(assigned) == n:
-            return True
-        i = len(assigned)
-        for cand in range(n):
-            if used[cand]:
-                continue
-            if list(map(to[cand].__getitem__, assigned)) != want[i]:
-                continue
-            assigned.append(cand)
-            used[cand] = True
-            if extend():
-                return True
-            assigned.pop()
-            used[cand] = False
-        return False
-
-    return tuple(assigned) if extend() else None
+    ta, tb = _ball_tree(ra, list(range(n))), _ball_tree(rb, list(range(n)))
+    ma, mb = [-1] * n, [-1] * n
+    for i in range(n):
+        ma[i] = i
+        fa = _form(ta, ma)
+        for c in range(n):
+            if mb[c] < 0:
+                mb[c] = i
+                if _form(tb, mb) == fa:
+                    break
+                mb[c] = -1
+        else:
+            return None
+    return tuple(map(mb.index, range(n)))
 
 
 def is_isometry(

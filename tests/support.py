@@ -11,7 +11,9 @@ stands in for it on larger ones. Per claim:
   triangles. Validation: the oracle ``brute_validate_ultrametric`` scans
   all n^3 triples for the least breach, and ``brute_structural_check``
   runs the structural checks over every ordered pair. ``must_validate``
-  asserts that a candidate validates.
+  asserts that a candidate validates. Isometry: the oracle
+  ``brute_isometry`` scans every permutation in lexicographic order for
+  the first that carries one space's distances onto the other's.
 - *Ranking of distance values.* ``ref_ranked`` reads every entry and keys
   it by its (numerator, denominator) pair.
 - *Gram rank.* ``ref_exact_rank``: Gauss-Jordan elimination over
@@ -71,7 +73,7 @@ import hashlib
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import pairwise, takewhile
+from itertools import pairwise, permutations, takewhile
 from random import Random
 
 from padicmetrics import (
@@ -255,6 +257,16 @@ def brute_validate_ultrametric(candidate: DistanceMatrixCandidate):
                 if d[i][j] > max(d[i][k], d[k][j]):
                     return TriangleViolation(i, j, k, (d[i][j], d[i][k], d[k][j]))
     return FiniteUltrametricSpace(candidate.labels, candidate.dist)
+
+
+def brute_isometry(a: FiniteUltrametricSpace, b: FiniteUltrametricSpace):
+    """Least permutation, in lexicographic order, carrying a's distances onto b's."""
+    n = a.n
+    return next(
+        (p for p in permutations(range(n))
+         if all(b.dist[p[i]][p[j]] == a.dist[i][j] for i in range(n) for j in range(n))),
+        None,
+    )
 
 
 def brute_base_leg_pairs(family: SpaceFamily) -> frozenset:

@@ -43,6 +43,7 @@ from padicmetrics.spaces import _integer_rank, _ranked
 from support import (
     SIX_VALUE_POOL,
     adversarial_pool,
+    brute_isometry,
     brute_structural_check,
     brute_validate_ultrametric,
     isosceles_check,
@@ -459,16 +460,6 @@ def test_isometry_failure_and_guards():
         isometry_search(big, big)
 
 
-def _brute_isometry(a, b):
-    """Least permutation, in lexicographic order, carrying a's distances onto b's."""
-    n = a.n
-    return next(
-        (p for p in permutations(range(n))
-         if all(b.dist[p[i]][p[j]] == a.dist[i][j] for i in range(n) for j in range(n))),
-        None,
-    )
-
-
 @settings(max_examples=300)
 @given(st.data())
 def test_isometry_search_matches_the_permutation_scan(data):
@@ -482,7 +473,41 @@ def test_isometry_search_matches_the_permutation_scan(data):
         b = random_ultrametric(rng, a.n, pool, prefix="y")
     a = FiniteUltrametricSpace(a.labels, mix_ints(rng, a.dist))
     b = FiniteUltrametricSpace(b.labels, mix_ints(rng, b.dist))
-    assert isometry_search(a, b) == _brute_isometry(a, b)
+    assert isometry_search(a, b) == brute_isometry(a, b)
+
+
+def _cap_pair(close):
+    """Ten points at distance 1, but for d(p8, p9) = close."""
+    rows = [[0 if i == j else 1 for j in range(10)] for i in range(10)]
+    rows[8][9] = rows[9][8] = close
+    return must_validate(_candidate(rows, [f"p{i}" for i in range(10)]))
+
+
+def test_isometry_search_refuses_a_late_distance_at_the_cap():
+    """Every map of p0..p7 fits; only d(p8, p9) tells the spaces apart."""
+    assert isometry_search(_cap_pair(F(1, 2)), _cap_pair(F(1, 4))) is None
+
+
+def test_isometry_search_finds_the_least_map_of_a_relabelled_cap_pair():
+    a = _cap_pair(F(1, 2))
+    perm = (8, 0, 1, 2, 3, 9, 4, 5, 6, 7)  # b's point k is a's point perm[k]
+    rows = [[a.dist[perm[i]][perm[j]] for j in range(10)] for i in range(10)]
+    b = must_validate(_candidate(rows))
+    assert isometry_search(a, b) == (1, 2, 3, 4, 6, 7, 8, 9, 0, 5)
+    assert isometry_search(b, a) == (8, 0, 1, 2, 3, 9, 4, 5, 6, 7)
+
+
+def test_isometry_search_on_shuffled_spaces_with_many_automorphisms():
+    """One- and two-value pools: many equal subtrees, so each choice needs its mark."""
+    rng = Random(17)
+    for pool in ((F(1),), (F(1, 2), F(1)), (F(1), F(3)), (F(1, 3), F(2)), (F(2), F(5))):
+        a = random_ultrametric(rng, 8, pool)
+        perm = list(range(8))
+        rng.shuffle(perm)
+        rows = [[a.dist[perm[i]][perm[j]] for j in range(8)] for i in range(8)]
+        b = must_validate(_candidate(rows))
+        assert isometry_search(a, b) == brute_isometry(a, b) is not None
+        assert isometry_search(b, a) == brute_isometry(b, a)
 
 
 def test_isometry_search_tells_twins_apart():
@@ -492,7 +517,7 @@ def test_isometry_search_tells_twins_apart():
     b = must_validate(_candidate([[0, 1, 1], [1, 0, twin], [1, twin, 0]]))
     c = must_validate(_candidate([[0, F(1), 1], [1, 0, F(t)], [F(1), t, 0]]))
     assert isometry_search(a, b) is None
-    assert isometry_search(a, c) == (1, 2, 0) == _brute_isometry(a, c)
+    assert isometry_search(a, c) == (1, 2, 0) == brute_isometry(a, c)
 
 
 # -------------------------------------------------------------- embeddings --
