@@ -14,9 +14,9 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, compress, pairwise
-from typing import Callable, Iterable, NoReturn
+from typing import Iterable, NoReturn
 
 from .errors import (
     BelowFloorError,
@@ -29,7 +29,6 @@ from .padic import (
     _Record,
     _common,
     _exceeds,
-    _power_pair,
     _ratio,
     _text,
     as_fraction,
@@ -47,27 +46,26 @@ MAX_SIEVE_BOUND = 10_000_000
 MAX_POWER_STEP_DEPTH = 64
 
 
-def _power_at_most(base: int, m: int, n: int, d: int) -> bool:
-    # base**m <= n/d, on integers: d > 0, and base**m is an integer or 1/base**-m
-    return base**m * d <= n if m >= 0 else d <= n * base**-m
+def _floor_power(n: int, d: int, base: int) -> tuple[int, int, int]:
+    """The largest integer m with base**m <= n/d, for n > 0 and d > 0, and
+    the two sides of that comparison, computed exactly.
 
-
-def _floor_index(n: int, d: int, base: int) -> int:
-    """Largest integer m with base**m <= n/d, for n > 0 and d > 0, computed exactly.
-
-    The comparison is integer-only: base**m <= n/d is base**m * d <= n for
-    m >= 0 and d <= n * base**-m for m < 0, so n/d need not be in lowest
-    terms. The search starts from the difference of the bit lengths of n
-    and d and moves a step or two from there.
+    base**m <= n/d is lo <= hi on integers: lo = base**m * d and hi = n
+    for m >= 0, lo = d and hi = n * base**-m for m < 0, so n/d need not be
+    in lowest terms. One power is taken, at the estimate from the bit
+    lengths of n and d; from there m moves a step or two, each step one
+    exact multiplication or division of a side by base. Returns (m, lo,
+    hi), so a caller reads base**m off the sides instead of raising it.
     """
     if n <= 0:
         raise ValueError("x must be positive")
     m = math.floor((n.bit_length() - d.bit_length()) / math.log2(base))
-    while not _power_at_most(base, m, n, d):
-        m -= 1
-    while _power_at_most(base, m + 1, n, d):
-        m += 1
-    return m
+    lo, hi = (base**m * d, n) if m >= 0 else (d, n * base**-m)
+    while lo > hi:  # base**m > n/d: one power down
+        lo, hi, m = (lo // base, hi, m - 1) if m > 0 else (lo, hi * base, m - 1)
+    while (up := (lo * base, hi) if m >= 0 else (lo, hi // base))[0] <= up[1]:
+        (lo, hi), m = up, m + 1  # one power up is still at most n/d
+    return m, lo, hi
 
 
 def _ascending(ratios: list[tuple[int, int]]) -> bool:
@@ -76,13 +74,13 @@ def _ascending(ratios: list[tuple[int, int]]) -> bool:
 
 
 def _segments(
-    xs: list[Fraction], ys: list[Fraction], den: int
+    xs: list[Fraction], ys: list[Fraction]
 ) -> tuple[int, list[int], list[tuple[int, ...]]]:
-    # A polyline through (xs, ys) scaled for points k/den: the factor s and
-    # the breakpoints X over one denominator L (see _common), and per
-    # segment (X0, base, rise, under) with f(x) = (base + (k*s - X0) * rise)
-    # / under from X0 to the next X
-    scale, big_xs = _common(map(_ratio, xs), den)
+    # A polyline through (xs, ys) over the common denominator D of xs (see
+    # _common): D, the integer breakpoints X = x * D, and per segment
+    # (X0, base, rise, under) with f(x) = (base + (x*D - X0) * rise) / under
+    # from X0 to the next X
+    scale, big_xs = _common(map(_ratio, xs))
     segments = []
     for (x0, (n0, d0)), (x1, (n1, d1)) in pairwise(zip(big_xs, map(_ratio, ys))):
         width = x1 - x0
@@ -165,7 +163,7 @@ class Tabulated(FunctionSpec):
     outside the table raise DomainMissError. The checks run in one pass
     each, on the integers of the entries: repeated keys first (a table
     whose keys ascend has none, so only another table hashes its keys),
-    then the key 0, then the signs.
+    then the key 0, then the signs. The entries are kept in key order.
     """
 
     entries: tuple[tuple[Fraction, Fraction], ...]
@@ -175,23 +173,20 @@ class Tabulated(FunctionSpec):
     def __post_init__(self) -> None:
         _refuse_inexact(self.entries)
         ratios = [_ratio(k) for k, _ in self.entries]
-        if not _ascending(ratios) and len(set(ratios)) != len(ratios):
+        ascending = _ascending(ratios)
+        if not ascending and len(set(ratios)) != len(ratios):
             raise ValueError("duplicate table keys")
         if (0, 1) not in ratios:
             raise ValueError("table must contain the key 0")
         if any(n < 0 for n, _ in ratios) or any(v.numerator < 0 for _, v in self.entries):
             raise ValueError("table keys and values must be nonnegative")
+        if not ascending:
+            object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Tabulated":
-        """The table of (key, value) pairs, coerced by as_fraction, in key order.
-
-        The entries are sorted only when their keys do not ascend already.
-        """
-        entries = _parse_pairs(pairs)
-        if not _ascending([_ratio(k) for k, _ in entries]):
-            entries.sort()
-        return cls(tuple(entries))
+        """The table of (key, value) pairs, coerced by as_fraction, in key order."""
+        return cls(tuple(_parse_pairs(pairs)))
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "Tabulated":
@@ -228,6 +223,9 @@ class PiecewiseLinear(FunctionSpec):
     the last ordinate or continues along the final segment, whose slope must
     then be nonnegative so outputs never go negative. The checks compare
     the (numerator, denominator) pairs of the fields, never two Fractions.
+    Every point k/den is read off one table, built once per spec over the
+    abscissas' common denominator D (``_segments``): a bisection on
+    k * D // den and one integer pair per read, for any den.
     """
 
     points: tuple[tuple[Fraction, Fraction], ...]
@@ -268,24 +266,21 @@ class PiecewiseLinear(FunctionSpec):
         )
 
     @cached_property
-    def _tables(self) -> Callable[[int], tuple[int, list[int], list[tuple[int, ...]]]]:
-        # _segments for one denominator at a time; the last few are kept
-        xs = [x for x, _ in self.points]
-        ys = [y for _, y in self.points]
-        return lru_cache(maxsize=16)(partial(_segments, xs, ys))
+    def _table(self) -> tuple[int, list[int], list[tuple[int, ...]]]:
+        return _segments([x for x, _ in self.points], [y for _, y in self.points])
 
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k < 0:
             _refuse_negative(k, den)
-        scale, xs, segments = self._tables(den)
-        at = k * scale
-        i = bisect.bisect_right(xs, at) - 1
+        scale, xs, segments = self._table
+        at = k * scale  # x * D = at / den, and X <= at / den just when X <= at // den
+        i = bisect.bisect_right(xs, at // den) - 1
         if i == len(segments):  # at or past the last breakpoint
-            if at == xs[-1] or self.tail == TAIL_CONSTANT:
+            if at == xs[-1] * den or self.tail == TAIL_CONSTANT:
                 return _ratio(self.points[-1][1])
             i -= 1  # the linear tail continues the last segment
         x0, base, rise, under = segments[i]
-        return base + (at - x0) * rise, under
+        return base * den + (at - x0 * den) * rise, under * den
 
     def to_json_dict(self) -> dict:
         last = self.points[-1][1]
@@ -326,7 +321,8 @@ class PowerMap(FunctionSpec):
 
     f(0) = 0. For x > 0 the two neighbouring powers p**m <= x <= p**(m+1)
     bracket x and the value is the exact linear interpolation of their
-    images q**m and q**(m+1).
+    images q**m and q**(m+1), on the two sides ``_floor_power`` compared:
+    no power of p is raised again.
     """
 
     p: int
@@ -342,14 +338,11 @@ class PowerMap(FunctionSpec):
         if k <= 0:
             return (0, 1) if k == 0 else _refuse_negative(k, den)
         p, q = self.p, self.q
-        m = _floor_index(k, den, p)
         # x = p**m * b / a with 1 <= b / a < p, and the line through
         # (p**m, q**m) and (p**(m+1), q**(m+1)) takes at x the value
         # q**m * (1 + (b / a - 1) * (q - 1) / (p - 1)), built from integers
-        if m >= 0:
-            a, b, up, down = den * p**m, k, q**m, 1
-        else:
-            a, b, up, down = den, k * p**-m, 1, q**-m
+        m, a, b = _floor_power(k, den, p)
+        up, down = (q**m, 1) if m >= 0 else (1, q**-m)
         return up * ((p - 1) * a + (q - 1) * (b - a)), down * (p - 1) * a
 
 
@@ -401,8 +394,9 @@ class PrimeShift(FunctionSpec):
 
     Cost: besides the sieve (built once per bound and cached), an
     evaluation makes O(pi(sqrt(L))) integer steps, L = floor(max(x, 1/x)):
-    one p-power search (``_floor_index``) per prime up to isqrt(L), and a
-    few searches of the sieve for the primes next to isqrt(L) and L.
+    one p-power search (``_floor_power`` on L, which hands over p**m) per
+    prime up to isqrt(L), and a few searches of the sieve for the primes
+    next to isqrt(L) and L.
 
     Why that finds the same neighbours as a walk over every prime up to L.
     Write y = max(x, 1/x) >= 1. Every defined point other than 1 is p**k
@@ -410,13 +404,14 @@ class PrimeShift(FunctionSpec):
     y, and for x < 1 they are 1/P for the powers P nearest y on the other
     side; the primes that can contribute are those up to L, as before.
     For p <= isqrt(L), the two powers of p around y come from
-    ``_floor_index``. A prime p in (isqrt(L), L] has p <= y < p**2,
-    so its powers next to y are p and p**2 (for x itself, m = 1 when
-    x > 1, and m = -2, or -1 at x = 1/p, when x < 1). Among those primes
-    the largest p at or below y is the largest prime <= L, and the
-    smallest p**2 above y is the square of the smallest prime > isqrt(L);
-    no other of them can be nearest. The nearest first power above y is
-    the smallest prime > L. All prime powers are distinct rationals, so
+    ``_floor_power`` on L, since p**m <= y just when p**m <= L for m >= 0.
+    A prime p in (isqrt(L), L] has p <= y < p**2, so its powers next to y
+    are p and p**2 (for x itself, m = 1 when x > 1, and m = -2, or -1 at
+    x = 1/p, when x < 1). Among those primes the largest p at or below y
+    is the largest prime <= L, and the smallest p**2 above y is the square
+    of the smallest prime > isqrt(L); no other of them can be nearest. The
+    nearest first power above y is the smallest prime > L. All prime
+    powers are distinct rationals, so
     the nearest point below and above x, an exact hit, and with them the
     value and every error, are those of the full walk. Points and images
     stay integers, compared by cross-multiplying, and x = k/den need not
@@ -465,8 +460,8 @@ class PrimeShift(FunctionSpec):
         after_root = _next_prime(flags, math.isqrt(cap))
         lows, highs = [(1, 1)], []
         for p, q in pairwise(_primes_to(flags, after_root)):
-            m = _floor_index(big, small, p)
-            power, image = p**m, q**m
+            m, power, _ = _floor_power(cap, 1, p)
+            image = q**m
             lows.append((power, image))
             highs.append((power * p, image * q))
             if power * small == big:  # x is a power of p, so the largest of lows
@@ -537,7 +532,8 @@ class PowerStep(FunctionSpec):
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k <= 0:
             return (0, 1) if k == 0 else _refuse_negative(k, den)
-        return self.inner.ratio_at(*_power_pair(self.p, _floor_index(k, den, self.p)))
+        m, lo, hi = _floor_power(k, den, self.p)  # lo = p**m * den, or hi = k * p**-m
+        return self.inner.ratio_at(lo // den, 1) if m >= 0 else self.inner.ratio_at(1, hi // k)
 
 
 @dataclass(frozen=True)
@@ -547,7 +543,9 @@ class StepFunction(FunctionSpec):
 
     With no thresholds the function is constant ``below`` on the positives.
     The checks compare the (numerator, denominator) pairs of the fields,
-    never two Fractions.
+    never two Fractions. A point k/den is placed by one bisection on
+    k * D // den among the thresholds times their common denominator D,
+    a table built once per spec.
     """
 
     below: Fraction
@@ -577,20 +575,17 @@ class StepFunction(FunctionSpec):
         return (self.below, *(v for _, v in self.points))
 
     @cached_property
-    def _tables(self) -> Callable[[int], tuple[int, list[int]]]:
-        # the thresholds scaled for one denominator (see _common); the last
-        # few are kept
-        return lru_cache(maxsize=16)(partial(_common, [_ratio(t) for t, _ in self.points]))
-
-    @cached_property
-    def _level_pairs(self) -> list[tuple[int, int]]:
-        return list(map(_ratio, self.levels()))
+    def _table(self) -> tuple[int, list[int], list[tuple[int, int]]]:
+        # the common denominator D of the thresholds, the thresholds times D
+        # (see _common), and the levels as pairs
+        return *_common([_ratio(t) for t, _ in self.points]), list(map(_ratio, self.levels()))
 
     def ratio_at(self, k: int, den: int) -> tuple[int, int]:
         if k <= 0:
             return (0, 1) if k == 0 else _refuse_negative(k, den)
-        scale, ts = self._tables(den)
-        return self._level_pairs[bisect.bisect_right(ts, k * scale)]
+        scale, ts, levels = self._table
+        # T <= k * D / den just when T <= k * D // den, for integers T
+        return levels[bisect.bisect_right(ts, k * scale // den)]
 
 
 def _parse_pairs(raw) -> list[tuple[Fraction, Fraction]]:

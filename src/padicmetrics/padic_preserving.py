@@ -20,9 +20,10 @@ band pair, taken with ``min`` over the failing candidates; no window is
 enumerated in that order, and passing inputs never look at a pair (see
 ``_band_witness`` for the cost of a band witness). Each image is read
 once, as an integer pair by ``FunctionSpec.ratio_at`` at p**k = (p**k, 1)
-or (1, p**-k) (so a float or bool image is refused, as in the pair-sum
-checks), and every comparison cross-multiplies those integers: no
-Fraction pair is compared, and only a witness's images become Fractions.
+or (1, p**-k), each power one multiplication past the one before (a
+float or bool image is refused, as in the pair-sum checks). Every
+comparison cross-multiplies those integers: no Fraction pair is compared,
+and only a witness's images become Fractions.
 
 Every failed verdict carries a witness: the offending exponent pair plus a
 concrete rational triple whose pairwise p-adic distances are p**m and p**n
@@ -41,10 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import BadOrderError, NotPreservingError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PowerMap, StepFunction
-from .padic import _Record, _exceeds, _multiplicity, _power_pair, _text, require_prime
+from .padic import _Record, _exceeds, _multiplicity, _text, require_prime
 
 
 # The widest window accepted, in exponents: -512..512 and its shifts.
@@ -195,16 +198,20 @@ def witness_triple(p: int, m: int, n: int) -> tuple[Fraction, Fraction, Fraction
 
 def _power_images(
     f: FunctionSpec, p: int, window: ExponentWindow
-) -> dict[int, tuple[int, int]]:
-    """f read at each power p**k of the window, from lo to hi, as a pair.
+) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]:
+    """The powers p**k of the window, from lo to hi, and f read at each.
 
-    The power is handed over as the integers (p**k, 1) or (1, p**-k), so a
-    spec read the default way gets Fraction(p**k) or Fraction(1, p**-k),
-    as it did before pairs. Each value is (numerator, positive
-    denominator), for cross-multiplication.
+    A power is the pair (p**k, 1) or (1, p**-k), built by one pow at the
+    least |k| of the window and one multiplication for each larger |k|;
+    so a spec read the default way gets Fraction(p**k) or
+    Fraction(1, p**-k), as it did before pairs. Each image is (numerator,
+    positive denominator), for cross-multiplication.
     """
-    read = f.ratio_at
-    return {k: read(*_power_pair(p, k)) for k in range(window.lo, window.hi + 1)}
+    lo, hi, read = window.lo, window.hi, f.ratio_at
+    least, ks = max(lo, -hi, 0), range(lo, hi + 1)
+    ladder = list(accumulate(repeat(p, max(-lo, hi) - least), mul, initial=p**least))
+    powers = [(ladder[k - least], 1) if k >= 0 else (1, ladder[-k - least]) for k in ks]
+    return powers, {k: read(*x) for k, x in zip(ks, powers)}
 
 
 def _shared_gate(
@@ -311,7 +318,7 @@ def check_p_metric_preserving(
     f(p**m)) then break the plain triangle inequality.
     """
     require_prime(p)
-    images = _power_images(f, p, window)
+    images = _power_images(f, p, window)[1]
     early = _shared_gate(f, window, images)
     if early is not None:
         return early
@@ -333,18 +340,18 @@ def check_p_ultrametric_preserving(
 
 def _ultrametric_verdict(
     f: FunctionSpec, p: int, window: ExponentWindow
-) -> tuple[PreservationVerdict, dict[int, tuple[int, int]]]:
-    # the verdict plus the images it was decided on
+) -> tuple[PreservationVerdict, list[tuple[int, int]], dict[int, tuple[int, int]]]:
+    # the verdict plus the powers and images it was decided on
     require_prime(p)
-    images = _power_images(f, p, window)
+    powers, images = _power_images(f, p, window)
     early = _shared_gate(f, window, images)
     if early is not None:
-        return early, images
+        return early, powers, images
     drops = [n for n in range(window.lo, window.hi) if _exceeds(images[n], images[n + 1])]
     if drops:
         n = min(drops, key=_near)
-        return _pair_verdict("adjacent", p, window, images, n, n + 1), images
-    return PreservationVerdict(True, window), images
+        return _pair_verdict("adjacent", p, window, images, n, n + 1), powers, images
+    return PreservationVerdict(True, window), powers, images
 
 
 def extend_to_ultrametric_preserving(
@@ -356,13 +363,13 @@ def extend_to_ultrametric_preserving(
     output is increasing and amenable on all of the nonnegatives, not just
     near the powers. Requires the window check to pass first.
     """
-    verdict, images = _ultrametric_verdict(f, p, window)
+    verdict, powers, images = _ultrametric_verdict(f, p, window)
     if not verdict.passed:
         raise NotPreservingError(
             f"f is not {p}-adic ultrametric preserving on "
             f"[{window.lo}, {window.hi}]: {verdict.reason}"
         )
-    points = tuple((Fraction(*_power_pair(p, k)), Fraction(*y)) for k, y in images.items())
+    points = tuple((Fraction(*x), Fraction(*y)) for x, y in zip(powers, images.values()))
     return StepFunction(below=points[0][1], points=points)
 
 

@@ -338,25 +338,47 @@ def _validate_image(
     )
 
 
-def _ball_tree(r: list[list[int]], points: list[int]) -> int | tuple:
-    """A point, or (diameter rank t, the trees of the classes of d < t); in
-    an ultrametric t is the largest distance from one point to the rest."""
+def _ball_tree(r: list[list[int]], n: int, forms: dict) -> list[list]:
+    """The ball tree of points 0..n-1 on ranks r, every point unmarked.
+
+    Node x is [parent or -1, place among its parent's children, diameter
+    rank t, row of child forms]; nodes 0..n-1 are the points, and a ball's
+    children are the classes of d < t. A form is an id in ``forms``: of
+    (mark,) for a point, of (t, *sorted child forms) for a ball, so equal
+    ids are equal marked canonical forms.
+    """
+    tree = [[-1, 0, 0, None] for _ in range(n)]
+    _subtree(r, list(range(n)), tree, forms)
+    return tree
+
+
+def _subtree(r: list[list[int]], points: list[int], tree: list[list], forms: dict) -> tuple:
+    # The node and form of the class of points: a point, or a ball added to
+    # the tree after the balls inside it. In an ultrametric a ball's t is
+    # the largest distance from one of its points to the rest.
     if len(points) == 1:
-        return points[0]
-    t = max(r[points[0]][y] for y in points)
-    children = []
+        return points[0], forms.setdefault((-1,), len(forms))
+    node, t, row = len(tree), max(map(r[points[0]].__getitem__, points)), []
+    tree.append([-1, 0, t, row])
     while points:
         rx = r[points[0]]
-        children.append(_ball_tree(r, [y for y in points if rx[y] < t]))
+        child, form = _subtree(r, [y for y in points if rx[y] < t], tree, forms)
+        tree[child][:2] = node, len(row)
+        row.append(form)
         points = [y for y in points if rx[y] >= t]
-    return t, children
+    return node, forms.setdefault((t, *sorted(row)), len(forms))
 
 
-def _form(tree: int | tuple, mark: list[int]) -> tuple:
-    """Canonical form of a ball tree whose points carry marks."""
-    if type(tree) is int:
-        return (mark[tree],)
-    return tree[0], sorted([_form(c, mark) for c in tree[1]])
+def _root_form(tree: list[list], x: int, mark: int, forms: dict, keep: bool) -> int:
+    """The root's form once point x is marked, re-forming only the balls
+    on x's path; ``keep`` stores their new forms in the tree."""
+    form, node = forms.setdefault((mark,), len(forms)), tree[x]
+    while node[0] >= 0:
+        up = tree[node[0]]
+        row = up[3] if keep else up[3][:]
+        row[node[1]] = form
+        form, node = forms.setdefault((up[2], *sorted(row)), len(forms)), up
+    return form
 
 
 def isometry_search(
@@ -370,7 +392,9 @@ def isometry_search(
     i, goes to the least unmarked c of b whose form, c marked i, equals
     a's: an isometry extending the choices survives, and one sending i
     lower would have passed first, so the map is the least; at i = 0 the
-    test decides isometry. Sizes are checked before any entry is read; the
+    test decides isometry. A mark changes only the forms on its point's
+    path to the root, so each candidate re-forms that path alone
+    (``_root_form``). Sizes are checked before any entry is read; the
     cap only keeps the exit codes of ``space isometry``.
     """
     if a.n != b.n:
@@ -379,20 +403,18 @@ def isometry_search(
         raise TooLargeError(f"search is capped at {MAX_SEARCH_POINTS} points")
     n = a.n
     _, _, (ra, rb) = _ranked((a.dist, b.dist))
-    ta, tb = _ball_tree(ra, list(range(n))), _ball_tree(rb, list(range(n)))
-    ma, mb = [-1] * n, [-1] * n
+    forms: dict[tuple[int, ...], int] = {}
+    ta, tb = _ball_tree(ra, n, forms), _ball_tree(rb, n, forms)
+    mapping: list[int] = []
     for i in range(n):
-        ma[i] = i
-        fa = _form(ta, ma)
-        for c in range(n):
-            if mb[c] < 0:
-                mb[c] = i
-                if _form(tb, mb) == fa:
-                    break
-                mb[c] = -1
-        else:
+        fa = _root_form(ta, i, i, forms, True)
+        free = (c for c in range(n) if c not in mapping)
+        c = next((c for c in free if _root_form(tb, c, i, forms, False) == fa), None)
+        if c is None:
             return None
-    return tuple(map(mb.index, range(n)))
+        _root_form(tb, c, i, forms, True)
+        mapping.append(c)
+    return tuple(mapping)
 
 
 def is_isometry(

@@ -54,7 +54,7 @@ from padicmetrics.fixtures import four_point_family, identity_map, level_swap_ma
 from padicmetrics.functions import (
     MAX_POWER_STEP_DEPTH,
     MAX_SIEVE_BOUND,
-    _floor_index,
+    _floor_power,
     _next_prime,
     _prime_at_most,
     _primes_to,
@@ -307,13 +307,13 @@ def test_prime_shift_walks_only_the_primes_up_to_the_root(monkeypatch):
     # pi(isqrt(500001)) = pi(707) = 126; a walk over every prime up to x
     # makes 41 538 p-power searches
     calls = []
-    search = functions._floor_index
+    search = functions._floor_power
 
     def counted(n, d, base):
         calls.append(base)
         return search(n, d, base)
 
-    monkeypatch.setattr(functions, "_floor_index", counted)
+    monkeypatch.setattr(functions, "_floor_power", counted)
     f = PrimeShift()
     for x, value in (
         (F(500_001), F(1_500_071, 3)),
@@ -321,7 +321,7 @@ def test_prime_shift_walks_only_the_primes_up_to_the_root(monkeypatch):
     ):
         calls.clear()
         assert f(x) == value
-        assert len(calls) <= 126, x
+        assert 0 < len(calls) <= 126, x
 
 
 def test_sieve_cache_is_bounded():
@@ -429,17 +429,46 @@ def test_integer_power_path_matches_the_fraction_path(point):
     p, q, x = point
     if x > 0:
         n, d = x.numerator, x.denominator
-        assert _floor_index(n, d, p) == ref_floor_power_index(x, p)
-        assert _floor_index(3 * n, 3 * d, q) == ref_floor_power_index(x, q)
+        assert _floor_power(n, d, p)[0] == ref_floor_power_index(x, p)
+        assert _floor_power(3 * n, 3 * d, q)[0] == ref_floor_power_index(x, q)
     value = PowerMap(p, q)(x)
     assert type(value) is Fraction
     assert str(value) == str(ref_power_map_value(p, q, x))
 
 
+@st.composite
+def floor_power_points(draw):
+    # an exact power base**m, with |m| up to 40 or next to MAX_EXPONENT and
+    # bases up to 61 bits, or a point one off it, as n/d unreduced by a
+    # common factor
+    base = draw(st.sampled_from((2, 3, 5, 257, 2**31 - 1, 2**61 - 1)))
+    near_cap = st.integers(MAX_EXPONENT - 2, MAX_EXPONENT)
+    m = draw(st.integers(-40, 40) | near_cap | near_cap.map(lambda e: -e))
+    n, d = (base**m, 1) if m >= 0 else (1, base**-m)
+    n, d = draw(st.sampled_from(((n, d), (2 * n + 1, 2 * d), (2 * n - 1, 2 * d))))
+    factor = draw(st.integers(1, 10**6))
+    return base, n * factor, d * factor
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=floor_power_points())
+@example(point=(2, 1, 1))
+@example(point=(2**61 - 1, (2**61 - 1) ** MAX_EXPONENT * 6, 6))
+@example(point=(2**61 - 1, 10, 10 * (2**61 - 1) ** MAX_EXPONENT))
+@example(point=(3, 26, 9 * 3**MAX_EXPONENT))
+def test_floor_power_matches_the_fraction_powers(point):
+    # m is the reference's, and the sides are the two sides of base**m <= n/d
+    base, n, d = point
+    m, lo, hi = _floor_power(n, d, base)
+    assert m == ref_floor_power_index(F(n, d), base)
+    assert (lo, hi) == ((base**m * d, n) if m >= 0 else (d, n * base**-m))
+    assert lo <= hi
+
+
 def test_floor_power_index_refuses_nonpositive_input():
     for x in (F(0), F(-3, 2)):
         with pytest.raises(ValueError):
-            _floor_index(x.numerator, x.denominator, 3)
+            _floor_power(x.numerator, x.denominator, 3)
         with pytest.raises(ValueError):
             ref_floor_power_index(x, 3)
 
@@ -961,6 +990,35 @@ def test_piecewise_linear_ratio_at_matches_the_call(f, data):
 def test_step_ratio_at_matches_the_call(f, data):
     key = data.draw(ratio_keys((0, *(t for t, _ in f.points))))
     _assert_ratio_at_matches_the_call(f, *key)
+
+
+@given(
+    f=st.one_of(piecewise_linear_specs(True), piecewise_linear_specs(False), step_specs()),
+    k=st.integers(0, 10**9),
+    den=st.integers(1, 10**9),
+    factor=st.integers(1, 10**6),
+)
+def test_kink_tables_read_unreduced_points(f, k, den, factor):
+    # one table over the kinks' own denominator serves every k/den
+    _assert_ratio_at_matches_the_call(f, k * factor, den * factor)
+
+
+@pytest.mark.parametrize("p", (2, 3, 257, 2**61 - 1))
+def test_kink_tables_read_along_a_power_window(p):
+    # kinks at powers of p inside -40..40, read at every p**k of -48..48,
+    # reduced and unreduced, and one step off each power: every negative
+    # exponent is a new denominator
+    kinks = [F(p) ** k for k in (-40, -17, -3, 0, 5, 31)]
+    specs = [
+        PiecewiseLinear(((F(0), F(0)), *((x, F(i + 1, 3)) for i, x in enumerate(kinks))), tail)
+        for tail in ("constant", "linear")
+    ]
+    specs.append(StepFunction(F(1, 5), tuple((x, F(i + 1, 7)) for i, x in enumerate(kinks))))
+    for f in specs:
+        for k in range(-48, 49):
+            n, d = (p**k, 1) if k >= 0 else (1, p**-k)
+            for key in ((n, d), (6 * n, 6 * d), (2 * n - 1, 2 * d), (2 * n + 1, 2 * d)):
+                _assert_ratio_at_matches_the_call(f, *key)
 
 
 def _prime_shift_edges(bound):

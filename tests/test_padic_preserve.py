@@ -440,6 +440,28 @@ def test_extension_calls_f_once_per_power():
     assert g == extend_to_ultrametric_preserving(PowerMap(2, 3), 2, window)
 
 
+@pytest.mark.parametrize(
+    "p, lo, hi",
+    [(2, -40, 40), (3, -30, -3), (257, 5, 37), (2**61 - 1, -20, 20), (3, 7, 7)],
+)
+def test_window_checks_read_each_power_once_in_order(p, lo, hi):
+    # both checks read f at (p**k, 1) or (1, p**-k) for k = lo..hi, once
+    # each and in that order, and then at the origin
+    class Counting(FunctionSpec):
+        def __init__(self):
+            self.reads = []
+
+        def ratio_at(self, k, den):
+            self.reads.append((k, den))
+            return PowerMap(3, 5).ratio_at(k, den)
+
+    want = [(p**k, 1) if k >= 0 else (1, p**-k) for k in range(lo, hi + 1)] + [(0, 1)]
+    for check in (check_p_metric_preserving, check_p_ultrametric_preserving):
+        f = Counting()
+        check(f, p, ExponentWindow(lo, hi))
+        assert f.reads == want
+
+
 # ------------------------------------------------------------- factories --
 
 
