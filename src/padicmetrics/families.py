@@ -48,6 +48,8 @@ from .preserving import Ratio, _Memo, _amenable_images, _fractions
 from .spaces import (
     FiniteUltrametricSpace,
     TriangleViolation,
+    _balls,
+    _joint,
     _ranked,
     _validate_image,
 )
@@ -72,8 +74,8 @@ class SpaceFamily(_Record):
     The cache rests on the family never changing. ``spaces`` is stored as
     a tuple, each member must be a frozen ``FiniteUltrametricSpace``, and
     a space's rows are tuples when it comes from ``from_rows`` or
-    ``from_json_dict``. A space on mutable rows must not have them changed
-    once a family holding it has been used.
+    ``from_json_dict``. A space keeps the ball order the family order is
+    read from, so a space on mutable rows must keep them once built.
 
     Raises:
         ValueError: for an empty family.
@@ -112,7 +114,8 @@ class SpaceFamily(_Record):
         ground, _, ranked = _ranked(s.dist for s in self.spaces)
         ran = tuple(ground)
         frozen = tuple(tuple(map(tuple, m)) for m in ranked)
-        up = [row | 1 << i for i, row in enumerate(_base_leg_bits(frozen, len(ran)))]
+        legs = _base_leg_rows(self.spaces, _joint(self.spaces)[1], len(ran))
+        up = [row | 1 << i for i, row in enumerate(legs)]
         _close(up)
         for i, row in enumerate(up):
             below = row & ((1 << i) - 1)
@@ -130,11 +133,9 @@ class SpaceFamily(_Record):
 def distance_values(family: SpaceFamily) -> tuple[Fraction, ...]:
     """Union of all distance values over the family, 0 included, ascending.
 
-    The values are the ones ``spaces._ranked`` sorts once to rank the
-    family's matrices: told apart by (numerator, denominator), so no
-    Fraction is hashed per entry.
-    """
-    return tuple(_ranked(s.dist for s in family.spaces)[0])
+    The spaces' kept values merged (``spaces._joint``): no matrix is read
+    again, and a shared value is the earlier space's object."""
+    return tuple(_joint(family.spaces)[0])
 
 
 def _bits(row: int) -> Iterator[int]:
@@ -144,47 +145,34 @@ def _bits(row: int) -> Iterator[int]:
         row &= row - 1
 
 
-def _base_leg_bits(ranked: Ranked, size: int) -> list[int]:
+def _base_leg_rows(spaces, joint: list[list[int]], size: int) -> list[int]:
     """All pairs (base, leg) realized by point triples, repetition allowed.
 
-    ``ranked`` holds the family's matrices on the ranks of ``_ranked``, so
-    rank i is ground[i] of the family's ``size`` ascending values (rank 0
-    is 0, the least). Bit j of row i is set when some space has points
-    a, b, c (not necessarily distinct) with rank i = d(a, c) and rank j =
-    d(a, b) = d(b, c); the loops below compare and hash those int ranks
-    only.
+    Rank x of space i is rank joint[i][x] of the family's ``size``
+    ascending values (rank 0 is 0, the least). Bit j of row i is set when
+    some space has points a, b, c (not necessarily distinct) with rank
+    i = d(a, c) and rank j = d(a, b) = d(b, c).
 
-    The spaces must be validated ultrametrics, where that reads row by
-    row, in O(n^2) per space:
+    In an ultrametric that reads off the tree of closed balls
+    (``spaces._balls``), in O(n) steps per space:
     - (0, 0) is always realized (a = b = c).
-    - For s < t, (s, t) is realized exactly when some row holds both
-      values: d(a, c) = s < t = d(a, b) forces d(b, c) = t.
-    - (t, t) is realized exactly when, for some row a, one representative
-      r among the points at distance t from a lies at distance t from
-      another of them. Otherwise all of those points are within < t of r,
-      hence within < t of each other.
-
-    Each row is read with counts and searches that run in C, with no
-    Python loop over its entries. Its distinct values xs, ascending, give
-    the (s, t) bits by one suffix OR. For the (t, t) bit of row a at x,
-    take r the first point at distance x from a, and count the points c
-    at distance x from r: every c with d(a, c) < x lies at exactly x from
-    r (the triangle a, r, c is isosceles with legs x), every c with
-    d(a, c) > x lies at d(a, c) != x from r, and r lies at 0 from itself.
-    So r's row holds x more often than a's row holds values below x
-    exactly when some other point of x's group is at x from r.
+    - For s < t, (s, t) is realized exactly when a ball of diameter t
+      holds a ball of diameter s (a point for s = 0): the balls about a of
+      radii s and t hold c and b; conversely take a, c at s in the inner
+      ball and b in another child of the outer one, at t from both.
+    - (t, t) is realized exactly when a ball of diameter t has three or
+      more children: three points pairwise at t lie in three of them.
+    So each ball's row gains the diameters above it, read from the root.
     """
-    up = [0] * size
-    up[0] = 1  # rank 0 is 0
-    for m in ranked:
-        for row in m:
-            srt = sorted(row)
-            above = 0
-            for x in sorted(set(srt), reverse=True):
-                up[x] |= above
-                above |= 1 << x
-                if m[row.index(x)].count(x) > bisect_left(srt, x):
-                    up[x] |= 1 << x
+    up = [1] + [0] * (size - 1)  # (0, 0), as rank 0 is 0
+    for s, rank in zip(spaces, joint):
+        tree = _balls(s, rank)
+        above = [0] * (len(tree) + 1)  # diameters at and over x; [-1] stays 0
+        for x in range(len(tree) - 1, s.n - 1, -1):
+            p, _, t, kids = tree[x]
+            up[t] |= above[p] | (len(kids) > 2) << t
+            above[x] = above[p] | 1 << t
+            up[0] |= above[x]
     return up
 
 

@@ -8,10 +8,13 @@ strong-triangle failure is a legitimate negative answer, which
 ``validate_ultrametric`` returns as a witness the caller can re-check (the
 space's constructor raises it in a ``NotUltrametricError``).
 
-The strong-triangle test is quadratic: a matrix is an ultrametric exactly
-when it equals its subdominant ultrametric, the minimax path distance over
-a minimum spanning tree (Gower and Ross, 1969). Only the pairs where the
-two differ can hold a violation, so only those are scanned for one.
+The strong-triangle test sorts the points by their rows. In an
+ultrametric every closed ball is then an interval of that order (for x, y
+in a ball of diameter s and z at T > s from both, rows x and z first
+differ where rows y and z do, and alike), so the matrix must read as the
+running maximum of the gaps between neighbours; and a matrix of that form
+with positive gaps is an ultrametric: the test is exact. The structural
+loop and subdominant ultrametric (Gower and Ross, 1969) explain refusals.
 
 Every O(n^2) loop of this layer runs on int ranks, not on Fractions
 (comparing or hashing a Fraction runs Python code; an int's runs in C). The
@@ -41,6 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -48,6 +52,7 @@ from .errors import (
     NegativeEntryError,
     NonzeroDiagonalError,
     NotUltrametricError,
+    SelfCheckError,
     SizeMismatchError,
     TooLargeError,
     ZeroDistanceError,
@@ -121,18 +126,22 @@ class DistanceMatrixCandidate(_Record):
 class FiniteUltrametricSpace(DistanceMatrixCandidate):
     """A candidate validated on construction, as ``validate_ultrametric``
     validates it; a strong-triangle breach raises ``NotUltrametricError``,
-    with the least breach as its ``violation``."""
+    with the least breach as its ``violation``. Outside its fields it keeps
+    its values ascending (``_values``), and its points in ball order
+    (``_points``) with their gaps (``_gaps``, indices into ``_values``)."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         d = self.dist
-        _, _, (r,) = _ranked((d,))
+        values, _, (r,) = _ranked((d,))
         v = _validate_ranked(self.labels, r, lambda i, j: d[i][j])
-        if v is not None:
+        if isinstance(v, TriangleViolation):
             sides = ", ".join(map(_text, v.sides))
             raise NotUltrametricError(
                 f"not ultrametric: indices ({v.i}, {v.j}, {v.k}) with sides ({sides})", v
             )
+        for name, kept in zip(("_values", "_points", "_gaps"), (values, *v)):
+            object.__setattr__(self, name, tuple(kept))
 
     def candidate(self) -> DistanceMatrixCandidate:
         return DistanceMatrixCandidate(self.labels, self.dist)
@@ -236,12 +245,12 @@ def validate_ultrametric(
     """Structural defects raise; a strong-triangle breach is returned.
 
     The breach returned is the least (i, j, k) in lexicographic order with
-    d[i][j] > max(d[i][k], d[k][j]). Rather than scanning all n^3 triples,
-    the subdominant ultrametric u of d is built (O(n^2)) and k is sought
-    only for the pairs with d[i][j] > u[i][j], in the same (i, j) order.
-    No violating triple is skipped: any one has u[i][j] <= max(d[i][k],
+    d[i][j] > max(d[i][k], d[k][j]). Once ``_ball_order`` refuses, the
+    subdominant ultrametric u of d is built (O(n^2)) and k is sought only
+    for the pairs with d[i][j] > u[i][j], in the same (i, j) order. No
+    violating triple is skipped: any one has u[i][j] <= max(d[i][k],
     d[k][j]) < d[i][j], because the path i, k, j bounds the minimax
-    distance. A valid space has u = d and scans no pair at all.
+    distance.
 
     Every test runs on the int ranks of the entries (see ``_ranked``),
     which order, equate and sign exactly as the entries do, so each
@@ -259,14 +268,43 @@ def validate_ultrametric(
         return err.violation
 
 
+def _ball_order(r: list[list[int]]) -> tuple[list[int], list[int]] | None:
+    """The points sorted by their rows and the gaps between neighbours, if
+    the ranks r are an ultrametric, else None. In that order the matrix
+    must be 0 on the diagonal, max(gaps[a:b]) at a < b with every gap
+    positive, and symmetric: below a, column a holds gaps[a] down to the
+    next greater gap (one monotone-stack pass), then column a + 1's
+    entries. So each column costs two slice comparisons, and the symmetry
+    one transposition, made last as a refusal mostly comes sooner."""
+    n = len(r)
+    order = sorted(range(n), key=r.__getitem__)
+    cols = list(zip(*map(r.__getitem__, order)))
+    cols = list(map(cols.__getitem__, order))
+    gaps = list(map(getitem, cols, range(1, n)))
+    if any(map(getitem, cols, range(n))) or min(gaps, default=1) < 1:
+        return None
+    nxt, stack = [n - 1] * (n - 1), []
+    for k, x in enumerate(gaps):
+        while stack and gaps[stack[-1]] < x:
+            nxt[stack.pop()] = k
+        stack.append(k)
+    for a in range(n - 2, -1, -1):
+        e, col = nxt[a], cols[a]
+        if col[a + 1 : e + 1] != (gaps[a],) * (e - a) or col[e + 1 :] != cols[a + 1][e + 1 :]:
+            return None
+    return (order, gaps) if list(zip(*cols)) == cols else None
+
+
 def _validate_ranked(
     labels: tuple[str, ...], r: list[list[int]], entry: Callable[[int, int], Fraction]
-) -> TriangleViolation | None:
-    """``validate_ultrametric`` on the ranks r, with None for a valid space.
-
-    entry(i, j) is the entry d[i][j] the ranks stand for, read only for an
-    error message or the sides of the violation returned.
+) -> tuple[list[int], list[int]] | TriangleViolation:
+    """``validate_ultrametric`` on the ranks r: ``_ball_order``'s order and
+    gaps, or, once that refuses, the first structural error raised or the
+    least violation. entry(i, j) is the entry d[i][j] the ranks stand for,
+    read only for an error message or the sides of the violation.
     """
+    if (found := _ball_order(r)) is not None:
+        return found
     n = len(labels)
     # Each unordered pair once, (i, j) with j >= i in row-major order: the
     # first error is the one a pass over every ordered pair would raise,
@@ -296,7 +334,7 @@ def _validate_ranked(
                     if ri[j] > max(ri[k], r[k][j]):
                         sides = (entry(i, j), entry(i, k), entry(k, j))
                         return TriangleViolation(i, j, k, sides)
-    return None
+    raise SelfCheckError("the sorted rows refused an ultrametric")
 
 
 def apply_function(s: FiniteUltrametricSpace, f: FunctionSpec) -> DistanceMatrixCandidate:
@@ -316,9 +354,9 @@ def apply_function(s: FiniteUltrametricSpace, f: FunctionSpec) -> DistanceMatrix
 
 def _validate_image(
     s: FiniteUltrametricSpace, r: list[list[int]], image: Callable[[int], tuple[int, int]]
-) -> TriangleViolation | None:
+) -> tuple[list[int], list[int]] | TriangleViolation:
     """``validate_ultrametric(apply_function(s, f))``, from the ranks r of s,
-    with None where that returns a space.
+    with the image's ball order and gaps where that returns a space.
 
     image(x) is f at the value of rank x as an integer pair
     (``FunctionSpec.ratio_at``), asked once per distinct rank, in
@@ -338,35 +376,42 @@ def _validate_image(
     )
 
 
-def _ball_tree(r: list[list[int]], n: int, forms: dict) -> list[list]:
-    """The ball tree of points 0..n-1 on ranks r, every point unmarked.
+def _balls(s: FiniteUltrametricSpace, rank: Sequence[int]) -> list[list]:
+    """The tree of closed balls of s, from its kept order and gaps.
 
-    Node x is [parent or -1, place among its parent's children, diameter
-    rank t, row of child forms]; nodes 0..n-1 are the points, and a ball's
-    children are the classes of d < t. A form is an id in ``forms``: of
-    (mark,) for a point, of (t, *sorted child forms) for a ball, so equal
-    ids are equal marked canonical forms.
+    Node x is [parent or -1, place among its parent's children, rank of
+    its diameter t, child nodes]: the points 0..n-1, then each ball after
+    the balls inside it. A ball is a maximal run of the order whose inner
+    gaps are <= t and include t; its children are the runs between its
+    gaps t. A stack keeps the open balls, and a gap closes the narrower.
     """
-    tree = [[-1, 0, 0, None] for _ in range(n)]
-    _subtree(r, list(range(n)), tree, forms)
+    tree, stack = [[-1, 0, 0, None] for _ in s._points], []
+    # the infinite last gap closes every ball, and opens none that is kept
+    for item, x in zip(s._points, [*s._gaps, math.inf]):
+        while stack and stack[-1][0] < x:
+            t, kids = stack.pop()
+            kids.append(item)
+            item = len(tree)
+            for place, c in enumerate(kids):
+                tree[c][:2] = item, place
+            tree.append([-1, 0, rank[t], kids])
+        if stack and stack[-1][0] == x:
+            stack[-1][1].append(item)
+        else:
+            stack.append((x, [item]))
     return tree
 
 
-def _subtree(r: list[list[int]], points: list[int], tree: list[list], forms: dict) -> tuple:
-    # The node and form of the class of points: a point, or a ball added to
-    # the tree after the balls inside it. In an ultrametric a ball's t is
-    # the largest distance from one of its points to the rest.
-    if len(points) == 1:
-        return points[0], forms.setdefault((-1,), len(forms))
-    node, t, row = len(tree), max(map(r[points[0]].__getitem__, points)), []
-    tree.append([-1, 0, t, row])
-    while points:
-        rx = r[points[0]]
-        child, form = _subtree(r, [y for y in points if rx[y] < t], tree, forms)
-        tree[child][:2] = node, len(row)
-        row.append(form)
-        points = [y for y in points if rx[y] >= t]
-    return node, forms.setdefault((t, *sorted(row)), len(forms))
+def _joint(spaces: Sequence[FiniteUltrametricSpace]) -> tuple[list, list[list[int]]]:
+    """The spaces' kept values merged ascending, the earlier space's object
+    standing for a shared value as in ``_ranked``, and each space's ranks
+    on them: rank x of space i stands for values[joint[i][x]]."""
+    first: dict[tuple[int, int], RationalLike] = {}
+    for s in reversed(spaces):
+        first.update(zip(map(_ratio, s._values), s._values))
+    rank = dict(zip(first, _ranks(list(first))))
+    values = [first[k] for k in sorted(first, key=rank.__getitem__)]
+    return values, [list(map(rank.__getitem__, map(_ratio, s._values))) for s in spaces]
 
 
 def _root_form(tree: list[list], x: int, mark: int, forms: dict, keep: bool) -> int:
@@ -386,25 +431,32 @@ def isometry_search(
 ) -> tuple[int, ...] | None:
     """Least distance-preserving bijection from a's points to b's, if any.
 
-    Each space's ball tree is built once, on ranks shared by both matrices
-    (see ``_ranked``). Some isometry maps a's marked points onto b's of the
-    same marks exactly when the marked forms are equal. So point i, marked
-    i, goes to the least unmarked c of b whose form, c marked i, equals
-    a's: an isometry extending the choices survives, and one sending i
-    lower would have passed first, so the map is the least; at i = 0 the
-    test decides isometry. A mark changes only the forms on its point's
-    path to the root, so each candidate re-forms that path alone
-    (``_root_form``). Sizes are checked before any entry is read; the
-    cap only keeps the exit codes of ``space isometry``.
+    Each space's ball tree is read off its kept order (``_balls``), with
+    the diameters on the two spaces' joint ranks (``_joint``); a form is
+    the id of (mark,) for a point, of (t, *sorted child forms) for a ball.
+    Some isometry maps a's marked points onto b's of the same marks
+    exactly when the marked forms are equal. So point i, marked i, goes
+    to the least unmarked c of b whose form, c marked i, equals a's: an
+    isometry extending the choices survives, and one sending i lower
+    would have passed first, so the map is the least; at i = 0 the test
+    decides isometry. A mark changes only the forms on its point's path
+    to the root, so each candidate re-forms that path alone
+    (``_root_form``). Sizes are checked first; the cap only keeps the
+    exit codes of ``space isometry``.
     """
     if a.n != b.n:
         raise SizeMismatchError(f"cannot match {a.n} points with {b.n}")
     if a.n > MAX_SEARCH_POINTS:
         raise TooLargeError(f"search is capped at {MAX_SEARCH_POINTS} points")
     n = a.n
-    _, _, (ra, rb) = _ranked((a.dist, b.dist))
-    forms: dict[tuple[int, ...], int] = {}
-    ta, tb = _ball_tree(ra, n, forms), _ball_tree(rb, n, forms)
+    forms: dict[tuple[int, ...], int] = {(-1,): 0}  # an unmarked point
+    ta, tb = map(_balls, (a, b), _joint((a, b))[1])
+    for tree in ta, tb:
+        form = [0] * len(tree)
+        for x in range(n, len(tree)):
+            node = tree[x]
+            node[3] = [form[c] for c in node[3]]
+            form[x] = forms.setdefault((node[2], *sorted(node[3])), len(forms))
     mapping: list[int] = []
     for i in range(n):
         fa = _root_form(ta, i, i, forms, True)

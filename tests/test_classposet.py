@@ -43,6 +43,7 @@ from padicmetrics import (
     counterexample_function,
     distance_values,
     family_poset,
+    isometry_search,
     isotone_for_incomparables,
     validate_ultrametric,
 )
@@ -51,7 +52,7 @@ from padicmetrics.families import (
     OrderWitness,
     PreservationReport,
     SpaceWitness,
-    _base_leg_bits,
+    _base_leg_rows,
     _close,
     _order_side,
 )
@@ -64,7 +65,7 @@ from padicmetrics.fixtures import (
     zigzag_map,
 )
 from padicmetrics.padic import _ranks
-from padicmetrics.spaces import _ranked
+from padicmetrics.spaces import _ball_order, _joint, _ranked
 
 from support import (
     SIX_VALUE_POOL,
@@ -182,22 +183,44 @@ def _star_space(n, t, prefix):
     )
 
 
-def _leg_pairs_by_counts(family):
-    ground, _, ranked = _ranked(s.dist for s in family.spaces)
-    return ground, _decode(ground, _base_leg_bits(ranked, len(ground)))
+def _leg_pairs_off_balls(family):
+    ground, joint = _joint(family.spaces)
+    return ground, _decode(ground, _base_leg_rows(family.spaces, joint, len(ground)))
+
+
+def _shuffled(rng, space, prefix):
+    perm = list(range(space.n))
+    rng.shuffle(perm)
+    return FiniteUltrametricSpace(
+        tuple(f"{prefix}{i}" for i in range(space.n)),
+        tuple(tuple(space.dist[a][b] for b in perm) for a in perm),
+    )
 
 
 @settings(max_examples=300)
 @given(st.data())
-def test_row_wise_pairs_match_cubic_scan(data):
-    """Few levels make equilateral triples, which realize (t, t)."""
+def test_ball_pairs_match_cubic_scan(data):
+    """Few levels make equilateral triples, which realize (t, t); combs,
+    stars and dendrograms with shuffled points join the random families."""
     rng = data.draw(st.randoms(use_true_random=False))
     values = data.draw(st.sampled_from((SIX_VALUE_POOL, SIX_VALUE_POOL[:2], (F(1),))))
-    family = random_family(rng, max_spaces=3, max_points=7, values=values)
+    spaces = list(random_family(rng, max_spaces=3, max_points=7, values=values).spaces)
+    for k in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(("comb", "star", "shuffled")))
+        if kind == "comb":
+            chain = rng.sample(values, rng.randint(1, len(values)))
+            spaces.append(comb_space(chain, prefix=f"c{k}_"))
+        elif kind == "star":
+            spaces.append(_star_space(rng.randint(1, 6), rng.choice(values), f"t{k}_"))
+        else:
+            space = random_ultrametric(rng, rng.randint(1, 9), values)
+            spaces.append(_shuffled(rng, space, f"u{k}_"))
+    rng.shuffle(spaces)
+    family = SpaceFamily(tuple(spaces))
     pairs = brute_base_leg_pairs(family)
-    ground, by_counts = _leg_pairs_by_counts(family)
+    ground, off_balls = _leg_pairs_off_balls(family)
     assert tuple(ground) == distance_values(family)
-    assert by_counts == pairs
+    assert off_balls == pairs
     want = brute_transitive_closure(ground, pairs) | {(t, t) for t in ground}
     assert family_poset(family).pairs == want
 
@@ -206,7 +229,7 @@ def test_row_wise_pairs_match_cubic_scan(data):
 def test_comb_rows_realize_no_equal_base_and_legs(size):
     # a comb has no equilateral triple, so (t, t) stays unset for t > 0
     family = SpaceFamily((comb_space([F(k, 3) for k in range(1, size + 1)]),))
-    ground, pairs = _leg_pairs_by_counts(family)
+    ground, pairs = _leg_pairs_off_balls(family)
     assert pairs == brute_base_leg_pairs(family)
     assert {(t, t) for t in ground} & pairs == {(F(0), F(0))}
 
@@ -216,7 +239,7 @@ def test_star_rows_realize_every_equal_base_and_legs():
     stars = [_star_space(n, t, f"s{k}_") for k, (n, t) in
              enumerate(((3, F(1, 3)), (4, F(2)), (7, F(5, 2)), (2, F(9))))]
     family = SpaceFamily(tuple(stars))
-    ground, pairs = _leg_pairs_by_counts(family)
+    ground, pairs = _leg_pairs_off_balls(family)
     assert pairs == brute_base_leg_pairs(family)
     assert {t for t, u in pairs if t == u} == {F(0), F(1, 3), F(2), F(5, 2)}
 
@@ -230,7 +253,7 @@ def test_one_and_two_point_rows():
         ((one, two, one), {(F(0), F(0)), (F(0), F(1, 2))}),
     ):
         family = SpaceFamily(spaces)
-        assert _leg_pairs_by_counts(family)[1] == want == brute_base_leg_pairs(family)
+        assert _leg_pairs_off_balls(family)[1] == want == brute_base_leg_pairs(family)
 
 
 @settings(max_examples=300)
@@ -242,6 +265,22 @@ def test_bitset_closure_matches_boolean_matrix(data):
     up = _encode(ground, pairs)
     _close(up)
     assert _decode(ground, up) == brute_transitive_closure(ground, pairs)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_distance_values_are_the_objects_a_ranking_keeps(data):
+    # merged from the spaces' kept values: the same values in the same
+    # order, and for a value two spaces share, the earlier space's object
+    rng = data.draw(st.randoms(use_true_random=False))
+    pool = adversarial_pool(rng, data.draw(st.integers(1, 4)))
+    spaces = []
+    for k in range(data.draw(st.integers(1, 4))):
+        s = random_ultrametric(rng, rng.randint(1, 7), pool, prefix=f"s{k}_")
+        spaces.append(FiniteUltrametricSpace(s.labels, mix_ints(rng, s.dist)))
+    want = _ranked(s.dist for s in spaces)[0]
+    got = distance_values(SpaceFamily(tuple(spaces)))
+    assert list(map(id, got)) == list(map(id, want))
 
 
 @settings(max_examples=200)
@@ -776,6 +815,36 @@ def test_family_verbs_rank_a_family_once(make, monkeypatch):
 
 
 @pytest.mark.parametrize("make", [four_point_family, _chain_family])
+def test_family_verbs_sort_no_space_rows_again(make, monkeypatch):
+    # a space keeps the ball order its validation sorted: the family order,
+    # its values and the isometry search read that, and only the images
+    # under f, which are new matrices, are sorted
+    family, other = make(), make()
+    sorts, images = [], []
+    validate_image = families._validate_image
+
+    def counted_sort(r):
+        sorts.append(len(r))
+        return _ball_order(r)
+
+    def counted_image(s, r, image):
+        images.append(s.n)
+        return validate_image(s, r, image)
+
+    monkeypatch.setattr("padicmetrics.spaces._ball_order", counted_sort)
+    monkeypatch.setattr(families, "_validate_image", counted_image)
+    distance_values(family)
+    for s in family.spaces:
+        assert isometry_search(s, s) == tuple(range(s.n))
+    family_poset(family)
+    compare_families(family, other)
+    assert sorts == []
+    for verb in _family_verbs(identity_map(), other).values():
+        _verb_outcome(verb, family)
+    assert sorts == images != []
+
+
+@pytest.mark.parametrize("make", [four_point_family, _chain_family])
 def test_family_verbs_leave_the_cached_ranks_as_built(make):
     family = make()
     poset, ranked = family._order
@@ -800,11 +869,11 @@ def test_a_failed_build_is_not_kept(rows, error, monkeypatch):
     family = SpaceFamily((FiniteUltrametricSpace(labels, rows),))
     builds = []
 
-    def failing(ranked, size):
+    def failing(spaces, joint, size):
         builds.append(size)
         raise error("the family order could not be built")
 
-    monkeypatch.setattr(families, "_base_leg_bits", failing)
+    monkeypatch.setattr(families, "_base_leg_rows", failing)
     verbs = [*_family_verbs(identity_map(), family).values()] * 2
     for verb in verbs:
         with pytest.raises(error):

@@ -141,6 +141,62 @@ def test_structural_errors_match_the_ordered_pair_loop(data):
     )
 
 
+def _outcome(validate, cand):
+    # the first structural error, or what the validation returns
+    try:
+        return validate(cand)
+    except (AsymmetricError, NegativeEntryError, NonzeroDiagonalError, ZeroDistanceError) as err:
+        return type(err).__name__, str(err)
+
+
+def _brute_validate(cand):
+    brute_structural_check(cand)
+    return brute_validate_ultrametric(cand)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_sorted_rows_decide_and_the_refusal_is_explained_as_brute(data):
+    """Dendrograms with ties and shuffled points, with one entry changed in
+    one or both triangles: a negative entry, a zero, a nonzero diagonal,
+    or a value that may break the strong triangle inequality."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    n = data.draw(st.integers(1, 9))
+    values = data.draw(st.sampled_from((SIX_VALUE_POOL, SIX_VALUE_POOL[:2], (F(1),))))
+    s = random_ultrametric(rng, n, values)
+    perm = data.draw(st.permutations(range(n)))
+    rows = [[s.dist[a][b] for b in perm] for a in perm]
+    kind = data.draw(st.sampled_from(("none", "negative", "zero", "diagonal", "moved")))
+    if kind != "none" and (n > 1 or kind == "diagonal"):
+        i = data.draw(st.integers(0, n - 1))
+        j = i if kind == "diagonal" else (i + data.draw(st.integers(1, n - 1))) % n
+        moved = SIX_VALUE_POOL + (F(3, 4), F(8))
+        rows[i][j] = {
+            "negative": -rows[i][j] if i != j else F(-1),
+            "zero": F(0),
+            "diagonal": F(1, 2),
+            "moved": data.draw(st.sampled_from(moved)),
+        }[kind]
+        if data.draw(st.booleans()):
+            rows[j][i] = rows[i][j]
+    cand = _candidate(rows)
+    want = _outcome(_brute_validate, cand)
+    assert _outcome(validate_ultrametric, cand) == want
+    _, _, (r,) = _ranked((cand.dist,))
+    assert (spaces._ball_order(r) is not None) == isinstance(want, FiniteUltrametricSpace)
+    if isinstance(want, FiniteUltrametricSpace):
+        built = validate_ultrametric(cand)
+        d, place = built.dist, {x: k for k, x in enumerate(built._points)}
+        assert built._values == tuple(sorted({v for row in d for v in row}))
+        assert [built._values[g] for g in built._gaps] == [
+            d[x][y] for x, y in zip(built._points, built._points[1:])
+        ]
+        for x in range(n):
+            for t in set(d[x]):
+                ball = sorted(place[y] for y in range(n) if d[x][y] <= t)
+                assert ball == list(range(ball[0], ball[0] + len(ball)))
+
+
 def _adversarial_space(data, max_points=9):
     rng = data.draw(st.randoms(use_true_random=False))
     pool = adversarial_pool(rng, data.draw(st.integers(1, 5)))
