@@ -50,13 +50,10 @@ from .spaces import (
     TriangleViolation,
     _balls,
     _joint,
-    _ranked,
     _validate_image,
 )
 
 Pair = tuple[Fraction, Fraction]
-# each space's matrix on int ranks, row by row
-Ranked = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -68,14 +65,15 @@ class SpaceFamily(_Record):
     ``check_family_preserving``, ``build_extension``,
     ``counterexample_function`` and ``compare_families`` all read that one
     build. A build that raises keeps nothing, and raises again on the next
-    call. The cached rank matrices are tuples, so no reader can change
-    them.
+    call. The cached maps from each space's ranks to the family's are
+    tuples, so no reader can change them.
 
     The cache rests on the family never changing. ``spaces`` is stored as
     a tuple, each member must be a frozen ``FiniteUltrametricSpace``, and
     a space's rows are tuples when it comes from ``from_rows`` or
-    ``from_json_dict``. A space keeps the ball order the family order is
-    read from, so a space on mutable rows must keep them once built.
+    ``from_json_dict``. A space keeps the ranks of its matrix and the ball
+    order the family order is read from, so a space on mutable rows must
+    keep them once built. No verb ranks a matrix again.
 
     Raises:
         ValueError: for an empty family.
@@ -107,14 +105,15 @@ class SpaceFamily(_Record):
         return cls(tuple(spaces))
 
     @cached_property
-    def _order(self) -> tuple[FinitePoset, Ranked]:
-        """``family_poset``'s order, with the family's matrices on the ranks
-        of its ground: rank r stands for ground[r], since 0 is the least value.
+    def _order(self) -> tuple[FinitePoset, tuple[tuple[int, ...], ...]]:
+        """``family_poset``'s order, with each space's ranks on its ground
+        (``spaces._joint``): rank x of space i stands for ground[joint[i][x]],
+        and family rank r for ground[r], since 0 is the least value. The
+        ground is the spaces' kept values merged, so no matrix is read.
         """
-        ground, _, ranked = _ranked(s.dist for s in self.spaces)
+        ground, joint = _joint(self.spaces)
         ran = tuple(ground)
-        frozen = tuple(tuple(map(tuple, m)) for m in ranked)
-        legs = _base_leg_rows(self.spaces, _joint(self.spaces)[1], len(ran))
+        legs = _base_leg_rows(self.spaces, joint, len(ran))
         up = [row | 1 << i for i, row in enumerate(legs)]
         _close(up)
         for i, row in enumerate(up):
@@ -127,7 +126,7 @@ class SpaceFamily(_Record):
         for j, t in enumerate(ran):
             if not up[0] >> j & 1:
                 raise SelfCheckError(f"0 is not below {t}")
-        return FinitePoset._trusted(ran, tuple(up)), frozen
+        return FinitePoset._trusted(ran, tuple(up)), tuple(joint)
 
 
 def distance_values(family: SpaceFamily) -> tuple[Fraction, ...]:
@@ -145,7 +144,7 @@ def _bits(row: int) -> Iterator[int]:
         row &= row - 1
 
 
-def _base_leg_rows(spaces, joint: list[list[int]], size: int) -> list[int]:
+def _base_leg_rows(spaces, joint: list[tuple[int, ...]], size: int) -> list[int]:
     """All pairs (base, leg) realized by point triples, repetition allowed.
 
     Rank x of space i is rank joint[i][x] of the family's ``size``
@@ -337,18 +336,21 @@ def _order_side(read: Callable[[int, int], Ratio], poset: FinitePoset) -> OrderW
 
 
 def _space_side(
-    image: Callable[[int], Ratio], family: SpaceFamily, ranked: Ranked
+    image: Callable[[int], Ratio], family: SpaceFamily, joint: tuple[tuple[int, ...], ...]
 ) -> SpaceWitness | None:
-    """Transform and validate each space, on its ranks in the family's ground.
+    """Transform and validate each space, on the ranks it kept when built.
 
-    Rank r stands for ground[r], since 0 is the least value, and image(r)
-    is f at ground[r] as an integer pair. Each space gets the witness
+    image(r) is f at ground[r] as an integer pair, and rank x of space i
+    is family rank joint[i][x], so that space's image is read as
+    image(joint[i][x]). Each space gets the witness
     ``validate_ultrametric(apply_function(s, f))`` would give, without
-    ranking its matrix again.
+    ranking its matrix again. Only the matrix's ranks are read, never the
+    ball order the order side's poset comes from, so the two routes stay
+    independent.
     """
-    for idx, (s, r) in enumerate(zip(family.spaces, ranked)):
+    for idx, (s, to_family) in enumerate(zip(family.spaces, joint)):
         try:
-            out = _validate_image(s, r, image)
+            out = _validate_image(s, lambda x: image(to_family[x]))
         except NonzeroDiagonalError:
             return SpaceWitness(idx, "nonzero_diagonal")
         except ZeroDistanceError:
@@ -359,7 +361,10 @@ def _space_side(
 
 
 def _report(
-    f: FunctionSpec, family: SpaceFamily, poset: FinitePoset, ranked: Ranked
+    f: FunctionSpec,
+    family: SpaceFamily,
+    poset: FinitePoset,
+    joint: tuple[tuple[int, ...], ...],
 ) -> tuple[PreservationReport, _Memo]:
     """Run both routes against the family's own poset and compare them.
 
@@ -373,7 +378,7 @@ def _report(
     memo = _Memo(lambda key: read(*key))
     keys = list(map(_ratio, poset.ground))
     order_witness = _order_side(lambda k, den: memo[k, den], poset)
-    space_witness = _space_side(lambda r: memo[keys[r]], family, ranked)
+    space_witness = _space_side(lambda r: memo[keys[r]], family, joint)
     if (order_witness is None) != (space_witness is None):
         raise EquivalenceBreachError(
             f"order side says {order_witness}, space side says {space_witness}"
@@ -388,8 +393,10 @@ def check_family_preserving(f: FunctionSpec, family: SpaceFamily) -> Preservatio
     order-side test (f(0) = 0, positive on positive values, isotone for
     the family's distance order). Their verdicts are compared on every
     call; disagreement raises EquivalenceBreachError because the
-    equivalence is a theorem, not a heuristic. The family's matrices are
-    ranked once per family, for the poset and for every space's image.
+    equivalence is a theorem, not a heuristic. No matrix is ranked here:
+    each space's image is validated on the ranks the space kept when it
+    was built, and the poset is read off the spaces' kept ball orders once
+    per family.
     """
     return _report(f, family, *family._order)[0]
 
@@ -403,10 +410,10 @@ def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
     staying at f(high) forever after. It agrees with f on every value the
     family realizes.
     """
-    poset, ranked = family._order
+    poset, joint = family._order
     if not poset.is_total():
         raise NotTotallyOrderedError("the family's distance order is not total")
-    report, memo = _report(f, family, poset, ranked)
+    report, memo = _report(f, family, poset, joint)
     if not report.passed:
         raise NotPreservingError(
             f"f does not preserve the family: {report.order_witness.to_json_dict()}"
@@ -457,7 +464,7 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     decreasing somewhere on its values, so no increasing function can
     agree with it; both facts are re-verified before returning.
     """
-    poset, ranked = family._order
+    poset, joint = family._order
     if poset.is_total():
         raise TotallyOrderedError("the family's distance order is already total")
     ran, up = poset.ground, poset.up
@@ -471,7 +478,7 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     phi = isotone_for_incomparables(poset, big, small, Fraction(1), Fraction(2))
     fn = Tabulated.from_mapping({**phi, Fraction(0): Fraction(0)})
 
-    report = _report(fn, family, poset, ranked)[0]
+    report = _report(fn, family, poset, joint)[0]
     # small < big, so this one pair certifies that fn decreases somewhere
     if not report.passed or not fn(small) > fn(big):
         raise SelfCheckError("counterexample failed its own audit")

@@ -22,8 +22,10 @@ distinct entries are keyed by (numerator, denominator), exact because
 ints and Fractions are kept in lowest terms, and ranked once by
 ``padic._ranks``. Each entry then becomes its rank minus the rank of 0,
 so ranks keep every order, equality and sign of the entries, and stay
-small when the denominators are pairwise coprime. Messages, witnesses and
-the returned space still quote the original entries.
+small when the denominators are pairwise coprime. A matrix is ranked once,
+when its space is built, and the space keeps those ranks: ``apply_function``
+and the family verbs read them and rank no matrix again. Messages,
+witnesses and the returned space still quote the original entries.
 
 The Gram rank works without ever leaving the rationals: instead of
 constructing coordinates (which would need square roots), the Gram matrix
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import getitem
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     AsymmetricError,
@@ -127,20 +129,27 @@ class FiniteUltrametricSpace(DistanceMatrixCandidate):
     """A candidate validated on construction, as ``validate_ultrametric``
     validates it; a strong-triangle breach raises ``NotUltrametricError``,
     with the least breach as its ``violation``. Outside its fields it keeps
-    its values ascending (``_values``), and its points in ball order
-    (``_points``) with their gaps (``_gaps``, indices into ``_values``)."""
+    its values ascending (``_values``), the matrix on their indices
+    (``_ranks``, tuple rows: d[i][j] equals _values[_ranks[i][j]]), and its
+    points in ball order (``_points``) with their gaps (``_gaps``, indices
+    into ``_values``). None of these is a dataclass field, so equality,
+    hashing and JSON read the labels and the matrix only."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         d = self.dist
-        values, _, (r,) = _ranked((d,))
+        values, r = _ranked(d)
         v = _validate_ranked(self.labels, r, lambda i, j: d[i][j])
         if isinstance(v, TriangleViolation):
             sides = ", ".join(map(_text, v.sides))
             raise NotUltrametricError(
                 f"not ultrametric: indices ({v.i}, {v.j}, {v.k}) with sides ({sides})", v
             )
-        for name, kept in zip(("_values", "_points", "_gaps"), (values, *v)):
+        # list rows build and sort faster than tuples; frozen once valid,
+        # a row at a time, so no second copy of the matrix is made
+        for i, row in enumerate(r):
+            r[i] = tuple(row)
+        for name, kept in zip(("_values", "_ranks", "_points", "_gaps"), (values, r, *v)):
             object.__setattr__(self, name, tuple(kept))
 
     def candidate(self) -> DistanceMatrixCandidate:
@@ -158,15 +167,16 @@ class TriangleViolation(_Record):
 
 
 def _ranked(
-    matrices: Iterable[Sequence[Sequence[RationalLike]]],
-) -> tuple[list[RationalLike], int, list[list[list[int]]]]:
-    """Every matrix rewritten on int ranks of the distinct values, 0 included.
+    m: Sequence[Sequence[RationalLike]],
+) -> tuple[list[RationalLike], list[list[int]]]:
+    """The matrix rewritten on int ranks of its distinct values, 0 included.
 
     Returns the distinct values in ascending order (the first entry seen
-    stands for its value), the position ``zero`` of 0 among them, and each
-    matrix with every entry replaced by its position minus ``zero``: the
-    rank of values[zero + r] is r. Ranks keep every order, equality and
-    sign of the entries, so an O(n^2) loop over them compares ints only.
+    stands for its value), and the matrix with every entry replaced by its
+    position among the values minus the position of 0. So ranks keep every
+    order, equality and sign of the entries, an O(n^2) loop over them
+    compares ints only, and with no negative entry, as in a valid space,
+    rank r stands for values[r].
 
     Each distinct entry object is read once: the objects are collected by
     ``id`` in row-major order of first appearance (a matrix often holds
@@ -175,18 +185,17 @@ def _ranked(
     denominator), which is exact because ints and Fractions are kept in
     lowest terms, and those pairs are ranked once by ``_ranks``. Every
     object stays referenced until the rows are remapped, so no ``id`` is
-    reused meanwhile.
+    reused meanwhile; the ids are taken one row at a time, never all at
+    once.
 
     Raises:
         TypeError: for an entry with no numerator, such as a float, which
             is already rounded to binary; the first such entry in row-major
             order is named.
     """
-    matrices = list(matrices)
     seen: dict[int, RationalLike] = {}
-    for m in matrices:
-        for row in m:
-            seen.update(zip(map(id, row), row))
+    for row in m:
+        seen.update(zip(map(id, row), row))
     objects = list(seen.values())
     try:
         keys = list(map(_ratio, objects))
@@ -204,9 +213,7 @@ def _ranked(
     rank = {k: i - zero for k, i in zip(pairs, ranks)}
     values = [first[k] for k in sorted(pairs, key=rank.__getitem__)]
     by_id = dict(zip(seen, map(rank.__getitem__, keys)))
-    return values, zero, [
-        [list(map(by_id.__getitem__, map(id, row))) for row in m] for m in matrices
-    ]
+    return values, [list(map(by_id.__getitem__, map(id, row))) for row in m]
 
 
 def _subdominant(r: list[list[int]]) -> list[list[int]]:
@@ -343,29 +350,33 @@ def apply_function(s: FiniteUltrametricSpace, f: FunctionSpec) -> DistanceMatrix
     The result is only a candidate: whether f(0) = 0 and whether the image
     is still an ultrametric is the validator's business, not this one's.
     f is called once per distinct distance, in row-major order of first
-    appearance; the distances are grouped by their int ranks (see
-    ``_ranked``), so no Fraction is hashed per entry.
+    appearance; the distances are grouped by the int ranks the space kept
+    when it was built (rank x stands for ``s._values[x]``), so no matrix is
+    ranked again and no Fraction is hashed per entry.
     """
-    values, zero, (r,) = _ranked((s.dist,))
-    image = {x: f(values[zero + x]) for x in dict.fromkeys(chain.from_iterable(r))}
+    values, r = s._values, s._ranks
+    image = {x: f(values[x]) for x in dict.fromkeys(chain.from_iterable(r))}
     rows = tuple(tuple(map(image.__getitem__, row)) for row in r)
     return DistanceMatrixCandidate(s.labels, rows)
 
 
 def _validate_image(
-    s: FiniteUltrametricSpace, r: list[list[int]], image: Callable[[int], tuple[int, int]]
+    s: FiniteUltrametricSpace, image: Callable[[int], tuple[int, int]]
 ) -> tuple[list[int], list[int]] | TriangleViolation:
-    """``validate_ultrametric(apply_function(s, f))``, from the ranks r of s,
-    with the image's ball order and gaps where that returns a space.
+    """``validate_ultrametric(apply_function(s, f))``, from the ranks s
+    kept when it was built, with the image's ball order and gaps where
+    that returns a space. Only the matrix's ranks are read, not the ball
+    order of s.
 
     image(x) is f at the value of rank x as an integer pair
     (``FunctionSpec.ratio_at``), asked once per distinct rank, in
     row-major order of first appearance, as ``apply_function`` calls f.
     The image's ranks are the ones ``_ranked`` would give its matrix: its
-    distinct values and 0 are ranked by ``_ranks``, and r is mapped
-    through them, so no image entry is read again. An image becomes a
-    Fraction only for an error message or a witness's sides.
+    distinct values and 0 are ranked by ``_ranks``, and the ranks of s are
+    mapped through them, so no image entry is read again. An image becomes
+    a Fraction only for an error message or a witness's sides.
     """
+    r = s._ranks
     pairs = {x: image(x) for x in dict.fromkeys(chain.from_iterable(r))}
     ranks = _ranks([*pairs.values(), (0, 1)])
     rank = {x: y - ranks[-1] for x, y in zip(pairs, ranks)}
@@ -402,16 +413,17 @@ def _balls(s: FiniteUltrametricSpace, rank: Sequence[int]) -> list[list]:
     return tree
 
 
-def _joint(spaces: Sequence[FiniteUltrametricSpace]) -> tuple[list, list[list[int]]]:
+def _joint(spaces: Sequence[FiniteUltrametricSpace]) -> tuple[list, list[tuple[int, ...]]]:
     """The spaces' kept values merged ascending, the earlier space's object
-    standing for a shared value as in ``_ranked``, and each space's ranks
-    on them: rank x of space i stands for values[joint[i][x]]."""
+    standing for a shared value, as ranking every matrix at once would
+    keep it, and each space's ranks on them: rank x of space i stands for
+    values[joint[i][x]]."""
     first: dict[tuple[int, int], RationalLike] = {}
     for s in reversed(spaces):
         first.update(zip(map(_ratio, s._values), s._values))
     rank = dict(zip(first, _ranks(list(first))))
     values = [first[k] for k in sorted(first, key=rank.__getitem__)]
-    return values, [list(map(rank.__getitem__, map(_ratio, s._values))) for s in spaces]
+    return values, [tuple(map(rank.__getitem__, map(_ratio, s._values))) for s in spaces]
 
 
 def _root_form(tree: list[list], x: int, mark: int, forms: dict, keep: bool) -> int:

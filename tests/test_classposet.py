@@ -78,6 +78,7 @@ from support import (
     must_validate,
     random_family,
     random_ultrametric,
+    ref_ranked,
 )
 
 F = Fraction
@@ -278,7 +279,7 @@ def test_distance_values_are_the_objects_a_ranking_keeps(data):
     for k in range(data.draw(st.integers(1, 4))):
         s = random_ultrametric(rng, rng.randint(1, 7), pool, prefix=f"s{k}_")
         spaces.append(FiniteUltrametricSpace(s.labels, mix_ints(rng, s.dist)))
-    want = _ranked(s.dist for s in spaces)[0]
+    want = ref_ranked([s.dist for s in spaces])[0]
     got = distance_values(SpaceFamily(tuple(spaces)))
     assert list(map(id, got)) == list(map(id, want))
 
@@ -800,18 +801,27 @@ def test_family_verbs_in_any_order_match_a_fresh_family(data):
 
 
 @pytest.mark.parametrize("make", [four_point_family, _chain_family])
-def test_family_verbs_rank_a_family_once(make, monkeypatch):
+def test_no_verb_ranks_a_built_space_again(make, monkeypatch):
+    # a space ranks its matrix once, when it is built, and keeps the ranks:
+    # the family verbs, distance_values and apply_function read those
+    family, other = make(), make()
     calls = []
 
-    def counted(matrices):
-        calls.append(1)
-        return _ranked(matrices)
+    def counted(m):
+        calls.append(len(m))
+        return _ranked(m)
 
-    monkeypatch.setattr(families, "_ranked", counted)
-    family = make()
-    for verb in _family_verbs(identity_map(), family).values():
-        _verb_outcome(verb, family)
-    assert len(calls) == 1
+    assert not hasattr(families, "_ranked")  # so the one patch sees every call
+    monkeypatch.setattr("padicmetrics.spaces._ranked", counted)
+    for f in identity_map(), level_swap_map():
+        for verb in _family_verbs(f, other).values():
+            _verb_outcome(verb, family)
+        for s in family.spaces:
+            apply_function(s, f)
+    distance_values(family)
+    assert calls == []
+    built = make()  # the patch is live: building ranks each matrix once
+    assert calls == [s.n for s in built.spaces]
 
 
 @pytest.mark.parametrize("make", [four_point_family, _chain_family])
@@ -827,9 +837,9 @@ def test_family_verbs_sort_no_space_rows_again(make, monkeypatch):
         sorts.append(len(r))
         return _ball_order(r)
 
-    def counted_image(s, r, image):
+    def counted_image(s, image):
         images.append(s.n)
-        return validate_image(s, r, image)
+        return validate_image(s, image)
 
     monkeypatch.setattr("padicmetrics.spaces._ball_order", counted_sort)
     monkeypatch.setattr(families, "_validate_image", counted_image)
@@ -847,11 +857,31 @@ def test_family_verbs_sort_no_space_rows_again(make, monkeypatch):
 @pytest.mark.parametrize("make", [four_point_family, _chain_family])
 def test_family_verbs_leave_the_cached_ranks_as_built(make):
     family = make()
-    poset, ranked = family._order
-    before = deepcopy(ranked)
+    poset, joint = family._order
+    before = deepcopy(joint)
+    kept = [(s._ranks, deepcopy(s._ranks)) for s in family.spaces]
     for verb in _family_verbs(identity_map(), family).values():
         _verb_outcome(verb, family)
+        for s, (ranks, copy) in zip(family.spaces, kept):
+            assert s._ranks is ranks and ranks == copy
+    for s, (ranks, copy) in zip(family.spaces, kept):
+        apply_function(s, level_swap_map())
+        assert s._ranks is ranks and ranks == copy
     assert family._order[0] is poset and family._order[1] == before
+
+
+def test_the_space_side_reads_the_matrix_not_the_ball_order():
+    # gaps (1, 2, 3) no longer match the matrix of gaps (1, 3, 2): the
+    # order side reads the broken ball order, the space side the ranks, so
+    # the two routes disagree instead of agreeing on a wrong order
+    space = four_point_space()
+    assert [space._values[g] for g in space._gaps] == [1, 3, 2]
+    family = SpaceFamily((space,))
+    assert check_family_preserving(level_swap_map(), family).passed
+    broken = four_point_space()
+    object.__setattr__(broken, "_gaps", tuple(space._values.index(t) for t in (1, 2, 3)))
+    with pytest.raises(EquivalenceBreachError):
+        check_family_preserving(level_swap_map(), SpaceFamily((broken,)))
 
 
 @pytest.mark.parametrize(

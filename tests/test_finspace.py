@@ -46,6 +46,7 @@ from support import (
     brute_isometry,
     brute_structural_check,
     brute_validate_ultrametric,
+    comb_space,
     isosceles_check,
     mix_ints,
     must_validate,
@@ -182,7 +183,7 @@ def test_sorted_rows_decide_and_the_refusal_is_explained_as_brute(data):
     cand = _candidate(rows)
     want = _outcome(_brute_validate, cand)
     assert _outcome(validate_ultrametric, cand) == want
-    _, _, (r,) = _ranked((cand.dist,))
+    _, r = _ranked(cand.dist)
     assert (spaces._ball_order(r) is not None) == isinstance(want, FiniteUltrametricSpace)
     if isinstance(want, FiniteUltrametricSpace):
         built = validate_ultrametric(cand)
@@ -302,37 +303,70 @@ def test_apply_function_calls_f_in_first_seen_order_on_adversarial_rationals(dat
     assert image.dist == tuple(tuple(2 * v for v in row) for row in s.dist)
 
 
-def _ranked_outcome(rank, matrices):
+def _ranked_outcome(m):
     try:
-        values, zero, ranked = rank(matrices)
+        values, rows = _ranked(m)
     except TypeError as err:
         return str(err)
-    return list(map(id, values)), zero, ranked
+    return list(map(id, values)), rows
+
+
+def _ref_ranked_outcome(m):
+    # the one-matrix reading of the multi-matrix reference
+    try:
+        values, _, (rows,) = ref_ranked((m,))
+    except TypeError as err:
+        return str(err)
+    return list(map(id, values)), rows
 
 
 @settings(max_examples=200)
 @given(st.data())
 def test_ranked_matches_the_entry_by_entry_reading(data):
     # shared objects (the generator reuses its pool), one fresh object per
-    # entry, ints next to equal Fractions, and now and then floats
+    # entry, ints next to equal Fractions, and now and then floats, in the
+    # rows of one matrix
     rng, _, s = _adversarial_space(data)
     shared = mix_ints(rng, s.dist)
     fresh = tuple(tuple(F(v.numerator, v.denominator) for v in row) for row in s.dist)
-    matrices = [[list(row) for row in m] for m in (shared, fresh)]
+    m = [list(row) for row in (*shared, *fresh)]
     for _ in range(data.draw(st.integers(0, 2))):
-        m = data.draw(st.sampled_from(matrices))
         row = data.draw(st.sampled_from(m))
         row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from((0.5, 0.25)))
-    assert _ranked_outcome(_ranked, matrices) == _ranked_outcome(ref_ranked, matrices)
+    assert _ranked_outcome(m) == _ref_ranked_outcome(m)
 
 
 def test_twins_closer_than_2_to_the_minus_64_rank_apart():
     a = F(1, 3)
     b = a + F(1, 2**70)
     assert (a.numerator << 64) // a.denominator == (b.numerator << 64) // b.denominator
-    values, zero, ranked = _ranked([[(b, a, 0)], [(F(1), 1, F(0))]])
-    assert (values, zero) == ([0, a, b, 1], 0)
-    assert ranked == [[[2, 1, 0]], [[3, 3, 0]]]
+    values, ranked = _ranked([(b, a, 0), (F(1), 1, F(0))])
+    assert values == [0, a, b, 1]
+    assert ranked == [[2, 1, 0], [3, 3, 0]]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_a_space_keeps_the_ranks_of_its_matrix(data):
+    """Dendrograms, combs and shuffled points, ints among Fractions: the
+    kept ranks are the reference's, and rank x stands for _values[x]."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    pool = adversarial_pool(rng, data.draw(st.integers(1, 4)))
+    kind = data.draw(st.sampled_from(("dendrogram", "comb", "shuffled")))
+    if kind == "comb":
+        s = comb_space(rng.sample(pool, rng.randint(1, len(pool))))
+    else:
+        s = random_ultrametric(rng, rng.randint(1, 9), pool)
+    perm = list(range(s.n))
+    if kind == "shuffled":
+        rng.shuffle(perm)
+    rows = [[s.dist[a][b] for b in perm] for a in perm]
+    s = FiniteUltrametricSpace(s.labels, mix_ints(rng, rows))
+    values, zero, (want,) = ref_ranked((s.dist,))
+    assert zero == 0 and list(map(id, s._values)) == list(map(id, values))
+    assert s._ranks == tuple(map(tuple, want))
+    for row, ranks in zip(s.dist, s._ranks):
+        assert [s._values[x] for x in ranks] == list(row)
 
 
 def _coprime_matrix(n):
