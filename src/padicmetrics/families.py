@@ -437,7 +437,11 @@ def isotone_for_incomparables(
 
     The map is p2 on the up-set of x2 and p1 everywhere else, which is
     isotone by transitivity and hits the prescribed values because x1 is
-    not above x2. Isotonicity is re-checked after construction.
+    not above x2. It is read off x2's row of ``poset.up``: ground[i] goes
+    to p2 when bit i is set. Isotonicity is re-checked on the rows after
+    construction, in ``nonreflexive_pairs`` order, so the first pair
+    (s, t) with s in the up-set and t outside it is named. That is
+    O(k + pairs) for k ground values.
     """
     x1, x2 = as_fraction(x1), as_fraction(x2)
     p1, p2 = as_fraction(p1), as_fraction(p2)
@@ -447,10 +451,14 @@ def isotone_for_incomparables(
         raise BadIntervalError(f"need 0 < p1 < p2, got {p1}, {p2}")
     if poset.comparable(x1, x2):
         raise ComparableError(f"{x1} and {x2} are comparable")
-    phi = {x: p2 if poset.leq(x2, x) else p1 for x in poset.ground}
-    for s, t in poset.nonreflexive_pairs():
-        if phi[s] > phi[t]:
-            raise SelfCheckError(f"constructed map is not isotone on {s}, {t}")
+    ground, up = poset.ground, poset.up
+    row = up[poset._index(x2)]
+    phi = {x: p2 if row >> i & 1 else p1 for i, x in enumerate(ground)}
+    # phi[s] > phi[t] exactly when s is in the up-set of x2 and t is not
+    for s in _bits(row):
+        t = next(_bits(up[s] & ~row), None)
+        if t is not None:
+            raise SelfCheckError(f"constructed map is not isotone on {ground[s]}, {ground[t]}")
     return phi
 
 

@@ -5,12 +5,21 @@ and reports (passed, detail) instead of raising, so the whole battery can
 run to completion and the CLI can print a line per fixture. The builders
 for the recurring objects (the four-point space, the level-swapping map,
 the zigzag map) live here too so tests and examples stay in sync.
+
+Each builder returns a new object on every call. One ``run_all`` builds
+each of those three shared examples once, when a fixture first reads
+it, and hands that object to every fixture that reads it; nothing is
+kept from one run to the next. Every image, verdict, family and order is
+still derived inside its own fixture: each family fixture builds its own
+``SpaceFamily`` around the shared space, so it computes its own order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from itertools import pairwise
 from typing import Callable
 
 from .errors import NotPreservingError
@@ -145,79 +154,100 @@ class FixtureResult(_Record):
     detail: str
 
 
-Check = Callable[[], tuple[bool, str]]
+class _Examples:
+    """The shared examples of one ``run_all``, each built when first read.
+
+    A builder that raises stores nothing, so every fixture that reads
+    that example calls it again and fails on its own.
+    """
+
+    @cached_property
+    def four_point_space(self) -> FiniteUltrametricSpace:
+        return four_point_space()
+
+    @cached_property
+    def level_swap_map(self) -> PiecewiseLinear:
+        return level_swap_map()
+
+    @cached_property
+    def zigzag_map(self) -> PiecewiseLinear:
+        return zigzag_map()
 
 
-def _order_values() -> tuple[bool, str]:
+Check = Callable[[_Examples], tuple[bool, str]]
+
+
+def _order_values(ex: _Examples) -> tuple[bool, str]:
     x = F(25, 18)
     got = (valuation(x, 3), valuation(x, 7), valuation(8, 2))
     return got == (-2, 0, 3), f"orders (3, 7 | 8 base 2) = {got}"
 
 
-def _abs_values() -> tuple[bool, str]:
+def _abs_values(ex: _Examples) -> tuple[bool, str]:
     x = F(25, 18)
     got = tuple(padic_abs(x, p).as_fraction() for p in (2, 3, 5, 7))
     return got == (2, 9, F(1, 25), 1), f"|25/18| at 2,3,5,7 = {got}"
 
 
-def _three_adic_distances() -> tuple[bool, str]:
+def _three_adic_distances(ex: _Examples) -> tuple[bool, str]:
     got = (padic_distance(F(1, 2), F(1, 3), 3), padic_distance(F(1, 2), F(1, 4), 3))
     return got == (3, 1), f"d3(1/2,1/3), d3(1/2,1/4) = {got}"
 
 
-def _digits_seventeen() -> tuple[bool, str]:
+def _digits_seventeen(ex: _Examples) -> tuple[bool, str]:
     w = digit_window(17, 3, 4)
     ok = w.low == 0 and w.digits == (2, 2, 1, 0, 0)
     return ok, f"17 base 3: low={w.low}, digits={list(w.digits)}"
 
 
-def _digits_minus_one() -> tuple[bool, str]:
+def _digits_minus_one(ex: _Examples) -> tuple[bool, str]:
     w = digit_window(-1, 3, 11)
     ok = w.low == 0 and w.digits == (2,) * 12
     return ok, f"-1 base 3: digits={list(w.digits)}"
 
 
-def _digits_one_half() -> tuple[bool, str]:
+def _digits_one_half(ex: _Examples) -> tuple[bool, str]:
     w = digit_window(F(1, 2), 3, 11)
     ok = w.low == 0 and w.digits == (2,) + (1,) * 11
     return ok, f"1/2 base 3: digits={list(w.digits)}"
 
 
-def _cauchy_tenths() -> tuple[bool, str]:
-    prefix = [F(1, 10) ** n for n in range(1, 6)]
+def _cauchy_tenths(ex: _Examples) -> tuple[bool, str]:
+    prefix = [F(1, 10**n) for n in range(1, 6)]
     profile = cauchy_profile(prefix, 7)
     ok = all(term >= F(1, 9) for term in profile)
     return ok, f"7-adic gaps of 10**-n: {[str(t) for t in profile]}"
 
 
-def _cauchy_powers_of_three() -> tuple[bool, str]:
-    sums, total = [], F(0)
+def _cauchy_powers_of_three(ex: _Examples) -> tuple[bool, str]:
+    sums, total = [], 0
     for k in range(1, 6):
-        total += F(3) ** k
+        total += 3**k
         sums.append(total)
     profile = cauchy_profile(sums, 3)
-    want = tuple(F(3) ** -(n + 1) for n in range(1, 5))
+    want = tuple(F(1, 3 ** (n + 1)) for n in range(1, 5))
     return profile == want, f"3-adic gaps: {[str(t) for t in profile]}"
 
 
-def _geometric_limit() -> tuple[bool, str]:
+def _geometric_limit(ex: _Examples) -> tuple[bool, str]:
     for p in (2, 3, 5, 7):
         limit = F(1, 1 - p)
-        total = F(0)
+        total, power = 0, 1  # 1 + p + ... + p**n and p**(n + 1)
         for n in range(0, 11):
-            total += F(p) ** n
-            if padic_distance(total, limit, p) != F(p) ** -(n + 1):
+            total += power
+            power *= p
+            if padic_distance(total, limit, p) != F(1, power):
                 return False, f"p={p}, n={n}: gap is not p**-(n+1)"
     return True, "partial sums of 1 + p + ... + p**n approach 1/(1-p)"
 
 
-def _zigzag_values() -> tuple[bool, str]:
-    f = zigzag_map()
+def _zigzag_values(ex: _Examples) -> tuple[bool, str]:
+    f = ex.zigzag_map
     got = (f(3), f(1), f(F(1, 3)))
     return got == (F(1, 8), 1, F(1, 3)), f"zigzag at 3, 1, 1/3 = {got}"
 
 
-def _triplet_calls() -> tuple[bool, str]:
+def _triplet_calls(ex: _Examples) -> tuple[bool, str]:
     checks = (
         not is_triangle_triplet(1, 1, 4),
         not is_triangle_triplet(F(1, 8), F(1, 8), 1),
@@ -228,8 +258,8 @@ def _triplet_calls() -> tuple[bool, str]:
     return all(checks), f"membership bits = {checks}"
 
 
-def _zigzag_euclid_grid() -> tuple[bool, str]:
-    verdict = check_euclid_preserving_grid(zigzag_map(), F(1, 8), 8)
+def _zigzag_euclid_grid(ex: _Examples) -> tuple[bool, str]:
+    verdict = check_euclid_preserving_grid(ex.zigzag_map, F(1, 8), 8)
     if verdict.passed:
         return True, "all pairs on the 1/8 grid up to 8 map into the triangle family"
     w = verdict.witness
@@ -239,8 +269,8 @@ def _zigzag_euclid_grid() -> tuple[bool, str]:
     )
 
 
-def _level_swap_not_increasing() -> tuple[bool, str]:
-    verdict = check_ultrametric_preserving(level_swap_map(), (0, 1, 2, 3))
+def _level_swap_not_increasing(ex: _Examples) -> tuple[bool, str]:
+    verdict = check_ultrametric_preserving(ex.level_swap_map, (0, 1, 2, 3))
     w = verdict.witness
     ok = (
         not verdict.passed
@@ -252,13 +282,12 @@ def _level_swap_not_increasing() -> tuple[bool, str]:
     return ok, f"witness = {None if w is None else w.to_json_dict()}"
 
 
-def _reciprocal_band_failure() -> tuple[bool, str]:
+def _reciprocal_band_failure(ex: _Examples) -> tuple[bool, str]:
     f = Reciprocal()
     window = ExponentWindow(-16, 16)
-    adjacent_ok = all(
-        f(F(2) ** (n - 1)) <= 2 * f(F(2) ** n)
-        for n in range(window.lo, window.hi + 1)
-    )
+    # f at 2**n for n in [lo - 1, hi], each read once, then neighbours compared
+    images = [f(2**n if n >= 0 else F(1, 2**-n)) for n in range(window.lo - 1, window.hi + 1)]
+    adjacent_ok = all(a <= 2 * b for a, b in pairwise(images))
     verdict = check_p_metric_preserving(f, 2, window)
     w = verdict.witness
     ok = (
@@ -274,7 +303,7 @@ def _reciprocal_band_failure() -> tuple[bool, str]:
     )
 
 
-def _witness_triple_examples() -> tuple[bool, str]:
+def _witness_triple_examples(ex: _Examples) -> tuple[bool, str]:
     t1 = witness_triple(3, 0, -1)
     t2 = witness_triple(2, 0, -1)
     t3 = witness_triple(5, 2, 0)
@@ -285,8 +314,8 @@ def _witness_triple_examples() -> tuple[bool, str]:
     return ok, f"triples {t1}, {t2}; third has distances {d3}"
 
 
-def _zigzag_three_adic_failure() -> tuple[bool, str]:
-    f = zigzag_map()
+def _zigzag_three_adic_failure(ex: _Examples) -> tuple[bool, str]:
+    f = ex.zigzag_map
     band = check_p_metric_preserving(f, 3)
     adjacent = check_p_ultrametric_preserving(f, 3, ExponentWindow(-2, 2))
     want = (F(1, 8), F(1, 8), 1)
@@ -313,38 +342,38 @@ def _zigzag_three_adic_failure() -> tuple[bool, str]:
     )
 
 
-def _prime_swap_values() -> tuple[bool, str]:
+def _prime_swap_values(ex: _Examples) -> tuple[bool, str]:
     f = PowerMap(2, 3)
     got = (f(4), f(3), f(1))
     return got == (9, 6, 1), f"2->3 swap at 4, 3, 1 = {got}"
 
 
-def _prime_shift_values() -> tuple[bool, str]:
+def _prime_shift_values(ex: _Examples) -> tuple[bool, str]:
     f = PrimeShift()
     got = (f(4), f(5), f(1), f(6))
     return got == (9, 7, 1, 9), f"shift at 4, 5, 1, 6 = {got}"
 
 
-def _zigzag_extension_rejected() -> tuple[bool, str]:
+def _zigzag_extension_rejected(ex: _Examples) -> tuple[bool, str]:
     try:
-        extend_to_ultrametric_preserving(zigzag_map(), 3, ExponentWindow(-2, 2))
+        extend_to_ultrametric_preserving(ex.zigzag_map, 3, ExponentWindow(-2, 2))
     except NotPreservingError as err:
         return True, f"rejected as expected: {err}"
     return False, "the non-monotone map was extended anyway"
 
 
-def _four_point_valid() -> tuple[bool, str]:
-    space = four_point_space()
-    image = validate_ultrametric(apply_function(space, level_swap_map()))
+def _four_point_valid(ex: _Examples) -> tuple[bool, str]:
+    space = ex.four_point_space
+    image = validate_ultrametric(apply_function(space, ex.level_swap_map))
     if not isinstance(image, FiniteUltrametricSpace):
         return False, f"image is not ultrametric: {image.to_json_dict()}"
     values = sorted({v for row in image.dist for v in row})
     return True, f"image distance values = {[str(v) for v in values]}"
 
 
-def _four_point_isometry() -> tuple[bool, str]:
-    space = four_point_space()
-    image = validate_ultrametric(apply_function(space, level_swap_map()))
+def _four_point_isometry(ex: _Examples) -> tuple[bool, str]:
+    space = ex.four_point_space
+    image = validate_ultrametric(apply_function(space, ex.level_swap_map))
     found = isometry_search(space, image)
     cyclic = (1, 2, 3, 0)
     ok = (
@@ -355,23 +384,23 @@ def _four_point_isometry() -> tuple[bool, str]:
     return ok, f"search found {found}; cyclic shift {cyclic} also preserves distances"
 
 
-def _four_point_embedding() -> tuple[bool, str]:
-    space = four_point_space()
+def _four_point_embedding(ex: _Examples) -> tuple[bool, str]:
+    space = ex.four_point_space
     dim = embedding_dimension(space)
     rank = gram_rank(space)
     ok = dim == 3 and rank == 3
     return ok, f"dimension {dim}, gram rank {rank}: too big for the plane"
 
 
-def _legs_three_relabeling() -> tuple[bool, str]:
-    a, b = four_point_space(), legs_three_space()
+def _legs_three_relabeling(ex: _Examples) -> tuple[bool, str]:
+    a, b = ex.four_point_space, legs_three_space()
     found = isometry_search(a, b)
     ok = found is not None and is_isometry(a, b, found)
     return ok, f"search found {found}"
 
 
-def _four_point_distance_order() -> tuple[bool, str]:
-    family = four_point_family()
+def _four_point_distance_order(ex: _Examples) -> tuple[bool, str]:
+    family = SpaceFamily((ex.four_point_space,))
     poset = family_poset(family)
     want_pairs = [(F(0), F(1)), (F(0), F(2)), (F(0), F(3)), (F(1), F(3)), (F(2), F(3))]
     ok = (
@@ -382,16 +411,16 @@ def _four_point_distance_order() -> tuple[bool, str]:
     return ok, f"strict pairs = {[(str(a), str(b)) for a, b in poset.nonreflexive_pairs()]}"
 
 
-def _four_point_counterexample() -> tuple[bool, str]:
-    fn = counterexample_function(four_point_family())
+def _four_point_counterexample(ex: _Examples) -> tuple[bool, str]:
+    fn = counterexample_function(SpaceFamily((ex.four_point_space,)))
     got = {str(k): str(v) for k, v in fn.entries}
     ok = got == {"0": "0", "1": "2", "2": "1", "3": "2"}
     return ok, f"tabulation = {got}"
 
 
-def _level_swap_preserving() -> tuple[bool, str]:
-    f = level_swap_map()
-    report = check_family_preserving(f, four_point_family())
+def _level_swap_preserving(ex: _Examples) -> tuple[bool, str]:
+    f = ex.level_swap_map
+    report = check_family_preserving(f, SpaceFamily((ex.four_point_space,)))
     ok = report.passed and f(1) > f(2)
     return ok, f"preserves the family although f(1)={f(1)} > f(2)={f(2)}"
 
@@ -427,10 +456,10 @@ FIXTURES: tuple[tuple[str, Check], ...] = (
 
 
 def run_all() -> list[FixtureResult]:
-    results = []
+    ex, results = _Examples(), []
     for name, check in FIXTURES:
         try:
-            passed, detail = check()
+            passed, detail = check(ex)
         except Exception as err:  # a crashed fixture is a failed fixture
             passed, detail = False, f"raised {type(err).__name__}: {err}"
         results.append(FixtureResult(name, passed, detail))

@@ -716,6 +716,90 @@ def test_isotone_for_incomparables():
         isotone_for_incomparables(poset, 5, 1, 1, 2)
 
 
+def _isotone_by_pairs(poset, x2, p1, p2):
+    """The up-set map of x2 read off the pair set, and the first pair of
+    ``nonreflexive_pairs`` it breaks (None when it is isotone)."""
+    phi = {x: p2 if (x2, x) in poset.pairs else p1 for x in poset.ground}
+    broken = next(((s, t) for s, t in poset.nonreflexive_pairs() if phi[s] > phi[t]), None)
+    return phi, broken
+
+
+def _refusal(*args):
+    try:
+        isotone_for_incomparables(*args)
+    except PadicMetricsError as err:
+        return type(err), str(err)
+    except ValueError as err:
+        return ValueError, str(err)
+    return None
+
+
+@given(st.data())
+def test_isotone_for_incomparables_matches_the_pair_definition(data):
+    # every incomparable pair of a non-total family order, any 0 < p1 < p2:
+    # the map, key order included, is the up-set map read off the pairs.
+    # A seed, not st.randoms: the draws up to a non-total order are many
+    rng = Random(data.draw(st.integers(0, 2**32 - 1)))
+    poset = family_poset(random_family(rng))
+    while poset.is_total():
+        poset = family_poset(random_family(rng))
+    ground = poset.ground
+    p1 = F(data.draw(st.integers(1, 30)), data.draw(st.integers(1, 7)))
+    p2 = p1 + F(data.draw(st.integers(1, 30)), data.draw(st.integers(1, 7)))
+    incomparable = [(a, b) for a in ground for b in ground if not poset.comparable(a, b)]
+    assert incomparable
+    for x1, x2 in incomparable:
+        phi = isotone_for_incomparables(poset, x1, x2, p1, p2)
+        want, broken = _isotone_by_pairs(poset, x2, p1, p2)
+        assert broken is None
+        assert list(phi.items()) == list(want.items())
+    # the refusals, checked in the same order: ground, interval, comparability
+    x1, x2 = data.draw(st.sampled_from(incomparable))
+    outside = ground[-1] + 1
+    a, b = data.draw(st.sampled_from(ground)), data.draw(st.sampled_from(ground))
+    assert _refusal(poset, outside, x2, p1, p2) == (
+        ValueError, "x1 and x2 must belong to the ground set"
+    )
+    assert _refusal(poset, x1, outside, p2, p1)[0] is ValueError
+    assert _refusal(poset, x1, x2, p2, p1) == (
+        BadIntervalError, f"need 0 < p1 < p2, got {p2}, {p1}"
+    )
+    assert _refusal(poset, x1, x2, 0, p2) == (BadIntervalError, f"need 0 < p1 < p2, got 0, {p2}")
+    assert _refusal(poset, a, a, p1, p1)[0] is BadIntervalError
+    assert _refusal(poset, 0, b, p1, p2) == (ComparableError, f"0 and {b} are comparable")
+
+
+@given(st.data())
+def test_isotone_for_incomparables_names_the_first_pair_a_bad_relation_breaks(data):
+    # rows that are no partial order, skipping the checks through _trusted:
+    # the map is still x2's up-set, and the re-check names the first pair
+    # of nonreflexive_pairs it breaks
+    n = data.draw(st.integers(2, 7))
+    ground = tuple(F(k, 3) for k in range(n))
+    i1, i2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    up = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
+    up[i1] &= ~(1 << i2)
+    up[i2] &= ~(1 << i1)
+    poset = FinitePoset._trusted(ground, tuple(up))
+    x1, x2 = ground[i1], ground[i2]
+    want, broken = _isotone_by_pairs(poset, x2, F(1), F(2))
+    if broken is None:
+        assert list(isotone_for_incomparables(poset, x1, x2, 1, 2).items()) == list(want.items())
+    else:
+        s, t = broken
+        assert _refusal(poset, x1, x2, 1, 2) == (
+            SelfCheckError, f"constructed map is not isotone on {s}, {t}"
+        )
+
+
+def test_isotone_for_incomparables_pins_the_named_pair():
+    # 1/3 <= 2/3 <= 1, but 1/3 is not below 1; 0 is apart from 1/3
+    ground = (F(0), F(1, 3), F(2, 3), F(1))
+    poset = FinitePoset._trusted(ground, (0b0001, 0b0110, 0b1100, 0b1000))
+    with pytest.raises(SelfCheckError, match=r"^constructed map is not isotone on 2/3, 1$"):
+        isotone_for_incomparables(poset, 0, F(1, 3), 1, 2)
+
+
 def test_counterexample_four_point_pin():
     fn = counterexample_function(four_point_family())
     assert dict(fn.entries) == {F(0): F(0), F(1): F(2), F(2): F(1), F(3): F(2)}

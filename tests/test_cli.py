@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
@@ -21,6 +22,7 @@ from padicmetrics import (
     SelfCheckError,
     cli,
     families,
+    fixtures,
     extend_to_ultrametric_preserving,
     witness_triple,
 )
@@ -631,6 +633,57 @@ def test_examples_reproduce_names_the_known_failure(capsys):
     assert payload["failed"] == 1
     failing = [f["name"] for f in payload["fixtures"] if not f["passed"]]
     assert failing == ["zigzag-euclid-grid"]
+
+
+SHARED_EXAMPLES = ("four_point_space", "level_swap_map", "zigzag_map")
+
+
+def test_a_battery_run_builds_each_shared_example_once(monkeypatch):
+    # each run builds the shared examples on first use and keeps them for
+    # that run only; the public builders still return a new object per call
+    calls = Counter()
+
+    def counting(name, build):
+        def counted():
+            calls[name] += 1
+            return build()
+
+        return counted
+
+    for name in SHARED_EXAMPLES:
+        build = getattr(fixtures, name)
+        assert build() is not build()
+        monkeypatch.setattr(fixtures, name, counting(name, build))
+    first = [r.to_json_dict() for r in fixtures.run_all()]
+    assert calls == {name: 1 for name in SHARED_EXAMPLES}
+    second = [r.to_json_dict() for r in fixtures.run_all()]
+    assert calls == {name: 2 for name in SHARED_EXAMPLES}
+    assert first == second
+
+
+def test_a_builder_that_raises_fails_only_the_fixtures_that_read_it(monkeypatch):
+    clean = fixtures.run_all()
+    calls = []
+
+    def boom():
+        calls.append(None)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(fixtures, "zigzag_map", boom)
+    readers = {
+        "zigzag-values",
+        "zigzag-euclid-grid",
+        "zigzag-three-adic-failure",
+        "zigzag-extension-rejected",
+    }
+    got = fixtures.run_all()
+    assert [r.name for r in got] == [r.name for r in clean]
+    for r, before in zip(got, clean):
+        if r.name in readers:
+            assert (r.passed, r.detail) == (False, "raised RuntimeError: boom")
+        else:
+            assert r == before
+    assert len(calls) == len(readers)  # a failed build is not kept
 
 
 # ------------------------------------------------------------ entry point --
