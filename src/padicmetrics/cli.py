@@ -47,7 +47,14 @@ from .families import (
     distance_values,
     family_poset,
 )
-from .functions import FunctionSpec, PowerMap, PowerStep, PrimeShift, spec_from_json_dict
+from .functions import (
+    DEFAULT_SIEVE_BOUND,
+    FunctionSpec,
+    PowerMap,
+    PowerStep,
+    PrimeShift,
+    spec_from_json_dict,
+)
 from .padic import _text, as_fraction, digit_window, padic_abs, padic_distance, valuation
 from .padic_preserving import (
     DEFAULT_WINDOW,
@@ -407,7 +414,8 @@ VERBS = {
         "extend": (_cmd_fn_extend, ["spec", "p", "window"]),
         "prime-swap": (_cmd_fn_prime_swap, ["p", ("q", _REQUIRED_INT), _OPTIONAL_X]),
         "prime-shift": (
-            _cmd_fn_prime_shift, [_OPTIONAL_X, ("bound", {"type": int, "default": 1_000_000})]
+            _cmd_fn_prime_shift,
+            [_OPTIONAL_X, ("bound", {"type": int, "default": DEFAULT_SIEVE_BOUND})],
         ),
         "witness": (_cmd_fn_witness, ["p", ("m", _REQUIRED_INT), ("n", _REQUIRED_INT)]),
     }),

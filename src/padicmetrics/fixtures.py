@@ -31,7 +31,15 @@ from .families import (
     family_poset,
 )
 from .functions import PiecewiseLinear, PowerMap, PrimeShift, Reciprocal
-from .padic import _Record, cauchy_profile, digit_window, padic_abs, padic_distance, valuation
+from .padic import (
+    _Record,
+    _power_pair,
+    cauchy_profile,
+    digit_window,
+    padic_abs,
+    padic_distance,
+    valuation,
+)
 from .padic_preserving import (
     ExponentWindow,
     check_p_metric_preserving,
@@ -286,7 +294,7 @@ def _reciprocal_band_failure(ex: _Examples) -> tuple[bool, str]:
     f = Reciprocal()
     window = ExponentWindow(-16, 16)
     # f at 2**n for n in [lo - 1, hi], each read once, then neighbours compared
-    images = [f(2**n if n >= 0 else F(1, 2**-n)) for n in range(window.lo - 1, window.hi + 1)]
+    images = [f(F(*_power_pair(2, n))) for n in range(window.lo - 1, window.hi + 1)]
     adjacent_ok = all(a <= 2 * b for a, b in pairwise(images))
     verdict = check_p_metric_preserving(f, 2, window)
     w = verdict.witness

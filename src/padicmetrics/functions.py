@@ -38,8 +38,9 @@ from .padic import (
 TAIL_CONSTANT = "constant"
 TAIL_LINEAR = "linear"
 
-# The largest PrimeShift sieve bound accepted: ten times the default.
-MAX_SIEVE_BOUND = 10_000_000
+# The PrimeShift sieve bound when none is given, and the largest accepted.
+DEFAULT_SIEVE_BOUND = 1_000_000
+MAX_SIEVE_BOUND = 10 * DEFAULT_SIEVE_BOUND
 
 # The most power_step layers one spec may nest. Every layer adds frames to
 # each evaluation, and a few hundred layers overflow the interpreter stack.
@@ -424,7 +425,7 @@ class PrimeShift(FunctionSpec):
         ValueError: if sieve_bound is below 5.
     """
 
-    sieve_bound: int = 1_000_000
+    sieve_bound: int = DEFAULT_SIEVE_BOUND
 
     kind = "prime_shift"
 
@@ -626,7 +627,7 @@ def spec_from_json_dict(data: dict) -> FunctionSpec:
     if kind == "power_map":
         return PowerMap(_parse_int(data["p"]), _parse_int(data["q"]))
     if kind == "prime_shift":
-        return PrimeShift(_parse_int(data.get("bound", 1_000_000)))
+        return PrimeShift(_parse_int(data.get("bound", DEFAULT_SIEVE_BOUND)))
     if kind == "power_step":
         return PowerStep(spec_from_json_dict(data["inner"]), _parse_int(data["p"]))
     if kind == "step":

@@ -47,7 +47,7 @@ from operator import mul
 
 from .errors import BadOrderError, NotPreservingError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PowerMap, StepFunction
-from .padic import _Record, _exceeds, _multiplicity, _text, require_prime
+from .padic import _Record, _exceeds, _multiplicity, _power_pair, _text, require_prime
 
 
 # The widest window accepted, in exponents: -512..512 and its shifts.
@@ -180,7 +180,7 @@ def witness_triple(p: int, m: int, n: int) -> tuple[Fraction, Fraction, Fraction
     else:
         base = (p**k, -(p**k), 1)
     # the points base * p**-m, as integer numerators over one denominator
-    den, scale = (p**m, 1) if m >= 0 else (1, p**-m)
+    den, scale = _power_pair(p, m)
     x, y, z = (b * scale for b in base)
     shift = _multiplicity(den, p)
 

@@ -257,7 +257,10 @@ def validate_ultrametric(
     for the pairs with d[i][j] > u[i][j], in the same (i, j) order. No
     violating triple is skipped: any one has u[i][j] <= max(d[i][k],
     d[k][j]) < d[i][j], because the path i, k, j bounds the minimax
-    distance.
+    distance. The filter is exact per row, and cheaper than bit masks of
+    the rows would be to build: row i holds a breach just when d[i] !=
+    u[i], as on a minimax path from i to j the first point farther from i
+    than u[i][j] makes one with the point before it.
 
     Every test runs on the int ranks of the entries (see ``_ranked``),
     which order, equate and sign exactly as the entries do, so each

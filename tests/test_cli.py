@@ -362,6 +362,11 @@ def test_size_caps_are_refused(capsys):
         assert code in (0, 1) and "error" not in payload, window
 
 
+def test_prime_shift_without_flags_prints_the_default_bound(capsys):
+    code, payload = run_json(capsys, "fn", "prime-shift")
+    assert code == 0 and payload == {"bound": 1_000_000, "kind": "prime_shift"}
+
+
 def test_extend_rejects_non_preserving(capsys):
     code, payload = run_json(capsys, "fn", "extend", "--spec", ZIGZAG, "--p", "3")
     assert code == 2

@@ -230,6 +230,11 @@ def test_prime_shift_sieve_bound_cap():
         spec_from_json_dict({"kind": "prime_shift", "bound": MAX_SIEVE_BOUND + 1})
 
 
+def test_prime_shift_spec_without_a_bound_takes_the_default():
+    assert spec_from_json_dict({"kind": "prime_shift"}) == PrimeShift()
+    assert PrimeShift().sieve_bound == 1_000_000
+
+
 def test_prime_shift_refuses_a_sieve_bound_below_5():
     # when constructed, so no such spec is serialized or evaluated at 0
     assert PrimeShift(5)(2) == 3
