@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, pairwise
+from operator import or_
 from typing import Callable, Iterator
 
 from .errors import (
@@ -43,7 +44,7 @@ from .errors import (
     ZeroDistanceError,
 )
 from .functions import FunctionSpec, StepFunction, Tabulated
-from .padic import RationalLike, _Record, _ranks, _ratio, _text, as_fraction
+from .padic import RationalLike, _Record, _exceeds, _ranks, _ratio, _text, as_fraction
 from .preserving import Ratio, _Memo, _amenable_images, _fractions
 from .spaces import (
     FiniteUltrametricSpace,
@@ -110,12 +111,18 @@ class SpaceFamily(_Record):
         (``spaces._joint``): rank x of space i stands for ground[joint[i][x]],
         and family rank r for ground[r], since 0 is the least value. The
         ground is the spaces' kept values merged, so no matrix is read.
+
+        The base-leg rows are checked to stay inside the numeric order,
+        then closed in one sweep from the top row down: every row above i
+        is closed by then and holds its own bit, so row i takes the lowest
+        bit j above i it has not reached yet, ORs in row j, and drops all
+        of row j from what it still has to reach. A chain takes one OR per
+        row, and any family at most one per value above i; the closed rows
+        stay inside the numeric order.
         """
         ground, joint = _joint(self.spaces)
         ran = tuple(ground)
-        legs = _base_leg_rows(self.spaces, joint, len(ran))
-        up = [row | 1 << i for i, row in enumerate(legs)]
-        _close(up)
+        up = _base_leg_rows(self.spaces, joint, len(ran))
         for i, row in enumerate(up):
             below = row & ((1 << i) - 1)
             if below:
@@ -123,9 +130,17 @@ class SpaceFamily(_Record):
                 raise SelfCheckError(
                     f"distance order escapes numeric order on {ran[i]}, {ran[j]}"
                 )
-        for j, t in enumerate(ran):
-            if not up[0] >> j & 1:
-                raise SelfCheckError(f"0 is not below {t}")
+        for i in range(len(up) - 1, -1, -1):
+            row = up[i] | 1 << i
+            pending = row >> i + 1 << i + 1
+            while pending:
+                via = up[(pending & -pending).bit_length() - 1]
+                row |= via
+                pending &= ~via
+            up[i] = row
+        missing = up[0] ^ (1 << len(ran)) - 1
+        if missing:
+            raise SelfCheckError(f"0 is not below {ran[(missing & -missing).bit_length() - 1]}")
         return FinitePoset._trusted(ran, tuple(up)), tuple(joint)
 
 
@@ -176,7 +191,11 @@ def _base_leg_rows(spaces, joint: list[tuple[int, ...]], size: int) -> list[int]
 
 
 def _close(up: list[int]) -> None:
-    """Warshall's sweep in place: row i gains row k whenever i reaches k."""
+    """Warshall's sweep in place: row i gains row k whenever i reaches k.
+
+    It takes rows in any order, as ``FinitePoset`` is given them; a
+    family's rows point upwards, and ``SpaceFamily._order`` closes them
+    in one sweep of its own."""
     for k, via in enumerate(up):
         bit = 1 << k
         for i, row in enumerate(up):
@@ -320,18 +339,28 @@ def _order_side(read: Callable[[int, int], Ratio], poset: FinitePoset) -> OrderW
     """First failing order-side condition; f is read once per value.
 
     read(k, den) gives f(k/den) as an integer pair (``ratio_at``), and
-    the pair scan compares the images' int ranks (see ``padic._ranks``);
-    only a witness's images become Fractions.
+    the images are compared by their int ranks (see ``padic._ranks``);
+    only a witness's images become Fractions. This is isotonicity along
+    a relation on bit rows, the family form of the isotone decision:
+    below[r] holds the values whose image ranks below r, so row i fails
+    exactly where it meets below[ranks[i]], and its lowest bit there is
+    the first failing pair in ``nonreflexive_pairs`` order. That is O(k)
+    row operations for k values, however many pairs the rows hold.
     """
     images, bad = _amenable_images(read, map(_ratio, poset.ground))
     if bad is not None:
         return OrderWitness(bad.kind, bad.points, bad.images)
     ranks = _ranks(images)
+    level = [0] * len(ranks)
+    for i, r in enumerate(ranks):
+        level[r] |= 1 << i
+    below = list(accumulate(level, or_, initial=0))
     g = poset.ground
     for i, row in enumerate(poset.up):
-        for j in _bits(row & ~(1 << i)):
-            if ranks[i] > ranks[j]:
-                return OrderWitness("pair", (g[i], g[j]), _fractions(images[i], images[j]))
+        fails = row & below[ranks[i]]
+        if fails:
+            j = (fails & -fails).bit_length() - 1
+            return OrderWitness("pair", (g[i], g[j]), _fractions(images[i], images[j]))
     return None
 
 
@@ -408,7 +437,9 @@ def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
     family. The result is the running sup of f over the values seen so
     far: f(low) below the least positive value, then steps at each value,
     staying at f(high) forever after. It agrees with f on every value the
-    family realizes.
+    family realizes. The running sup is taken on the memo's integer
+    pairs, and one Fraction is built per new maximum; a tie keeps the
+    earlier level.
     """
     poset, joint = family._order
     if not poset.is_total():
@@ -421,7 +452,13 @@ def build_extension(f: FunctionSpec, family: SpaceFamily) -> StepFunction:
     positives = poset.ground[1:]  # ground[0] is 0, the least value
     if not positives:
         raise NoPositiveDistancesError("nothing to extend: no positive distances")
-    levels = accumulate((Fraction(*memo[_ratio(v)]) for v in positives), max)
+    levels = []
+    top, level = (0, 1), None  # f passed, so every image exceeds 0
+    for v in positives:
+        y = memo[_ratio(v)]
+        if _exceeds(y, top):
+            top, level = y, Fraction(*y)
+        levels.append(level)
     points = tuple(zip(positives, levels))
     return StepFunction(below=points[0][1], points=points)
 
@@ -466,7 +503,11 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
     """A preserving function with no increasing extension.
 
     Requires the distance order not to be total. Takes the largest
-    incomparable pair, maps the numerically bigger value to 1 and the
+    incomparable pair, read off the rows: they point upwards, so for
+    j > i values i and j are comparable exactly when bit j of row i is
+    set, and the pair is the largest i whose row misses a bit above i,
+    with the highest bit it misses. That is O(k) row operations for k
+    values. It maps the numerically bigger value to 1 and the
     smaller to 2 (up-set construction for the rest, 0 to 0), and
     tabulates. The result provably preserves the family while being
     decreasing somewhere on its values, so no increasing function can
@@ -477,12 +518,12 @@ def counterexample_function(family: SpaceFamily) -> Tabulated:
         raise TotallyOrderedError("the family's distance order is already total")
     ran, up = poset.ground, poset.up
     # 0 is below every value, so the largest incomparable pair is positive
-    small, big = max(
-        (a, ran[j])
-        for i, a in enumerate(ran)
-        for j in range(i + 1, len(ran))
-        if not (up[i] >> j | up[j] >> i) & 1
-    )
+    full = (1 << len(ran)) - 1
+    for i in range(len(ran) - 1, -1, -1):
+        j = (full ^ up[i]).bit_length() - 1
+        if j > i:
+            break
+    small, big = ran[i], ran[j]
     phi = isotone_for_incomparables(poset, big, small, Fraction(1), Fraction(2))
     fn = Tabulated.from_mapping({**phi, Fraction(0): Fraction(0)})
 

@@ -22,6 +22,8 @@ stands in for it on larger ones. Per claim:
   d(a, b)) over every point triple with d(a, b) = d(b, c);
   ``brute_transitive_closure`` is Warshall's sweep on a boolean matrix;
   ``brute_is_transitive`` tests transitivity pair by pair.
+  ``ref_counterexample_pair`` is the largest incomparable pair of an
+  order, by a max over every pair of values.
   ``random_family`` draws families of random dendrograms.
 - *Sampled triplet checks.* ``ref_check_metric_preserving_sampled``,
   ``ref_check_ultrametric_preserving`` and ``ref_check_ultra_to_metric``
@@ -298,6 +300,17 @@ def brute_transitive_closure(ground, pairs) -> frozenset:
                         reach[i][j] = True
     return frozenset(
         (ground[i], ground[j]) for i in range(n) for j in range(n) if reach[i][j]
+    )
+
+
+def ref_counterexample_pair(poset) -> tuple[Fraction, Fraction]:
+    """Largest (small, big) of ground values neither of which is below the other."""
+    ran, up = poset.ground, poset.up
+    return max(
+        (a, ran[j])
+        for i, a in enumerate(ran)
+        for j in range(i + 1, len(ran))
+        if not (up[i] >> j | up[j] >> i) & 1
     )
 
 
