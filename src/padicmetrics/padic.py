@@ -49,8 +49,19 @@ _ratio = attrgetter("numerator", "denominator")
 
 
 def _exceeds(a: tuple[int, int], b: tuple[int, int], factor: int = 1) -> bool:
-    # a > factor * b for (numerator, positive denominator) pairs
+    # a > factor * b for (numerator, positive denominator) pairs; its callers
+    # compare a few words, where four bit_length calls cost more than a product
     return a[0] * b[1] > factor * b[0] * a[1]
+
+
+def _exceeds_scaled(a: tuple[int, int], b: tuple[int, int], gap: int, s: int) -> bool:
+    # a > 2**s * b for positive pairs whose scales (numerator bit length less
+    # denominator bit length) differ by gap = t_a - t_b: a pair of scale t
+    # lies strictly between 2**(t - 1) and 2**(t + 1), reduced or not
+    lead = gap - s
+    if not -2 < lead < 2:
+        return lead > 0
+    return a[0] * b[1] > (b[0] * a[1] << s)
 
 
 def _common(pairs: Iterable[tuple[int, int]], den: int = 1) -> tuple[int, list[int]]:

@@ -22,8 +22,10 @@ enumerated in that order, and passing inputs never look at a pair (see
 once, as an integer pair by ``FunctionSpec.ratio_at`` at p**k = (p**k, 1)
 or (1, p**-k), each power one multiplication past the one before (a
 float or bool image is refused, as in the pair-sum checks). Every
-comparison cross-multiplies those integers: no Fraction pair is compared,
-and only a witness's images become Fractions.
+comparison is decided on those integers, from their bit lengths first and
+by cross-multiplying only where those leave it open (see
+``padic._exceeds_scaled``): no Fraction pair is compared, and only a
+witness's images become Fractions.
 
 Every failed verdict carries a witness: the offending exponent pair plus a
 concrete rational triple whose pairwise p-adic distances are p**m and p**n
@@ -42,12 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat, zip_longest
 from operator import mul
+from typing import Iterator
 
 from .errors import BadOrderError, NotPreservingError, SelfCheckError, TooLargeError
 from .functions import FunctionSpec, PowerMap, StepFunction
-from .padic import _Record, _exceeds, _multiplicity, _power_pair, _text, require_prime
+from .padic import _Record, _exceeds_scaled, _multiplicity, _power_pair, _text, require_prime
 
 
 # The widest window accepted, in exponents: -512..512 and its shifts.
@@ -246,18 +249,35 @@ def _pair_verdict(
 def _band_breaks(images: dict[int, tuple[int, int]], window: ExponentWindow) -> set[int]:
     # The n at which the largest value before n exceeds 2 images[n]: exactly
     # the n of the failing pairs m < n, since images[m] > 2 images[n] forces
-    # the running maximum at n above it too.
+    # the running maximum at n above it too. The scales decide first (see
+    # padic._exceeds_scaled): a gap of -2 or less from the maximum's to n's
+    # makes n the maximum, and one of 3 or more breaks the band at n.
     breaks = set()
-    top, top_den = images[window.lo]
-    for k in range(window.lo + 1, window.hi + 1):
-        v, den = images[k]
-        # both values over the common denominator top_den * den
-        top_over, v_over = top * den, v * top_den
-        if top_over > 2 * v_over:
+    values = iter(images.values())
+    top, top_den = next(values)
+    top_t = top.bit_length() - top_den.bit_length()
+    for k, (v, den) in zip(range(window.lo + 1, window.hi + 1), values):
+        t = v.bit_length() - den.bit_length()
+        gap = top_t - t
+        if gap < -1:
+            top, top_den, top_t = v, den, t
+        elif gap > 2:
             breaks.add(k)
-        if v_over > top_over:
-            top, top_den = v, den
+        else:
+            # both values over the common denominator top_den * den
+            top_over, v_over = top * den, v * top_den
+            if top_over > 2 * v_over:
+                breaks.add(k)
+            if v_over > top_over:
+                top, top_den, top_t = v, den, t
     return breaks
+
+
+def _near_order(ms: range) -> Iterator[int]:
+    # the integers of ms in ``_near`` order: its nonnegatives 0, 1, ... and
+    # its negatives -1, -2, ... interleaved
+    up, down = range(max(ms.start, 0), ms.stop), range(min(ms.stop, 0) - 1, ms.start - 1, -1)
+    return (m for m in chain.from_iterable(zip_longest(up, down)) if m is not None)
 
 
 def _band_witness(
@@ -266,7 +286,8 @@ def _band_witness(
     """The least failing pair m < n by (|m| + |n|, m, n).
 
     The breaks are visited in ``_near`` order, and for each break n the
-    least m < n by ``_near`` with f(p**m) > 2 f(p**n) is taken. This finds
+    m < n are tried in ``_near`` order, the first with f(p**m) > 2 f(p**n)
+    being the least. This finds
     the least pair: for a fixed n, the order (|m| + |n|, m, n) is the
     order (|m|, m), so the m taken is the best pair with that n; every
     pair with n has rank |m| + |n| at least |n|, so once |n| exceeds the
@@ -275,13 +296,19 @@ def _band_witness(
     sweep names every n at which some pair fails, so no other n can hold
     a failing pair. After the first break only |m| <= rank - |n| can tie
     or beat the best pair, so only those m are searched. The first break
-    is searched in full; if no m fails there, the sweep was wrong, and
-    SelfCheckError is raised.
+    may search its whole range; if no m fails there, the sweep was wrong,
+    and SelfCheckError is raised. Each test goes through
+    ``padic._exceeds_scaled``.
     """
 
     def least_m(n: int, ms: range) -> int | None:
-        bad = (m for m in ms if _exceeds(images[m], images[n], 2))
-        return min(bad, key=_near, default=None)
+        low = images[n]
+        t = low[0].bit_length() - low[1].bit_length()
+        for m in _near_order(ms):
+            a = images[m]
+            if _exceeds_scaled(a, low, a[0].bit_length() - a[1].bit_length() - t, 1):
+                return m
+        return None
 
     first, *rest = sorted(breaks, key=_near)
     m = least_m(first, range(window.lo, first))
@@ -311,7 +338,8 @@ def check_p_metric_preserving(
     least failing pair by (|m| + |n|, m, n), found by ``_band_witness``
     with one search for m per break it visits, O(w) for the first and
     bounded by the best rank after it. It is the pair a scan of every
-    pair in that order would report first.
+    pair in that order would report first. The sweep compares by bit
+    lengths first and multiplies only where those leave the order open.
 
     On failure the witness pins the offending pair and a rational triple
     realizing the two distances; its distance images (f(p**n), f(p**n),
@@ -334,6 +362,7 @@ def check_p_ultrametric_preserving(
     """Decide monotonicity over consecutive powers: f(p**n) <= f(p**(n+1)).
 
     A failure reports the least n by ``_near`` with f(p**n) > f(p**(n+1)).
+    A pair whose scales are 2 or more apart is settled without a product.
     """
     return _ultrametric_verdict(f, p, window)[0]
 
@@ -341,13 +370,22 @@ def check_p_ultrametric_preserving(
 def _ultrametric_verdict(
     f: FunctionSpec, p: int, window: ExponentWindow
 ) -> tuple[PreservationVerdict, list[tuple[int, int]], dict[int, tuple[int, int]]]:
-    # the verdict plus the powers and images it was decided on
+    # the verdict plus the powers and images it was decided on; scales 2 or
+    # more apart settle an adjacent pair either way (padic._exceeds_scaled)
     require_prime(p)
     powers, images = _power_images(f, p, window)
     early = _shared_gate(f, window, images)
     if early is not None:
         return early, powers, images
-    drops = [n for n in range(window.lo, window.hi) if _exceeds(images[n], images[n + 1])]
+    drops = []
+    values = iter(images.values())
+    a, a_den = next(values)
+    t_a = a.bit_length() - a_den.bit_length()
+    for n, (b, b_den) in zip(range(window.lo, window.hi), values):
+        t_b = b.bit_length() - b_den.bit_length()
+        if (gap := t_a - t_b) > 1 or gap > -2 and a * b_den > b * a_den:
+            drops.append(n)
+        a, a_den, t_a = b, b_den, t_b
     if drops:
         n = min(drops, key=_near)
         return _pair_verdict("adjacent", p, window, images, n, n + 1), powers, images
